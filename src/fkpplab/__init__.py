@@ -26,6 +26,7 @@ from .kinetics import (
 from .solver import (
     InitialData,
     SimConfig,
+    Stepper,
     Trajectory,
     build_initial,
     default_dt,

@@ -71,12 +71,6 @@ def m1_recipe(initial: InitialData, k=3.0):
     return k * initial.width / initial.amplitude
 
 
-def m2_recipe(n_measured, m1, mu):
-    """Drift-rate floor 2 N (2/(m1 mu) + 1) driven by the measured distance
-    defect N; degenerates to 0 for the exact distances implemented here."""
-    return 2.0 * n_measured * (2.0 / (m1 * mu) + 1.0)
-
-
 def c_const_recipe(t_end, m1, m2, mu):
     """Tube constant large enough for the band argument:
     > max(1, 2(2T + m1 e^{m2 T}), 2/mu)."""

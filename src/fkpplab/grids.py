@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import ConfigurationError, DomainError, NumericalError
 
@@ -97,7 +97,11 @@ def interpolate(fld: Field, x):
 
     Exact at grid points.  Raises DomainError for x outside the extents.
     """
-    g = fld.grid
+    return _interpolate(fld.grid, fld.values, x)
+
+
+def _interpolate(g: Grid, v, x):
+    """interpolate() on bare values sampled on g."""
     if g.mode == "plane":
         x = np.asarray(x, dtype=float)
         idx = []
@@ -112,7 +116,6 @@ def interpolate(fld: Field, x):
             idx.append(i)
             wts.append(t - i)
         (i, j), (s, t) = idx, wts
-        v = fld.values
         return (
             (1 - s) * (1 - t) * v[i, j]
             + s * (1 - t) * v[i + 1, j]
@@ -126,47 +129,72 @@ def interpolate(fld: Field, x):
     t = np.clip((xi - lo) / g.dx, 0.0, g.shape[0] - 1)
     i = min(int(t), g.shape[0] - 2)
     s = t - i
-    return (1 - s) * fld.values[i] + s * fld.values[i + 1]
+    return (1 - s) * v[i] + s * v[i + 1]
+
+
+class TridiagonalFactor:
+    """LU factor of a diagonally dominant tridiagonal T, computed once by
+    LAPACK ``dgttrf`` and reused by every ``dgttrs`` solve.
+
+    ``lower`` (length n-1) is the sub-diagonal, ``diag`` (length n) the main
+    diagonal, ``upper`` (length n-1) the super-diagonal.  T must be
+    diagonally dominant (weak dominance everywhere with strict dominance in
+    at least one row is accepted, which covers the classic
+    Neumann-Laplacian rows); otherwise NumericalError is raised here, before
+    any solve.
+    """
+
+    def __init__(self, lower, diag, upper):
+        lower = np.asarray(lower, dtype=float)
+        diag = np.asarray(diag, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        n = diag.size
+        if lower.size != n - 1 or upper.size != n - 1:
+            raise ConfigurationError("off-diagonals must have length n-1")
+
+        offsum = np.zeros(n)
+        offsum[:-1] += np.abs(upper)
+        offsum[1:] += np.abs(lower)
+        dominance = np.abs(diag) - offsum
+        if np.any(dominance < -1e-14 * np.abs(diag)) or not np.any(dominance > 0):
+            raise NumericalError("tridiagonal system is not diagonally dominant")
+
+        self.lower, self.diag, self.upper = lower, diag, upper
+        *self._lu, info = dgttrf(lower, diag, upper)
+        if info != 0:
+            raise NumericalError("tridiagonal system is singular")
+
+    def solve(self, rhs, check=True):
+        """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
+        block of right-hand sides, solved in one call.  With ``check`` the
+        solution is verified to relative residual <= 1e-12; without it the
+        solve may overwrite ``rhs``."""
+        rhs = np.asarray(rhs, dtype=float)
+        if rhs.shape[0] != self.diag.size:
+            raise ConfigurationError("right-hand side length differs from n")
+        y, info = dgttrs(*self._lu, rhs, overwrite_b=not check)
+        if info != 0:
+            raise NumericalError("tridiagonal solve failed")
+        if check:
+            self._check_residual(y, rhs)
+        return y
+
+    def _check_residual(self, y, rhs):
+        shape = (-1, *([1] * (rhs.ndim - 1)))
+        resid = self.diag.reshape(shape) * y
+        resid[:-1] += self.upper.reshape(shape) * y[1:]
+        resid[1:] += self.lower.reshape(shape) * y[:-1]
+        resid -= rhs
+        scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
+        if float(np.max(np.abs(resid))) > 1e-12 * scale:
+            raise NumericalError("tridiagonal solve residual exceeds 1e-12")
 
 
 def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve T y = rhs for a diagonally dominant tridiagonal T.
+    """Solve T y = rhs for a diagonally dominant tridiagonal T, once.
 
-    ``lower`` (length n-1) is the sub-diagonal, ``diag`` (length n) the main
-    diagonal, ``upper`` (length n-1) the super-diagonal.  ``rhs`` may be a
-    vector of length n or an (n, m) block of right-hand sides.
-
-    The system must be diagonally dominant (weak dominance everywhere with
-    strict dominance in at least one row is accepted, which covers the
-    classic Neumann-Laplacian rows); otherwise NumericalError is raised.
-    The solution is verified to relative residual <= 1e-12.
+    The validated one-shot form of TridiagonalFactor (see there for the
+    argument layout): dominance is checked, T is factorised, and the
+    solution is verified to relative residual <= 1e-12.
     """
-    lower = np.asarray(lower, dtype=float)
-    diag = np.asarray(diag, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    n = diag.size
-    if lower.size != n - 1 or upper.size != n - 1:
-        raise ConfigurationError("off-diagonals must have length n-1")
-
-    offsum = np.zeros(n)
-    offsum[:-1] += np.abs(upper)
-    offsum[1:] += np.abs(lower)
-    dominance = np.abs(diag) - offsum
-    if np.any(dominance < -1e-14 * np.abs(diag)) or not np.any(dominance > 0):
-        raise NumericalError("tridiagonal system is not diagonally dominant")
-
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    y = solve_banded((1, 1), ab, rhs)
-
-    resid = diag.reshape(-1, *([1] * (rhs.ndim - 1))) * y
-    resid[:-1] += upper.reshape(-1, *([1] * (rhs.ndim - 1))) * y[1:]
-    resid[1:] += lower.reshape(-1, *([1] * (rhs.ndim - 1))) * y[:-1]
-    resid -= rhs
-    scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
-    if float(np.max(np.abs(resid))) > 1e-12 * scale:
-        raise NumericalError("tridiagonal solve residual exceeds 1e-12")
-    return y
+    return TridiagonalFactor(lower, diag, upper).solve(rhs)

@@ -11,6 +11,10 @@ makes the composed scheme comparison-preserving and keeps
 Line-mode Neumann rows use the telescoping form (u1 - u0)/dx^2 so the plain
 sum of values is conserved exactly; the radial outer wall uses the mirror
 form, which is what second-order accuracy wants there.
+
+A run builds one Stepper, which computes everything that is constant over
+the run (the factor of each axis's Crank-Nicolson matrix, the reaction
+decay factor, the grid axes) once, and loops on bare arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import ConvexBody
-from .grids import Field, Grid, interpolate, solve_tridiagonal
+from .grids import Field, Grid, TridiagonalFactor, _interpolate
 from .kinetics import eps_log
 
 
@@ -209,19 +213,6 @@ class Trajectory:
         raise KeyError(f"no checkpoint near t={t}")
 
 
-def reaction_substep(fld: Field, dt: float, epsilon: float) -> Field:
-    """Exact logistic flow u <- u e^s / (1 + u(e^s - 1)), s = dt/eps.
-
-    Monotone in u and unconditionally stable; input must be nonnegative.
-    """
-    u = fld.values
-    if float(u.min()) < 0.0:
-        raise NumericalError("reaction substep received negative values")
-    s = dt / epsilon
-    new = u / (u + (1.0 - u) * np.exp(-s))
-    return Field(fld.grid, new)
-
-
 @lru_cache(maxsize=32)
 def _lap_coeffs(grid: Grid, axis: int):
     """(sub, diag, sup) of the Neumann Laplacian along one axis, unscaled
@@ -253,56 +244,96 @@ def _apply_lap(coeffs, u, axis):
     return np.moveaxis(out, 0, axis)
 
 
-def _cn_1d(coeffs, u, a, axis):
-    """One Crank-Nicolson line solve: (I - a L) u+ = (I + a L) u along axis."""
-    sub, diag, sup = coeffs
-    rhs = u + a * _apply_lap(coeffs, u, axis)
-    rhs = np.moveaxis(rhs, axis, 0)
-    shape = rhs.shape
-    y = solve_tridiagonal(
-        -a * sub, 1.0 - a * diag, -a * sup, rhs.reshape(shape[0], -1)
-    )
-    return np.moveaxis(y.reshape(shape), 0, axis)
+# Steps between residual checks of the line solves; the first step of every
+# Stepper is always checked.
+RESIDUAL_EVERY = 25
+
+
+class Stepper:
+    """Strang step reaction(dt/2) o diffusion(dt) o reaction(dt/2) on one
+    grid, with every quantity that is constant over a run computed once:
+
+    * the LU factor of (I - a L) along each axis, a = eps dt / (2 dx^2);
+      the diagonal-dominance check runs here, at factorisation;
+    * the reaction decay factor exp(-dt / (2 eps));
+    * the Laplacian coefficients and the grid axes (``axes``).
+
+    ``step`` maps a bare value array to the next one.  The reaction
+    half-steps reject negative input; the line solves verify the 1e-12
+    residual on the first step and every RESIDUAL_EVERY steps after it.
+    """
+
+    def __init__(self, grid: Grid, dt: float, epsilon: float):
+        self.grid = grid
+        self.axes = tuple(grid.axis(i) for i in range(len(grid.extents)))
+        self.decay = np.exp(-(dt / 2.0 / epsilon))
+        self.a = epsilon * dt / 2.0 / grid.dx**2
+        self.lap = tuple(_lap_coeffs(grid, i) for i in range(len(self.axes)))
+        self.factors = tuple(
+            TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
+            for sub, diag, sup in self.lap
+        )
+        self.steps = 0
+
+    def reaction(self, u):
+        """Exact logistic flow over dt/2: u <- u e^s / (1 + u(e^s - 1)),
+        s = dt/(2 eps).  Monotone in u and unconditionally stable; input
+        must be nonnegative."""
+        if float(u.min()) < 0.0:
+            raise NumericalError("reaction substep received negative values")
+        return u / (u + (1.0 - u) * self.decay)
+
+    def diffusion(self, u):
+        """Crank-Nicolson step of u_t = eps Lap u over dt, Neumann walls.
+
+        Plane mode uses Peaceman-Rachford ADI (two half-steps, alternating
+        directions), which keeps second-order accuracy with only line
+        solves; each directional half-step carries the same a as plain
+        Crank-Nicolson.
+        """
+        check = self.steps % RESIDUAL_EVERY == 0
+        a = self.a
+        if self.grid.mode == "plane":
+            cx, cy = self.lap
+            u = u + a * _apply_lap(cy, u, 1)
+            u = self._solve_lines(0, u, check)
+            u = u + a * _apply_lap(cx, u, 0)
+            return self._solve_lines(1, u, check)
+        return self._solve_lines(0, u + a * _apply_lap(self.lap[0], u, 0), check)
+
+    def _solve_lines(self, axis, rhs, check):
+        """(I - a L) y = rhs along one axis, every line in one dgttrs call."""
+        rhs = np.moveaxis(rhs, axis, 0)
+        shape = rhs.shape
+        y = self.factors[axis].solve(rhs.reshape(shape[0], -1), check)
+        return np.moveaxis(y.reshape(shape), 0, axis)
+
+    def step(self, u):
+        """The state one Strang step after u (a new array)."""
+        u = self.reaction(u)
+        u = self.diffusion(u)
+        self.steps += 1
+        return self.reaction(u)
+
+
+def reaction_substep(fld: Field, dt: float, epsilon: float) -> Field:
+    """Exact logistic flow u <- u e^s / (1 + u(e^s - 1)), s = dt/eps.
+
+    Monotone in u and unconditionally stable; input must be nonnegative.
+    """
+    # a Stepper's reaction half-step covers half of its dt
+    return Field(fld.grid, Stepper(fld.grid, 2.0 * dt, epsilon).reaction(fld.values))
 
 
 def diffusion_substep(fld: Field, dt: float, epsilon: float) -> Field:
-    """Crank-Nicolson step of u_t = eps Lap u with Neumann walls.
-
-    Plane mode uses Peaceman-Rachford ADI (two half-steps, alternating
-    directions), which keeps second-order accuracy with only line solves.
-    """
-    g = fld.grid
-    a = epsilon * dt / 2.0 / g.dx**2
-    if g.mode == "plane":
-        # Peaceman-Rachford: each directional half-step carries the same
-        # eps dt / (2 dx^2) factor as plain Crank-Nicolson
-        cx = _lap_coeffs(g, 0)
-        cy = _lap_coeffs(g, 1)
-        u = fld.values
-        u = u + a * _apply_lap(cy, u, 1)
-        u = _solve_lines(cx, u, a, 0)
-        u = u + a * _apply_lap(cx, u, 0)
-        u = _solve_lines(cy, u, a, 1)
-        return Field(g, u)
-    coeffs = _lap_coeffs(g, 0)
-    return Field(g, _cn_1d(coeffs, fld.values, a, 0))
-
-
-def _solve_lines(coeffs, rhs, a, axis):
-    sub, diag, sup = coeffs
-    rhs = np.moveaxis(rhs, axis, 0)
-    shape = rhs.shape
-    y = solve_tridiagonal(
-        -a * sub, 1.0 - a * diag, -a * sup, rhs.reshape(shape[0], -1)
-    )
-    return np.moveaxis(y.reshape(shape), 0, axis)
+    """Crank-Nicolson step of u_t = eps Lap u with Neumann walls (ADI in
+    plane mode); see Stepper.diffusion."""
+    return Field(fld.grid, Stepper(fld.grid, dt, epsilon).diffusion(fld.values))
 
 
 def step(fld: Field, dt: float, epsilon: float) -> Field:
     """One Strang step: reaction(dt/2) o diffusion(dt) o reaction(dt/2)."""
-    fld = reaction_substep(fld, dt / 2.0, epsilon)
-    fld = diffusion_substep(fld, dt, epsilon)
-    return reaction_substep(fld, dt / 2.0, epsilon)
+    return Field(fld.grid, Stepper(fld.grid, dt, epsilon).step(fld.values))
 
 
 def front_position(fld: Field, level: float, rays=None):
@@ -312,7 +343,11 @@ def front_position(fld: Field, level: float, rays=None):
     Returns the interpolated coordinate, None when the level is not
     attained (recorded as an absent observable, not an error).
     """
-    g = fld.grid
+    return _front(fld.grid, fld.grid.axis(0), fld.values, level, rays)
+
+
+def _front(g: Grid, x, u, level, rays=None):
+    """front_position() on bare values u, with x the grid's scan axis."""
     if g.mode == "plane":
         if rays is None:
             rays = [(1.0, 0.0)]
@@ -322,11 +357,10 @@ def front_position(fld: Field, level: float, rays=None):
             ray /= np.linalg.norm(ray)
             smax = _ray_reach(g, ray)
             svals = np.arange(0.0, smax, g.dx / 2.0)
-            u = np.array([interpolate(fld, s * ray) for s in svals])
-            out.append(_outermost_crossing(svals, u, level))
+            vals = np.array([_interpolate(g, u, s * ray) for s in svals])
+            out.append(_outermost_crossing(svals, vals, level))
         return out
-    x = g.axis(0)
-    return _outermost_crossing(x, fld.values, level)
+    return _outermost_crossing(x, u, level)
 
 
 def _ray_reach(grid, ray):
@@ -353,8 +387,13 @@ def _outermost_crossing(x, u, level):
 def layer_thickness(fld: Field, epsilon: float):
     """Width between the outermost u = eps crossing and the outermost
     u = 1 - 2 eps crossing; positive for a decreasing front."""
-    outer = front_position(fld, epsilon)
-    inner = front_position(fld, 1.0 - 2.0 * epsilon)
+    return _thickness(fld.grid, fld.grid.axis(0), fld.values, epsilon)
+
+
+def _thickness(g: Grid, x, u, epsilon):
+    """layer_thickness() on bare values u, with x the grid's scan axis."""
+    outer = _front(g, x, u, epsilon)
+    inner = _front(g, x, u, 1.0 - 2.0 * epsilon)
     if outer is None or inner is None:
         return None
     if isinstance(outer, list):
@@ -365,33 +404,38 @@ def layer_thickness(fld: Field, epsilon: float):
     return outer - inner
 
 
-def _observable(name, fld, ctx):
+def _observable(name, u, ctx):
     if name == "sup":
-        return float(fld.values.max())
+        return float(u.max())
     if name == "min":
-        return float(fld.values.min())
+        return float(u.min())
     if name == "front_half":
-        pos = front_position(fld, 0.5)
+        pos = _front(ctx["grid"], ctx["x"], u, 0.5)
         return math.nan if pos is None else (pos[0] if isinstance(pos, list) else pos)
     if name == "layer_width":
-        w = layer_thickness(fld, ctx["epsilon"])
+        w = _thickness(ctx["grid"], ctx["x"], u, ctx["epsilon"])
         return math.nan if w is None else (w[0] if isinstance(w, list) else w)
     if name == "threshold_min":
         mask = ctx.get("threshold_mask")
         if mask is None or not mask.any():
             return math.nan
-        return float(fld.values[mask].min())
+        return float(u[mask].min())
     raise ConfigurationError(f"unknown observable {name!r}")
 
 
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, recording the requested observables each step and
-    the checkpoint fields at the requested times (snapped to the step grid)."""
-    fld = build_initial(config.initial, config.grid, config.epsilon)
+    the checkpoint fields at the requested times (snapped to the step grid).
+
+    The loop works on bare arrays; a Field is built only for a checkpoint.
+    A non-finite state raises NumericalError with diagnostic (t, step).
+    """
+    u = build_initial(config.initial, config.grid, config.epsilon).values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
+    stepper = Stepper(config.grid, dt, config.epsilon)
 
-    ctx = {"epsilon": config.epsilon}
+    ctx = {"epsilon": config.epsilon, "grid": config.grid, "x": stepper.axes[0]}
     if config.initial.variant == "compact" and "threshold_min" in config.record:
         g = compact_profile(config.initial, config.grid)
         ctx["threshold_mask"] = g >= 3.0 * eps_log(config.epsilon)
@@ -404,23 +448,22 @@ def run(config: SimConfig) -> Trajectory:
     series = {name: np.empty(n_steps + 1) for name in config.record}
     checkpoints = []
 
-    def record(k, t, f):
+    def record(k, t, u):
         times[k] = t
         for name in config.record:
-            series[name][k] = _observable(name, f, ctx)
+            series[name][k] = _observable(name, u, ctx)
         if k in checkpoint_idx:
-            checkpoints.append((t, f.copy()))
+            checkpoints.append((t, Field(config.grid, u.copy())))
 
-    record(0, 0.0, fld)
+    record(0, 0.0, u)
     for k in range(1, n_steps + 1):
-        fld = step(fld, dt, config.epsilon)
+        u = stepper.step(u)
         t = k * dt
-        if k % 25 == 0 or k == n_steps:
-            if not np.all(np.isfinite(fld.values)):
-                raise NumericalError(
-                    f"solution lost finiteness near t={t:g}", diagnostic=(t, fld)
-                )
-        record(k, t, fld)
+        if not np.all(np.isfinite(u)):
+            raise NumericalError(
+                f"solution lost finiteness near t={t:g}", diagnostic=(t, k)
+            )
+        record(k, t, u)
 
     sup0 = max(1.0, float(series["sup"][0])) if "sup" in series else None
     if sup0 is not None and float(np.max(series["sup"])) > sup0 + 1e-8:

@@ -124,8 +124,7 @@ def test_cli_check_failure_exit_code(tmp_path):
     assert rc == 2
 
 
-def test_cli_simulate_dumps_checkpoints(tmp_path):
-    ini = _write(tmp_path, "sim.ini", """\
+SIMULATE_INI = """\
 [kinetics]
 epsilon = 0.1
 
@@ -143,7 +142,11 @@ width = 0.25
 mode = line
 t_end = 0.2
 checkpoints = 0.1, 0.2
-""")
+"""
+
+
+def test_cli_simulate_dumps_checkpoints(tmp_path):
+    ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
     out = tmp_path / "sim_out"
     rc = cli.main(["simulate", "--config", ini, "--out", str(out)])
     assert rc == 0
@@ -151,6 +154,13 @@ checkpoints = 0.1, 0.2
     assert (out / "checkpoint_t0.2.csv").exists()
     header = (out / "checkpoint_t0.2.csv").read_text().splitlines()[0]
     assert header.startswith("# t=")
+
+
+def test_cli_blow_up_exit_code(tmp_path, blow_up, capsys):
+    ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
+    rc = cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "lost finiteness" in capsys.readouterr().err
 
 
 def test_svg_emitter_log_axes(tmp_path):

@@ -8,8 +8,10 @@ from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid, interpolate
 from fkpplab.kinetics import eps_log
 from fkpplab.solver import (
+    RESIDUAL_EVERY,
     InitialData,
     SimConfig,
+    Stepper,
     build_initial,
     default_dt,
     diffusion_substep,
@@ -17,6 +19,7 @@ from fkpplab.solver import (
     front_position,
     layer_thickness,
     reaction_substep,
+    run,
     step,
 )
 from fkpplab.studies import cached_run, cached_wave, compact_family_config
@@ -158,6 +161,30 @@ def test_comparison_preservation_random_pairs():
             fu = step(fu, dt, EPS)
             fv = step(fv, dt, EPS)
         assert np.all(fv.values - fu.values >= -1e-12)
+
+
+def test_stepper_checks_residual_on_first_step_and_every_25th():
+    g = _line_grid(0.5, EPS / 8)
+    stepper = Stepper(g, default_dt(g, EPS), EPS)
+    lu = stepper.factors[0]._lu
+    lu[1] = lu[1] * (1.0 + 1e-6)  # a factor that no longer matches the matrix
+    u = np.full(g.shape, 0.5)
+    with pytest.raises(NumericalError, match="residual"):
+        stepper.step(u)
+    stepper.steps = 1
+    for _ in range(RESIDUAL_EVERY - 1):
+        u = stepper.step(u)
+    with pytest.raises(NumericalError, match="residual"):
+        stepper.step(u)
+
+
+def test_run_reports_blow_up_with_time_and_step(blow_up):
+    cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.2)
+    with pytest.raises(NumericalError, match="finiteness") as info:
+        run(cfg)
+    t, k = info.value.diagnostic
+    assert k == blow_up
+    assert t == pytest.approx(blow_up * cfg.dt, rel=1e-2)
 
 
 def test_sup_norm_bound_with_overshooting_data():
