@@ -19,8 +19,6 @@ _FLOAT_LIST = "float_list"
 SCHEMA = {
     "kinetics": {
         "epsilon": float,
-        "cutoff_inner": float,
-        "cutoff_outer": float,
     },
     "wave": {
         "speeds": _FLOAT_LIST,

@@ -20,10 +20,3 @@ def smoothstep_d1(t):
     d = 30.0 * tc * tc * (tc - 1.0) * (tc - 1.0)
     return np.where(inside, d, 0.0)
 
-
-def smoothstep_d2(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    d = 60.0 * tc * (2.0 * tc - 1.0) * (tc - 1.0)
-    return np.where(inside, d, 0.0)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import OrderedDict
 
 import numpy as np
 
@@ -34,23 +35,33 @@ from .reporting import ExperimentReport, config_hash
 from .solver import InitialData, SimConfig, build_initial, run
 from .waves import decay_rate, solve_sign_changing_wave, solve_wave
 
-_TRAJ_CACHE: dict = {}
-_WAVE_CACHE: dict = {}
+# Entries each study cache keeps; past it the least recently used goes.
+CACHE_SIZE = 16
+
+_TRAJ_CACHE: OrderedDict = OrderedDict()
+_WAVE_CACHE: OrderedDict = OrderedDict()
+
+
+def _cached(cache, key, build):
+    """cache[key], built on a miss, evicting the least recently used entry
+    past CACHE_SIZE."""
+    if key in cache:
+        cache.move_to_end(key)
+        return cache[key]
+    value = cache[key] = build()
+    if len(cache) > CACHE_SIZE:
+        cache.popitem(last=False)
+    return value
 
 
 def cached_run(cfg: SimConfig):
-    if cfg not in _TRAJ_CACHE:
-        _TRAJ_CACHE[cfg] = run(cfg)
-    return _TRAJ_CACHE[cfg]
+    return _cached(_TRAJ_CACHE, cfg, lambda: run(cfg))
 
 
 def cached_wave(c, sign_changing=False):
-    key = (round(c, 12), sign_changing)
-    if key not in _WAVE_CACHE:
-        _WAVE_CACHE[key] = (
-            solve_sign_changing_wave(c) if sign_changing else solve_wave(c)
-        )
-    return _WAVE_CACHE[key]
+    return _cached(
+        _WAVE_CACHE, (round(c, 12), sign_changing),
+        lambda: solve_sign_changing_wave(c) if sign_changing else solve_wave(c))
 
 
 def _snap_extent(need, dx):

@@ -1,6 +1,8 @@
+from collections import OrderedDict
+
 import pytest
 
-from fkpplab import cli
+from fkpplab import cli, studies
 from fkpplab.config import load_config
 from fkpplab.errors import ConfigurationError
 from fkpplab.reporting import ExperimentReport, config_hash
@@ -114,6 +116,12 @@ def test_cli_usage_errors(tmp_path):
     assert cli.main(["speed", "--config", single, "--out", str(tmp_path)]) == 1
     bad = _write(tmp_path, "bad.ini", "[study]\nbogus = 1\n")
     assert cli.main(["speed", "--config", bad, "--out", str(tmp_path)]) == 1
+    # the barrier study builds KineticsParams(epsilon) and nothing else
+    for key in ("cutoff_inner", "cutoff_outer"):
+        cut = _write(tmp_path, "cut.ini",
+                     f"[kinetics]\nepsilon = 0.02\n{key} = 0.2\n")
+        assert cli.main(["barriers", "--config", cut,
+                         "--out", str(tmp_path)]) == 1
 
 
 def test_cli_check_failure_exit_code(tmp_path):
@@ -181,3 +189,25 @@ def test_report_summary_and_passed_flag():
     assert not rep.passed
     lines = list(rep.summary_lines())
     assert any("FAIL" in l and "broken" in l for l in lines)
+
+
+def test_study_caches_evict_least_recently_used(monkeypatch):
+    built = []
+    monkeypatch.setattr(studies, "_TRAJ_CACHE", OrderedDict())
+    monkeypatch.setattr(studies, "run", lambda cfg: built.append(cfg) or cfg)
+    for key in range(studies.CACHE_SIZE):
+        studies.cached_run(key)
+    studies.cached_run(0)  # a hit: key 1 is now the least recently used
+    studies.cached_run(studies.CACHE_SIZE)  # one past the cap
+    assert len(studies._TRAJ_CACHE) == studies.CACHE_SIZE
+    assert 1 not in studies._TRAJ_CACHE and 0 in studies._TRAJ_CACHE
+    assert len(built) == studies.CACHE_SIZE + 1
+    studies.cached_run(1)  # evicted, so built again
+    assert built[-1] == 1 and 2 not in studies._TRAJ_CACHE
+
+    monkeypatch.setattr(studies, "_WAVE_CACHE", OrderedDict())
+    monkeypatch.setattr(studies, "solve_wave", lambda c: c)
+    for c in range(studies.CACHE_SIZE + 1):
+        studies.cached_wave(2.0 + c)
+    assert (2.0, False) not in studies._WAVE_CACHE
+    assert len(studies._WAVE_CACHE) == studies.CACHE_SIZE

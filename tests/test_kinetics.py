@@ -7,6 +7,8 @@ from scipy.integrate import solve_ivp
 from fkpplab.errors import ConfigurationError, DomainError
 from fkpplab.kinetics import (
     KineticsParams,
+    _modified_derivs,
+    _time_map,
     bistable_logistic,
     fitted_generation_alpha,
     logistic_flow,
@@ -95,14 +97,31 @@ def test_semiflow_zero_crossing_matches_positivity_time():
     xi = p.threshold / 2.0
     t_pred = positivity_time(xi, p)
     assert t_pred == pytest.approx(p.log_eps * math.log(2.0), rel=1e-12)
-    from fkpplab.kinetics import _modified_derivs
-
     ev = lambda _, w: w[0]
     ev.terminal = True
     ev.direction = -1
     sol = solve_ivp(lambda _, w: _modified_derivs(w, p)[0], (0.0, 100.0), [xi],
                     events=ev, method="DOP853", rtol=1e-10, atol=1e-14)
     assert sol.t_events[0][0] == pytest.approx(t_pred, rel=0.01)
+
+
+def test_semiflow_rejects_bad_data():
+    for xi in (math.nan, math.inf, -(2.0**21)):
+        with pytest.raises(DomainError):
+            semiflow(1.0, np.array([0.3, xi]), P02)
+    with pytest.raises(DomainError):
+        semiflow(math.nan, 0.3, P02)
+
+
+def test_time_map_built_on_first_use_and_bounded():
+    _time_map.cache_clear()
+    p = KineticsParams(0.03)
+    assert _time_map.cache_info().currsize == 0
+    semiflow(1.0, 0.3, p)
+    semiflow(2.0, 0.4, p)
+    info = _time_map.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    assert info.maxsize is not None
 
 
 def test_positivity_time_range_and_domain():
@@ -152,6 +171,32 @@ def test_sensitivity_against_central_difference():
         assert abs(w1 - fd) / abs(fd) <= 1e-4
 
 
+def _variational_oracle(s, xi, p, h=1e-6):
+    """(w_xi, w_xixi) from the variational equations of w' = f(w), with f''
+    as a central difference of f'."""
+
+    def rhs(_, y):
+        w, d1, d2 = y
+        f, f1 = _modified_derivs(w, p)
+        f2 = (_modified_derivs(w + h, p)[1] - _modified_derivs(w - h, p)[1]) / (2 * h)
+        return [float(f), float(f1 * d1), float(f1 * d2 + f2 * d1 * d1)]
+
+    sol = solve_ivp(rhs, (0.0, s), [xi, 1.0, 0.0], method="DOP853",
+                    rtol=1e-11, atol=1e-14)
+    assert sol.success
+    return sol.y[1, -1], sol.y[2, -1]
+
+
+@pytest.mark.parametrize("s, xi", [
+    (0.5, 0.1), (2.0, 0.3), (1.0, 0.8), (2.0, -0.2), (1.5, -0.7), (0.4, -1.3),
+    (3.0, 1.6), (1.0, -1.0), (1.0, P02.threshold), (1.0, 1.0)])
+def test_sensitivity_against_variational_oracle(s, xi):
+    w1, w2 = semiflow_sensitivity(s, xi, P02)
+    o1, o2 = _variational_oracle(s, xi, P02)
+    assert w1 == pytest.approx(o1, rel=1e-7, abs=1e-12)
+    assert w2 == pytest.approx(o2, rel=1e-5, abs=1e-10)
+
+
 def test_logistic_agrees_with_semiflow_above_cutoff():
     # trajectories staying above the cutoff see the untouched logistic rate
     p = P02
@@ -176,3 +221,20 @@ def test_generation_alpha_stable_across_ladder():
         assert np.all(w_all <= 1.0 + eps + 1e-9)
     ratio = max(alphas.values()) / min(alphas.values())
     assert ratio <= 2.0
+
+
+def _crossing_time(p, xi0, target, direction):
+    ev = lambda _, w: w[0] - target
+    ev.terminal, ev.direction = True, direction
+    sol = solve_ivp(lambda _, w: modified_logistic(w, p), (0.0, 60.0 * p.log_eps),
+                    [xi0], events=ev, method="DOP853", rtol=1e-12, atol=1e-20)
+    return sol.t_events[0][0]
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+def test_generation_alpha_matches_event_integration(eps):
+    p = KineticsParams(eps)
+    s_low = _crossing_time(p, 3.0 * p.threshold, 1.0 - eps, +1)
+    s_high = _crossing_time(p, 2.0, 1.0 + eps, -1)
+    alpha = fitted_generation_alpha(p, xi_hi=2.0)
+    assert alpha == pytest.approx(max(s_low, s_high) / p.log_eps, rel=1e-9)

@@ -1,12 +1,16 @@
-"""Property tests of the Strang stepper: comparison, sum conservation,
-monotone reaction, and reuse of one Stepper against the one-shot wrapper."""
+"""Property tests of the Strang stepper (comparison, sum conservation,
+monotone reaction, reuse of one Stepper against the one-shot wrapper) and of
+the semiflow (agreement with an ODE solve, the semigroup law, monotonicity,
+fixed zeros, independence of the batch)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import solve_ivp
 
 from fkpplab.grids import Field, Grid
+from fkpplab.kinetics import KineticsParams, modified_logistic, semiflow
 from fkpplab.solver import Stepper, default_dt, diffusion_substep, step
 
 EPS = 0.04
@@ -86,3 +90,90 @@ def test_reused_stepper_matches_one_shot_steps(mode, seed):
         u = stepper.step(u)
         fld = step(fld, dt, EPS)
     assert np.array_equal(u, fld.values)
+
+
+# --- semiflow ---------------------------------------------------------------
+
+KINETICS = {eps: KineticsParams(eps) for eps in (0.04, 0.02, 0.01)}
+
+
+def _zeros(p):
+    return (-1.0, p.threshold, 1.0)
+
+
+def _breakpoints(p):
+    return (-1.0, p.extension_knee, -p.neg_outer, -p.neg_inner, p.threshold,
+            p.pos_inner, p.pos_outer, 1.0)
+
+
+@st.composite
+def kinetics_and_xi(draw):
+    """A KineticsParams and a xi: uniform on [-3, 3], or within 1e-12..1e-2
+    of a zero or of a breakpoint of the rate, on either side."""
+    p = KINETICS[draw(st.sampled_from(sorted(KINETICS)))]
+    kind = draw(st.sampled_from(("uniform", "near")))
+    if kind == "uniform":
+        return p, draw(st.floats(-3.0, 3.0))
+    base = draw(st.sampled_from(_breakpoints(p)))
+    offset = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.floats(-12, -2))
+    return p, base + offset
+
+
+def _ode_oracle(s, xi, p):
+    sol = solve_ivp(lambda _, w: modified_logistic(w, p), (0.0, s), [xi],
+                    method="DOP853", rtol=1e-13, atol=1e-20)
+    assert sol.success
+    return sol.y[0, -1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(kinetics_and_xi(), st.floats(0.0, 20.0))
+def test_semiflow_matches_ode_oracle(p_xi, s):
+    p, xi = p_xi
+    assert abs(semiflow(s, xi, p) - _ode_oracle(s, xi, p)) <= 1e-9
+
+
+@PROPS
+@given(kinetics_and_xi(), st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+def test_semiflow_semigroup_law(p_xi, s, t):
+    p, xi = p_xi
+    mid = semiflow(s, xi, p)
+    end = semiflow(s + t, xi, p)
+    # rounding of the midpoint grows by w_xi(t, mid) = f(end)/f(mid)
+    f_mid = modified_logistic(mid, p)
+    gain = abs(modified_logistic(end, p) / f_mid) if f_mid else 1.0
+    assert abs(semiflow(t, mid, p) - end) <= 1e-11 * (1.0 + gain)
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINETICS)),
+       st.lists(st.integers(-2000, 2000), min_size=2, max_size=30, unique=True),
+       st.floats(1e-3, 1.0))
+def test_semiflow_strictly_increasing_in_xi(eps, ks, s):
+    # xi 1e-3 apart on [-2, 2]; in time s <= 1 no gap closes below rounding
+    xi = np.sort(np.array(ks)) / 1000.0
+    assert np.all(np.diff(semiflow(s, xi, KINETICS[eps])) > 0.0)
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINETICS)), st.floats(0.0, 1e3))
+def test_semiflow_zeros_are_fixed(eps, s):
+    p = KINETICS[eps]
+    zeros = np.array(_zeros(p))
+    assert np.array_equal(semiflow(s, zeros, p), zeros)
+    assert all(semiflow(s, z, p) == z for z in zeros)
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINETICS)),
+       st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20),
+       st.floats(1e-6, 30.0), st.randoms(use_true_random=False))
+def test_semiflow_point_independent_of_batch(eps, xs, s, rnd):
+    p = KINETICS[eps]
+    xs = np.array(xs + list(_zeros(p)))
+    w = semiflow(s, xs, p)
+    assert all(semiflow(s, x, p) == wi for x, wi in zip(xs, w))
+    order = np.array(rnd.sample(range(xs.size), xs.size))
+    assert np.array_equal(semiflow(s, xs[order], p), w[order])
+    picks = np.array([rnd.randrange(xs.size) for _ in range(2 * xs.size)])
+    assert np.array_equal(semiflow(s, xs[picks], p), w[picks])
