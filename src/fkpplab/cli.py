@@ -2,6 +2,7 @@
 
 Subcommands: wave, simulate, speed, thickness, generation, no-interface,
 barriers.  Each takes --config <path> and --out <dir>; --svg adds plots.
+COMMANDS says which config keys each one reads; any other key is an error.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -11,16 +12,19 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
-from .config import body_from_config, initial_from_config, load_config
+from .config import body_from_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
-from .grids import Grid
+from .geometry import ConvexBody
 from .kinetics import eps_log
-from .reporting import config_hash
+from .reporting import ExperimentReport, config_hash
 from .solver import SimConfig, dump_checkpoint, run
 from .studies import (
     algebraic_family_config,
     cached_wave,
+    compact_family_config,
     run_barrier_check,
     run_generation_study,
     run_no_interface_study,
@@ -28,6 +32,8 @@ from .studies import (
     run_thickness_study,
     run_wave_study,
 )
+
+_SIM_COLUMNS = ("t", "sup", "min", "front_half", "layer_width")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,136 +43,120 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _family_kwargs(cfg):
+def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
+                        tail_lambda=1.0, tail_cap=0.0, mode="line", dim=2,
+                        t_end=1.0, extent=0.0, checkpoints=None):
+    """The SimConfig `simulate` runs for compact data: the study family's,
+    recording the observables the report prints."""
+    if epsilon is None:
+        raise ConfigurationError("[kinetics] epsilon is required for simulate")
+    sim = compact_family_config(
+        epsilon, body or ConvexBody.interval(-0.5, 0.5), amplitude, width,
+        t_end, mode, dim, checkpoints,
+        None if tail_cap == 0.0 else (tail_lambda, tail_cap), min_reach=extent)
+    return replace(sim, record=_SIM_COLUMNS[1:])
+
+
+def _algebraic_simulation(epsilon=None, m=0.5, n=2.0, dim=2, t_end=1.0,
+                          extent=4.0, checkpoints=None):
+    """The radial SimConfig `simulate` runs for algebraic data."""
+    if epsilon is None:
+        raise ConfigurationError("[kinetics] epsilon is required for simulate")
+    if checkpoints is None:
+        checkpoints = (t_end / 2.0, t_end)
+    return algebraic_family_config(epsilon, m, n, t_end, extent, dim=dim,
+                                   checkpoints=checkpoints)
+
+
+@dataclass(frozen=True)
+class Reading:
+    """How one command reads a config: the function it calls, the
+    "section.key" entries it passes to it as the keyword `key`, the entries
+    it accepts at one value only, and whether [geometry] becomes its `body`
+    (body_from_config reads the keys of the shape, config.SHAPE_KEYS)."""
+
+    run: Callable
+    keys: tuple
+    only: dict = field(default_factory=dict)
+    body: bool = False
+
+
+_COMPACT = {"initial.variant": "compact"}
+_FAMILY = ("initial.amplitude", "initial.width", "solver.t_end", "study.epsilons")
+_SIMULATION = ("kinetics.epsilon", "solver.dim", "solver.t_end",
+               "solver.extent", "solver.checkpoints")
+
+# command -> its readings; a config is read by the first whose [initial]
+# variant (default compact) it matches.  No other code says which command
+# reads which key.
+COMMANDS = {
+    "wave": (Reading(run_wave_study, ("wave.speeds", "wave.dz", "wave.z_span")),),
+    "simulate": (
+        Reading(_compact_simulation, _SIMULATION + (
+            "initial.amplitude", "initial.width", "initial.tail_lambda",
+            "initial.tail_cap", "solver.mode"), _COMPACT, body=True),
+        Reading(_algebraic_simulation, _SIMULATION + ("initial.m", "initial.n"),
+                {"initial.variant": "algebraic", "solver.mode": "radial"}),
+    ),
+    "speed": (Reading(run_speed_study, _FAMILY + ("study.fit_window",),
+                      _COMPACT, body=True),),
+    "thickness": (Reading(run_thickness_study, _FAMILY, _COMPACT, body=True),),
+    "generation": (Reading(run_generation_study, _FAMILY, _COMPACT, body=True),),
+    "no-interface": (Reading(run_no_interface_study, (
+        "initial.m", "initial.n", "solver.dim", "study.epsilons",
+        "study.probe_t", "study.probe_x")),),
+    "barriers": (Reading(run_barrier_check, (
+        "kinetics.epsilon", "initial.amplitude", "initial.width",
+        "solver.t_end", "study.c_motion", "study.gen_window",
+        "study.ordering_tol", "study.residual_tol"), _COMPACT, body=True),),
+}
+
+
+def _reading(command, cfg) -> Reading:
+    variant = cfg.get("initial", {}).get("variant", "compact")
+    readings = COMMANDS[command]
+    for reading in readings:
+        if reading.only.get("initial.variant", variant) == variant:
+            return reading
+    accepted = " or ".join(r.only["initial.variant"] for r in readings)
+    raise ConfigurationError(f"[initial] variant = {variant} is not read by "
+                             f"this command (it reads only {accepted})")
+
+
+def _kwargs(reading, cfg) -> dict:
+    """reading.run's keyword arguments from cfg; a key it does not read, or
+    reads at another value, is an error."""
     kw = {}
-    if "geometry" in cfg:
+    for section, values in cfg.items():
+        for key, value in values.items():
+            entry = f"{section}.{key}"
+            if entry in reading.keys:
+                kw[key] = value
+            elif entry in reading.only:
+                if value != reading.only[entry]:
+                    raise ConfigurationError(
+                        f"[{section}] {key} = {value} is not read by this "
+                        f"command (it reads only {reading.only[entry]})")
+            elif not (reading.body and section == "geometry"):
+                raise ConfigurationError(
+                    f"[{section}] {key} is not read by this command")
+    if reading.body and "geometry" in cfg:
         kw["body"] = body_from_config(cfg)
-    ini = cfg.get("initial", {})
-    if "amplitude" in ini:
-        kw["amplitude"] = ini["amplitude"]
-    if "width" in ini:
-        kw["width"] = ini["width"]
-    sol = cfg.get("solver", {})
-    if "t_end" in sol:
-        kw["t_end"] = sol["t_end"]
-    st = cfg.get("study", {})
-    if "epsilons" in st:
-        kw["epsilons"] = st["epsilons"]
     return kw
 
 
-def _dispatch(args, cfg):
-    st = cfg.get("study", {})
-    if args.command == "speed":
-        kw = _family_kwargs(cfg)
-        if "fit_window" in st:
-            kw["fit_window"] = st["fit_window"]
-        return run_speed_study(**kw)
-    if args.command == "thickness":
-        return run_thickness_study(**_family_kwargs(cfg))
-    if args.command == "generation":
-        kw = _family_kwargs(cfg)
-        kw.setdefault("amplitude", 0.5)
-        kw.setdefault("t_end", 0.5)
-        if "k" in st:
-            kw["k"] = st["k"]
-        return run_generation_study(**kw)
-    if args.command == "no-interface":
-        kw = {}
-        ini = cfg.get("initial", {})
-        for src, dst in (("m", "m"), ("n", "n")):
-            if src in ini:
-                kw[dst] = ini[src]
-        if "epsilons" in st:
-            kw["epsilons"] = st["epsilons"]
-        for key in ("probe_t", "probe_x"):
-            if key in st:
-                kw[key] = st[key]
-        if "dim" in cfg.get("solver", {}):
-            kw["dim"] = cfg["solver"]["dim"]
-        return run_no_interface_study(**kw)
-    if args.command == "barriers":
-        kw = {}
-        if "kinetics" in cfg and "epsilon" in cfg["kinetics"]:
-            kw["epsilon"] = cfg["kinetics"]["epsilon"]
-        if "geometry" in cfg:
-            kw["body"] = body_from_config(cfg)
-        ini = cfg.get("initial", {})
-        if "amplitude" in ini:
-            kw["amplitude"] = ini["amplitude"]
-        if "width" in ini:
-            kw["width"] = ini["width"]
-        if "t_end" in cfg.get("solver", {}):
-            kw["t_end"] = cfg["solver"]["t_end"]
-        for key in ("c_motion", "gen_window", "ordering_tol", "residual_tol"):
-            if key in st:
-                kw[key] = st[key]
-        return run_barrier_check(**kw)
-    if args.command == "wave":
-        kw = {}
-        w = cfg.get("wave", {})
-        if "speeds" in w:
-            kw["speeds"] = w["speeds"]
-        if "dz" in w:
-            kw["dz"] = w["dz"]
-        if "z_span" in w:
-            kw["z_span"] = w["z_span"]
-        return run_wave_study(**kw)
-    raise ConfigurationError(f"unknown command {args.command!r}")
-
-
-def _run_simulate(args, cfg):
-    from .reporting import ExperimentReport
-
-    kin = cfg.get("kinetics", {})
-    if "epsilon" not in kin:
-        raise ConfigurationError("[kinetics] epsilon is required for simulate")
-    eps = kin["epsilon"]
-    sol = cfg.get("solver", {})
-    mode = sol.get("mode", "line")
-    t_end = sol.get("t_end", 1.0)
-    checkpoints = sol.get("checkpoints", (t_end / 2.0, t_end))
-    body = body_from_config(cfg) if cfg.get("initial", {}).get(
-        "variant", "compact") == "compact" else None
-    initial = initial_from_config(cfg, body)
-
-    dx = eps / 8.0
-    if initial.variant == "algebraic":
-        sim = algebraic_family_config(eps, initial.m, initial.n, t_end,
-                                      sol.get("extent", 4.0),
-                                      dim=sol.get("dim", 2),
-                                      checkpoints=checkpoints)
-    else:
-        import math
-
-        need = body.diameter / 2.0 + 2.0 * t_end + 10.0 * eps_log(eps)
-        ext = math.ceil(max(need, sol.get("extent", 0.0)) / dx + 2) * dx
-        if mode == "line":
-            grid = Grid("line", ((-ext, ext),), dx)
-        elif mode == "radial":
-            grid = Grid("radial", ((0.0, ext),), dx, dim=sol.get("dim", 2))
-        else:
-            grid = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
-        sim = SimConfig(eps, grid, initial, t_end=t_end,
-                        checkpoint_times=tuple(checkpoints),
-                        record=("sup", "min", "front_half", "layer_width"))
+def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
     traj = run(sim)
-    report = ExperimentReport(
-        "simulate",
-        columns=("t", "sup", "min", "front_half", "layer_width"),
-        metadata={"config_hash": config_hash({k: dict(v) for k, v in cfg.items()})},
-    )
+    report = ExperimentReport("simulate", columns=_SIM_COLUMNS)
     ts = traj.series["t"]
     for tc, fld in traj.checkpoints:
         i = int(round(tc / (ts[1] - ts[0]))) if len(ts) > 1 else 0
-        row = {name: traj.series[name][i] for name in sim.record
-               if name in ("sup", "min", "front_half", "layer_width")}
-        report.add_row(t=tc, **row)
-        dump_checkpoint(fld, tc, os.path.join(args.out, f"checkpoint_t{tc:g}.csv"))
+        report.add_row(t=tc, **{name: traj.series[name][i] for name in sim.record})
+        dump_checkpoint(fld, tc, os.path.join(out, f"checkpoint_t{tc:g}.csv"))
     sup0 = max(1.0, float(traj.series["sup"][0]))
     report.add_check("sup_norm_bounded",
                      float(traj.series["sup"].max()) <= sup0 + 1e-8)
-    return report, traj
+    return report
 
 
 def _emit_svg(args, report):
@@ -215,8 +205,7 @@ def main(argv=None):
                      description="Sharp-interface laboratory for the scaled "
                                  "Fisher-KPP equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("wave", "simulate", "speed", "thickness", "generation",
-                 "no-interface", "barriers"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=True, help="output directory")
@@ -226,10 +215,10 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "simulate":
-            report, _ = _run_simulate(args, cfg)
-        else:
-            report = _dispatch(args, cfg)
+        reading = _reading(args.command, cfg)
+        made = reading.run(**_kwargs(reading, cfg))
+        report = (_run_simulate(made, args.out) if args.command == "simulate"
+                  else made)
         report.metadata.setdefault("config_hash",
                                    config_hash({k: dict(v) for k, v in cfg.items()}))
         report.write_csv(os.path.join(args.out, "report.csv"))
@@ -245,7 +234,9 @@ def main(argv=None):
         print(f"report written to {os.path.join(args.out, 'report.csv')}")
         return 0 if report.passed else 2
     except (ConfigurationError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # the message names the key; the prefix names the command
+        print(f"fkpplab {args.command}: configuration error: {exc}",
+              file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

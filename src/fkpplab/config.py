@@ -2,8 +2,8 @@
 
 Sections are {kinetics, wave, geometry, initial, solver, study}; every key
 must be known (unknown keys are errors, catching typos early).  Values are
-plain scalars or comma-separated lists.  See README for the documented
-schema and per-study examples.
+plain scalars or comma-separated lists.  Which command reads which key is
+the table in cli.py; README lists it per key.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import configparser
 
 from .errors import ConfigurationError
 from .geometry import ConvexBody
-from .solver import InitialData
 
 _FLOAT_LIST = "float_list"
 
@@ -32,7 +31,6 @@ SCHEMA = {
         "center": _FLOAT_LIST,
         "radius": float,
         "semi_axes": _FLOAT_LIST,
-        "d0": float,
     },
     "initial": {
         "variant": str,  # compact | algebraic
@@ -42,13 +40,11 @@ SCHEMA = {
         "tail_cap": float,
         "m": float,
         "n": float,
-        "cap": float,
     },
     "solver": {
         "mode": str,  # line | radial | plane
         "dim": int,
         "t_end": float,
-        "dt": float,
         "extent": float,  # 0 = automatic from the outflow margin
         "checkpoints": _FLOAT_LIST,
     },
@@ -57,12 +53,18 @@ SCHEMA = {
         "fit_window": float,  # speed fit starts at fit_window * t_end
         "probe_t": float,
         "probe_x": float,
-        "k": float,
         "c_motion": float,
         "gen_window": float,  # generation barrier window, units of eps|ln eps|
         "ordering_tol": float,
         "residual_tol": float,
     },
+}
+
+# [geometry] keys each shape reads besides `shape`
+SHAPE_KEYS = {
+    "interval": ("a", "b"),
+    "ball": ("center", "radius"),
+    "ellipse": ("center", "semi_axes"),
 }
 
 
@@ -95,31 +97,17 @@ def load_config(path) -> dict:
 
 
 def body_from_config(cfg: dict) -> ConvexBody:
+    """The [geometry] region; a key its shape does not read is an error."""
     g = cfg.get("geometry", {})
     shape = g.get("shape", "interval")
+    if shape not in SHAPE_KEYS:
+        raise ConfigurationError(f"unknown shape {shape!r}")
+    for key in g:
+        if key not in ("shape",) + SHAPE_KEYS[shape]:
+            raise ConfigurationError(f"[geometry] {key} is not read for shape {shape}")
     if shape == "interval":
         return ConvexBody.interval(g.get("a", -0.5), g.get("b", 0.5))
     if shape == "ball":
         return ConvexBody.ball(g.get("center", (0.0, 0.0)), g.get("radius", 0.5))
-    if shape == "ellipse":
-        return ConvexBody.ellipse(g.get("center", (0.0, 0.0)),
-                                  g.get("semi_axes", (0.6, 0.4)))
-    raise ConfigurationError(f"unknown shape {shape!r}")
-
-
-def initial_from_config(cfg: dict, body: ConvexBody | None) -> InitialData:
-    ini = cfg.get("initial", {})
-    variant = ini.get("variant", "compact")
-    if variant == "compact":
-        tail = None
-        if "tail_lambda" in ini or "tail_cap" in ini:
-            tail = (ini.get("tail_lambda", 1.0), ini.get("tail_cap", 0.0))
-            if tail[1] == 0.0:
-                tail = None
-        return InitialData.compact(
-            body, ini.get("amplitude", 0.9), ini.get("width", 0.25), tail
-        )
-    if variant == "algebraic":
-        m = ini.get("m", 0.5)
-        return InitialData.algebraic(m, ini.get("n", 2.0), ini.get("cap", m))
-    raise ConfigurationError(f"unknown initial variant {variant!r}")
+    return ConvexBody.ellipse(g.get("center", (0.0, 0.0)),
+                              g.get("semi_axes", (0.6, 0.4)))

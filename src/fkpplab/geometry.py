@@ -231,18 +231,3 @@ class CutoffDistance:
             return "outside"
         return "tube"
 
-
-def signed_distance(body: ConvexBody, x):
-    return body.signed_distance(x)
-
-
-def evolved_distance(cd: CutoffDistance, t, x):
-    return cd.evolved(t, x)
-
-
-def cutoff_distance(cd: CutoffDistance, t, x):
-    return cd.cutoff(t, x)
-
-
-def classify_region(cd: CutoffDistance, t, x, epsilon, c_const):
-    return cd.classify(t, x, epsilon, c_const)

@@ -117,9 +117,9 @@ def _body_distance_on_grid(body: ConvexBody, grid: Grid):
     return body.signed_distance(grid.points())
 
 
-def compact_profile(initial: InitialData, grid: Grid):
-    """The compact part g: A(1 - (1-s)^3), s = clamp(-d0(x)/w, 0, 1)."""
-    d = _body_distance_on_grid(initial.body, grid)
+def _ramp(initial: InitialData, d):
+    """The compact part g = A(1 - (1-s)^3), s = clamp(-d/w, 0, 1), from the
+    signed distance d to the body."""
     s = np.clip(-d / initial.width, 0.0, 1.0)
     return initial.amplitude * (1.0 - (1.0 - s) ** 3)
 
@@ -129,26 +129,30 @@ def compact_value(initial: InitialData, x):
     points in plane mode)."""
     if initial.variant != "compact":
         raise DomainError("g is defined for compact data only")
-    d = initial.body.signed_distance(x)
-    s = np.clip(-d / initial.width, 0.0, 1.0)
-    return initial.amplitude * (1.0 - (1.0 - s) ** 3)
+    return _ramp(initial, initial.body.signed_distance(x))
 
 
-def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
-    """Sample u0 on the grid."""
+def _sample_initial(initial: InitialData, grid: Grid, epsilon: float):
+    """(u0 as a Field, g) on the grid from one distance evaluation; g, the
+    compact part, is None for algebraic data."""
     if initial.variant == "compact":
         d = _body_distance_on_grid(initial.body, grid)
         if float(d.min()) > -initial.width / 4:
             raise ConfigurationError("grid does not cover the support of g")
         if float(d.max()) < 0.0:
             raise ConfigurationError("the support of g reaches the grid boundary")
-        vals = compact_profile(initial, grid)
-        if initial.tail is not None:
-            lam, M = initial.tail
-            vals = vals + M * np.exp(-lam * _radii(grid) / epsilon)
-        return Field(grid, vals)
+        g = _ramp(initial, d)
+        if initial.tail is None:
+            return Field(grid, g), g
+        lam, M = initial.tail
+        return Field(grid, g + M * np.exp(-lam * _radii(grid) / epsilon)), g
     r = _radii(grid)
-    return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n))
+    return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n)), None
+
+
+def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
+    """Sample u0 on the grid."""
+    return _sample_initial(initial, grid, epsilon)[0]
 
 
 def default_dt(grid: Grid, epsilon: float):
@@ -167,12 +171,9 @@ class SimConfig:
     t_end: float
     dt: float = 0.0  # 0 selects default_dt
     checkpoint_times: tuple = ()
-    boundary: str = "neumann"
     record: tuple = ("sup", "min", "front_half")
 
     def __post_init__(self):
-        if self.boundary != "neumann":
-            raise ConfigurationError("only Neumann walls are implemented")
         if not 0.0 < self.epsilon < 1.0 / math.e:
             raise ConfigurationError("epsilon must lie in (0, 1/e)")
         if self.t_end <= 0.0:
@@ -430,14 +431,14 @@ def run(config: SimConfig) -> Trajectory:
     The loop works on bare arrays; a Field is built only for a checkpoint.
     A non-finite state raises NumericalError with diagnostic (t, step).
     """
-    u = build_initial(config.initial, config.grid, config.epsilon).values
+    u0, g = _sample_initial(config.initial, config.grid, config.epsilon)
+    u = u0.values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
     stepper = Stepper(config.grid, dt, config.epsilon)
 
     ctx = {"epsilon": config.epsilon, "grid": config.grid, "x": stepper.axes[0]}
-    if config.initial.variant == "compact" and "threshold_min" in config.record:
-        g = compact_profile(config.initial, config.grid)
+    if g is not None and "threshold_min" in config.record:
         ctx["threshold_mask"] = g >= 3.0 * eps_log(config.epsilon)
 
     checkpoint_idx = {}

@@ -32,7 +32,7 @@ from .geometry import ConvexBody, CutoffDistance
 from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
-from .solver import InitialData, SimConfig, build_initial, run
+from .solver import InitialData, SimConfig, build_initial, layer_thickness, run
 from .waves import decay_rate, solve_sign_changing_wave, solve_wave
 
 # Entries each study cache keeps; past it the least recently used goes.
@@ -82,8 +82,10 @@ def compact_family_config(epsilon, body, amplitude, width, t_end,
         grid = Grid("line", ((-ext, ext),), dx)
     elif mode == "radial":
         grid = Grid("radial", ((0.0, ext),), dx, dim=dim)
-    else:
+    elif mode == "plane":
         grid = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
+    else:
+        raise ConfigurationError(f"unknown mode {mode!r}")
     if checkpoints is None:
         checkpoints = (t_end / 2.0, t_end)
     record = ("sup", "min", "front_half", "layer_width", "threshold_min")
@@ -190,8 +192,6 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
         traj = cached_run(cfg)
         f_mid = traj.checkpoint_at(t_end / 2.0)
         f_end = traj.checkpoint_at(t_end)
-        from .solver import layer_thickness
-
         w_mid = layer_thickness(f_mid, eps)
         w_end = layer_thickness(f_end, eps)
         if w_mid is None or w_end is None or min(w_mid, w_end) <= 0:
@@ -217,8 +217,8 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
 
 
 def run_generation_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.5,
-                         width=0.25, t_end=0.5, k=3.0) -> ExperimentReport:
-    """First time the solution clears 1-eps on {g >= k eps|ln eps|}; fits
+                         width=0.25, t_end=0.5) -> ExperimentReport:
+    """First time the solution clears 1-eps on {g >= 3 eps|ln eps|}; fits
     tau = alpha eps|ln eps| and demands a stable alpha."""
     epsilons = _require_ladder(epsilons)
     if amplitude >= 1.0:
@@ -229,7 +229,7 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.5,
         columns=("epsilon", "tau", "alpha"),
         metadata={"config_hash": config_hash(dict(
             epsilons=epsilons, body=body.params, amplitude=amplitude,
-            width=width, t_end=t_end, k=k))},
+            width=width, t_end=t_end))},
     )
     taus = []
     for eps in epsilons:

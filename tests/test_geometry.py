@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from fkpplab.errors import ConfigurationError, DomainError
-from fkpplab.geometry import (
-    ConvexBody,
-    CutoffDistance,
-    classify_region,
-    cutoff_distance,
-    evolved_distance,
-    signed_distance,
-)
+from fkpplab.geometry import ConvexBody, CutoffDistance
 
 
 def test_ball_and_interval_distances():
@@ -76,12 +69,12 @@ def test_distance_is_1_lipschitz():
 def test_evolved_distance_dilation():
     ball = ConvexBody.ball((0.0, 0.0), 1.0)
     cd = CutoffDistance(ball, speed=2.0)
-    assert evolved_distance(cd, 0.0, np.array([2.0, 0.0])) == pytest.approx(1.0)
+    assert cd.evolved(0.0, np.array([2.0, 0.0])) == pytest.approx(1.0)
     # dilated radius 1.5 after t = 0.25 at speed 2
-    assert evolved_distance(cd, 0.25, np.array([2.0, 0.0])) == pytest.approx(0.5)
+    assert cd.evolved(0.25, np.array([2.0, 0.0])) == pytest.approx(0.5)
     boundary = np.array([1.0, 0.0])
     for t in (0.1, 0.7):
-        assert evolved_distance(cd, t, boundary) == pytest.approx(-2.0 * t)
+        assert cd.evolved(t, boundary) == pytest.approx(-2.0 * t)
 
 
 def test_evolved_distance_exact_transport():
@@ -133,18 +126,18 @@ def test_classification_bands():
     t = 0.25
     # evolved radius 1.5; pick points with known uncut distance
     on_front = np.array([1.5, 0.0])
-    assert classify_region(cd, t, on_front, eps, 1.0) == "tube"
+    assert cd.classify(t, on_front, eps, 1.0) == "tube"
     inside = np.array([1.5 - 2.0 * width, 0.0])
-    assert classify_region(cd, t, inside, eps, 1.0) == "inside"
+    assert cd.classify(t, inside, eps, 1.0) == "inside"
     outside = np.array([1.5 + 2.0 * width, 0.0])
-    assert classify_region(cd, t, outside, eps, 1.0) == "outside"
+    assert cd.classify(t, outside, eps, 1.0) == "outside"
 
 
-def test_cutoff_module_level_wrappers():
+def test_cutoff_at_t0_is_the_signed_distance_near_the_boundary():
     cd = CutoffDistance(ConvexBody.interval(-1.0, 1.0), speed=2.0)
     x = 1.05
-    assert cutoff_distance(cd, 0.0, x) == cd.cutoff(0.0, x)
-    assert signed_distance(cd.body, x) == pytest.approx(0.05)
+    assert cd.cutoff(0.0, x) == cd.body.signed_distance(x)
+    assert cd.body.signed_distance(x) == pytest.approx(0.05)
 
 
 def test_radial_coordinates_for_origin_ball():

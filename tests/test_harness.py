@@ -1,9 +1,11 @@
+import re
 from collections import OrderedDict
+from dataclasses import replace
 
 import pytest
 
 from fkpplab import cli, studies
-from fkpplab.config import load_config
+from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
 from fkpplab.reporting import ExperimentReport, config_hash
 from fkpplab.studies import run_wave_study
@@ -116,12 +118,6 @@ def test_cli_usage_errors(tmp_path):
     assert cli.main(["speed", "--config", single, "--out", str(tmp_path)]) == 1
     bad = _write(tmp_path, "bad.ini", "[study]\nbogus = 1\n")
     assert cli.main(["speed", "--config", bad, "--out", str(tmp_path)]) == 1
-    # the barrier study builds KineticsParams(epsilon) and nothing else
-    for key in ("cutoff_inner", "cutoff_outer"):
-        cut = _write(tmp_path, "cut.ini",
-                     f"[kinetics]\nepsilon = 0.02\n{key} = 0.2\n")
-        assert cli.main(["barriers", "--config", cut,
-                         "--out", str(tmp_path)]) == 1
 
 
 def test_cli_check_failure_exit_code(tmp_path):
@@ -151,6 +147,110 @@ mode = line
 t_end = 0.2
 checkpoints = 0.1, 0.2
 """
+
+
+ALGEBRAIC_INI = """\
+[kinetics]
+epsilon = 0.1
+
+[initial]
+variant = algebraic
+m = 0.5
+n = 2.0
+
+[solver]
+mode = radial
+t_end = 0.2
+"""
+
+
+def _add(ini, section, line):
+    """ini with `line` added at the top of [section]."""
+    return ini.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+
+
+# command, config, the key it must reject
+REJECTED = {
+    "wave_fit_window": ("wave", WAVE_INI + "\n[study]\nfit_window = 0.2\n",
+                        "fit_window"),
+    "speed_mode": ("speed", _add(SPEED_INI, "solver", "mode = line"), "mode"),
+    "speed_epsilon": ("speed", SPEED_INI + "\n[kinetics]\nepsilon = 0.02\n",
+                      "epsilon"),
+    "speed_interval_radius": ("speed", _add(SPEED_INI, "geometry", "radius = 0.5"),
+                              "radius"),
+    "thickness_algebraic": ("thickness", SPEED_INI.replace(
+        "variant = compact", "variant = algebraic"), "variant"),
+    "no_interface_geometry": ("no-interface", "[geometry]\nshape = ball\n\n"
+                              "[study]\nepsilons = 0.04, 0.02\n", "shape"),
+    "simulate_unknown_mode": ("simulate", SIMULATE_INI.replace(
+        "mode = line", "mode = lines"), "mode"),
+    "simulate_algebraic_plane": ("simulate", ALGEBRAIC_INI.replace(
+        "mode = radial", "mode = plane"), "mode"),
+    "d0": ("speed", _add(SPEED_INI, "geometry", "d0 = 0.1"), "d0"),
+    "dt": ("simulate", _add(SIMULATE_INI, "solver", "dt = 0.001"), "dt"),
+    "cap": ("simulate", _add(ALGEBRAIC_INI, "initial", "cap = 0.5"), "cap"),
+    "k": ("generation", _add(SPEED_INI, "study", "k = 3.0"), "k"),
+    # the barrier study builds KineticsParams(epsilon) and nothing else
+    "cutoff_inner": ("barriers", "[kinetics]\nepsilon = 0.02\ncutoff_inner = 0.2\n",
+                     "cutoff_inner"),
+    "cutoff_outer": ("barriers", "[kinetics]\nepsilon = 0.02\ncutoff_outer = 0.2\n",
+                     "cutoff_outer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_cli_rejects_keys_the_command_does_not_read(tmp_path, capsys, case):
+    command, text, key = REJECTED[case]
+    ini = _write(tmp_path, "cfg.ini", text)
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key}\b", err) and f"fkpplab {command}" in err
+
+
+def test_every_schema_key_is_read_by_a_command():
+    read = set()
+    for readings in cli.COMMANDS.values():
+        for reading in readings:
+            read |= set(reading.keys) | set(reading.only)
+            if reading.body:
+                read |= {f"geometry.{key}" for keys in SHAPE_KEYS.values()
+                         for key in ("shape",) + keys}
+    assert read == {f"{section}.{key}" for section, keys in SCHEMA.items()
+                    for key in keys}
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("extent", (0.0, 3.0))
+@pytest.mark.parametrize("mode, geometry", (
+    ("line", "shape = interval\na = -0.4\nb = 0.6"),
+    ("radial", "shape = ball\ncenter = 0, 0\nradius = 0.5"),
+    ("plane", "shape = ellipse\ncenter = 0, 0\nsemi_axes = 0.6, 0.35"),
+))
+def test_simulate_runs_the_compact_family_config(tmp_path, monkeypatch, mode,
+                                                 geometry, extent):
+    handed = []
+
+    def capture(sim):
+        handed.append(sim)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run", capture)
+    ini = _write(tmp_path, "sim.ini",
+                 f"[kinetics]\nepsilon = 0.1\n\n[geometry]\n{geometry}\n\n"
+                 f"[initial]\namplitude = 0.8\nwidth = 0.2\n\n"
+                 f"[solver]\nmode = {mode}\nt_end = 0.2\nextent = {extent}\n")
+    with pytest.raises(_Captured):
+        cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+    family = studies.compact_family_config(
+        0.1, body_from_config(load_config(ini)), 0.8, 0.2, 0.2, mode, 2,
+        min_reach=extent)
+    (sim,) = handed
+    assert sim.record == ("sup", "min", "front_half", "layer_width")
+    assert replace(sim, record=family.record) == family
+    assert sim.grid.extents[0][1] >= extent
 
 
 def test_cli_simulate_dumps_checkpoints(tmp_path):
