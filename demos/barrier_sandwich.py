@@ -49,7 +49,7 @@ fld = traj.checkpoint_at(t_show)
 x = cfg.grid.axis(0)
 bp = BarrierParams(K_hat=consts["K_hat"], m1=consts["m1"], m2=consts["m2"])
 wave2 = cached_wave(2.0)
-wave_m = cached_wave(1.5, sign_changing=True)
+wave_m = cached_wave(1.5)
 cd = CutoffDistance(body, speed=1.5)
 t_rel = t_show - consts["t_gen"]
 sub = motion_sub(t_rel, x, bp, wave_m, cd, eps)

@@ -30,11 +30,8 @@ from .solver import (
     Trajectory,
     build_initial,
     default_dt,
-    diffusion_substep,
     front_position,
     layer_thickness,
-    reaction_substep,
     run,
-    step,
 )
 from .waves import WaveProfile, decay_rate, solve_sign_changing_wave, solve_wave

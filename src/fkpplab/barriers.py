@@ -50,7 +50,6 @@ class BarrierParams:
     m1, m2: motion sub-solution shift constants.
     c1: interior shell speed of the no-interface barrier (0 < c1 < c).
     rho: plateau half-width of the no-interface barrier.
-    C_const: tube-width constant of the three-band classification.
     """
 
     K: float = 2.0
@@ -61,7 +60,6 @@ class BarrierParams:
     m2: float = 1.0
     c1: float = 2.5
     rho: float = 10.0
-    C_const: float = 4.0
 
 
 def m1_recipe(initial: InitialData, k=3.0):
@@ -90,8 +88,7 @@ def generation_sub(t, x, bp: BarrierParams, kin: KineticsParams,
 def generation_super(t, bp: BarrierParams, kin: KineticsParams,
                      initial: InitialData, epsilon: float):
     """Spatially constant super-solution w(t/eps, sup u0)."""
-    xi0 = initial.g_sup + initial.tail_cap if initial.variant == "compact" else initial.cap
-    return float(semiflow(t / epsilon, xi0, kin))
+    return float(semiflow(t / epsilon, initial.sup_norm, kin))
 
 
 def k0_lower_bound(wave: WaveProfile, initial: InitialData):

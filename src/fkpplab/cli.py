@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: wave, simulate, speed, thickness, generation, no-interface,
-barriers.  Each takes --config <path> and --out <dir>; --svg adds plots.
-COMMANDS says which config keys each one reads; any other key is an error.
+barriers.  Each takes --config <path> and --out <dir>; every command but
+simulate also takes --svg, which adds the plots of PLOTS.  COMMANDS says
+which config keys each one reads; any other key is an error.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -21,6 +22,7 @@ from .geometry import ConvexBody
 from .kinetics import eps_log
 from .reporting import ExperimentReport, config_hash
 from .solver import SimConfig, dump_checkpoint, run
+from .svgplot import line_plot
 from .studies import (
     algebraic_family_config,
     cached_wave,
@@ -44,16 +46,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
-                        tail_lambda=1.0, tail_cap=0.0, mode="line", dim=2,
+                        tail_lambda=None, tail_cap=0.0, mode="line", dim=2,
                         t_end=1.0, extent=0.0, checkpoints=None):
     """The SimConfig `simulate` runs for compact data: the study family's,
-    recording the observables the report prints."""
+    recording the observables the report prints.  The tail rate defaults
+    to 1 and is read only with a tail, tail_cap != 0."""
     if epsilon is None:
         raise ConfigurationError("[kinetics] epsilon is required for simulate")
+    if tail_cap == 0.0 and tail_lambda is not None:
+        raise ConfigurationError(
+            "[initial] tail_lambda is not read when tail_cap is 0 or absent")
+    tail = (None if tail_cap == 0.0
+            else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
     sim = compact_family_config(
         epsilon, body or ConvexBody.interval(-0.5, 0.5), amplitude, width,
-        t_end, mode, dim, checkpoints,
-        None if tail_cap == 0.0 else (tail_lambda, tail_cap), min_reach=extent)
+        t_end, mode, dim, checkpoints, tail, min_reach=extent)
     return replace(sim, record=_SIM_COLUMNS[1:])
 
 
@@ -90,7 +97,7 @@ _SIMULATION = ("kinetics.epsilon", "solver.dim", "solver.t_end",
 # variant (default compact) it matches.  No other code says which command
 # reads which key.
 COMMANDS = {
-    "wave": (Reading(run_wave_study, ("wave.speeds", "wave.dz", "wave.z_span")),),
+    "wave": (Reading(run_wave_study, ("wave.speeds",)),),
     "simulate": (
         Reading(_compact_simulation, _SIMULATION + (
             "initial.amplitude", "initial.width", "initial.tail_lambda",
@@ -159,45 +166,67 @@ def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
     return report
 
 
-def _emit_svg(args, report):
-    from .svgplot import line_plot
+def _plot_wave(out, report):
+    for r in report.rows:
+        prof = cached_wave(r["c"])
+        sub = slice(None, None, 50)
+        line_plot(os.path.join(out, f"wave_c{r['c']:g}.svg"),
+                  [(prof.z[sub], prof.U[sub], f"c={r['c']:g}")],
+                  title="travelling wave", xlabel="z", ylabel="U")
 
-    rows = report.rows
-    path = os.path.join(args.out, f"{report.study}.svg")
-    if report.study in ("speed",):
-        eps = [r["epsilon"] for r in rows]
-        line_plot(path, [(eps, [r["abs_error"] for r in rows], "measured"),
-                         (eps, [r["allowed_error"] for r in rows], "allowed")],
-                  title="front speed error", xlabel="epsilon",
-                  ylabel="|speed - 2|", logx=True, logy=True)
-    elif report.study == "thickness":
-        eps = [r["epsilon"] for r in rows]
-        line_plot(path, [(eps, [r["width_over_eps_log"] for r in rows], "W/(eps|ln eps|)")],
-                  title="layer width scaling", xlabel="epsilon",
-                  ylabel="ratio", logx=True)
-    elif report.study == "generation":
-        el = [eps_log(r["epsilon"]) for r in rows]
-        line_plot(path, [(el, [r["tau"] for r in rows], "tau")],
-                  title="generation time", xlabel="eps |ln eps|", ylabel="tau")
-    elif report.study == "no_interface":
-        eps = [r["epsilon"] for r in rows]
-        line_plot(path, [(eps, [r["probe_algebraic"] for r in rows], "algebraic"),
-                         (eps, [r["probe_compact"] for r in rows], "compact")],
-                  title="probe outside the front", xlabel="epsilon",
-                  ylabel="u(t0, x0)", logx=True)
-    elif report.study == "barriers":
-        ts = [r["t"] for r in rows]
-        line_plot(path, [(ts, [r["min_slack_sub"] for r in rows], "sub slack"),
-                         (ts, [r["min_slack_super"] for r in rows], "super slack")],
-                  title="barrier slack", xlabel="t", ylabel="slack")
-    elif report.study == "wave":
-        for r in rows:
-            prof = cached_wave(r["c"]) if r["c"] >= 2 else cached_wave(
-                r["c"], sign_changing=True)
-            sub = slice(None, None, 50)
-            line_plot(os.path.join(args.out, f"wave_c{r['c']:g}.svg"),
-                      [(prof.z[sub], prof.U[sub], f"c={r['c']:g}")],
-                      title="travelling wave", xlabel="z", ylabel="U")
+
+def _plot_speed(out, report):
+    eps = [r["epsilon"] for r in report.rows]
+    line_plot(os.path.join(out, "speed.svg"),
+              [(eps, [r["abs_error"] for r in report.rows], "measured"),
+               (eps, [r["allowed_error"] for r in report.rows], "allowed")],
+              title="front speed error", xlabel="epsilon",
+              ylabel="|speed - 2|", logx=True, logy=True)
+
+
+def _plot_thickness(out, report):
+    eps = [r["epsilon"] for r in report.rows]
+    line_plot(os.path.join(out, "thickness.svg"),
+              [(eps, [r["width_over_eps_log"] for r in report.rows],
+                "W/(eps|ln eps|)")],
+              title="layer width scaling", xlabel="epsilon",
+              ylabel="ratio", logx=True)
+
+
+def _plot_generation(out, report):
+    el = [eps_log(r["epsilon"]) for r in report.rows]
+    line_plot(os.path.join(out, "generation.svg"),
+              [(el, [r["tau"] for r in report.rows], "tau")],
+              title="generation time", xlabel="eps |ln eps|", ylabel="tau")
+
+
+def _plot_no_interface(out, report):
+    eps = [r["epsilon"] for r in report.rows]
+    line_plot(os.path.join(out, "no_interface.svg"),
+              [(eps, [r["probe_algebraic"] for r in report.rows], "algebraic"),
+               (eps, [r["probe_compact"] for r in report.rows], "compact")],
+              title="probe outside the front", xlabel="epsilon",
+              ylabel="u(t0, x0)", logx=True)
+
+
+def _plot_barriers(out, report):
+    ts = [r["t"] for r in report.rows]
+    line_plot(os.path.join(out, "barriers.svg"),
+              [(ts, [r["min_slack_sub"] for r in report.rows], "sub slack"),
+               (ts, [r["min_slack_super"] for r in report.rows], "super slack")],
+              title="barrier slack", xlabel="t", ylabel="slack")
+
+
+# command -> what --svg draws into --out from its report; only these
+# commands take --svg.
+PLOTS = {
+    "wave": _plot_wave,
+    "speed": _plot_speed,
+    "thickness": _plot_thickness,
+    "generation": _plot_generation,
+    "no-interface": _plot_no_interface,
+    "barriers": _plot_barriers,
+}
 
 
 def main(argv=None):
@@ -209,7 +238,9 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
+        if name in PLOTS:
+            p.add_argument("--svg", action="store_true",
+                           help="also emit SVG plots")
     args = parser.parse_args(argv)
 
     try:
@@ -222,15 +253,14 @@ def main(argv=None):
         report.metadata.setdefault("config_hash",
                                    config_hash({k: dict(v) for k, v in cfg.items()}))
         report.write_csv(os.path.join(args.out, "report.csv"))
-        if args.svg:
-            _emit_svg(args, report)
+        if getattr(args, "svg", False):
+            PLOTS[args.command](args.out, report)
         for line in report.summary_lines():
             print(line)
         if report.study == "wave":
             for r in report.rows:
-                prof = cached_wave(r["c"]) if r["c"] >= 2 else cached_wave(
-                    r["c"], sign_changing=True)
-                prof.dump_table(os.path.join(args.out, f"wave_c{r['c']:g}.csv"))
+                cached_wave(r["c"]).dump_table(
+                    os.path.join(args.out, f"wave_c{r['c']:g}.csv"))
         print(f"report written to {os.path.join(args.out, 'report.csv')}")
         return 0 if report.passed else 2
     except (ConfigurationError, DomainError) as exc:

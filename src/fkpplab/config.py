@@ -21,8 +21,6 @@ SCHEMA = {
     },
     "wave": {
         "speeds": _FLOAT_LIST,
-        "dz": float,
-        "z_span": float,
     },
     "geometry": {
         "shape": str,  # interval | ball | ellipse

@@ -197,15 +197,15 @@ class CutoffDistance:
 
     body: ConvexBody
     speed: float
-    d0: float = 0.0  # 0 selects the default 0.2 * inradius
 
     def __post_init__(self):
         if self.speed <= 0:
             raise ConfigurationError("front speed must be positive")
-        if self.d0 == 0.0:
-            object.__setattr__(self, "d0", 0.2 * self.body.inradius)
-        if self.d0 <= 0:
-            raise ConfigurationError("d0 must be positive")
+
+    @property
+    def d0(self):
+        """Half-width of the identity zone of the clamp, 0.2 * inradius."""
+        return 0.2 * self.body.inradius
 
     def evolved(self, t, x):
         """Uncut distance d(t, x) = d(0, x) - c t (exact for convex bodies)."""

@@ -18,8 +18,8 @@ time-map: G' = 1/f is monotone between the zeros -1, eps|ln eps| and 1 of
 f, and w(s, xi) solves G(w) = G(xi) + s on the branch of xi.
 
 The cutoff support is tied to the epsilon scales: psi = 1 on
-[-eps/2, min(cutoff_inner, 3 eps|ln eps|)] and vanishes outside
-[-eps, min(cutoff_outer, 6 eps|ln eps|)].  A fixed, epsilon-independent
+[-eps/2, min(CUTOFF_INNER, 3 eps|ln eps|)] and vanishes outside
+[-eps, min(CUTOFF_OUTER, 6 eps|ln eps|)].  A fixed, epsilon-independent
 support cannot work: on the negative side the slow linear rate would exceed
 u(1-u) (breaking the one-sided modification inequality), and on the positive
 side the slow zone would widen as eps -> 0, destroying the eps-uniform
@@ -38,6 +38,9 @@ from .errors import ConfigurationError, DomainError, NumericalError
 from .smoothing import smoothstep, smoothstep_d1
 
 EPS_MAX = 1.0 / math.e  # |ln eps| > 1 to the left of this
+CUTOFF_INNER = 0.25  # psi = 1 up to min(CUTOFF_INNER, 3 eps|ln eps|)
+CUTOFF_OUTER = 0.5  # psi = 0 from min(CUTOFF_OUTER, 6 eps|ln eps|)
+KNEE = -0.5  # the bistable extension leaves u(1-u) below this
 
 
 def eps_log(epsilon):
@@ -47,23 +50,17 @@ def eps_log(epsilon):
 
 @dataclass(frozen=True)
 class KineticsParams:
-    """Layer parameter eps plus the cutoff / extension geometry."""
+    """The layer parameter eps; the cutoff and extension geometry are the
+    module constants."""
 
     epsilon: float
-    cutoff_inner: float = 0.25
-    cutoff_outer: float = 0.5
-    extension_knee: float = -0.5
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < EPS_MAX:
             raise ConfigurationError("epsilon must lie in (0, 1/e)")
-        if not 0.0 < self.cutoff_inner < self.cutoff_outer:
-            raise ConfigurationError("need 0 < cutoff_inner < cutoff_outer")
-        if not -1.0 < self.extension_knee < 0.0:
-            raise ConfigurationError("extension knee must lie in (-1, 0)")
-        if eps_log(self.epsilon) >= self.cutoff_inner:
+        if eps_log(self.epsilon) >= CUTOFF_INNER:
             raise ConfigurationError(
-                "eps|ln eps| must stay below cutoff_inner (epsilon too large)"
+                "eps|ln eps| must stay below CUTOFF_INNER (epsilon too large)"
             )
         u = np.linspace(-2.0, 2.0, 10_000)
         gap = modified_logistic(u, self) - bistable_logistic(u)
@@ -84,11 +81,11 @@ class KineticsParams:
     # negative side the eps scale (see module docstring).
     @property
     def pos_inner(self):
-        return min(self.cutoff_inner, 3.0 * self.threshold)
+        return min(CUTOFF_INNER, 3.0 * self.threshold)
 
     @property
     def pos_outer(self):
-        return min(self.cutoff_outer, 6.0 * self.threshold)
+        return min(CUTOFF_OUTER, 6.0 * self.threshold)
 
     @property
     def neg_inner(self):
@@ -111,27 +108,27 @@ def logistic_flow(xi, s):
     return out if out.ndim else float(out)
 
 
-def _extension_factor(u, knee=-0.5):
-    """q(u): 1 on u >= knee, 1 - ((knee-u)/(knee+1))^3 below, so q(-1) = 0
+def _extension_factor(u):
+    """q(u): 1 on u >= KNEE, 1 - ((KNEE-u)/(KNEE+1))^3 below, so q(-1) = 0
     with q'(-1) > 0 and C2 matching at the knee."""
     u = np.asarray(u, dtype=float)
-    v = (knee - u) / (knee + 1.0)
-    return np.where(u >= knee, 1.0, 1.0 - v**3)
+    v = (KNEE - u) / (KNEE + 1.0)
+    return np.where(u >= KNEE, 1.0, 1.0 - v**3)
 
 
-def bistable_logistic(u, knee=-0.5):
+def bistable_logistic(u):
     """u(1-u) extended bistably: zeros at -1, 0, 1 with -1 and 1 stable."""
     u = np.asarray(u, dtype=float)
-    out = u * (1.0 - u) * _extension_factor(u, knee)
+    out = u * (1.0 - u) * _extension_factor(u)
     return out if out.ndim else float(out)
 
 
-def _bistable_derivs(u, knee=-0.5):
+def _bistable_derivs(u):
     """(f, f') of the bistable extension."""
     u = np.asarray(u, dtype=float)
-    s = 1.0 / (knee + 1.0)
-    v = (knee - u) * s
-    below = u < knee
+    s = 1.0 / (KNEE + 1.0)
+    v = (KNEE - u) * s
+    below = u < KNEE
     q = np.where(below, 1.0 - v**3, 1.0)
     q1 = np.where(below, 3.0 * s * v**2, 0.0)
     core = u * (1.0 - u)
@@ -169,7 +166,7 @@ def modified_logistic(u, p: KineticsParams):
     u = np.asarray(u, dtype=float)
     psi, _ = _cutoff_derivs(u, p)
     linear = (u - p.threshold) / p.log_eps
-    out = psi * linear + (1.0 - psi) * bistable_logistic(u, p.extension_knee)
+    out = psi * linear + (1.0 - psi) * bistable_logistic(u)
     return out if out.ndim else float(out)
 
 
@@ -177,7 +174,7 @@ def _modified_derivs(u, p: KineticsParams):
     """(f, f') of the modified rate, for the sensitivity identities."""
     u = np.asarray(u, dtype=float)
     psi, psi1 = _cutoff_derivs(u, p)
-    f, f1 = _bistable_derivs(u, p.extension_knee)
+    f, f1 = _bistable_derivs(u)
     lin = (u - p.threshold) / p.log_eps
     g = psi * lin + (1.0 - psi) * f
     g1 = psi1 * (lin - f) + psi / p.log_eps + (1.0 - psi) * f1
@@ -209,10 +206,7 @@ class _TimeMap:
     """
 
     def __init__(self, p: KineticsParams):
-        knee, kap = p.extension_knee, p.extension_knee + 1.0
-        if not (knee < -p.neg_outer and p.pos_outer < 1.0):
-            raise ConfigurationError(
-                "the time-map needs extension_knee < -eps and pos_outer < 1")
+        kap = KNEE + 1.0
         self.p = p
         self.lam = -6.0 / kap  # f'(-1)
         self.gl_t, self.gl_w = np.polynomial.legendre.leggauss(_GL_ORDER)
@@ -224,7 +218,7 @@ class _TimeMap:
         tail = -1.0 - steps[-1.0 - steps > _U_MIN]
         geo = -p.epsilon * 2.0 ** np.arange(64)
         left = np.unique(np.concatenate((
-            [_U_MIN, -1.0], tail, np.linspace(-1.0, knee, 5), geo[geo > knee],
+            [_U_MIN, -1.0], tail, np.linspace(-1.0, KNEE, 5), geo[geo > KNEE],
             np.linspace(-p.neg_outer, -p.neg_inner, 5))))
         right = np.linspace(p.pos_inner, p.pos_outer, 9)
         self.edges = np.concatenate(
@@ -425,7 +419,7 @@ def _curvature_at_zero(z, p: KineticsParams):
     """f''(z) at a zero z of the modified rate: 0 on the linear zone, -2 on
     the logistic one, the cubic extension's value at -1."""
     if z == -1.0:
-        k = 1.0 / (p.extension_knee + 1.0)
+        k = 1.0 / (KNEE + 1.0)
         return 6.0 * k * (3.0 + 2.0 * k)
     return -2.0 if z == 1.0 else 0.0
 

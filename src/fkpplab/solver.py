@@ -43,7 +43,6 @@ class InitialData:
     tail: tuple | None = None  # (lam >= 1, M > 0): M exp(-lam ||x|| / eps)
     m: float = 0.0  # algebraic family m / (1 + ||x/eps||^n)
     n: float = 0.0
-    cap: float = 0.0  # upper bound M on the data
 
     @classmethod
     def compact(cls, body, amplitude, width, tail=None):
@@ -60,12 +59,10 @@ class InitialData:
                    width=float(width), tail=tail)
 
     @classmethod
-    def algebraic(cls, m, n, cap):
+    def algebraic(cls, m, n):
         if m <= 0.0 or n <= 0.0:
             raise ConfigurationError("m and n must be positive")
-        if cap < m:
-            raise ConfigurationError("the cap must dominate the plateau m")
-        return cls("algebraic", m=float(m), n=float(n), cap=float(cap))
+        return cls("algebraic", m=float(m), n=float(n))
 
     @property
     def sup_norm(self):
@@ -89,13 +86,6 @@ class InitialData:
         if self.variant != "compact":
             raise DomainError("slope floor applies to compact data only")
         return 3.0 * self.amplitude / self.width
-
-
-def _grid_points_nd(grid: Grid):
-    """Grid coordinates as points suitable for the body's signed distance."""
-    if grid.mode == "plane":
-        return grid.points()
-    return grid.axis(0)
 
 
 def _radii(grid: Grid):
@@ -169,7 +159,6 @@ class SimConfig:
     grid: Grid
     initial: InitialData
     t_end: float
-    dt: float = 0.0  # 0 selects default_dt
     checkpoint_times: tuple = ()
     record: tuple = ("sup", "min", "front_half")
 
@@ -180,10 +169,6 @@ class SimConfig:
             raise ConfigurationError("t_end must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
             raise ConfigurationError("resolution rule dx <= epsilon/8 violated")
-        if self.dt == 0.0:
-            object.__setattr__(self, "dt", default_dt(self.grid, self.epsilon))
-        if self.dt > self.grid.dx / 2.0 + 1e-12:
-            raise ConfigurationError("accuracy rule dt <= dx/2 violated")
         margin = self._required_extent()
         for lo, hi in self.grid.extents:
             reach = hi if self.grid.mode == "radial" else min(-lo, hi)
@@ -194,6 +179,11 @@ class SimConfig:
         for tc in self.checkpoint_times:
             if not 0.0 <= tc <= self.t_end + 1e-12:
                 raise ConfigurationError("checkpoint outside [0, t_end]")
+
+    @property
+    def dt(self):
+        """The order-preserving step default_dt(grid, epsilon)."""
+        return default_dt(self.grid, self.epsilon)
 
     def _required_extent(self):
         diam = self.initial.body.diameter if self.initial.variant == "compact" else 0.0
@@ -315,26 +305,6 @@ class Stepper:
         u = self.diffusion(u)
         self.steps += 1
         return self.reaction(u)
-
-
-def reaction_substep(fld: Field, dt: float, epsilon: float) -> Field:
-    """Exact logistic flow u <- u e^s / (1 + u(e^s - 1)), s = dt/eps.
-
-    Monotone in u and unconditionally stable; input must be nonnegative.
-    """
-    # a Stepper's reaction half-step covers half of its dt
-    return Field(fld.grid, Stepper(fld.grid, 2.0 * dt, epsilon).reaction(fld.values))
-
-
-def diffusion_substep(fld: Field, dt: float, epsilon: float) -> Field:
-    """Crank-Nicolson step of u_t = eps Lap u with Neumann walls (ADI in
-    plane mode); see Stepper.diffusion."""
-    return Field(fld.grid, Stepper(fld.grid, dt, epsilon).diffusion(fld.values))
-
-
-def step(fld: Field, dt: float, epsilon: float) -> Field:
-    """One Strang step: reaction(dt/2) o diffusion(dt) o reaction(dt/2)."""
-    return Field(fld.grid, Stepper(fld.grid, dt, epsilon).step(fld.values))
 
 
 def front_position(fld: Field, level: float, rays=None):

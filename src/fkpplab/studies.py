@@ -38,6 +38,17 @@ from .waves import decay_rate, solve_sign_changing_wave, solve_wave
 # Entries each study cache keeps; past it the least recently used goes.
 CACHE_SIZE = 16
 
+# The compact control of the no-interface study.
+CONTROL_AMPLITUDE = 0.9
+CONTROL_WIDTH = 0.25
+# The expanding-shell barrier of the barrier check: wave speed c, interior
+# shell speed c1 and plateau half-width rho (radial_sub_W's conditions).
+SHELL_SPEED = 2.5
+SHELL_C1 = 1.25
+SHELL_RHO = 14.0
+# The minimal-speed envelope U/(z e^{-z}) is bounded over z in [1, this].
+KPP_RATIO_Z_HI = 15.0
+
 _TRAJ_CACHE: OrderedDict = OrderedDict()
 _WAVE_CACHE: OrderedDict = OrderedDict()
 
@@ -58,10 +69,13 @@ def cached_run(cfg: SimConfig):
     return _cached(_TRAJ_CACHE, cfg, lambda: run(cfg))
 
 
-def cached_wave(c, sign_changing=False):
+def cached_wave(c):
+    """The wave of speed c: sign-changing when c, rounded to 12 decimals,
+    lies below 2, monotone otherwise."""
+    key = round(c, 12)
     return _cached(
-        _WAVE_CACHE, (round(c, 12), sign_changing),
-        lambda: solve_sign_changing_wave(c) if sign_changing else solve_wave(c))
+        _WAVE_CACHE, key,
+        lambda: solve_sign_changing_wave(c) if key < 2.0 else solve_wave(c))
 
 
 def _snap_extent(need, dx):
@@ -94,7 +108,7 @@ def compact_family_config(epsilon, body, amplitude, width, t_end,
 
 
 def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None):
-    initial = InitialData.algebraic(m, n, m)
+    initial = InitialData.algebraic(m, n)
     dx = epsilon / 8.0
     need = max(reach, 2.0 * t_end + 10.0 * eps_log(epsilon))
     ext = _snap_extent(need, dx)
@@ -261,8 +275,7 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.5,
 
 def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                            probe_t=0.5, probe_x=2.0, dim=2,
-                           control_radius=0.5, control_amplitude=0.9,
-                           control_width=0.25) -> ExperimentReport:
+                           control_radius=0.5) -> ExperimentReport:
     """Pointwise probe outside the sharp front: algebraic tails must push it
     to 1 down the ladder while the compact control stays at 0."""
     epsilons = _require_ladder(epsilons)
@@ -283,7 +296,7 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
         p_alg = interpolate(fld, probe_x)
         p_origin = interpolate(fld, 0.0)
         body = ConvexBody.ball((0.0,) * dim, control_radius)
-        ccfg = compact_family_config(eps, body, control_amplitude, control_width,
+        ccfg = compact_family_config(eps, body, CONTROL_AMPLITUDE, CONTROL_WIDTH,
                                      probe_t, mode="radial", dim=dim,
                                      min_reach=reach)
         ctraj = cached_run(ccfg)
@@ -340,15 +353,12 @@ def fit_generation_drift(traj, kin, initial, checkpoints, start=3.0):
 
 def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
                       t_end=1.0, c_motion=1.5, gen_window=2.0,
-                      ordering_tol=None, residual_tol=5e-3,
-                      k_hat=None, shell_speed=2.5, shell_c1=1.25,
-                      shell_rho=14.0) -> ExperimentReport:
+                      ordering_tol=None, residual_tol=5e-3) -> ExperimentReport:
     """Sandwich and sign checks for every barrier on one compact run, plus
     the expanding-shell barrier over algebraic data; emits the
-    (t, slack, violation) table and one verdict per property.
-
-    ``k_hat`` below the computed K0 floor is allowed on purpose: it is the
-    sabotage probe, and the study must then report an ordering failure.
+    (t, slack, violation) table and one verdict per property.  A sabotaged
+    global super-solution, its amplitude below the K0 floor, must be seen
+    to break the ordering.
     """
     body = body or ConvexBody.interval(-2.4, 2.4)
     initial = InitialData.compact(body, amplitude, width)
@@ -365,7 +375,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
                  "max_residual_super_violation", "max_residual_sub_violation"),
         metadata={"config_hash": config_hash(dict(
             epsilon=epsilon, body=body.params, amplitude=amplitude, width=width,
-            t_end=t_end, c_motion=c_motion, k_hat=k_hat))},
+            t_end=t_end, c_motion=c_motion))},
     )
     traj = cached_run(cfg)
     kin = KineticsParams(epsilon)
@@ -382,12 +392,12 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     K = fit_generation_drift(traj, kin, initial, gen_times)
     wave_min = cached_wave(2.0)
     k0 = k0_lower_bound(wave_min, initial)
-    bp = BarrierParams(K=K, K_hat=k_hat if k_hat is not None else max(1.0, k0),
-                       m1=m1_recipe(initial), m2=1.0, alpha=t_gen / eL)
-    wave_motion = cached_wave(c_motion, sign_changing=True)
+    bp = BarrierParams(K=K, K_hat=max(1.0, k0), m1=m1_recipe(initial), m2=1.0,
+                       alpha=t_gen / eL)
+    wave_motion = cached_wave(c_motion)
     cd_motion = CutoffDistance(body, speed=c_motion)
     c_eps = 2.0 - eL
-    wave_eps = cached_wave(c_eps, sign_changing=True)
+    wave_eps = cached_wave(c_eps)
     cd_eps = CutoffDistance(body, speed=c_eps)
     mu = wave_motion.tail_left[1]
     report.metadata["constants"] = dict(
@@ -439,19 +449,18 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
                      f"max violation {max(res_viols):.2e} <= {residual_tol:g}")
 
     # sabotage probe: an amplitude below the K0 floor must break the ordering
-    if k_hat is None:
-        bad = BarrierParams(K_hat=0.5)
-        viol = 0.0
-        for tc, fld in traj.checkpoints:
-            gs = global_super(tc, x, bad, wave_min, body, epsilon)
-            viol = max(viol, float((fld.values - gs).max()))
-        report.add_check("sabotage_detected", viol > tol,
-                         f"K_hat=0.5<K0 violates by {viol:.3f}")
+    bad = BarrierParams(K_hat=0.5)
+    viol = 0.0
+    for tc, fld in traj.checkpoints:
+        gs = global_super(tc, x, bad, wave_min, body, epsilon)
+        viol = max(viol, float((fld.values - gs).max()))
+    report.add_check("sabotage_detected", viol > tol,
+                     f"K_hat=0.5<K0 violates by {viol:.3f}")
 
     # expanding-shell barrier over algebraic data (radial)
-    alg = InitialData.algebraic(0.5, 2.0, 0.5)
-    wave_shell = cached_wave(shell_speed)
-    bp6 = BarrierParams(c1=shell_c1, rho=shell_rho)
+    alg = InitialData.algebraic(0.5, 2.0)
+    wave_shell = cached_wave(SHELL_SPEED)
+    bp6 = BarrierParams(c1=SHELL_C1, rho=SHELL_RHO)
     rgrid = Grid("radial", ((0.0, _snap_extent(4.0, dx)),), dx, dim=2)
     r = rgrid.axis(0)
     w0 = radial_sub_W(0.0, r, bp6, wave_shell, epsilon, 2, initial=alg)
@@ -464,33 +473,31 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
         lambda tt, rr: radial_sub_W(tt, rr, bp6, wave_shell, epsilon, 2,
                                     initial=alg),
         t_shell, rgrid, epsilon).values
-    s = (r - shell_c1 * t_shell) / epsilon
-    kinks = _kink_mask(s - shell_rho) | _kink_mask(s + shell_rho)
+    s = (r - SHELL_C1 * t_shell) / epsilon
+    kinks = _kink_mask(s - SHELL_RHO) | _kink_mask(s + SHELL_RHO)
     shell_viol = max(0.0, float(res[~kinks].max()))
     report.add_check("shell_residual_sign", shell_viol <= residual_tol,
                      f"max violation {shell_viol:.2e}")
     return report
 
 
-def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0), dz=1e-3, z_span=40.0,
-                   ratio_window=(1.0, 15.0)) -> ExperimentReport:
+def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
     """Wave tables: equation residual, fitted tail rates against the
     quadratic-root law, and the z e^{-z} envelope at the minimal speed."""
     report = ExperimentReport(
         "wave",
         columns=("c", "residual_max", "lambda_fit", "lambda_theory",
                  "gamma_minus", "gamma_plus"),
-        metadata={"config_hash": config_hash(dict(
-            speeds=tuple(speeds), dz=dz, z_span=z_span))},
+        metadata={"config_hash": config_hash(dict(speeds=tuple(speeds)))},
     )
     for c in speeds:
-        prof = cached_wave(c) if c >= 2.0 else cached_wave(c, sign_changing=True)
+        prof = cached_wave(c)
         res = float(prof.residual().max())
         lam_fit = prof.tail_right[1] if prof.tail_right else math.nan
         lam_th = decay_rate(c) if c >= 2.0 else math.nan
         gm = gp = math.nan
         if c == 2.0:
-            gm, gp = prof.kpp_ratio_bounds(z_hi=ratio_window[1])
+            gm, gp = prof.kpp_ratio_bounds(z_hi=KPP_RATIO_Z_HI)
         report.add_row(c=c, residual_max=res, lambda_fit=lam_fit,
                        lambda_theory=lam_th, gamma_minus=gm, gamma_plus=gp)
         report.add_check(f"residual_below_1e-8@c={c:g}", res <= 1e-8,

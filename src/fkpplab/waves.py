@@ -74,8 +74,6 @@ class WaveProfile:
     tail_right = (C, lam, z0):  U(z) ~ C e^{-lam z} (z0 unused, nan) for c > 2,
                                 U(z) ~ C (z - z0) e^{-lam z} for c = 2,
                                 absent (None) for c < 2
-    kpp_ratio = (gamma_minus, gamma_plus): range of U/(z e^{-z}) on z >= 1,
-                                populated only at the minimal speed c = 2.
     """
 
     c: float
@@ -85,19 +83,11 @@ class WaveProfile:
     normalization: str  # "half_at_zero" (c >= 2) | "zero_at_zero" (c < 2)
     tail_left: tuple
     tail_right: tuple | None
-    kpp_ratio: tuple | None = None
     _spline: CubicSpline | None = field(default=None, repr=False)
-    _spline_d: CubicSpline | None = field(default=None, repr=False)
 
     @property
     def dz(self):
         return float(self.z[1] - self.z[0])
-
-    def _splines(self):
-        if self._spline is None:
-            self._spline = CubicSpline(self.z, self.U)
-            self._spline_d = self._spline.derivative()
-        return self._spline, self._spline_d
 
     def evaluate(self, z):
         """U at arbitrary z: cubic inside the table, analytic tails outside."""
@@ -110,7 +100,9 @@ class WaveProfile:
         right = z > hi
         mid = ~(left | right)
         if mid.any():
-            out[mid] = self._splines()[0](z[mid])
+            if self._spline is None:
+                self._spline = CubicSpline(self.z, self.U)
+            out[mid] = self._spline(z[mid])
         if left.any():
             C, mu = self.tail_left
             out[left] = 1.0 - C * np.exp(mu * z[left])
@@ -123,34 +115,6 @@ class WaveProfile:
                     out[right] = C * np.exp(-lam * z[right])
                 else:
                     out[right] = C * (z[right] - z0) * np.exp(-lam * z[right])
-        return float(out[0]) if scalar else out
-
-    def derivative(self, z):
-        """U' at arbitrary z (tail formulas differentiated outside the table)."""
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.empty_like(z)
-        lo, hi = self.z[0], self.z[-1]
-        left = z < lo
-        right = z > hi
-        mid = ~(left | right)
-        if mid.any():
-            out[mid] = self._splines()[1](z[mid])
-        if left.any():
-            C, mu = self.tail_left
-            out[left] = -C * mu * np.exp(mu * z[left])
-        if right.any():
-            if self.tail_right is None:
-                out[right] = 0.0
-            else:
-                C, lam, z0 = self.tail_right
-                if np.isnan(z0):
-                    out[right] = -lam * C * np.exp(-lam * z[right])
-                else:
-                    out[right] = (
-                        C * (1.0 - lam * (z[right] - z0)) * np.exp(-lam * z[right])
-                    )
         return float(out[0]) if scalar else out
 
     def residual(self):
@@ -302,10 +266,7 @@ def solve_wave(c, dz=1e-3, z_span=40.0):
         C = float(U[-1] * math.exp(lam_fit * z[-1]))
         tail_right = (C, lam_fit, math.nan)
 
-    prof = WaveProfile(c, z, U, Up, "half_at_zero", tail_left, tail_right)
-    if c == 2.0:
-        prof.kpp_ratio = prof.kpp_ratio_bounds()
-    return prof
+    return WaveProfile(c, z, U, Up, "half_at_zero", tail_left, tail_right)
 
 
 def solve_sign_changing_wave(c, dz=1e-3, z_span=40.0):

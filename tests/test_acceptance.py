@@ -13,7 +13,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from fkpplab.geometry import ConvexBody
-from fkpplab.grids import Field, Grid, interpolate
+from fkpplab.grids import Grid, interpolate
 from fkpplab.kinetics import (
     KineticsParams,
     bistable_logistic,
@@ -24,7 +24,7 @@ from fkpplab.kinetics import (
     positivity_time,
     semiflow_sensitivity,
 )
-from fkpplab.solver import InitialData, SimConfig, default_dt, step
+from fkpplab.solver import InitialData, SimConfig, Stepper, default_dt
 from fkpplab.studies import (
     cached_run,
     compact_family_config,
@@ -193,10 +193,11 @@ def test_criterion_9_solver_numerics():
     for div in (1, 2, 4):
         dt = default_dt(grid, eps) / div
         n = math.ceil(t_end / dt)
-        f = Field(grid, u0.copy())
+        stepper = Stepper(grid, t_end / n, eps)
+        u = u0
         for _ in range(n):
-            f = step(f, t_end / n, eps)
-        sols.append(f.values)
+            u = stepper.step(u)
+        sols.append(u)
     order = math.log2(np.linalg.norm(sols[0] - sols[1])
                       / np.linalg.norm(sols[1] - sols[2]))
     ok &= order >= 1.8
@@ -204,16 +205,14 @@ def test_criterion_9_solver_numerics():
 
     # comparison preservation on 10 random ordered pairs
     rng = np.random.default_rng(23)
-    dt = default_dt(grid, eps)
+    stepper = Stepper(grid, default_dt(grid, eps), eps)
     preserved = True
     for _ in range(10):
         u = rng.uniform(0, 0.9, grid.shape)
         v = u + rng.uniform(0, 0.1, grid.shape)
-        fu, fv = Field(grid, u), Field(grid, v)
         for _ in range(4):
-            fu = step(fu, dt, eps)
-            fv = step(fv, dt, eps)
-        preserved &= bool(np.all(fv.values - fu.values >= -1e-12))
+            u, v = stepper.step(u), stepper.step(v)
+        preserved &= bool(np.all(v - u >= -1e-12))
     ok &= preserved
     notes.append(f"comparison {preserved}")
 

@@ -87,7 +87,7 @@ def test_global_super_anchor_and_tail():
 
 def test_motion_sub_truncation_and_left_value():
     c = 1.5
-    wave = cached_wave(c, sign_changing=True)
+    wave = cached_wave(c)
     big = ConvexBody.interval(-2.4, 2.4)
     cd = CutoffDistance(big, speed=c)
     bp = BarrierParams(m1=0.333, m2=1.0)
@@ -99,7 +99,7 @@ def test_motion_sub_truncation_and_left_value():
 
 
 def test_motion_sub_requires_matching_speeds():
-    wave = cached_wave(1.5, sign_changing=True)
+    wave = cached_wave(1.5)
     cd = CutoffDistance(BODY, speed=1.0)
     with pytest.raises(ConfigurationError):
         motion_sub(0.0, 0.0, BarrierParams(), wave, cd, EPS)
@@ -138,7 +138,7 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
     # clamp zone sits deep inside the wave's saturated tail
     eps = 0.01
     c = 1.5
-    wave = cached_wave(c, sign_changing=True)
+    wave = cached_wave(c)
     body = ConvexBody.interval(-2.4, 2.4)
     cd = CutoffDistance(body, speed=c)
     init = InitialData.compact(body, 0.9, 0.1)
@@ -154,7 +154,7 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
 
 
 def test_radial_sub_W_geometry():
-    alg = InitialData.algebraic(m=0.5, n=2.0, cap=0.5)
+    alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
     bp = BarrierParams(c1=1.25, rho=14.0)
     eps = 0.02
@@ -172,7 +172,7 @@ def test_radial_sub_W_geometry():
 
 
 def test_radial_sub_W_residual_sign():
-    alg = InitialData.algebraic(m=0.5, n=2.0, cap=0.5)
+    alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
     bp = BarrierParams(c1=1.25, rho=14.0)
     eps = 0.02
@@ -187,7 +187,7 @@ def test_radial_sub_W_residual_sign():
 
 
 def test_radial_sub_W_condition_errors_name_the_condition():
-    alg = InitialData.algebraic(m=0.5, n=2.0, cap=0.5)
+    alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
     eps = 0.02
     with pytest.raises(ConfigurationError, match="curvature"):
@@ -223,7 +223,7 @@ def test_radial_sub_W_anchored_variant():
 
 
 def test_xi_eps_formula_and_bisection_oracle():
-    alg = InitialData.algebraic(m=0.5, n=2.0, cap=0.5)
+    alg = InitialData.algebraic(m=0.5, n=2.0)
     bp = BarrierParams(k=1.0)
     eps = 0.01
     val = xi_eps(eps, bp, alg)
@@ -235,14 +235,14 @@ def test_xi_eps_formula_and_bisection_oracle():
 
 
 def test_xi_eps_limits_and_domain():
-    alg = InitialData.algebraic(m=0.5, n=2.0, cap=0.5)
+    alg = InitialData.algebraic(m=0.5, n=2.0)
     eps = 0.01
     thr = 3.0 * eps_log(eps)
-    nearly = InitialData.algebraic(m=thr * (1 + 1e-12), n=2.0, cap=1.0)
+    nearly = InitialData.algebraic(m=thr * (1 + 1e-12), n=2.0)
     assert xi_eps(eps, BarrierParams(k=3.0), nearly) <= 1e-6
     with pytest.raises(DomainError):
         xi_eps(eps, BarrierParams(k=3.0), InitialData.algebraic(
-            m=thr / 2, n=2.0, cap=1.0))
+            m=thr / 2, n=2.0))
     # xi_eps / eps grows as eps shrinks at fixed (m, n, k)
     ratios = [xi_eps(e, BarrierParams(k=1.0), alg) / e for e in (0.04, 0.02, 0.01)]
     assert ratios[0] < ratios[1] < ratios[2]

@@ -1,0 +1,63 @@
+"""The demos against the API, without running them (all five take about
+15 s): every name a demo imports from fkpplab exists, and every call it
+makes to an imported fkpplab callable binds to that callable's signature."""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+def _imported(tree):
+    """{local name: object} of every `from fkpplab... import name`."""
+    names = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ImportFrom) and node.module
+                and node.module.split(".")[0] == "fkpplab"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                assert hasattr(module, alias.name), \
+                    f"line {node.lineno}: {node.module} has no {alias.name}"
+                names[alias.asname or alias.name] = getattr(module, alias.name)
+    return names
+
+
+def _callee(func, names):
+    """The fkpplab callable a call names, `f(...)` or `Class.method(...)`,
+    or None for any other call."""
+    if isinstance(func, ast.Name):
+        return names.get(func.id)
+    if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+            and func.value.id in names):
+        owner = names[func.value.id]
+        assert hasattr(owner, func.attr), \
+            f"line {func.lineno}: {func.value.id} has no {func.attr}"
+        return getattr(owner, func.attr)
+    return None
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_calls_bind_to_the_api(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    names = _imported(tree)
+    checked = 0
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call):
+            continue
+        fn = _callee(call.func, names)
+        if fn is None or not callable(fn):
+            continue
+        if (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg is None for k in call.keywords)):
+            continue  # *args or **kwargs: the arity is not in the source
+        try:
+            inspect.signature(fn).bind_partial(
+                *call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"{demo.name}:{call.lineno}: {ast.unparse(call.func)}: {exc}")
+        checked += 1
+    assert checked, f"{demo.name} calls no fkpplab callable"

@@ -195,6 +195,12 @@ REJECTED = {
                      "cutoff_inner"),
     "cutoff_outer": ("barriers", "[kinetics]\nepsilon = 0.02\ncutoff_outer = 0.2\n",
                      "cutoff_outer"),
+    # the wave tables are shot at one step and span
+    "wave_dz": ("wave", WAVE_INI + "dz = 5e-4\n", "dz"),
+    "wave_z_span": ("wave", WAVE_INI + "z_span = 60\n", "z_span"),
+    # without a tail there is no tail rate to read
+    "simulate_tail_lambda_without_cap": ("simulate", _add(
+        SIMULATE_INI, "initial", "tail_lambda = 1.5"), "tail_lambda"),
 }
 
 
@@ -223,6 +229,21 @@ class _Captured(Exception):
     pass
 
 
+def _simulated(tmp_path, monkeypatch, ini):
+    """The SimConfig `simulate` hands to run() for the config file ini."""
+    handed = []
+
+    def capture(sim):
+        handed.append(sim)
+        raise _Captured
+
+    monkeypatch.setattr(cli, "run", capture)
+    with pytest.raises(_Captured):
+        cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+    (sim,) = handed
+    return sim
+
+
 @pytest.mark.parametrize("extent", (0.0, 3.0))
 @pytest.mark.parametrize("mode, geometry", (
     ("line", "shape = interval\na = -0.4\nb = 0.6"),
@@ -231,26 +252,31 @@ class _Captured(Exception):
 ))
 def test_simulate_runs_the_compact_family_config(tmp_path, monkeypatch, mode,
                                                  geometry, extent):
-    handed = []
-
-    def capture(sim):
-        handed.append(sim)
-        raise _Captured
-
-    monkeypatch.setattr(cli, "run", capture)
     ini = _write(tmp_path, "sim.ini",
                  f"[kinetics]\nepsilon = 0.1\n\n[geometry]\n{geometry}\n\n"
                  f"[initial]\namplitude = 0.8\nwidth = 0.2\n\n"
                  f"[solver]\nmode = {mode}\nt_end = 0.2\nextent = {extent}\n")
-    with pytest.raises(_Captured):
-        cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+    sim = _simulated(tmp_path, monkeypatch, ini)
     family = studies.compact_family_config(
         0.1, body_from_config(load_config(ini)), 0.8, 0.2, 0.2, mode, 2,
         min_reach=extent)
-    (sim,) = handed
     assert sim.record == ("sup", "min", "front_half", "layer_width")
     assert replace(sim, record=family.record) == family
     assert sim.grid.extents[0][1] >= extent
+
+
+def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
+    ini = _write(tmp_path, "sim.ini", _add(SIMULATE_INI, "initial", "tail_cap = 0.3"))
+    assert _simulated(tmp_path, monkeypatch, ini).initial.tail == (1.0, 0.3)
+
+
+def test_cli_svg_only_for_commands_that_plot(tmp_path, capsys):
+    ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o"),
+                  "--svg"])
+    assert info.value.code == 1
+    assert "--svg" in capsys.readouterr().err
 
 
 def test_cli_simulate_dumps_checkpoints(tmp_path):
@@ -309,5 +335,5 @@ def test_study_caches_evict_least_recently_used(monkeypatch):
     monkeypatch.setattr(studies, "solve_wave", lambda c: c)
     for c in range(studies.CACHE_SIZE + 1):
         studies.cached_wave(2.0 + c)
-    assert (2.0, False) not in studies._WAVE_CACHE
+    assert 2.0 not in studies._WAVE_CACHE
     assert len(studies._WAVE_CACHE) == studies.CACHE_SIZE

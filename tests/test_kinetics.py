@@ -76,7 +76,7 @@ def test_modified_rate_never_exceeds_bistable(eps):
 
 def test_params_reject_epsilon_too_large():
     with pytest.raises(ConfigurationError):
-        KineticsParams(0.35)  # eps|ln eps| above cutoff_inner
+        KineticsParams(0.35)  # eps|ln eps| above CUTOFF_INNER
     with pytest.raises(ConfigurationError):
         KineticsParams(0.5)  # above 1/e
 

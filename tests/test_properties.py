@@ -1,5 +1,5 @@
 """Property tests of the Strang stepper (comparison, sum conservation,
-monotone reaction, reuse of one Stepper against the one-shot wrapper) and of
+monotone reaction, reuse of one Stepper against a fresh one per step) and of
 the semiflow (agreement with an ODE solve, the semigroup law, monotonicity,
 fixed zeros, independence of the batch)."""
 
@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
-from fkpplab.grids import Field, Grid
-from fkpplab.kinetics import KineticsParams, modified_logistic, semiflow
-from fkpplab.solver import Stepper, default_dt, diffusion_substep, step
+from fkpplab.grids import Grid
+from fkpplab.kinetics import KNEE, KineticsParams, modified_logistic, semiflow
+from fkpplab.solver import Stepper, default_dt
 
 EPS = 0.04
 GRIDS = {
@@ -65,8 +65,8 @@ def test_stepper_preserves_order_plane(pair):
 @given(_values(GRIDS["line"].shape), st.floats(0.05, 1.0))
 def test_line_diffusion_conserves_sum(u, dt_scale):
     g = GRIDS["line"]
-    out = diffusion_substep(Field(g, u), dt_scale * default_dt(g, EPS), EPS)
-    assert abs(out.values.sum() - u.sum()) <= 1e-12 * max(1.0, u.sum())
+    out = Stepper(g, dt_scale * default_dt(g, EPS), EPS).diffusion(u)
+    assert abs(out.sum() - u.sum()) <= 1e-12 * max(1.0, u.sum())
 
 
 @PROPS
@@ -85,11 +85,11 @@ def test_reused_stepper_matches_one_shot_steps(mode, seed):
     u0 = np.random.default_rng(seed).uniform(0.0, 1.0, g.shape)
     dt = default_dt(g, EPS)
     stepper = Stepper(g, dt, EPS)
-    u, fld = u0, Field(g, u0)
+    u = fresh = u0
     for _ in range(30):  # past the first unchecked residual cadence
         u = stepper.step(u)
-        fld = step(fld, dt, EPS)
-    assert np.array_equal(u, fld.values)
+        fresh = Stepper(g, dt, EPS).step(fresh)
+    assert np.array_equal(u, fresh)
 
 
 # --- semiflow ---------------------------------------------------------------
@@ -102,7 +102,7 @@ def _zeros(p):
 
 
 def _breakpoints(p):
-    return (-1.0, p.extension_knee, -p.neg_outer, -p.neg_inner, p.threshold,
+    return (-1.0, KNEE, -p.neg_outer, -p.neg_inner, p.threshold,
             p.pos_inner, p.pos_outer, 1.0)
 
 

@@ -85,7 +85,7 @@ def test_kpp_ratio_bounds():
 
 
 def test_sign_changing_wave():
-    prof = cached_wave(1.0, sign_changing=True)
+    prof = cached_wave(1.0)
     assert abs(prof.evaluate(0.0)) <= 1e-10
     assert np.all(prof.U[prof.z < -prof.dz / 2] > 0.0)
     assert float(prof.U[prof.z > 0.0].min()) < 0.0  # overshoot window
@@ -94,7 +94,7 @@ def test_sign_changing_wave():
 
 def test_sign_changing_tail_lengthens_toward_minimal_speed():
     near = solve_sign_changing_wave(1.99, dz=1e-3, z_span=40.0)
-    far = cached_wave(1.0, sign_changing=True)
+    far = cached_wave(1.0)
     assert near.z[0] < far.z[0]
 
 
