@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .errors import ConfigurationError, DomainError, NumericalError, ShootingError
 from .geometry import ConvexBody, CutoffDistance
-from .grids import Field, Grid, interpolate, solve_tridiagonal
+from .grids import Field, Grid, TridiagonalFactor, interpolate
 from .kinetics import (
     KineticsParams,
     bistable_logistic,
@@ -25,12 +25,12 @@ from .kinetics import (
 )
 from .solver import (
     InitialData,
+    Observer,
     SimConfig,
     Stepper,
     Trajectory,
     build_initial,
     default_dt,
-    front_position,
     layer_thickness,
     run,
 )

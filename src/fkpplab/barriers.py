@@ -35,8 +35,13 @@ from .errors import ConfigurationError, DomainError
 from .geometry import ConvexBody, CutoffDistance
 from .grids import Field, Grid
 from .kinetics import KineticsParams, eps_log, semiflow
-from .solver import InitialData, compact_value, _apply_lap, _lap_coeffs
+from .solver import (THRESHOLD_K, InitialData, compact_value, _apply_lap,
+                     _lap_coeffs)
 from .waves import WaveProfile, decay_rate
+
+
+# discrete_residual's time step, in units of dx.
+RESIDUAL_DT = 0.25
 
 
 @dataclass
@@ -45,7 +50,7 @@ class BarrierParams:
 
     K: drift of the generation sub-solution argument.
     K_hat: amplitude of the global super-solution (>= K0 for a valid barrier).
-    k: generation threshold constant (g >= k eps|ln eps|), fixed at 3.
+    k: generation threshold constant (g >= k eps|ln eps|).
     alpha: generation-time constant (t_gen = alpha eps|ln eps|), measured.
     m1, m2: motion sub-solution shift constants.
     c1: interior shell speed of the no-interface barrier (0 < c1 < c).
@@ -54,7 +59,7 @@ class BarrierParams:
 
     K: float = 2.0
     K_hat: float = 2.0
-    k: float = 3.0
+    k: float = THRESHOLD_K
     alpha: float = 2.0
     m1: float = 1.0
     m2: float = 1.0
@@ -62,11 +67,11 @@ class BarrierParams:
     rho: float = 10.0
 
 
-def m1_recipe(initial: InitialData, k=3.0):
+def m1_recipe(initial: InitialData):
     """Smallest shift making the motion barrier start under the generated
     profile: the edge ramp gives g >= A(-d)/w, so d <= -(k w / A) eps|ln eps|
-    forces g >= k eps|ln eps|."""
-    return k * initial.width / initial.amplitude
+    forces g >= k eps|ln eps|, k = THRESHOLD_K."""
+    return THRESHOLD_K * initial.width / initial.amplitude
 
 
 def c_const_recipe(t_end, m1, m2, mu):
@@ -185,18 +190,17 @@ def xi_eps(epsilon: float, bp: BarrierParams, initial: InitialData):
     return epsilon * (initial.m / thr - 1.0) ** (1.0 / initial.n)
 
 
-def discrete_residual(v, t, grid: Grid, epsilon: float, dt=None) -> Field:
+def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     """L[v] = v_t - eps Lap v - v(1-v)/eps on the grid, with central
-    differences in time (step dt, default dx/4) and the solver's discrete
+    differences in time (step dx * RESIDUAL_DT) and the solver's discrete
     Laplacian in space.  v is a callable v(t, x) over grid coordinates."""
-    if dt is None:
-        dt = grid.dx / 4.0
+    dt = grid.dx * RESIDUAL_DT
     x = grid.points() if grid.mode == "plane" else grid.axis(0)
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(_lap_coeffs(grid, 0), v0, 0) / grid.dx**2
+    lap = _apply_lap(_lap_coeffs(grid, 0), v0) / grid.dx**2
     if grid.mode == "plane":
-        lap += _apply_lap(_lap_coeffs(grid, 1), v0, 1) / grid.dx**2
+        lap += _apply_lap(_lap_coeffs(grid, 1), v0.T).T / grid.dx**2
     res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
     return Field(grid, res)

@@ -46,13 +46,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
-                        tail_lambda=None, tail_cap=0.0, mode="line", dim=2,
+                        tail_lambda=None, tail_cap=0.0, mode="line", dim=None,
                         t_end=1.0, extent=0.0, checkpoints=None):
     """The SimConfig `simulate` runs for compact data: the study family's,
     recording the observables the report prints.  The tail rate defaults
-    to 1 and is read only with a tail, tail_cap != 0."""
+    to 1 and is read only with a tail, tail_cap != 0; the dimension
+    defaults to 2 and is read only in radial mode."""
     if epsilon is None:
         raise ConfigurationError("[kinetics] epsilon is required for simulate")
+    if dim is not None and mode != "radial":
+        raise ConfigurationError(f"[solver] dim is not read in {mode} mode")
     if tail_cap == 0.0 and tail_lambda is not None:
         raise ConfigurationError(
             "[initial] tail_lambda is not read when tail_cap is 0 or absent")
@@ -60,7 +63,8 @@ def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
             else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
     sim = compact_family_config(
         epsilon, body or ConvexBody.interval(-0.5, 0.5), amplitude, width,
-        t_end, mode, dim, checkpoints, tail, min_reach=extent)
+        t_end, mode, 2 if dim is None else dim, checkpoints, tail,
+        min_reach=extent)
     return replace(sim, record=_SIM_COLUMNS[1:])
 
 

@@ -1,4 +1,4 @@
-"""Uniform grids, scalar fields, interpolation and the shared tridiagonal solve.
+"""Uniform grids, scalar fields, interpolation and the tridiagonal factor.
 
 Three geometry modes are supported:
 
@@ -97,39 +97,27 @@ def interpolate(fld: Field, x):
 
     Exact at grid points.  Raises DomainError for x outside the extents.
     """
-    return _interpolate(fld.grid, fld.values, x)
-
-
-def _interpolate(g: Grid, v, x):
-    """interpolate() on bare values sampled on g."""
-    if g.mode == "plane":
-        x = np.asarray(x, dtype=float)
-        idx = []
-        wts = []
-        for ax in range(2):
-            lo, hi = g.extents[ax]
-            xi = float(x[ax])
-            if xi < lo - 1e-12 or xi > hi + 1e-12:
-                raise DomainError(f"point {xi} outside extent [{lo}, {hi}]")
-            t = np.clip((xi - lo) / g.dx, 0.0, g.shape[ax] - 1)
-            i = min(int(t), g.shape[ax] - 2)
-            idx.append(i)
-            wts.append(t - i)
-        (i, j), (s, t) = idx, wts
-        return (
-            (1 - s) * (1 - t) * v[i, j]
-            + s * (1 - t) * v[i + 1, j]
-            + (1 - s) * t * v[i, j + 1]
-            + s * t * v[i + 1, j + 1]
-        )
-    lo, hi = g.extents[0]
-    xi = float(x)
-    if xi < lo - 1e-12 or xi > hi + 1e-12:
-        raise DomainError(f"point {xi} outside extent [{lo}, {hi}]")
-    t = np.clip((xi - lo) / g.dx, 0.0, g.shape[0] - 1)
-    i = min(int(t), g.shape[0] - 2)
-    s = t - i
-    return (1 - s) * v[i] + s * v[i + 1]
+    g, v = fld.grid, fld.values
+    x = np.asarray(x, dtype=float).reshape(len(g.extents))
+    idx, wts = [], []
+    for ax, (lo, hi) in enumerate(g.extents):
+        xi = float(x[ax])
+        if xi < lo - 1e-12 or xi > hi + 1e-12:
+            raise DomainError(f"point {xi} outside extent [{lo}, {hi}]")
+        t = np.clip((xi - lo) / g.dx, 0.0, g.shape[ax] - 1)
+        i = min(int(t), g.shape[ax] - 2)
+        idx.append(i)
+        wts.append(t - i)
+    if g.mode != "plane":
+        (i,), (s,) = idx, wts
+        return (1 - s) * v[i] + s * v[i + 1]
+    (i, j), (s, t) = idx, wts
+    return (
+        (1 - s) * (1 - t) * v[i, j]
+        + s * (1 - t) * v[i + 1, j]
+        + (1 - s) * t * v[i, j + 1]
+        + s * t * v[i + 1, j + 1]
+    )
 
 
 class TridiagonalFactor:
@@ -188,13 +176,3 @@ class TridiagonalFactor:
         scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
         if float(np.max(np.abs(resid))) > 1e-12 * scale:
             raise NumericalError("tridiagonal solve residual exceeds 1e-12")
-
-
-def solve_tridiagonal(lower, diag, upper, rhs):
-    """Solve T y = rhs for a diagonally dominant tridiagonal T, once.
-
-    The validated one-shot form of TridiagonalFactor (see there for the
-    argument layout): dominance is checked, T is factorised, and the
-    solution is verified to relative residual <= 1e-12.
-    """
-    return TridiagonalFactor(lower, diag, upper).solve(rhs)

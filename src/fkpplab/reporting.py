@@ -12,7 +12,12 @@ import json
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import __version__
+
+# Rows formatted per call by write_table (bounds its temporaries).
+TABLE_ROWS = 4096
 
 
 def config_hash(params: dict) -> str:
@@ -30,6 +35,18 @@ def fmt(x) -> str:
     if x is None:
         return ""
     return str(x)
+
+
+def write_table(fh, *columns):
+    """CSV rows of the columns broadcast against each other (row-major over
+    the broadcast shape), each value as '%.17g', which gives the bytes of
+    fmt(); one formatting call per block of about TABLE_ROWS rows."""
+    cols = np.broadcast_arrays(*columns)
+    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    step = max(1, TABLE_ROWS // cols[0][:1].size)
+    for k in range(0, len(cols[0]), step):
+        block = np.stack([c[k:k + step].ravel() for c in cols], axis=-1)
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 @dataclass

@@ -14,7 +14,9 @@ form, which is what second-order accuracy wants there.
 
 A run builds one Stepper, which computes everything that is constant over
 the run (the factor of each axis's Crank-Nicolson matrix, the reaction
-decay factor, the grid axes) once, and loops on bare arrays.
+decay factor) once, and one Observer, which does the same for the recorded
+observables (scan coordinates, plane-mode gather, threshold mask); the loop
+works on bare arrays.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import ConvexBody
-from .grids import Field, Grid, TridiagonalFactor, _interpolate
+from .grids import Field, Grid, TridiagonalFactor
 from .kinetics import eps_log
+from .reporting import write_table
 
 
 @dataclass(frozen=True)
@@ -226,13 +229,14 @@ def _lap_coeffs(grid: Grid, axis: int):
     return sub, diag, sup
 
 
-def _apply_lap(coeffs, u, axis):
+def _apply_lap(coeffs, u):
+    """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1)."""
     sub, diag, sup = coeffs
-    u = np.moveaxis(u, axis, 0)
-    out = diag.reshape(-1, *([1] * (u.ndim - 1))) * u
-    out[:-1] += sup.reshape(-1, *([1] * (u.ndim - 1))) * u[1:]
-    out[1:] += sub.reshape(-1, *([1] * (u.ndim - 1))) * u[:-1]
-    return np.moveaxis(out, 0, axis)
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    out = diag.reshape(shape) * u
+    out[:-1] += sup.reshape(shape) * u[1:]
+    out[1:] += sub.reshape(shape) * u[:-1]
+    return out
 
 
 # Steps between residual checks of the line solves; the first step of every
@@ -247,19 +251,20 @@ class Stepper:
     * the LU factor of (I - a L) along each axis, a = eps dt / (2 dx^2);
       the diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
-    * the Laplacian coefficients and the grid axes (``axes``).
+    * the Laplacian coefficients.
 
-    ``step`` maps a bare value array to the next one.  The reaction
-    half-steps reject negative input; the line solves verify the 1e-12
-    residual on the first step and every RESIDUAL_EVERY steps after it.
+    ``step`` maps a bare value array to the next one; the line solves run
+    along axis 0 (the y sweep on the transpose), all lines in one dgttrs
+    call.  The reaction half-steps reject negative input; the line solves
+    verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
+    steps after it.
     """
 
     def __init__(self, grid: Grid, dt: float, epsilon: float):
         self.grid = grid
-        self.axes = tuple(grid.axis(i) for i in range(len(grid.extents)))
         self.decay = np.exp(-(dt / 2.0 / epsilon))
         self.a = epsilon * dt / 2.0 / grid.dx**2
-        self.lap = tuple(_lap_coeffs(grid, i) for i in range(len(self.axes)))
+        self.lap = tuple(_lap_coeffs(grid, i) for i in range(len(grid.extents)))
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
             for sub, diag, sup in self.lap
@@ -285,19 +290,12 @@ class Stepper:
         check = self.steps % RESIDUAL_EVERY == 0
         a = self.a
         if self.grid.mode == "plane":
-            cx, cy = self.lap
-            u = u + a * _apply_lap(cy, u, 1)
-            u = self._solve_lines(0, u, check)
-            u = u + a * _apply_lap(cx, u, 0)
-            return self._solve_lines(1, u, check)
-        return self._solve_lines(0, u + a * _apply_lap(self.lap[0], u, 0), check)
-
-    def _solve_lines(self, axis, rhs, check):
-        """(I - a L) y = rhs along one axis, every line in one dgttrs call."""
-        rhs = np.moveaxis(rhs, axis, 0)
-        shape = rhs.shape
-        y = self.factors[axis].solve(rhs.reshape(shape[0], -1), check)
-        return np.moveaxis(y.reshape(shape), 0, axis)
+            (cx, cy), (fx, fy) = self.lap, self.factors
+            u = u + a * _apply_lap(cy, u.T).T
+            u = fx.solve(u, check)
+            u = u + a * _apply_lap(cx, u)
+            return fy.solve(u.T, check).T
+        return self.factors[0].solve(u + a * _apply_lap(self.lap[0], u), check)
 
     def step(self, u):
         """The state one Strang step after u (a new array)."""
@@ -307,41 +305,84 @@ class Stepper:
         return self.reaction(u)
 
 
-def front_position(fld: Field, level: float, rays=None):
-    """Outermost crossing of the level along the scan axis (line / radial)
-    or along each requested unit-vector ray (plane; default +x axis).
-
-    Returns the interpolated coordinate, None when the level is not
-    attained (recorded as an absent observable, not an error).
-    """
-    return _front(fld.grid, fld.grid.axis(0), fld.values, level, rays)
+# The names SimConfig.record may list.
+OBSERVABLES = ("sup", "min", "front_half", "layer_width", "threshold_min")
+# The generation threshold: threshold_min reads u on {g >= THRESHOLD_K
+# eps|ln eps|}, and the barriers start from the same set.
+THRESHOLD_K = 3.0
 
 
-def _front(g: Grid, x, u, level, rays=None):
-    """front_position() on bare values u, with x the grid's scan axis."""
-    if g.mode == "plane":
-        if rays is None:
-            rays = [(1.0, 0.0)]
+class Observer:
+    """The observables of one run, with what is constant over the run
+    computed once: the scan coordinates ``scan`` (the grid axis in line and
+    radial mode; in plane mode the +x half-axis every dx/2, with the
+    bilinear gather of grids.interpolate at each sample) and the threshold
+    mask {g >= THRESHOLD_K eps|ln eps|} of the compact part g."""
+
+    def __init__(self, grid: Grid, epsilon: float, record=(), g=None):
+        for name in record:
+            if name not in OBSERVABLES:
+                raise ConfigurationError(f"unknown observable {name!r}")
+        self.record, self.epsilon, self.mask = tuple(record), epsilon, None
+        if g is not None and "threshold_min" in record:
+            mask = g >= THRESHOLD_K * eps_log(epsilon)
+            self.mask = mask if mask.any() else None
+        self.gather = None
+        if grid.mode != "plane":
+            self.scan = grid.axis(0)
+            return
+        self.scan = np.arange(0.0, grid.extents[0][1], grid.dx / 2.0)
+        idx, wts = [], []
+        for ax, x in enumerate((self.scan, 0.0)):
+            lo, hi = grid.extents[ax]
+            if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+                raise DomainError(f"the +x ray leaves extent [{lo}, {hi}]")
+            t = np.clip((x - lo) / grid.dx, 0.0, grid.shape[ax] - 1)
+            i = np.minimum(t.astype(int), grid.shape[ax] - 2)
+            idx.append(i)
+            wts.append(t - i)
+        (i, j), (s, t) = idx, wts
+        self.gather = i, j, ((1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t)
+
+    def profile(self, u):
+        """u along ``scan``; in plane mode the bilinear terms are summed in
+        grids.interpolate's order, so each sample equals interpolate's."""
+        if self.gather is None:
+            return u
+        i, j, (w00, w10, w01, w11) = self.gather
+        return (w00 * u[i, j] + w10 * u[i + 1, j]
+                + w01 * u[i, j + 1] + w11 * u[i + 1, j + 1])
+
+    def front(self, u, level):
+        """Outermost crossing of the level along ``scan``, None when the
+        level is not attained."""
+        return _outermost_crossing(self.scan, self.profile(u), level)
+
+    def thickness(self, u):
+        """Width between the outermost u = eps and u = 1 - 2 eps crossings;
+        positive for a decreasing front, None when a level is not attained."""
+        p = self.profile(u)
+        outer = _outermost_crossing(self.scan, p, self.epsilon)
+        inner = _outermost_crossing(self.scan, p, 1.0 - 2.0 * self.epsilon)
+        return None if outer is None or inner is None else outer - inner
+
+    def observe(self, u):
+        """The recorded observables of state u, nan for an absent crossing."""
         out = []
-        for ray in rays:
-            ray = np.asarray(ray, dtype=float)
-            ray /= np.linalg.norm(ray)
-            smax = _ray_reach(g, ray)
-            svals = np.arange(0.0, smax, g.dx / 2.0)
-            vals = np.array([_interpolate(g, u, s * ray) for s in svals])
-            out.append(_outermost_crossing(svals, vals, level))
+        for name in self.record:
+            if name == "sup":
+                v = u.max()
+            elif name == "min":
+                v = u.min()
+            elif name == "front_half":
+                v = self.front(u, 0.5)
+            elif name == "layer_width":
+                v = self.thickness(u)
+            else:
+                v = None if self.mask is None else u[self.mask].min()
+            out.append(math.nan if v is None else float(v))
         return out
-    return _outermost_crossing(x, u, level)
 
-
-def _ray_reach(grid, ray):
-    reach = np.inf
-    for ax in range(2):
-        if ray[ax] > 1e-14:
-            reach = min(reach, grid.extents[ax][1] / ray[ax])
-        elif ray[ax] < -1e-14:
-            reach = min(reach, grid.extents[ax][0] / ray[ax])
-    return reach
 
 def _outermost_crossing(x, u, level):
     du = u - level
@@ -356,42 +397,8 @@ def _outermost_crossing(x, u, level):
 
 
 def layer_thickness(fld: Field, epsilon: float):
-    """Width between the outermost u = eps crossing and the outermost
-    u = 1 - 2 eps crossing; positive for a decreasing front."""
-    return _thickness(fld.grid, fld.grid.axis(0), fld.values, epsilon)
-
-
-def _thickness(g: Grid, x, u, epsilon):
-    """layer_thickness() on bare values u, with x the grid's scan axis."""
-    outer = _front(g, x, u, epsilon)
-    inner = _front(g, x, u, 1.0 - 2.0 * epsilon)
-    if outer is None or inner is None:
-        return None
-    if isinstance(outer, list):
-        return [
-            (o - i) if o is not None and i is not None else None
-            for o, i in zip(outer, inner)
-        ]
-    return outer - inner
-
-
-def _observable(name, u, ctx):
-    if name == "sup":
-        return float(u.max())
-    if name == "min":
-        return float(u.min())
-    if name == "front_half":
-        pos = _front(ctx["grid"], ctx["x"], u, 0.5)
-        return math.nan if pos is None else (pos[0] if isinstance(pos, list) else pos)
-    if name == "layer_width":
-        w = _thickness(ctx["grid"], ctx["x"], u, ctx["epsilon"])
-        return math.nan if w is None else (w[0] if isinstance(w, list) else w)
-    if name == "threshold_min":
-        mask = ctx.get("threshold_mask")
-        if mask is None or not mask.any():
-            return math.nan
-        return float(u[mask].min())
-    raise ConfigurationError(f"unknown observable {name!r}")
+    """Observer.thickness of a field."""
+    return Observer(fld.grid, epsilon).thickness(fld.values)
 
 
 def run(config: SimConfig) -> Trajectory:
@@ -405,11 +412,8 @@ def run(config: SimConfig) -> Trajectory:
     u = u0.values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
+    observer = Observer(config.grid, config.epsilon, config.record, g)
     stepper = Stepper(config.grid, dt, config.epsilon)
-
-    ctx = {"epsilon": config.epsilon, "grid": config.grid, "x": stepper.axes[0]}
-    if g is not None and "threshold_min" in config.record:
-        ctx["threshold_mask"] = g >= 3.0 * eps_log(config.epsilon)
 
     checkpoint_idx = {}
     for tc in config.checkpoint_times:
@@ -421,8 +425,8 @@ def run(config: SimConfig) -> Trajectory:
 
     def record(k, t, u):
         times[k] = t
-        for name in config.record:
-            series[name][k] = _observable(name, u, ctx)
+        for name, value in zip(config.record, observer.observe(u)):
+            series[name][k] = value
         if k in checkpoint_idx:
             checkpoints.append((t, Field(config.grid, u.copy())))
 
@@ -446,16 +450,8 @@ def run(config: SimConfig) -> Trajectory:
 def dump_checkpoint(fld: Field, t: float, path):
     """CSV checkpoint: '# t=<value>' header, then coordinate(s), u rows."""
     g = fld.grid
+    names = {"line": "x", "radial": "r", "plane": "x0,x1"}[g.mode]
+    axes = (g.axis(0)[:, None], g.axis(1)) if g.mode == "plane" else (g.axis(0),)
     with open(path, "w") as fh:
-        fh.write(f"# t={t:.17g}\n")
-        if g.mode == "plane":
-            fh.write("x0,x1,u\n")
-            x0, x1 = g.axis(0), g.axis(1)
-            for i in range(g.shape[0]):
-                for j in range(g.shape[1]):
-                    fh.write(f"{x0[i]:.17g},{x1[j]:.17g},{fld.values[i, j]:.17g}\n")
-        else:
-            name = "r" if g.mode == "radial" else "x"
-            fh.write(f"{name},u\n")
-            for x, u in zip(g.axis(0), fld.values):
-                fh.write(f"{x:.17g},{u:.17g}\n")
+        fh.write(f"# t={t:.17g}\n{names},u\n")
+        write_table(fh, *axes, fld.values)

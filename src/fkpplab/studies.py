@@ -48,6 +48,10 @@ SHELL_C1 = 1.25
 SHELL_RHO = 14.0
 # The minimal-speed envelope U/(z e^{-z}) is bounded over z in [1, this].
 KPP_RATIO_Z_HI = 15.0
+# The residual checks skip cells within this many of a barrier's kink.
+KINK_WIDTH = 2
+# The first generation drift fit_generation_drift tries.
+DRIFT_START = 3.0
 
 _TRAJ_CACHE: OrderedDict = OrderedDict()
 _WAVE_CACHE: OrderedDict = OrderedDict()
@@ -322,22 +326,22 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
     return report
 
 
-def _kink_mask(values, width=2):
-    """Cells within `width` of a sign change of `values`."""
+def _kink_mask(values):
+    """Cells within KINK_WIDTH of a sign change of `values`."""
     mask = np.zeros(values.shape, dtype=bool)
     sign = np.sign(values)
     crossings = np.nonzero(np.diff(sign) != 0)[0]
     for i in crossings:
-        mask[max(0, i - width): i + width + 1] = True
+        mask[max(0, i - KINK_WIDTH): i + KINK_WIDTH + 1] = True
     return mask
 
 
-def fit_generation_drift(traj, kin, initial, checkpoints, start=3.0):
-    """Smallest doubling drift K whose generation barrier stays under the
-    numerical solution at the given checkpoint times."""
+def fit_generation_drift(traj, kin, initial, checkpoints):
+    """Smallest drift K, doubling from DRIFT_START, whose generation barrier
+    stays under the numerical solution at the given checkpoint times."""
     x = traj.config.grid.axis(0)
     eps = traj.config.epsilon
-    K = start
+    K = DRIFT_START
     while K <= 256.0:
         bp = BarrierParams(K=K)
         worst = 0.0

@@ -21,9 +21,12 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .errors import ConfigurationError, DomainError, NumericalError, ShootingError
+from .errors import DomainError, NumericalError, ShootingError
+from .reporting import write_table
 
 WAVE_FLOOR = 1e-10  # right-tail truncation level
+TABLE_DZ = 1e-3  # step of the resampled table
+Z_SPAN = 40.0  # integration span past the anchor; pads the sign-changing guard
 _LAUNCH = 1e-8  # offset from U = 1 at launch
 
 
@@ -178,15 +181,7 @@ class WaveProfile:
         """CSV dump of the table, columns z, U, U_prime."""
         with open(path, "w") as fh:
             fh.write("z,U,U_prime\n")
-            for z, u, up in zip(self.z, self.U, self.Uprime):
-                fh.write(f"{z:.17g},{u:.17g},{up:.17g}\n")
-
-
-def _check_span_args(dz, z_span):
-    if dz > 1e-3:
-        raise ConfigurationError("dz must be <= 1e-3")
-    if z_span < 30.0:
-        raise ConfigurationError("z_span must be >= 30")
+            write_table(fh, self.z, self.U, self.Uprime)
 
 
 def _launch_state(c):
@@ -226,7 +221,7 @@ def _left_tail(z, U, lam_guess):
     return C, mu
 
 
-def solve_wave(c, dz=1e-3, z_span=40.0):
+def solve_wave(c):
     """Monotone travelling wave for c >= 2, U(0) = 1/2.
 
     Shoots from the unstable manifold of U = 1, translates the half-level
@@ -235,7 +230,6 @@ def solve_wave(c, dz=1e-3, z_span=40.0):
     """
     if c < 2.0:
         raise DomainError("monotone waves need c >= 2; see solve_sign_changing_wave")
-    _check_span_args(dz, z_span)
     y0, lam_u = _launch_state(c)
     guard = math.log(0.6 / _LAUNCH) / lam_u + 20.0
 
@@ -244,8 +238,8 @@ def solve_wave(c, dz=1e-3, z_span=40.0):
         raise ShootingError("never reached U = 1/2 within the span guard")
     z_half = float(leg1.t_events[0][0])
 
-    leg2 = _integrate(c, z_span, leg1.sol(z_half), [_event(WAVE_FLOOR, -1)])
-    z, U, Up = _resample(leg1, leg2, z_half, dz)
+    leg2 = _integrate(c, Z_SPAN, leg1.sol(z_half), [_event(WAVE_FLOOR, -1)])
+    z, U, Up = _resample(leg1, leg2, z_half, TABLE_DZ)
 
     if np.any(np.diff(U) > 1e-12):
         raise NumericalError("monotonicity lost for c >= 2")
@@ -269,14 +263,13 @@ def solve_wave(c, dz=1e-3, z_span=40.0):
     return WaveProfile(c, z, U, Up, "half_at_zero", tail_left, tail_right)
 
 
-def solve_sign_changing_wave(c, dz=1e-3, z_span=40.0):
+def solve_sign_changing_wave(c):
     """Sign-changing wave for 0 < c < 2: first zero crossing at z = 0, table
     extended by a short overshoot window past the crossing."""
     if not 0.0 < c < 2.0:
         raise DomainError("sign-changing waves need 0 < c < 2")
-    _check_span_args(dz, z_span)
     y0, lam_u = _launch_state(c)
-    guard = math.log(0.6 / _LAUNCH) / lam_u + z_span + 20.0
+    guard = math.log(0.6 / _LAUNCH) / lam_u + Z_SPAN + 20.0
 
     leg1 = _integrate(c, guard, y0, [_event(0.0, -1)])
     if len(leg1.t_events[0]) == 0:
@@ -285,9 +278,9 @@ def solve_sign_changing_wave(c, dz=1e-3, z_span=40.0):
 
     overshoot = 5.0
     leg2 = _integrate(c, overshoot, leg1.sol(z_zero), [])
-    z, U, Up = _resample(leg1, leg2, z_zero, dz)
+    z, U, Up = _resample(leg1, leg2, z_zero, TABLE_DZ)
 
-    if np.any(U[z < -dz / 2] <= 0.0):
+    if np.any(U[z < -TABLE_DZ / 2] <= 0.0):
         raise NumericalError("profile not positive left of its first zero")
 
     tail_left = _left_tail(z, U, lam_u)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fkpplab.errors import DomainError, NumericalError
-from fkpplab.grids import Field, Grid, interpolate, solve_tridiagonal
+from fkpplab.grids import Field, Grid, TridiagonalFactor, interpolate
 
 
 def test_interpolate_reproduces_linear_function():
@@ -47,14 +47,14 @@ def test_interpolate_out_of_extents():
 
 def test_tridiagonal_identity():
     rhs = np.array([3.0, -1.0, 2.0, 0.5])
-    y = solve_tridiagonal(np.zeros(3), np.ones(4), np.zeros(3), rhs)
+    y = TridiagonalFactor(np.zeros(3), np.ones(4), np.zeros(3)).solve(rhs)
     assert np.allclose(y, rhs, atol=1e-14)
 
 
 def test_tridiagonal_hand_eliminated_3x3():
     # [2 -1 0; -1 2 -1; 0 -1 2] y = (1, 0, 1)  =>  y = (1, 1, 1)
-    y = solve_tridiagonal([-1.0, -1.0], [2.0, 2.0, 2.0], [-1.0, -1.0],
-                          [1.0, 0.0, 1.0])
+    y = TridiagonalFactor([-1.0, -1.0], [2.0, 2.0, 2.0],
+                          [-1.0, -1.0]).solve([1.0, 0.0, 1.0])
     assert np.allclose(y, [1.0, 1.0, 1.0], atol=1e-13)
 
 
@@ -67,7 +67,7 @@ def test_tridiagonal_against_dense_oracle():
         rhs = rng.uniform(-1, 1, n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         ref = np.linalg.solve(dense, rhs)
-        y = solve_tridiagonal(sub, diag, sup, rhs)
+        y = TridiagonalFactor(sub, diag, sup).solve(rhs)
         assert np.max(np.abs(y - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -78,7 +78,7 @@ def test_tridiagonal_roundtrip_large():
     sup = rng.uniform(-1, 1, n - 1)
     diag = 2.2 + rng.uniform(0, 1, n)
     rhs = rng.uniform(-1, 1, n)
-    y = solve_tridiagonal(sub, diag, sup, rhs)
+    y = TridiagonalFactor(sub, diag, sup).solve(rhs)
     back = diag * y
     back[:-1] += sup * y[1:]
     back[1:] += sub * y[:-1]
@@ -87,7 +87,8 @@ def test_tridiagonal_roundtrip_large():
 
 def test_tridiagonal_rejects_non_dominant():
     with pytest.raises(NumericalError):
-        solve_tridiagonal([3.0, 3.0], [1.0, 1.0, 1.0], [3.0, 3.0], [1.0, 1.0, 1.0])
+        TridiagonalFactor([3.0, 3.0], [1.0, 1.0, 1.0],
+                          [3.0, 3.0]).solve([1.0, 1.0, 1.0])
 
 
 def test_tridiagonal_block_rhs():
@@ -97,9 +98,9 @@ def test_tridiagonal_block_rhs():
     sub = rng.uniform(-1, 1, n - 1)
     sup = rng.uniform(-1, 1, n - 1)
     rhs = rng.uniform(-1, 1, (n, 4))
-    y = solve_tridiagonal(sub, diag, sup, rhs)
+    y = TridiagonalFactor(sub, diag, sup).solve(rhs)
     for j in range(4):
-        yj = solve_tridiagonal(sub, diag, sup, rhs[:, j])
+        yj = TridiagonalFactor(sub, diag, sup).solve(rhs[:, j])
         assert np.allclose(y[:, j], yj, atol=1e-13)
 
 

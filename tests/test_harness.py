@@ -198,6 +198,10 @@ REJECTED = {
     # the wave tables are shot at one step and span
     "wave_dz": ("wave", WAVE_INI + "dz = 5e-4\n", "dz"),
     "wave_z_span": ("wave", WAVE_INI + "z_span = 60\n", "z_span"),
+    # only a radial grid has a dimension to read
+    "simulate_line_dim": ("simulate", _add(SIMULATE_INI, "solver", "dim = 7"), "dim"),
+    "simulate_plane_dim": ("simulate", _add(SIMULATE_INI.replace(
+        "mode = line", "mode = plane"), "solver", "dim = 2"), "dim"),
     # without a tail there is no tail rate to read
     "simulate_tail_lambda_without_cap": ("simulate", _add(
         SIMULATE_INI, "initial", "tail_lambda = 1.5"), "tail_lambda"),

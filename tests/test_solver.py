@@ -7,15 +7,17 @@ from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid, interpolate
 from fkpplab.kinetics import eps_log
+from fkpplab.reporting import write_table
+from fkpplab import solver
 from fkpplab.solver import (
     RESIDUAL_EVERY,
     InitialData,
+    Observer,
     SimConfig,
     Stepper,
     build_initial,
     default_dt,
     dump_checkpoint,
-    front_position,
     layer_thickness,
     run,
 )
@@ -200,7 +202,7 @@ def test_front_position_linear_ramp():
     g = _line_grid(2.0, 0.01)
     x = g.axis(0)
     f = Field(g, np.clip(0.5 - (x - 1.23), 0.0, 1.0))
-    pos = front_position(f, 0.5)
+    pos = Observer(g, EPS).front(f.values, 0.5)
     assert pos == pytest.approx(1.23, abs=g.dx)
 
 
@@ -210,8 +212,9 @@ def test_front_position_translation_equivariance():
     vals = 1.0 / (1.0 + np.exp((x - 0.4) / 0.05))
     f = Field(g, vals)
     shifted = Field(g, np.roll(vals, 30))  # exact 30-cell shift
-    p0 = front_position(f, 0.5)
-    p1 = front_position(shifted, 0.5)
+    obs = Observer(g, EPS)
+    p0 = obs.front(f.values, 0.5)
+    p1 = obs.front(shifted.values, 0.5)
     assert p1 - p0 == pytest.approx(30 * g.dx, abs=1e-12)
 
 
@@ -221,8 +224,9 @@ def test_front_position_of_evaluated_wave():
     g = _line_grid(1.0, eps / 8)
     x0 = 0.3
     f = Field(g, prof.evaluate((g.axis(0) - x0) / eps))
-    assert front_position(f, 0.5) == pytest.approx(x0, abs=g.dx)
-    assert front_position(f, 2.0) is None  # level never attained
+    obs = Observer(g, eps)
+    assert obs.front(f.values, 0.5) == pytest.approx(x0, abs=g.dx)
+    assert obs.front(f.values, 2.0) is None  # level never attained
 
 
 def test_layer_thickness_of_evaluated_wave():
@@ -266,11 +270,13 @@ def test_advected_wave_measures_speed_two():
     n = math.ceil(t_end / dt)
     dt = t_end / n
     stepper = Stepper(g, dt, eps)
-    times, fronts = [0.0], [front_position(f, 0.5)]
+    obs = Observer(g, eps)
+    u = f.values
+    times, fronts = [0.0], [obs.front(u, 0.5)]
     for k in range(1, n + 1):
-        f = Field(g, stepper.step(f.values))
+        u = stepper.step(u)
         times.append(k * dt)
-        fronts.append(front_position(f, 0.5))
+        fronts.append(obs.front(u, 0.5))
     t = np.array(times)
     fp = np.array(fronts, dtype=float)
     m = t >= 0.1
@@ -279,14 +285,41 @@ def test_advected_wave_measures_speed_two():
     assert abs(slope - 2.0) <= 2.0 * dx / t_window
 
 
-def test_front_position_plane_rays():
+def test_front_position_plane_x_ray():
     g = Grid("plane", ((-1.0, 1.0), (-1.0, 1.0)), 0.01)
     pts = g.points()
     r = np.linalg.norm(pts, axis=-1)
     f = Field(g, 1.0 / (1.0 + np.exp((r - 0.6) / 0.03)))
-    for ray in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
-        (pos,) = front_position(f, 0.5, rays=[ray])
-        assert pos == pytest.approx(0.6, abs=2 * g.dx)
+    pos = Observer(g, EPS).front(f.values, 0.5)
+    assert pos == pytest.approx(0.6, abs=2 * g.dx)
+
+
+@pytest.mark.parametrize("extents, dx", (
+    (((-1.0, 1.0), (-1.0, 1.0)), 0.01),
+    (((-3.3375, 3.3375), (-3.3375, 3.3375)), 0.0125),  # the 535^2 plane grid
+    (((-0.7, 1.3), (-0.45, 0.25)), 0.05),  # asymmetric extents
+))
+def test_observer_plane_profile_matches_interpolate(extents, dx):
+    g = Grid("plane", extents, dx)
+    rng = np.random.default_rng(3)
+    f = Field(g, rng.random(g.shape))
+    obs = Observer(g, EPS)
+    profile = obs.profile(f.values)
+    expected = np.array([interpolate(f, (s, 0.0)) for s in obs.scan])
+    assert obs.scan[0] == 0.0 and obs.scan[-1] < extents[0][1]
+    assert np.array_equal(profile, expected)
+
+
+def test_unknown_observable_rejected_before_the_first_step(monkeypatch):
+    def step(self, u):
+        raise AssertionError("stepped before the record was checked")
+
+    monkeypatch.setattr(solver.Stepper, "step", step)
+    init = InitialData.compact(BODY, 0.9, 0.25)
+    cfg = SimConfig(EPS, _line_grid(3.0, EPS / 8), init, t_end=0.1,
+                    record=("sup", "front_quarter"))
+    with pytest.raises(ConfigurationError, match="front_quarter"):
+        run(cfg)
 
 
 def test_radial_matches_plane_on_front_region():
@@ -342,4 +375,27 @@ def test_dump_checkpoint_format(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# t=0.5"
     assert lines[1] == "x,u"
-    assert len(lines) == 2 + g.shape[0]
+    assert lines[2:] == [f"{x:.17g},{u:.17g}" for x, u in zip(g.axis(0), f.values)]
+
+    g = Grid("plane", ((-0.3, 0.3), (-0.2, 0.4)), 0.1)
+    f = Field(g, np.random.default_rng(5).random(g.shape))
+    dump_checkpoint(f, 1 / 3, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == f"# t={1 / 3:.17g}"
+    assert lines[1] == "x0,x1,u"
+    x0, x1 = g.axis(0), g.axis(1)
+    assert lines[2:] == [f"{x0[i]:.17g},{x1[j]:.17g},{f.values[i, j]:.17g}"
+                         for i in range(g.shape[0]) for j in range(g.shape[1])]
+
+
+def test_write_table_matches_fstring_formatting(tmp_path):
+    rng = np.random.default_rng(17)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e17,
+               -1e17, 1.7976931348623157e308, 1 / 3, 0.1]
+    values = np.concatenate([special, rng.standard_normal(20_000)
+                             * 10.0 ** rng.integers(-300, 300, 20_000)])
+    path = tmp_path / "t.csv"
+    with open(path, "w") as fh:
+        write_table(fh, values, values[::-1])
+    assert path.read_text().splitlines() == [
+        f"{a:.17g},{b:.17g}" for a, b in zip(values, values[::-1])]
