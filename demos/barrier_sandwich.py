@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from fkpplab.barriers import BarrierParams, global_super, motion_sub
+from fkpplab.barriers import global_super, motion_sub
 from fkpplab.geometry import ConvexBody, CutoffDistance
 from fkpplab.kinetics import eps_log
 from fkpplab.studies import cached_run, cached_wave, run_barrier_check
@@ -36,7 +36,6 @@ for r in rep.rows:
 # overlay one snapshot with its motion-phase sandwich
 eps = 0.02
 body = ConvexBody.interval(-2.4, 2.4)
-from fkpplab.solver import InitialData
 from fkpplab.studies import compact_family_config
 
 cfg = compact_family_config(eps, body, 0.9, 0.1, 1.0,
@@ -47,13 +46,12 @@ traj = cached_run(cfg)
 t_show = 0.58
 fld = traj.checkpoint_at(t_show)
 x = cfg.grid.axis(0)
-bp = BarrierParams(K_hat=consts["K_hat"], m1=consts["m1"], m2=consts["m2"])
 wave2 = cached_wave(2.0)
 wave_m = cached_wave(1.5)
 cd = CutoffDistance(body, speed=1.5)
 t_rel = t_show - consts["t_gen"]
-sub = motion_sub(t_rel, x, bp, wave_m, cd, eps)
-sup = global_super(t_show, x, bp, wave2, body, eps)
+sub = motion_sub(t_rel, x, consts["m1"], wave_m, cd, eps)
+sup = global_super(t_show, x, consts["K_hat"], wave2, body, eps)
 keep = (x >= 0.0) & (x <= 4.8)
 line_plot(os.path.join(OUT, "barrier_sandwich.svg"),
           [(x[keep][::6], fld.values[keep][::6], "u"),

@@ -30,7 +30,7 @@ for c in (2.0, 2.2, 2.5, 3.0):
           f" table [{prof.z[0]:7.2f}, {prof.z[-1]:6.2f}]")
 
 print("\n== minimal speed: the z e^{-z} envelope on z in [1, 15] ==")
-gm, gp = profiles[2.0].kpp_ratio_bounds(z_hi=15.0)
+gm, gp = profiles[2.0].kpp_ratio_bounds()
 print(f"  gamma- = {gm:.4f}, gamma+ = {gp:.4f}, spread {gp / gm:.2f}")
 
 print("\n== below the minimal speed the wave changes sign ==")

@@ -17,17 +17,19 @@ Barriers at a glance (all vectorized over the spatial argument):
 * global_super    -- K_hat * U((d(0,x) - 2 t)/eps) with the minimal-speed
   wave U; needs K_hat >= k0_lower_bound (deliberately not enforced here so
   a sabotaged amplitude can be seen to fail the ordering check).
-* motion_sub      -- (1-eps) V((d(t,x) + eps|ln eps| m1 e^{m2 t})/eps) with
-  the sign-changing wave V truncated at its first zero.
-* radial_sub_W    -- expanding-shell sub-solution from a c > 2 wave; with
-  ``anchor`` set it becomes the one-sided plateau variant pinned at
-  U = anchor behind the shell.
+* motion_sub      -- (1-eps) V(theta), theta = motion_theta(t, x) =
+  (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps, with the sign-changing wave V
+  truncated at its first zero.
+* radial_sub_W    -- expanding-shell sub-solution U(max(rho, |s|)) from a
+  c > 2 wave over algebraic data, s = shell_coordinate(t, r).
+
+Each barrier takes only the constants it reads; those with one value in
+use (M2, SHELL_C1, SHELL_RHO) are module constants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +44,12 @@ from .waves import WaveProfile, decay_rate
 
 # discrete_residual's time step, in units of dx.
 RESIDUAL_DT = 0.25
-
-
-@dataclass
-class BarrierParams:
-    """Constants parameterizing the barriers.
-
-    K: drift of the generation sub-solution argument.
-    K_hat: amplitude of the global super-solution (>= K0 for a valid barrier).
-    k: generation threshold constant (g >= k eps|ln eps|).
-    alpha: generation-time constant (t_gen = alpha eps|ln eps|), measured.
-    m1, m2: motion sub-solution shift constants.
-    c1: interior shell speed of the no-interface barrier (0 < c1 < c).
-    rho: plateau half-width of the no-interface barrier.
-    """
-
-    K: float = 2.0
-    K_hat: float = 2.0
-    k: float = THRESHOLD_K
-    alpha: float = 2.0
-    m1: float = 1.0
-    m2: float = 1.0
-    c1: float = 2.5
-    rho: float = 10.0
+# The motion sub-solution's shift grows like m1 e^{M2 t}.
+M2 = 1.0
+# The expanding-shell barrier: interior shell speed c1 (0 < c1 < 2 < c)
+# and plateau half-width rho.
+SHELL_C1 = 1.25
+SHELL_RHO = 14.0
 
 
 def m1_recipe(initial: InitialData):
@@ -74,26 +59,24 @@ def m1_recipe(initial: InitialData):
     return THRESHOLD_K * initial.width / initial.amplitude
 
 
-def c_const_recipe(t_end, m1, m2, mu):
+def c_const_recipe(t_end, m1, mu):
     """Tube constant large enough for the band argument:
-    > max(1, 2(2T + m1 e^{m2 T}), 2/mu)."""
-    return 1.01 * max(1.0, 2.0 * (2.0 * t_end + m1 * math.exp(m2 * t_end)), 2.0 / mu)
+    > max(1, 2(2T + m1 e^{M2 T}), 2/mu)."""
+    return 1.01 * max(1.0, 2.0 * (2.0 * t_end + m1 * math.exp(M2 * t_end)), 2.0 / mu)
 
 
-def generation_sub(t, x, bp: BarrierParams, kin: KineticsParams,
-                   initial: InitialData, epsilon: float):
+def generation_sub(t, x, K, kin: KineticsParams, initial: InitialData):
     """max(0, w(t/eps, g(x) - K t)): pushes the data through the ODE while a
     drift -K t absorbs the neglected diffusion.  Equals g at t = 0 and
     vanishes outside the support of g."""
-    xi = compact_value(initial, x) - bp.K * t
-    w = semiflow(t / epsilon, xi, kin)
+    xi = compact_value(initial, x) - K * t
+    w = semiflow(t / kin.epsilon, xi, kin)
     return np.maximum(0.0, w)
 
 
-def generation_super(t, bp: BarrierParams, kin: KineticsParams,
-                     initial: InitialData, epsilon: float):
+def generation_super(t, kin: KineticsParams, initial: InitialData):
     """Spatially constant super-solution w(t/eps, sup u0)."""
-    return float(semiflow(t / epsilon, initial.sup_norm, kin))
+    return float(semiflow(t / kin.epsilon, initial.sup_norm, kin))
 
 
 def k0_lower_bound(wave: WaveProfile, initial: InitialData):
@@ -111,83 +94,69 @@ def k0_lower_bound(wave: WaveProfile, initial: InitialData):
     return max(terms)
 
 
-def global_super(t, x, bp: BarrierParams, wave: WaveProfile,
-                 body: ConvexBody, epsilon: float):
+def global_super(t, x, K_hat, wave: WaveProfile, body: ConvexBody,
+                 epsilon: float):
     """K_hat * U((d(0,x) - 2 t)/eps): a travelling-wave envelope launched
     from the initial interface at the minimal speed."""
     d0 = body.signed_distance(x)
-    return bp.K_hat * wave.evaluate((d0 - 2.0 * t) / epsilon)
+    return K_hat * wave.evaluate((d0 - 2.0 * t) / epsilon)
 
 
-def motion_sub(t, x, bp: BarrierParams, wave: WaveProfile,
-               cd: CutoffDistance, epsilon: float):
-    """(1 - eps) V(theta), theta = (d(t,x) + eps|ln eps| m1 e^{m2 t})/eps,
-    with V the sign-changing wave truncated to zero at its first zero."""
+def motion_theta(t, x, m1, cd: CutoffDistance, epsilon: float):
+    """The motion sub-solution's argument
+    theta = (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps."""
+    return (cd.cutoff(t, x) + eps_log(epsilon) * m1 * math.exp(M2 * t)) / epsilon
+
+
+def motion_sub(t, x, m1, wave: WaveProfile, cd: CutoffDistance, epsilon: float):
+    """(1 - eps) V(theta), with V the sign-changing wave truncated to zero at
+    its first zero."""
     if wave.normalization != "zero_at_zero":
         raise ConfigurationError("motion barrier needs a sign-changing wave")
     if abs(cd.speed - wave.c) > 1e-12:
         raise ConfigurationError("distance speed and wave speed disagree")
-    d = cd.cutoff(t, x)
-    theta = (d + eps_log(epsilon) * bp.m1 * math.exp(bp.m2 * t)) / epsilon
-    theta = np.asarray(theta, dtype=float)
+    theta = np.asarray(motion_theta(t, x, m1, cd, epsilon), dtype=float)
     out = np.where(theta < 0.0, (1.0 - epsilon) * wave.evaluate(theta), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
-def radial_sub_W(t, r, bp: BarrierParams, wave: WaveProfile, epsilon: float,
-                 n_dim: int, initial: InitialData | None = None, anchor=None):
-    """Expanding-shell sub-solution v0((r - c1 t)/eps) from a wave at c > 2.
+def shell_coordinate(t, r, epsilon: float):
+    """The shell barrier's coordinate s = (r - SHELL_C1 t)/eps."""
+    return (np.asarray(r, dtype=float) - SHELL_C1 * t) / epsilon
 
-    Without an anchor, v0 is U(rho) on the shell |s| <= rho and U(|s|)
-    outside; rho must satisfy rho >= (N-1)/(c - c1), rho >= n/lam_c, and the
-    data condition m/(1 + rho^n) >= M_c e^{-lam_c rho} (checked against the
-    algebraic initial data).  With ``anchor`` in (0, 1) the plateau is
-    one-sided at height anchor for all s <= rho, the shifted-wave variant
-    used to chase the pointwise limit.
+
+def radial_sub_W(t, r, wave: WaveProfile, epsilon: float, n_dim: int,
+                 initial: InitialData):
+    """Expanding-shell sub-solution v0(s) from a wave at c > 2, with
+    s = shell_coordinate(t, r, eps): U(rho) on the shell |s| <= rho and
+    U(|s|) outside (c1 = SHELL_C1, rho = SHELL_RHO).  rho must satisfy
+    rho >= (N-1)/(c - c1), rho >= n/lam_c, and the data condition
+    m/(1 + rho^n) >= M_c e^{-lam_c rho} against the algebraic initial data.
     """
     c = wave.c
     if c <= 2.0:
         raise ConfigurationError("shell barrier needs a wave speed c > 2")
-    if not 0.0 < bp.c1 < c:
-        raise ConfigurationError("need 0 < c1 < c")
     lam_c = decay_rate(c)
-    if bp.rho < (n_dim - 1) / (c - bp.c1) - 1e-12:
+    if SHELL_RHO < (n_dim - 1) / (c - SHELL_C1) - 1e-12:
         raise ConfigurationError(
             f"rho violates the curvature condition rho >= (N-1)/(c-c1) "
-            f"= {(n_dim - 1) / (c - bp.c1):g}"
+            f"= {(n_dim - 1) / (c - SHELL_C1):g}"
         )
-    s = (np.asarray(r, dtype=float) - bp.c1 * t) / epsilon
-    if anchor is None:
-        if initial is None or initial.variant != "algebraic":
-            raise ConfigurationError("shell barrier is built over algebraic data")
-        if bp.rho < initial.n / lam_c - 1e-12:
-            raise ConfigurationError(
-                f"rho violates the tail condition rho >= n/lam_c = {initial.n / lam_c:g}"
-            )
-        M_c = wave.exp_majorant(lam_c)
-        if initial.m / (1.0 + bp.rho**initial.n) < M_c * math.exp(-lam_c * bp.rho):
-            raise ConfigurationError(
-                "rho violates the data condition m/(1+rho^n) >= M_c e^{-lam_c rho}"
-            )
-        out = np.where(np.abs(s) <= bp.rho,
-                       wave.evaluate(bp.rho), wave.evaluate(np.abs(s)))
-    else:
-        if not 0.0 < anchor < 1.0:
-            raise ConfigurationError("anchor must lie in (0, 1)")
-        z_a = wave.level_position(anchor)
-        out = np.where(s <= bp.rho, anchor, wave.evaluate(z_a + s - bp.rho))
-    return float(out) if out.ndim == 0 else out
-
-
-def xi_eps(epsilon: float, bp: BarrierParams, initial: InitialData):
-    """Radius inside which algebraic data exceeds the generation threshold:
-    eps * (m/(k eps|ln eps|) - 1)^{1/n}."""
     if initial.variant != "algebraic":
-        raise DomainError("threshold radius applies to algebraic data")
-    thr = bp.k * eps_log(epsilon)
-    if thr >= initial.m:
-        raise DomainError("generation threshold exceeds the data plateau")
-    return epsilon * (initial.m / thr - 1.0) ** (1.0 / initial.n)
+        raise ConfigurationError("shell barrier is built over algebraic data")
+    if SHELL_RHO < initial.n / lam_c - 1e-12:
+        raise ConfigurationError(
+            f"rho violates the tail condition rho >= n/lam_c = {initial.n / lam_c:g}"
+        )
+    M_c = wave.exp_majorant(lam_c)
+    if initial.m / (1.0 + SHELL_RHO**initial.n) < M_c * math.exp(-lam_c * SHELL_RHO):
+        raise ConfigurationError(
+            "rho violates the data condition m/(1+rho^n) >= M_c e^{-lam_c rho}"
+        )
+    s = shell_coordinate(t, r, epsilon)
+    out = np.where(np.abs(s) <= SHELL_RHO,
+                   wave.evaluate(SHELL_RHO), wave.evaluate(np.abs(s)))
+    return float(out) if out.ndim == 0 else out
 
 
 def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
@@ -195,7 +164,7 @@ def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     differences in time (step dx * RESIDUAL_DT) and the solver's discrete
     Laplacian in space.  v is a callable v(t, x) over grid coordinates."""
     dt = grid.dx * RESIDUAL_DT
-    x = grid.points() if grid.mode == "plane" else grid.axis(0)
+    x = grid.points()
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)

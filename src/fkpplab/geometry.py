@@ -10,7 +10,6 @@ identity on [-d0, d0] and saturates at -2 d0 / +2 d0.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,18 +215,3 @@ class CutoffDistance:
     def cutoff(self, t, x):
         """Clamped distance: the ramp applied to the evolved distance."""
         return _clamp_ramp(self.evolved(t, x), self.d0)
-
-    def classify(self, t, x, epsilon, c_const):
-        """'tube' / 'inside' / 'outside' relative to the |d| < C eps|ln eps| band."""
-        if not 0.0 < epsilon < 1.0 / math.e:
-            raise DomainError("epsilon must lie in (0, 1/e)")
-        if c_const <= 0:
-            raise DomainError("the band constant must be positive")
-        width = c_const * epsilon * abs(math.log(epsilon))
-        d = self.evolved(t, x)
-        if d <= -width:
-            return "inside"
-        if d >= width:
-            return "outside"
-        return "tube"
-

@@ -41,6 +41,9 @@ EPS_MAX = 1.0 / math.e  # |ln eps| > 1 to the left of this
 CUTOFF_INNER = 0.25  # psi = 1 up to min(CUTOFF_INNER, 3 eps|ln eps|)
 CUTOFF_OUTER = 0.5  # psi = 0 from min(CUTOFF_OUTER, 6 eps|ln eps|)
 KNEE = -0.5  # the bistable extension leaves u(1-u) below this
+# The largest datum fitted_generation_alpha brings down to 1 + eps; it
+# exceeds 1 + eps for every eps < EPS_MAX.
+ALPHA_XI_HI = 2.0
 
 
 def eps_log(epsilon):
@@ -108,23 +111,16 @@ def logistic_flow(xi, s):
     return out if out.ndim else float(out)
 
 
-def _extension_factor(u):
-    """q(u): 1 on u >= KNEE, 1 - ((KNEE-u)/(KNEE+1))^3 below, so q(-1) = 0
-    with q'(-1) > 0 and C2 matching at the knee."""
-    u = np.asarray(u, dtype=float)
-    v = (KNEE - u) / (KNEE + 1.0)
-    return np.where(u >= KNEE, 1.0, 1.0 - v**3)
-
-
 def bistable_logistic(u):
     """u(1-u) extended bistably: zeros at -1, 0, 1 with -1 and 1 stable."""
-    u = np.asarray(u, dtype=float)
-    out = u * (1.0 - u) * _extension_factor(u)
+    out = _bistable_derivs(u)[0]
     return out if out.ndim else float(out)
 
 
 def _bistable_derivs(u):
-    """(f, f') of the bistable extension."""
+    """(f, f') of the bistable extension f = u(1-u) q(u): q = 1 on
+    u >= KNEE, 1 - ((KNEE-u)/(KNEE+1))^3 below, so q(-1) = 0 with
+    q'(-1) > 0 and C2 matching at the knee."""
     u = np.asarray(u, dtype=float)
     s = 1.0 / (KNEE + 1.0)
     v = (KNEE - u) * s
@@ -163,15 +159,12 @@ def modified_logistic(u, p: KineticsParams):
     Vanishes at u = eps|ln eps|; never exceeds bistable_logistic (checked at
     construction of KineticsParams).
     """
-    u = np.asarray(u, dtype=float)
-    psi, _ = _cutoff_derivs(u, p)
-    linear = (u - p.threshold) / p.log_eps
-    out = psi * linear + (1.0 - psi) * bistable_logistic(u)
+    out = _modified_derivs(u, p)[0]
     return out if out.ndim else float(out)
 
 
 def _modified_derivs(u, p: KineticsParams):
-    """(f, f') of the modified rate, for the sensitivity identities."""
+    """(f, f') of the modified rate; f' feeds the sensitivity identities."""
     u = np.asarray(u, dtype=float)
     psi, psi1 = _cutoff_derivs(u, p)
     f, f1 = _bistable_derivs(u)
@@ -446,15 +439,15 @@ def semiflow_sensitivity(s, xi, p: KineticsParams):
     return w1, float(w1 * (df_w - df_x) / f_x)
 
 
-def fitted_generation_alpha(p: KineticsParams, xi_hi=2.0):
+def fitted_generation_alpha(p: KineticsParams):
     """Smallest alpha with w(alpha |ln eps|, 3 eps|ln eps|) >= 1 - eps and
-    w(alpha |ln eps|, xi_hi) <= 1 + eps: the longer of the passage times
-    G(1 - eps) - G(3 eps|ln eps|) and G(1 + eps) - G(xi_hi), over |ln eps|."""
+    w(alpha |ln eps|, ALPHA_XI_HI) <= 1 + eps: the longer of the passage
+    times G(1 - eps) - G(3 eps|ln eps|) and G(1 + eps) - G(ALPHA_XI_HI),
+    over |ln eps|."""
     eps, start = p.epsilon, 3.0 * p.threshold
     if start >= 1.0 - eps:
         raise DomainError("3 eps|ln eps| already exceeds 1 - eps")
     g = _time_map(p).g
     s_low = float(np.diff(g([start, 1.0 - eps]))[0])
-    s_high = (float(np.diff(g([xi_hi, 1.0 + eps]))[0]) if xi_hi > 1.0 + eps
-              else 0.0)
+    s_high = float(np.diff(g([ALPHA_XI_HI, 1.0 + eps]))[0])
     return max(s_low, s_high) / p.log_eps

@@ -83,13 +83,6 @@ class InitialData:
     def tail_cap(self):
         return self.tail[1] if (self.variant == "compact" and self.tail) else 0.0
 
-    @property
-    def slope_floor(self):
-        """|dg/dn| on the support boundary (the cubic ramp gives 3A/w)."""
-        if self.variant != "compact":
-            raise DomainError("slope floor applies to compact data only")
-        return 3.0 * self.amplitude / self.width
-
 
 def _radii(grid: Grid):
     """||x|| per node."""
@@ -148,6 +141,12 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
     return _sample_initial(initial, grid, epsilon)[0]
 
 
+def outflow_margin(diameter, t_end, epsilon):
+    """Domain reach a run needs: half the data's diameter, plus the distance
+    2 t_end the front travels, plus ten layer widths eps|ln eps|."""
+    return diameter / 2.0 + 2.0 * t_end + 10.0 * eps_log(epsilon)
+
+
 def default_dt(grid: Grid, epsilon: float):
     """Largest step that keeps Crank-Nicolson order-preserving: the explicit
     half-factor (I + a L) must stay entrywise nonnegative, eps dt/dx^2 <= 1/N
@@ -172,7 +171,8 @@ class SimConfig:
             raise ConfigurationError("t_end must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
             raise ConfigurationError("resolution rule dx <= epsilon/8 violated")
-        margin = self._required_extent()
+        diam = self.initial.body.diameter if self.initial.variant == "compact" else 0.0
+        margin = outflow_margin(diam, self.t_end, self.epsilon)
         for lo, hi in self.grid.extents:
             reach = hi if self.grid.mode == "radial" else min(-lo, hi)
             if reach + 1e-9 < margin:
@@ -187,10 +187,6 @@ class SimConfig:
     def dt(self):
         """The order-preserving step default_dt(grid, epsilon)."""
         return default_dt(self.grid, self.epsilon)
-
-    def _required_extent(self):
-        diam = self.initial.body.diameter if self.initial.variant == "compact" else 0.0
-        return diam / 2.0 + 2.0 * self.t_end + 10.0 * eps_log(self.epsilon)
 
 
 @dataclass

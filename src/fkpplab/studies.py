@@ -16,7 +16,8 @@ from collections import OrderedDict
 import numpy as np
 
 from .barriers import (
-    BarrierParams,
+    M2,
+    SHELL_RHO,
     c_const_recipe,
     discrete_residual,
     generation_sub,
@@ -25,14 +26,17 @@ from .barriers import (
     k0_lower_bound,
     m1_recipe,
     motion_sub,
+    motion_theta,
     radial_sub_W,
+    shell_coordinate,
 )
 from .errors import ConfigurationError
 from .geometry import ConvexBody, CutoffDistance
 from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
-from .solver import InitialData, SimConfig, build_initial, layer_thickness, run
+from .solver import (InitialData, SimConfig, build_initial, layer_thickness,
+                     outflow_margin, run)
 from .waves import decay_rate, solve_sign_changing_wave, solve_wave
 
 # Entries each study cache keeps; past it the least recently used goes.
@@ -41,13 +45,8 @@ CACHE_SIZE = 16
 # The compact control of the no-interface study.
 CONTROL_AMPLITUDE = 0.9
 CONTROL_WIDTH = 0.25
-# The expanding-shell barrier of the barrier check: wave speed c, interior
-# shell speed c1 and plateau half-width rho (radial_sub_W's conditions).
+# The wave speed c of the barrier check's expanding-shell barrier.
 SHELL_SPEED = 2.5
-SHELL_C1 = 1.25
-SHELL_RHO = 14.0
-# The minimal-speed envelope U/(z e^{-z}) is bounded over z in [1, this].
-KPP_RATIO_Z_HI = 15.0
 # The residual checks skip cells within this many of a barrier's kink.
 KINK_WIDTH = 2
 # The first generation drift fit_generation_drift tries.
@@ -93,8 +92,7 @@ def compact_family_config(epsilon, body, amplitude, width, t_end,
     dx = eps/8, order-preserving dt, domain sized by the outflow margin."""
     initial = InitialData.compact(body, amplitude, width, tail)
     dx = epsilon / 8.0
-    need = body.diameter / 2.0 + 2.0 * t_end + 10.0 * eps_log(epsilon)
-    need = max(need, min_reach)
+    need = max(outflow_margin(body.diameter, t_end, epsilon), min_reach)
     ext = _snap_extent(need, dx)
     if mode == "line":
         grid = Grid("line", ((-ext, ext),), dx)
@@ -114,7 +112,7 @@ def compact_family_config(epsilon, body, amplitude, width, t_end,
 def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None):
     initial = InitialData.algebraic(m, n)
     dx = epsilon / 8.0
-    need = max(reach, 2.0 * t_end + 10.0 * eps_log(epsilon))
+    need = max(reach, outflow_margin(0.0, t_end, epsilon))
     ext = _snap_extent(need, dx)
     grid = Grid("radial", ((0.0, ext),), dx, dim=dim)
     if checkpoints is None:
@@ -177,7 +175,7 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
 def _band_constant(fld, body, t, epsilon):
     """Minimal band constant: smallest C such that u <= eps outside the
     C eps|ln eps| tube and u >= 1-2eps inside it."""
-    x = fld.grid.points() if fld.grid.mode == "plane" else fld.grid.axis(0)
+    x = fld.grid.points()
     d = body.signed_distance(x) - 2.0 * t
     u = fld.values
     hi = d[(u > epsilon) & (d > 0)]
@@ -340,14 +338,12 @@ def fit_generation_drift(traj, kin, initial, checkpoints):
     """Smallest drift K, doubling from DRIFT_START, whose generation barrier
     stays under the numerical solution at the given checkpoint times."""
     x = traj.config.grid.axis(0)
-    eps = traj.config.epsilon
     K = DRIFT_START
     while K <= 256.0:
-        bp = BarrierParams(K=K)
         worst = 0.0
         for tc in checkpoints:
             fld = traj.checkpoint_at(tc)
-            sub = generation_sub(tc, x, bp, kin, initial, eps)
+            sub = generation_sub(tc, x, K, kin, initial)
             worst = max(worst, float((sub - fld.values).max()))
         if worst <= 0.0:
             return K
@@ -396,8 +392,8 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     K = fit_generation_drift(traj, kin, initial, gen_times)
     wave_min = cached_wave(2.0)
     k0 = k0_lower_bound(wave_min, initial)
-    bp = BarrierParams(K=K, K_hat=max(1.0, k0), m1=m1_recipe(initial), m2=1.0,
-                       alpha=t_gen / eL)
+    K_hat = max(1.0, k0)
+    m1 = m1_recipe(initial)
     wave_motion = cached_wave(c_motion)
     cd_motion = CutoffDistance(body, speed=c_motion)
     c_eps = 2.0 - eL
@@ -405,34 +401,33 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     cd_eps = CutoffDistance(body, speed=c_eps)
     mu = wave_motion.tail_left[1]
     report.metadata["constants"] = dict(
-        K=K, K0=k0, K_hat=bp.K_hat, m1=bp.m1, m2=bp.m2, t_gen=t_gen,
-        alpha=bp.alpha, C_const=c_const_recipe(t_end, bp.m1, bp.m2, mu))
+        K=K, K0=k0, K_hat=K_hat, m1=m1, m2=M2, t_gen=t_gen,
+        alpha=t_gen / eL, C_const=c_const_recipe(t_end, m1, mu))
 
     worst_sub = worst_super = 0.0
     for tc, fld in traj.checkpoints:
         u = fld.values
         if tc <= gen_window * eL:
-            sub = generation_sub(tc, x, bp, kin, initial, epsilon)
+            sub = generation_sub(tc, x, K, kin, initial)
             res_sub_viol = 0.0
         else:
             tm = tc - t_gen
             sub = np.maximum(
-                motion_sub(tm, x, bp, wave_eps, cd_eps, epsilon),
-                motion_sub(tm, x, bp, wave_motion, cd_motion, epsilon),
+                motion_sub(tm, x, m1, wave_eps, cd_eps, epsilon),
+                motion_sub(tm, x, m1, wave_motion, cd_motion, epsilon),
             )
             res_field = discrete_residual(
-                lambda tt, xx: motion_sub(tt, xx, bp, wave_motion, cd_motion,
+                lambda tt, xx: motion_sub(tt, xx, m1, wave_motion, cd_motion,
                                           epsilon),
                 tm if tm > grid.dx else grid.dx, grid, epsilon).values
-            theta = (cd_motion.cutoff(tm, x)
-                     + eL * bp.m1 * math.exp(bp.m2 * tm)) / epsilon
+            theta = motion_theta(tm, x, m1, cd_motion, epsilon)
             res_sub_viol = max(0.0, float(res_field[~_kink_mask(theta)].max()))
         sup_bar = np.minimum(
-            generation_super(tc, bp, kin, initial, epsilon),
-            global_super(tc, x, bp, wave_min, body, epsilon),
+            generation_super(tc, kin, initial),
+            global_super(tc, x, K_hat, wave_min, body, epsilon),
         )
         res_sup = discrete_residual(
-            lambda tt, xx: global_super(tt, xx, bp, wave_min, body, epsilon),
+            lambda tt, xx: global_super(tt, xx, K_hat, wave_min, body, epsilon),
             max(tc, grid.dx), grid, epsilon).values
         slack_sub = float((u - sub).min())
         slack_super = float((sup_bar - u).min())
@@ -453,10 +448,9 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
                      f"max violation {max(res_viols):.2e} <= {residual_tol:g}")
 
     # sabotage probe: an amplitude below the K0 floor must break the ordering
-    bad = BarrierParams(K_hat=0.5)
     viol = 0.0
     for tc, fld in traj.checkpoints:
-        gs = global_super(tc, x, bad, wave_min, body, epsilon)
+        gs = global_super(tc, x, 0.5, wave_min, body, epsilon)
         viol = max(viol, float((fld.values - gs).max()))
     report.add_check("sabotage_detected", viol > tol,
                      f"K_hat=0.5<K0 violates by {viol:.3f}")
@@ -464,20 +458,18 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     # expanding-shell barrier over algebraic data (radial)
     alg = InitialData.algebraic(0.5, 2.0)
     wave_shell = cached_wave(SHELL_SPEED)
-    bp6 = BarrierParams(c1=SHELL_C1, rho=SHELL_RHO)
     rgrid = Grid("radial", ((0.0, _snap_extent(4.0, dx)),), dx, dim=2)
     r = rgrid.axis(0)
-    w0 = radial_sub_W(0.0, r, bp6, wave_shell, epsilon, 2, initial=alg)
+    w0 = radial_sub_W(0.0, r, wave_shell, epsilon, 2, alg)
     u0 = build_initial(alg, rgrid, epsilon).values
     report.add_check("shell_under_initial_data",
                      bool(np.all(w0 <= u0 + 1e-12)),
                      f"max gap {float((w0 - u0).max()):.2e}")
     t_shell = 0.4
     res = discrete_residual(
-        lambda tt, rr: radial_sub_W(tt, rr, bp6, wave_shell, epsilon, 2,
-                                    initial=alg),
+        lambda tt, rr: radial_sub_W(tt, rr, wave_shell, epsilon, 2, alg),
         t_shell, rgrid, epsilon).values
-    s = (r - SHELL_C1 * t_shell) / epsilon
+    s = shell_coordinate(t_shell, r, epsilon)
     kinks = _kink_mask(s - SHELL_RHO) | _kink_mask(s + SHELL_RHO)
     shell_viol = max(0.0, float(res[~kinks].max()))
     report.add_check("shell_residual_sign", shell_viol <= residual_tol,
@@ -501,7 +493,7 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
         lam_th = decay_rate(c) if c >= 2.0 else math.nan
         gm = gp = math.nan
         if c == 2.0:
-            gm, gp = prof.kpp_ratio_bounds(z_hi=KPP_RATIO_Z_HI)
+            gm, gp = prof.kpp_ratio_bounds()
         report.add_row(c=c, residual_max=res, lambda_fit=lam_fit,
                        lambda_theory=lam_th, gamma_minus=gm, gamma_plus=gp)
         report.add_check(f"residual_below_1e-8@c={c:g}", res <= 1e-8,

@@ -28,6 +28,8 @@ WAVE_FLOOR = 1e-10  # right-tail truncation level
 TABLE_DZ = 1e-3  # step of the resampled table
 Z_SPAN = 40.0  # integration span past the anchor; pads the sign-changing guard
 _LAUNCH = 1e-8  # offset from U = 1 at launch
+# The minimal-speed envelope U/(z e^{-z}) is bounded over z in [1, this].
+KPP_RATIO_Z_HI = 15.0
 
 
 def decay_rate(c):
@@ -139,13 +141,12 @@ class WaveProfile:
             ) / (12 * h)
         return np.abs(d + self.c * up + self.U * (1.0 - self.U))
 
-    def kpp_ratio_bounds(self, z_hi=None):
+    def kpp_ratio_bounds(self):
         """(gamma_minus, gamma_plus): extremes of U/(z e^{-z}) over tabulated
-        z in [1, z_hi]; minimal-speed profiles only."""
+        z in [1, KPP_RATIO_Z_HI]; minimal-speed profiles only."""
         if self.c != 2.0:
             raise DomainError("the z e^{-z} envelope applies only at c = 2")
-        hi = self.z[-1] if z_hi is None else z_hi
-        m = (self.z >= 1.0) & (self.z <= hi)
+        m = (self.z >= 1.0) & (self.z <= KPP_RATIO_Z_HI)
         ratio = self.U[m] / (self.z[m] * np.exp(-self.z[m]))
         return float(ratio.min()), float(ratio.max())
 
@@ -168,14 +169,6 @@ class WaveProfile:
         if abs(lam - rate) <= 1e-12 and np.isnan(z0):
             out = max(out, C)
         return out
-
-    def level_position(self, level):
-        """z with U(z) = level, monotone profiles only."""
-        if self.normalization != "half_at_zero":
-            raise DomainError("level lookup needs a monotone profile")
-        if not self.U[-1] < level < self.U[0]:
-            raise DomainError("level outside the tabulated range")
-        return float(np.interp(-level, -self.U, self.z))
 
     def dump_table(self, path):
         """CSV dump of the table, columns z, U, U_prime."""

@@ -63,7 +63,7 @@ def test_criterion_2_minimal_speed_tail_law():
     from fkpplab.studies import cached_wave
 
     prof = cached_wave(2.0)
-    gm, gp = prof.kpp_ratio_bounds(z_hi=15.0)
+    gm, gp = prof.kpp_ratio_bounds()
     ok = 0.0 < gm <= gp <= 10.0 * gm
     _verdict(2, "minimal-speed-tail-law", ok,
              f"gamma-={gm:.3f} gamma+={gp:.3f} ratio={gp / gm:.2f} <= 10",

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from fkpplab.barriers import (
-    BarrierParams,
+    SHELL_C1,
+    SHELL_RHO,
     discrete_residual,
     generation_sub,
     generation_super,
@@ -13,10 +13,11 @@ from fkpplab.barriers import (
     k0_lower_bound,
     m1_recipe,
     motion_sub,
+    motion_theta,
     radial_sub_W,
-    xi_eps,
+    shell_coordinate,
 )
-from fkpplab.errors import ConfigurationError, DomainError
+from fkpplab.errors import ConfigurationError
 from fkpplab.geometry import ConvexBody, CutoffDistance
 from fkpplab.grids import Grid
 from fkpplab.kinetics import KineticsParams, eps_log
@@ -27,26 +28,26 @@ EPS = 0.02
 BODY = ConvexBody.interval(-0.5, 0.5)
 INIT = InitialData.compact(BODY, amplitude=0.9, width=0.25)
 KIN = KineticsParams(EPS)
-BP = BarrierParams(K=3.0)
+K = 3.0
 
 
 def test_generation_sub_at_time_zero_is_g():
     x = np.linspace(-1.5, 1.5, 101)
-    sub = generation_sub(0.0, x, BP, KIN, INIT, EPS)
+    sub = generation_sub(0.0, x, K, KIN, INIT)
     assert np.allclose(sub, compact_value(INIT, x), atol=1e-14)
 
 
 def test_generation_sub_vanishes_outside_support():
     for x in (0.75, 2.0, -1.1):
         for t in (0.0, 0.5 * eps_log(EPS)):
-            assert generation_sub(t, x, BP, KIN, INIT, EPS) == 0.0
+            assert generation_sub(t, x, K, KIN, INIT) == 0.0
 
 
 def test_generation_super_constant_and_relaxing():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25, tail=(1.0, 0.1))
-    assert generation_super(0.0, BP, KIN, init, EPS) == pytest.approx(1.0)
+    assert generation_super(0.0, KIN, init) == pytest.approx(1.0)
     t_gen = 2.0 * eps_log(EPS)
-    assert generation_super(t_gen, BP, KIN, init, EPS) <= 1.0 + EPS
+    assert generation_super(t_gen, KIN, init) <= 1.0 + EPS
 
 
 def test_k0_lower_bound_arithmetic():
@@ -73,15 +74,14 @@ def test_k0_monotone_in_amplitude_and_tail():
 
 def test_global_super_anchor_and_tail():
     wave = cached_wave(2.0)
-    bp = BarrierParams(K_hat=1.8)
     # on the travelled front the argument is 0: value K_hat * U(0)
     x_front = 0.5 + 2.0 * 0.3
-    assert global_super(0.3, x_front, bp, wave, BODY, EPS) == pytest.approx(
+    assert global_super(0.3, x_front, 1.8, wave, BODY, EPS) == pytest.approx(
         1.8 * 0.5, rel=1e-9)
     # deep outside the front the wave tail bounds the barrier
     x_far = x_front + 20.0 * EPS
     C, lam, z0 = wave.tail_right
-    assert global_super(0.3, x_far, bp, wave, BODY, EPS) <= \
+    assert global_super(0.3, x_far, 1.8, wave, BODY, EPS) <= \
         1.8 * C * 20.0 * math.exp(-20.0) * (1 + 1e-6)
 
 
@@ -90,11 +90,10 @@ def test_motion_sub_truncation_and_left_value():
     wave = cached_wave(c)
     big = ConvexBody.interval(-2.4, 2.4)
     cd = CutoffDistance(big, speed=c)
-    bp = BarrierParams(m1=0.333, m2=1.0)
     # argument >= 0 (outside the shifted front): barrier is zero
-    assert motion_sub(0.0, 2.5, bp, wave, cd, EPS) == 0.0
+    assert motion_sub(0.0, 2.5, 0.333, wave, cd, EPS) == 0.0
     # deep inside: (1-eps) times a wave value close to 1
-    val = motion_sub(0.0, 0.0, bp, wave, cd, EPS)
+    val = motion_sub(0.0, 0.0, 0.333, wave, cd, EPS)
     assert val >= 1.0 - 2.0 * EPS
 
 
@@ -102,7 +101,7 @@ def test_motion_sub_requires_matching_speeds():
     wave = cached_wave(1.5)
     cd = CutoffDistance(BODY, speed=1.0)
     with pytest.raises(ConfigurationError):
-        motion_sub(0.0, 0.0, BarrierParams(), wave, cd, EPS)
+        motion_sub(0.0, 0.0, 1.0, wave, cd, EPS)
 
 
 def test_discrete_residual_on_equilibria():
@@ -126,9 +125,8 @@ def test_discrete_residual_travelling_wave_truncation():
 
 def test_global_super_residual_nonnegative():
     wave = cached_wave(2.0)
-    bp = BarrierParams(K_hat=1.8)
     grid = Grid("line", ((-4.0, 4.0),), EPS / 8)
-    v = lambda t, x: global_super(t, x, bp, wave, BODY, EPS)
+    v = lambda t, x: global_super(t, x, 1.8, wave, BODY, EPS)
     res = discrete_residual(v, 0.5, grid, EPS)
     assert float(res.values.min()) >= -5e-3
 
@@ -142,31 +140,29 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
     body = ConvexBody.interval(-2.4, 2.4)
     cd = CutoffDistance(body, speed=c)
     init = InitialData.compact(body, 0.9, 0.1)
-    bp = BarrierParams(m1=m1_recipe(init), m2=1.0)
+    m1 = m1_recipe(init)
     grid = Grid("line", ((-5.0, 5.0),), eps / 8)
     x = grid.axis(0)
     for t in (0.2, 0.8):
-        v = lambda tt, xx: motion_sub(tt, xx, bp, wave, cd, eps)
+        v = lambda tt, xx: motion_sub(tt, xx, m1, wave, cd, eps)
         res = discrete_residual(v, t, grid, eps).values
-        theta = (cd.cutoff(t, x) + eps_log(eps) * bp.m1 * math.exp(bp.m2 * t)) / eps
-        away = ~_kink_mask(theta)
+        away = ~_kink_mask(motion_theta(t, x, m1, cd, eps))
         assert float(res[away].max()) <= 5e-3
 
 
 def test_radial_sub_W_geometry():
     alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
-    bp = BarrierParams(c1=1.25, rho=14.0)
     eps = 0.02
     t = 0.1
     # plateau on the shell: r <= c1 t with t small keeps |s| <= rho
-    r_plateau = np.linspace(0.0, 1.25 * t, 7)
-    vals = radial_sub_W(t, r_plateau, bp, wave, eps, 2, initial=alg)
-    assert np.allclose(vals, wave.evaluate(14.0), atol=1e-14)
+    r_plateau = np.linspace(0.0, SHELL_C1 * t, 7)
+    vals = radial_sub_W(t, r_plateau, wave, eps, 2, alg)
+    assert np.allclose(vals, wave.evaluate(SHELL_RHO), atol=1e-14)
     # initial ordering against the algebraic data at random radii
     rng = np.random.default_rng(12)
     rr = rng.uniform(0.0, 4.0, 1000)
-    w0 = radial_sub_W(0.0, rr, bp, wave, eps, 2, initial=alg)
+    w0 = radial_sub_W(0.0, rr, wave, eps, 2, alg)
     u0 = alg.m / (1.0 + (rr / eps) ** alg.n)
     assert np.all(w0 <= u0 + 1e-12)
 
@@ -174,75 +170,28 @@ def test_radial_sub_W_geometry():
 def test_radial_sub_W_residual_sign():
     alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
-    bp = BarrierParams(c1=1.25, rho=14.0)
     eps = 0.02
     grid = Grid("radial", ((0.0, 4.0),), eps / 8, dim=2)
     r = grid.axis(0)
     t = 0.4
-    v = lambda tt, rr: radial_sub_W(tt, rr, bp, wave, eps, 2, initial=alg)
+    v = lambda tt, rr: radial_sub_W(tt, rr, wave, eps, 2, alg)
     res = discrete_residual(v, t, grid, eps).values
-    s = (r - bp.c1 * t) / eps
-    away = ~(_kink_mask(s - bp.rho) | _kink_mask(s + bp.rho))
+    s = shell_coordinate(t, r, eps)
+    away = ~(_kink_mask(s - SHELL_RHO) | _kink_mask(s + SHELL_RHO))
     assert float(res[away].max()) <= 5e-3
 
 
 def test_radial_sub_W_condition_errors_name_the_condition():
+    # rho = SHELL_RHO = 14 against c = 2.5, c1 = 1.25, lam_c = 1/2:
+    # N = 26 needs rho >= 20, n = 8 needs rho >= 16, and m = 0.2 puts
+    # m/(1 + rho^n) below M_c e^{-rho/2}
     alg = InitialData.algebraic(m=0.5, n=2.0)
     wave = cached_wave(2.5)
     eps = 0.02
+    radial_sub_W(0.1, 1.0, wave, eps, 2, alg)
     with pytest.raises(ConfigurationError, match="curvature"):
-        radial_sub_W(0.1, 1.0, BarrierParams(c1=2.49, rho=14.0), wave, eps, 26,
-                     initial=alg)
+        radial_sub_W(0.1, 1.0, wave, eps, 26, alg)
     with pytest.raises(ConfigurationError, match="tail condition"):
-        radial_sub_W(0.1, 1.0, BarrierParams(c1=1.25, rho=2.0), wave, eps, 2,
-                     initial=alg)
+        radial_sub_W(0.1, 1.0, wave, eps, 2, InitialData.algebraic(0.5, 8.0))
     with pytest.raises(ConfigurationError, match="data condition"):
-        radial_sub_W(0.1, 1.0, BarrierParams(c1=1.25, rho=10.0), wave, eps, 2,
-                     initial=alg)
-
-
-def test_radial_sub_W_anchored_variant():
-    wave = cached_wave(2.5)
-    bp = BarrierParams(c1=1.25, rho=10.0)
-    eps = 0.02
-    anchor = 0.97
-    r = np.linspace(0.0, 2.0, 501)
-    t = 0.5
-    vals = radial_sub_W(t, r, bp, wave, eps, 2, anchor=anchor)
-    s = (r - bp.c1 * t) / eps
-    behind = s <= bp.rho
-    assert np.allclose(vals[behind], anchor, atol=1e-14)
-    assert np.all(vals[~behind] <= anchor + 1e-14)
-    grid = Grid("radial", ((0.0, 2.0),), eps / 8, dim=2)
-    rg = grid.axis(0)
-    v = lambda tt, rr: radial_sub_W(tt, rr, bp, wave, eps, 2, anchor=anchor)
-    res = discrete_residual(v, t, grid, eps).values
-    sg = (rg - bp.c1 * t) / eps
-    away = ~_kink_mask(sg - bp.rho)
-    assert float(res[away].max()) <= 5e-3
-
-
-def test_xi_eps_formula_and_bisection_oracle():
-    alg = InitialData.algebraic(m=0.5, n=2.0)
-    bp = BarrierParams(k=1.0)
-    eps = 0.01
-    val = xi_eps(eps, bp, alg)
-    assert val == pytest.approx(0.0314, abs=2e-4)
-    thr = bp.k * eps_log(eps)
-    root = brentq(lambda r: alg.m / (1 + (r / eps) ** alg.n) - thr,
-                  1e-8, 1.0, xtol=1e-16, rtol=8.9e-16)
-    assert abs(val - root) / root <= 1e-10
-
-
-def test_xi_eps_limits_and_domain():
-    alg = InitialData.algebraic(m=0.5, n=2.0)
-    eps = 0.01
-    thr = 3.0 * eps_log(eps)
-    nearly = InitialData.algebraic(m=thr * (1 + 1e-12), n=2.0)
-    assert xi_eps(eps, BarrierParams(k=3.0), nearly) <= 1e-6
-    with pytest.raises(DomainError):
-        xi_eps(eps, BarrierParams(k=3.0), InitialData.algebraic(
-            m=thr / 2, n=2.0))
-    # xi_eps / eps grows as eps shrinks at fixed (m, n, k)
-    ratios = [xi_eps(e, BarrierParams(k=1.0), alg) / e for e in (0.04, 0.02, 0.01)]
-    assert ratios[0] < ratios[1] < ratios[2]
+        radial_sub_W(0.1, 1.0, wave, eps, 2, InitialData.algebraic(0.2, 2.0))

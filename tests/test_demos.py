@@ -1,6 +1,7 @@
-"""The demos against the API, without running them (all five take about
-15 s): every name a demo imports from fkpplab exists, and every call it
-makes to an imported fkpplab callable binds to that callable's signature."""
+"""The demos and the benchmark's workloads against the API, without running
+them (the five demos alone take about 15 s): every name a script imports
+from fkpplab exists, and every call it makes to an imported fkpplab
+callable binds to that callable's signature."""
 
 import ast
 import importlib
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "perfbench" / "workloads.py"]
 
 
 def _imported(tree):
@@ -40,7 +42,7 @@ def _callee(func, names):
     return None
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", SCRIPTS, ids=lambda p: p.name)
 def test_demo_calls_bind_to_the_api(demo):
     tree = ast.parse(demo.read_text(), filename=str(demo))
     names = _imported(tree)

@@ -119,20 +119,6 @@ def test_cutoff_gradient_is_unit_in_tube():
     assert checked > 10
 
 
-def test_classification_bands():
-    cd = CutoffDistance(ConvexBody.ball((0.0, 0.0), 1.0), speed=2.0)
-    eps = 0.02
-    width = 1.0 * eps * abs(math.log(eps))
-    t = 0.25
-    # evolved radius 1.5; pick points with known uncut distance
-    on_front = np.array([1.5, 0.0])
-    assert cd.classify(t, on_front, eps, 1.0) == "tube"
-    inside = np.array([1.5 - 2.0 * width, 0.0])
-    assert cd.classify(t, inside, eps, 1.0) == "inside"
-    outside = np.array([1.5 + 2.0 * width, 0.0])
-    assert cd.classify(t, outside, eps, 1.0) == "outside"
-
-
 def test_cutoff_at_t0_is_the_signed_distance_near_the_boundary():
     cd = CutoffDistance(ConvexBody.interval(-1.0, 1.0), speed=2.0)
     x = 1.05

@@ -210,7 +210,7 @@ def test_generation_alpha_stable_across_ladder():
     alphas = {}
     for eps in (0.04, 0.02, 0.01):
         p = KineticsParams(eps)
-        a = fitted_generation_alpha(p, xi_hi=2.0)
+        a = fitted_generation_alpha(p)
         alphas[eps] = a
         L = p.log_eps
         grid = np.linspace(3.0 * p.threshold, 2.0, 12)
@@ -236,5 +236,5 @@ def test_generation_alpha_matches_event_integration(eps):
     p = KineticsParams(eps)
     s_low = _crossing_time(p, 3.0 * p.threshold, 1.0 - eps, +1)
     s_high = _crossing_time(p, 2.0, 1.0 + eps, -1)
-    alpha = fitted_generation_alpha(p, xi_hi=2.0)
+    alpha = fitted_generation_alpha(p)
     assert alpha == pytest.approx(max(s_low, s_high) / p.log_eps, rel=1e-9)

@@ -43,7 +43,6 @@ def test_build_initial_compact_profile():
     h = 1e-8
     slope = (compact_value(init, 0.5 - h) - compact_value(init, 0.5)) / h
     assert slope == pytest.approx(3 * 0.9 / 0.25, rel=1e-6)
-    assert init.slope_floor == pytest.approx(10.8)
 
 
 def test_build_initial_algebraic():
@@ -235,8 +234,7 @@ def test_layer_thickness_of_evaluated_wave():
     g = _line_grid(1.5, eps / 8)
     f = Field(g, prof.evaluate(g.axis(0) / eps))
     w = layer_thickness(f, eps)
-    z_hi = prof.level_position(eps)
-    z_lo = prof.level_position(1 - 2 * eps)
+    z_hi, z_lo = np.interp([-eps, -(1 - 2 * eps)], -prof.U, prof.z)
     assert w == pytest.approx(eps * (z_hi - z_lo), rel=0.02)
 
 

@@ -75,7 +75,7 @@ def test_right_tail_evaluation_beyond_table():
 
 def test_kpp_ratio_bounds():
     prof = cached_wave(2.0)
-    gm, gp = prof.kpp_ratio_bounds(z_hi=15.0)
+    gm, gp = prof.kpp_ratio_bounds()
     ratio_at_1 = prof.evaluate(1.0) / (1.0 * np.exp(-1.0))
     assert gm <= ratio_at_1 <= gp
     assert 0.0 < gm <= gp <= 10.0 * gm
