@@ -10,8 +10,6 @@ plots them.
 
 import os
 
-import numpy as np
-
 from fkpplab.svgplot import line_plot
 from fkpplab.waves import decay_rate, solve_sign_changing_wave, solve_wave
 

@@ -38,7 +38,7 @@ from .geometry import ConvexBody, CutoffDistance
 from .grids import Field, Grid
 from .kinetics import KineticsParams, eps_log, semiflow
 from .solver import (THRESHOLD_K, InitialData, compact_value, _apply_lap,
-                     _lap_coeffs)
+                     _radial_rows)
 from .waves import WaveProfile, decay_rate
 
 
@@ -168,8 +168,8 @@ def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(_lap_coeffs(grid, 0), v0) / grid.dx**2
+    lap = _apply_lap(v0, _radial_rows(grid)) / grid.dx**2
     if grid.mode == "plane":
-        lap += _apply_lap(_lap_coeffs(grid, 1), v0.T).T / grid.dx**2
+        lap += _apply_lap(v0.T).T / grid.dx**2
     res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
     return Field(grid, res)

@@ -273,7 +273,8 @@ def main(argv=None):
               file=sys.stderr)
         return 1
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
+        print(f"fkpplab {args.command}: numerical error: {exc}",
+              file=sys.stderr)
         return 3
 
 

@@ -40,9 +40,21 @@ def fmt(x) -> str:
 def write_table(fh, *columns):
     """CSV rows of the columns broadcast against each other (row-major over
     the broadcast shape), each value as '%.17g', which gives the bytes of
-    fmt(); one formatting call per block of about TABLE_ROWS rows."""
-    cols = np.broadcast_arrays(*columns)
-    row = ",".join(["%.17g"] * len(cols)) + "\n"
+    fmt(); one formatting call per block of about TABLE_ROWS rows.  A column
+    smaller than the broadcast shape (a plane checkpoint's axes) has each of
+    its values formatted once, then repeated as a string."""
+    size = np.broadcast(*columns).size
+    cols, fields = [], []
+    for c in map(np.asarray, columns):
+        if c.size < size:
+            c = np.array(["%.17g" % v for v in c.ravel().tolist()],
+                         dtype=object).reshape(c.shape)
+            fields.append("%s")
+        else:
+            fields.append("%.17g")
+        cols.append(c)
+    cols = np.broadcast_arrays(*cols)
+    row = ",".join(fields) + "\n"
     step = max(1, TABLE_ROWS // cols[0][:1].size)
     for k in range(0, len(cols[0]), step):
         block = np.stack([c[k:k + step].ravel() for c in cols], axis=-1)

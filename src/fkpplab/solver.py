@@ -225,9 +225,27 @@ def _lap_coeffs(grid: Grid, axis: int):
     return sub, diag, sup
 
 
-def _apply_lap(coeffs, u):
-    """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1)."""
-    sub, diag, sup = coeffs
+def _radial_rows(grid: Grid):
+    """_apply_lap's coefficients for the grid: the radial rows, or None for
+    a line or plane axis."""
+    return _lap_coeffs(grid, 0) if grid.mode == "radial" else None
+
+
+def _apply_lap(u, rows=None):
+    """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1), in
+    the order diag*u, + sup*u[1:], + sub*u[:-1].  With ``rows`` None it is
+    the line and plane stencil 1, -2, 1 (-1 at the walls), applied with
+    slices and scalars: every product with those coefficients is exact, so
+    the bits are those of the coefficient arrays.  Radial ``rows`` are
+    _lap_coeffs(grid, 0)."""
+    if rows is None:
+        out = -2.0 * u
+        out[0] = -u[0]
+        out[-1] = -u[-1]
+        out[:-1] += u[1:]
+        out[1:] += u[:-1]
+        return out
+    sub, diag, sup = rows
     shape = (-1,) + (1,) * (u.ndim - 1)
     out = diag.reshape(shape) * u
     out[:-1] += sup.reshape(shape) * u[1:]
@@ -247,7 +265,7 @@ class Stepper:
     * the LU factor of (I - a L) along each axis, a = eps dt / (2 dx^2);
       the diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
-    * the Laplacian coefficients.
+    * the radial Laplacian rows (line and plane axes need none).
 
     ``step`` maps a bare value array to the next one; the line solves run
     along axis 0 (the y sweep on the transpose), all lines in one dgttrs
@@ -260,20 +278,31 @@ class Stepper:
         self.grid = grid
         self.decay = np.exp(-(dt / 2.0 / epsilon))
         self.a = epsilon * dt / 2.0 / grid.dx**2
-        self.lap = tuple(_lap_coeffs(grid, i) for i in range(len(grid.extents)))
+        self.rows = _radial_rows(grid)
+        coeffs = [_lap_coeffs(grid, i) for i in range(len(grid.extents))]
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
-            for sub, diag, sup in self.lap
+            for sub, diag, sup in coeffs
         )
         self.steps = 0
 
     def reaction(self, u):
-        """Exact logistic flow over dt/2: u <- u e^s / (1 + u(e^s - 1)),
-        s = dt/(2 eps).  Monotone in u and unconditionally stable; input
-        must be nonnegative."""
+        """Exact logistic flow over dt/2: u <- u / (u + (1 - u) e^{-s}),
+        s = dt/(2 eps), the denominator formed in one new array.  Monotone
+        in u and unconditionally stable; input must be nonnegative."""
         if float(u.min()) < 0.0:
             raise NumericalError("reaction substep received negative values")
-        return u / (u + (1.0 - u) * self.decay)
+        d = 1.0 - u
+        d *= self.decay
+        d += u
+        return np.divide(u, d, out=d)
+
+    def _explicit(self, u):
+        """(I + a L) u along axis 0, formed in the Laplacian's array."""
+        out = _apply_lap(u, self.rows)
+        out *= self.a
+        out += u
+        return out
 
     def diffusion(self, u):
         """Crank-Nicolson step of u_t = eps Lap u over dt, Neumann walls.
@@ -284,14 +313,11 @@ class Stepper:
         Crank-Nicolson.
         """
         check = self.steps % RESIDUAL_EVERY == 0
-        a = self.a
         if self.grid.mode == "plane":
-            (cx, cy), (fx, fy) = self.lap, self.factors
-            u = u + a * _apply_lap(cy, u.T).T
-            u = fx.solve(u, check)
-            u = u + a * _apply_lap(cx, u)
-            return fy.solve(u.T, check).T
-        return self.factors[0].solve(u + a * _apply_lap(self.lap[0], u), check)
+            fx, fy = self.factors
+            u = fx.solve(self._explicit(u.T).T, check)
+            return fy.solve(self._explicit(u).T, check).T
+        return self.factors[0].solve(self._explicit(u), check)
 
     def step(self, u):
         """The state one Strang step after u (a new array)."""
@@ -381,14 +407,23 @@ class Observer:
 
 
 def _outermost_crossing(x, u, level):
-    du = u - level
-    sign_change = du[:-1] * du[1:] <= 0.0
-    nontrivial = (du[:-1] != 0.0) | (du[1:] != 0.0)
-    idx = np.nonzero(sign_change & nontrivial)[0]
-    if idx.size == 0:
+    """Linear interpolation of the level between samples i and i+1, for the
+    last i with (u[i] - level)(u[i+1] - level) <= 0 and not both zero; None
+    when there is no such i.  That i is the last sample not on the same side
+    of the level as u[-1] (for u[-1] on the level: the last sample off it),
+    found with one comparison pass.  u must be finite."""
+    head, last = u[:-1], u[-1]
+    if last > level:
+        other = head <= level
+    elif last < level:
+        other = head >= level
+    else:
+        other = head != level
+    i = other.size - 1 - int(other[::-1].argmax())
+    if not other[i]:
         return None
-    i = idx[-1]
-    frac = du[i] / (du[i] - du[i + 1])
+    d0, d1 = u[i] - level, u[i + 1] - level
+    frac = d0 / (d0 - d1)
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
@@ -432,7 +467,8 @@ def run(config: SimConfig) -> Trajectory:
         t = k * dt
         if not np.all(np.isfinite(u)):
             raise NumericalError(
-                f"solution lost finiteness near t={t:g}", diagnostic=(t, k)
+                f"solution lost finiteness at step {k}, near t={t:g}",
+                diagnostic=(t, k),
             )
         record(k, t, u)
 

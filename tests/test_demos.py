@@ -1,7 +1,7 @@
 """The demos and the benchmark's workloads against the API, without running
 them (the five demos alone take about 15 s): every name a script imports
-from fkpplab exists, and every call it makes to an imported fkpplab
-callable binds to that callable's signature."""
+from fkpplab exists, every call it makes to an imported fkpplab callable
+binds to that callable's signature, and every name it imports is used."""
 
 import ast
 import importlib
@@ -63,3 +63,18 @@ def test_demo_calls_bind_to_the_api(demo):
             pytest.fail(f"{demo.name}:{call.lineno}: {ast.unparse(call.func)}: {exc}")
         checked += 1
     assert checked, f"{demo.name} calls no fkpplab callable"
+
+
+@pytest.mark.parametrize("demo", SCRIPTS, ids=lambda p: p.name)
+def test_demo_uses_every_import(demo):
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        f"line {node.lineno}: {alias.asname or alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if (alias.asname or alias.name.split(".")[0]) not in used
+    ]
+    assert not unused, f"{demo.name} imports names it never uses: {unused}"

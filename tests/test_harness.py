@@ -298,7 +298,9 @@ def test_cli_blow_up_exit_code(tmp_path, blow_up, capsys):
     ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
     rc = cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
     assert rc == 3
-    assert "lost finiteness" in capsys.readouterr().err
+    assert re.fullmatch(
+        f"fkpplab simulate: numerical error: solution lost finiteness "
+        f"at step {blow_up}, near t=[0-9.e-]+\n", capsys.readouterr().err)
 
 
 def test_svg_emitter_log_axes(tmp_path):

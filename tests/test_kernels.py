@@ -1,0 +1,246 @@
+"""The hot kernels of a run against the formulas they replaced, bit for bit:
+the outermost level crossing, the Laplacian stencil and the explicit
+Crank-Nicolson half, the reaction half-step and the ellipse foot-point
+bisection.  The replaced formulas are kept here as the oracles."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fkpplab.geometry import _ellipse_signed_distance
+from fkpplab.grids import Grid
+from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs,
+                            _outermost_crossing, _radial_rows)
+
+PROPS = settings(max_examples=200, deadline=None)
+EPS = 0.04
+GRIDS = {
+    "line": Grid("line", ((-0.1, 0.1),), EPS / 8),
+    "radial": Grid("radial", ((0.0, 0.2),), EPS / 8, dim=3),
+    "plane": Grid("plane", ((-0.06, 0.06), (-0.05, 0.05)), EPS / 8),
+}
+
+
+def _bits(a):
+    a = np.asarray(a, dtype=float)
+    return a.shape, a.tobytes()
+
+
+# ---- the outermost crossing -------------------------------------------------
+
+def crossing_oracle(x, u, level):
+    du = u - level
+    sign_change = du[:-1] * du[1:] <= 0.0
+    nontrivial = (du[:-1] != 0.0) | (du[1:] != 0.0)
+    idx = np.nonzero(sign_change & nontrivial)[0]
+    if idx.size == 0:
+        return None
+    i = idx[-1]
+    frac = du[i] / (du[i] - du[i + 1])
+    return float(x[i] + frac * (x[i + 1] - x[i]))
+
+
+def _check_crossing(u, level):
+    u = np.asarray(u, dtype=float)
+    x = np.linspace(-1.0, 2.0, u.size)
+    got, want = _outermost_crossing(x, u, level), crossing_oracle(x, u, level)
+    if want is None:
+        assert got is None
+    else:
+        assert _bits(got) == _bits(want)
+
+
+# The levels the observer reads: 1/2, eps and 1 - 2 eps.
+LEVELS = (0.5, EPS, 1.0 - 2.0 * EPS, 0.01, 0.98)
+
+
+@pytest.mark.parametrize("level", LEVELS)
+@pytest.mark.parametrize("u", [
+    [1.0, 0.9, 0.0, 0.0],  # a decreasing front
+    [0.0, 0.2, 1.0, 1.0],  # an increasing one
+    [1.0, "L", 0.0],  # a sample on the level
+    [1.0, "L", "L", "L", 0.0],  # a plateau on the level
+    [1.0, 0.0, "L", "L"],  # u[-1] on the level, after a plateau
+    [0.0, 1.0, "L"],  # u[-1] alone on the level
+    ["L", "L", "L"],  # on the level everywhere
+    [1.0, 1.0, 1.0],  # the level never reached from above
+    [0.0, 0.0, 0.0],  # nor from below
+    [1.0, "L", 1.0],  # touching the level from above
+    [0.0, "L", 0.0, 0.0],  # and from below
+    [0.0, 1.0, 0.0, 1.0, 0.0],  # several crossings
+    ["L+", "L-", "L+", "L"],  # one ulp either side
+])
+def test_crossing_matches_the_product_rule(u, level):
+    near = {"L": level, "L+": np.nextafter(level, 2.0),
+            "L-": np.nextafter(level, -1.0)}
+    _check_crossing([near.get(v, v) for v in u], level)
+
+
+@st.composite
+def crossing_cases(draw):
+    level = draw(st.sampled_from(LEVELS))
+    near = st.sampled_from([level, np.nextafter(level, 2.0),
+                            np.nextafter(level, -1.0), 0.0, 1.0])
+    values = st.one_of(near, st.floats(0.0, 1.2, allow_subnormal=False))
+    u = draw(arrays(np.float64, st.integers(2, 40), elements=values))
+    return u, level
+
+
+@PROPS
+@given(crossing_cases())
+def test_crossing_matches_the_product_rule_on_random_profiles(case):
+    _check_crossing(*case)
+
+
+# ---- the Laplacian and the explicit half ------------------------------------
+
+def lap_oracle(coeffs, u):
+    sub, diag, sup = coeffs
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    out = diag.reshape(shape) * u
+    out[:-1] += sup.reshape(shape) * u[1:]
+    out[1:] += sub.reshape(shape) * u[:-1]
+    return out
+
+
+def _values(shape):
+    return arrays(np.float64, shape,
+                  elements=st.floats(-1e300, 1e300, allow_subnormal=True))
+
+
+def _laid_out(u, fortran):
+    return np.asfortranarray(u) if fortran else u
+
+
+@PROPS
+@given(_values(GRIDS["line"].shape))
+def test_lap_matches_coefficient_arrays_line(u):
+    g = GRIDS["line"]
+    assert _bits(_apply_lap(u)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+
+
+@PROPS
+@given(_values(GRIDS["radial"].shape))
+def test_lap_matches_coefficient_arrays_radial(u):
+    g = GRIDS["radial"]
+    assert _bits(_apply_lap(u, _radial_rows(g))) == _bits(
+        lap_oracle(_lap_coeffs(g, 0), u))
+
+
+@PROPS
+@given(_values(GRIDS["plane"].shape), st.booleans())
+def test_lap_matches_coefficient_arrays_plane(u, fortran):
+    g = GRIDS["plane"]
+    u = _laid_out(u, fortran)
+    assert _radial_rows(g) is None
+    assert _bits(_apply_lap(u)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+    assert _bits(_apply_lap(u.T).T) == _bits(
+        lap_oracle(_lap_coeffs(g, 1), u.T).T)
+
+
+@pytest.mark.parametrize("mode", list(GRIDS))
+@pytest.mark.parametrize("fortran", [False, True])
+def test_explicit_half_matches_u_plus_a_lap(mode, fortran):
+    g = GRIDS[mode]
+    u = _laid_out(np.random.default_rng(3).random(g.shape), fortran)
+    stepper = Stepper(g, 0.7 * g.dx**2 / EPS, EPS)
+    a, before = stepper.a, u.copy()
+    assert _bits(stepper._explicit(u)) == _bits(
+        u + a * lap_oracle(_lap_coeffs(g, 0), u))
+    if mode == "plane":
+        assert _bits(stepper._explicit(u.T).T) == _bits(
+            u + a * lap_oracle(_lap_coeffs(g, 1), u.T).T)
+    assert _bits(u) == _bits(before)
+
+
+# ---- the reaction half-step -------------------------------------------------
+
+@PROPS
+@given(arrays(np.float64, st.integers(1, 50),
+              elements=st.floats(0.0, 3.0, allow_subnormal=True)),
+       st.floats(1e-6, 1.0), st.sampled_from(sorted(GRIDS)))
+def test_reaction_matches_the_closed_form(u, dt, mode):
+    stepper = Stepper(GRIDS[mode], dt, EPS)
+    before = u.copy()
+    want = u / (u + (1.0 - u) * stepper.decay)
+    assert _bits(stepper.reaction(u)) == _bits(want)
+    assert _bits(u) == _bits(before)
+
+
+# ---- the ellipse foot point -------------------------------------------------
+
+def ellipse_oracle(q, axes):
+    """The signed distance with the bisection run for all 120 iterations."""
+    e0, e1 = axes
+    q = np.asarray(q, dtype=float)
+    y0, y1 = np.abs(q[..., 0]), np.abs(q[..., 1])
+    if e0 < e1:
+        e0, e1 = e1, e0
+        y0, y1 = y1, y0
+    out = np.empty(y0.shape)
+    on_axis = y1 <= 1e-12 * e1
+    g0, g1 = y0[~on_axis], y1[~on_axis]
+    if g0.size:
+        lo = -e1 * e1 + e1 * g1
+        hi = -e1 * e1 + np.sqrt((e0 * g0) ** 2 + (e1 * g1) ** 2)
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            F = (e0 * g0 / (mid + e0 * e0)) ** 2 + (e1 * g1 / (mid + e1 * e1)) ** 2 - 1.0
+            above = F > 0.0
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        t = 0.5 * (lo + hi)
+        fx0 = e0 * e0 * g0 / (t + e0 * e0)
+        fx1 = e1 * e1 * g1 / (t + e1 * e1)
+        dist = np.hypot(fx0 - g0, fx1 - g1)
+        inside = (g0 / e0) ** 2 + (g1 / e1) ** 2 < 1.0
+        out[~on_axis] = np.where(inside, -dist, dist)
+    a0 = y0[on_axis]
+    if a0.size:
+        crit = (e0 * e0 - e1 * e1) / e0
+        fx0 = np.minimum(e0 * e0 * a0 / max(e0 * e0 - e1 * e1, 1e-300), e0)
+        inner = a0 < crit
+        fx1 = np.where(inner, e1 * np.sqrt(np.maximum(0.0, 1.0 - (fx0 / e0) ** 2)), 0.0)
+        dist_in = np.hypot(fx0 - a0, fx1)
+        out[on_axis] = np.where(inner, -dist_in, a0 - e0)
+    return out
+
+
+def _ellipse_points(axes, rng, n=400):
+    """Points on both axes, within 1e-12..1e-3 of the boundary on either
+    side, well inside, and far outside."""
+    e0, e1 = axes
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    rim = np.stack([e0 * np.cos(angle), e1 * np.sin(angle)], axis=-1)
+    offset = 10.0 ** rng.uniform(-12, -3, (n, 1)) * rng.choice([-1, 1], (n, 1))
+    axis_pts = np.array([[s, 0.0] for s in np.linspace(-3, 3, 41)]
+                        + [[0.0, s] for s in np.linspace(-3, 3, 41)])
+    return np.concatenate([
+        axis_pts, rim, rim * (1.0 + offset), rim * rng.uniform(0, 1, (n, 1)),
+        rng.uniform(-1e3, 1e3, (n, 2)), rng.uniform(-2, 2, (n, 2)),
+    ])
+
+
+@pytest.mark.parametrize("axes", [(0.6, 0.35), (0.35, 0.6), (1.0, 1.0),
+                                  (2.0, 1e-3), (0.612, 0.3431)])
+def test_ellipse_bisection_stops_at_its_fixed_point(axes):
+    q = _ellipse_points(axes, np.random.default_rng(11))
+    assert _bits(_ellipse_signed_distance(q, axes)) == _bits(ellipse_oracle(q, axes))
+
+
+def test_ellipse_bisection_on_the_plane_grid():
+    g = Grid("plane", ((-3.3375, 3.3375), (-3.3375, 3.3375)), 0.0125)
+    q = g.points()[::3, ::3]
+    for axes in [(0.6, 0.35), (0.35, 0.6)]:
+        assert _bits(_ellipse_signed_distance(q, axes)) == _bits(
+            ellipse_oracle(q, axes))
+
+
+@settings(max_examples=50, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
+              elements=st.floats(-50.0, 50.0, allow_subnormal=True)),
+       st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)))
+def test_ellipse_bisection_on_random_points(q, axes):
+    assert _bits(_ellipse_signed_distance(q, axes)) == _bits(ellipse_oracle(q, axes))

@@ -397,3 +397,10 @@ def test_write_table_matches_fstring_formatting(tmp_path):
         write_table(fh, values, values[::-1])
     assert path.read_text().splitlines() == [
         f"{a:.17g},{b:.17g}" for a, b in zip(values, values[::-1])]
+    # broadcast columns, each value formatted once: a column, a row, a scalar
+    col, row, grid = values[:70, None], values[70:350], values[:19600]
+    with open(path, "w") as fh:
+        write_table(fh, col, row, grid.reshape(70, 280), values[5])
+    assert path.read_text().splitlines() == [
+        f"{col[i, 0]:.17g},{row[j]:.17g},{grid[280 * i + j]:.17g},"
+        f"{values[5]:.17g}" for i in range(70) for j in range(280)]
