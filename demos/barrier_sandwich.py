@@ -11,7 +11,7 @@ import os
 import numpy as np
 
 from fkpplab.barriers import global_super, motion_sub
-from fkpplab.geometry import ConvexBody, CutoffDistance
+from fkpplab.geometry import ConvexBody
 from fkpplab.kinetics import eps_log
 from fkpplab.studies import cached_run, cached_wave, run_barrier_check
 from fkpplab.svgplot import line_plot
@@ -48,9 +48,8 @@ fld = traj.checkpoint_at(t_show)
 x = cfg.grid.axis(0)
 wave2 = cached_wave(2.0)
 wave_m = cached_wave(1.5)
-cd = CutoffDistance(body, speed=1.5)
 t_rel = t_show - consts["t_gen"]
-sub = motion_sub(t_rel, x, consts["m1"], wave_m, cd, eps)
+sub = motion_sub(t_rel, x, consts["m1"], wave_m, body, eps)
 sup = global_super(t_show, x, consts["K_hat"], wave2, body, eps)
 keep = (x >= 0.0) & (x <= 4.8)
 line_plot(os.path.join(OUT, "barrier_sandwich.svg"),

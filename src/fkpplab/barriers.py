@@ -19,7 +19,8 @@ Barriers at a glance (all vectorized over the spatial argument):
   a sabotaged amplitude can be seen to fail the ordering check).
 * motion_sub      -- (1-eps) V(theta), theta = motion_theta(t, x) =
   (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps, with the sign-changing wave V
-  truncated at its first zero.
+  truncated at its first zero and d the cutoff distance to the body's
+  front moving at V's speed.
 * radial_sub_W    -- expanding-shell sub-solution U(max(rho, |s|)) from a
   c > 2 wave over algebraic data, s = shell_coordinate(t, r).
 
@@ -102,20 +103,21 @@ def global_super(t, x, K_hat, wave: WaveProfile, body: ConvexBody,
     return K_hat * wave.evaluate((d0 - 2.0 * t) / epsilon)
 
 
-def motion_theta(t, x, m1, cd: CutoffDistance, epsilon: float):
+def motion_theta(t, x, m1, wave: WaveProfile, body: ConvexBody,
+                 epsilon: float):
     """The motion sub-solution's argument
-    theta = (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps."""
-    return (cd.cutoff(t, x) + eps_log(epsilon) * m1 * math.exp(M2 * t)) / epsilon
+    theta = (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps, with d the cutoff
+    distance to the body's front moving at the wave's speed."""
+    d = CutoffDistance(body, speed=wave.c).cutoff(t, x)
+    return (d + eps_log(epsilon) * m1 * math.exp(M2 * t)) / epsilon
 
 
-def motion_sub(t, x, m1, wave: WaveProfile, cd: CutoffDistance, epsilon: float):
-    """(1 - eps) V(theta), with V the sign-changing wave truncated to zero at
-    its first zero."""
-    if wave.normalization != "zero_at_zero":
+def motion_sub(t, x, m1, wave: WaveProfile, body: ConvexBody, epsilon: float):
+    """(1 - eps) V(theta), with V the sign-changing wave (c < 2) truncated
+    to zero at its first zero."""
+    if wave.c >= 2.0:
         raise ConfigurationError("motion barrier needs a sign-changing wave")
-    if abs(cd.speed - wave.c) > 1e-12:
-        raise ConfigurationError("distance speed and wave speed disagree")
-    theta = np.asarray(motion_theta(t, x, m1, cd, epsilon), dtype=float)
+    theta = np.asarray(motion_theta(t, x, m1, wave, body, epsilon), dtype=float)
     out = np.where(theta < 0.0, (1.0 - epsilon) * wave.evaluate(theta), 0.0)
     return float(out) if out.ndim == 0 else out
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .config import body_from_config, load_config
@@ -48,10 +48,9 @@ class _Parser(argparse.ArgumentParser):
 def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
                         tail_lambda=None, tail_cap=0.0, mode="line", dim=None,
                         t_end=1.0, extent=0.0, checkpoints=None):
-    """The SimConfig `simulate` runs for compact data: the study family's,
-    recording the observables the report prints.  The tail rate defaults
-    to 1 and is read only with a tail, tail_cap != 0; the dimension
-    defaults to 2 and is read only in radial mode."""
+    """The SimConfig `simulate` runs for compact data: the study family's.
+    The tail rate defaults to 1 and is read only with a tail, tail_cap != 0;
+    the dimension defaults to 2 and is read only in radial mode."""
     if epsilon is None:
         raise ConfigurationError("[kinetics] epsilon is required for simulate")
     if dim is not None and mode != "radial":
@@ -61,11 +60,10 @@ def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
             "[initial] tail_lambda is not read when tail_cap is 0 or absent")
     tail = (None if tail_cap == 0.0
             else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
-    sim = compact_family_config(
+    return compact_family_config(
         epsilon, body or ConvexBody.interval(-0.5, 0.5), amplitude, width,
         t_end, mode, 2 if dim is None else dim, checkpoints, tail,
         min_reach=extent)
-    return replace(sim, record=_SIM_COLUMNS[1:])
 
 
 def _algebraic_simulation(epsilon=None, m=0.5, n=2.0, dim=2, t_end=1.0,
@@ -162,7 +160,8 @@ def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
     ts = traj.series["t"]
     for tc, fld in traj.checkpoints:
         i = int(round(tc / (ts[1] - ts[0]))) if len(ts) > 1 else 0
-        report.add_row(t=tc, **{name: traj.series[name][i] for name in sim.record})
+        report.add_row(t=tc, **{name: traj.series[name][i] for name in
+                                _SIM_COLUMNS[1:] if name in traj.series})
         dump_checkpoint(fld, tc, os.path.join(out, f"checkpoint_t{tc:g}.csv"))
     sup0 = max(1.0, float(traj.series["sup"][0]))
     report.add_check("sup_norm_bounded",

@@ -95,17 +95,19 @@ def load_config(path) -> dict:
 
 
 def body_from_config(cfg: dict) -> ConvexBody:
-    """The [geometry] region; a key its shape does not read is an error."""
-    g = cfg.get("geometry", {})
-    shape = g.get("shape", "interval")
+    """The [geometry] region, ConvexBody.<shape> called with the shape's
+    keys in SHAPE_KEYS order.  The section must give `shape` and every key
+    the shape reads; a missing key, or one it does not read, is an error."""
+    g = cfg["geometry"]
+    if "shape" not in g:
+        raise ConfigurationError("[geometry] shape is required")
+    shape = g["shape"]
     if shape not in SHAPE_KEYS:
         raise ConfigurationError(f"unknown shape {shape!r}")
     for key in g:
         if key not in ("shape",) + SHAPE_KEYS[shape]:
             raise ConfigurationError(f"[geometry] {key} is not read for shape {shape}")
-    if shape == "interval":
-        return ConvexBody.interval(g.get("a", -0.5), g.get("b", 0.5))
-    if shape == "ball":
-        return ConvexBody.ball(g.get("center", (0.0, 0.0)), g.get("radius", 0.5))
-    return ConvexBody.ellipse(g.get("center", (0.0, 0.0)),
-                              g.get("semi_axes", (0.6, 0.4)))
+    for key in SHAPE_KEYS[shape]:
+        if key not in g:
+            raise ConfigurationError(f"[geometry] {key} is required for shape {shape}")
+    return getattr(ConvexBody, shape)(*(g[key] for key in SHAPE_KEYS[shape]))

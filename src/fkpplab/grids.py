@@ -88,8 +88,39 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ConfigurationError("field values must be finite")
 
-    def copy(self):
-        return Field(self.grid, self.values.copy())
+
+def stencil(grid: Grid, coords):
+    """(indices, weights) of linear (bilinear in plane mode) interpolation
+    at points given by one coordinate array (or scalar) per axis, the arrays
+    broadcast against each other.  Raises DomainError for a point outside
+    the extents."""
+    idx, frac = [], []
+    for ax, x in enumerate(coords):
+        lo, hi = grid.extents[ax]
+        x = np.asarray(x, dtype=float)
+        if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
+            raise DomainError(f"point outside extent [{lo}, {hi}]")
+        t = np.clip((x - lo) / grid.dx, 0.0, grid.shape[ax] - 1)
+        i = np.minimum(t.astype(int), grid.shape[ax] - 2)
+        idx.append(i)
+        frac.append(t - i)
+    if len(idx) == 1:
+        (s,) = frac
+        return tuple(idx), (1 - s, s)
+    s, t = frac
+    return tuple(idx), ((1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t)
+
+
+def apply_stencil(values, st):
+    """The interpolated values of a stencil(grid, coords) ``st``: the
+    weighted terms summed in axis order, lower index first."""
+    idx, w = st
+    if len(idx) == 1:
+        (i,) = idx
+        return w[0] * values[i] + w[1] * values[i + 1]
+    i, j = idx
+    return (w[0] * values[i, j] + w[1] * values[i + 1, j]
+            + w[2] * values[i, j + 1] + w[3] * values[i + 1, j + 1])
 
 
 def interpolate(fld: Field, x):
@@ -97,27 +128,8 @@ def interpolate(fld: Field, x):
 
     Exact at grid points.  Raises DomainError for x outside the extents.
     """
-    g, v = fld.grid, fld.values
-    x = np.asarray(x, dtype=float).reshape(len(g.extents))
-    idx, wts = [], []
-    for ax, (lo, hi) in enumerate(g.extents):
-        xi = float(x[ax])
-        if xi < lo - 1e-12 or xi > hi + 1e-12:
-            raise DomainError(f"point {xi} outside extent [{lo}, {hi}]")
-        t = np.clip((xi - lo) / g.dx, 0.0, g.shape[ax] - 1)
-        i = min(int(t), g.shape[ax] - 2)
-        idx.append(i)
-        wts.append(t - i)
-    if g.mode != "plane":
-        (i,), (s,) = idx, wts
-        return (1 - s) * v[i] + s * v[i + 1]
-    (i, j), (s, t) = idx, wts
-    return (
-        (1 - s) * (1 - t) * v[i, j]
-        + s * (1 - t) * v[i + 1, j]
-        + (1 - s) * t * v[i, j + 1]
-        + s * t * v[i + 1, j + 1]
-    )
+    x = np.asarray(x, dtype=float).reshape(len(fld.grid.extents))
+    return apply_stencil(fld.values, stencil(fld.grid, tuple(x)))
 
 
 class TridiagonalFactor:

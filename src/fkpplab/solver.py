@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import ConvexBody
-from .grids import Field, Grid, TridiagonalFactor
+from .grids import Field, Grid, TridiagonalFactor, apply_stencil, stencil
 from .kinetics import eps_log
 from .reporting import write_table
 
@@ -162,7 +162,6 @@ class SimConfig:
     initial: InitialData
     t_end: float
     checkpoint_times: tuple = ()
-    record: tuple = ("sup", "min", "front_half")
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0 / math.e:
@@ -327,8 +326,6 @@ class Stepper:
         return self.reaction(u)
 
 
-# The names SimConfig.record may list.
-OBSERVABLES = ("sup", "min", "front_half", "layer_width", "threshold_min")
 # The generation threshold: threshold_min reads u on {g >= THRESHOLD_K
 # eps|ln eps|}, and the barriers start from the same set.
 THRESHOLD_K = 3.0
@@ -338,42 +335,31 @@ class Observer:
     """The observables of one run, with what is constant over the run
     computed once: the scan coordinates ``scan`` (the grid axis in line and
     radial mode; in plane mode the +x half-axis every dx/2, with the
-    bilinear gather of grids.interpolate at each sample) and the threshold
-    mask {g >= THRESHOLD_K eps|ln eps|} of the compact part g."""
+    bilinear stencil of grids.interpolate at each sample) and the threshold
+    mask {g >= THRESHOLD_K eps|ln eps|} of the compact part g.
 
-    def __init__(self, grid: Grid, epsilon: float, record=(), g=None):
-        for name in record:
-            if name not in OBSERVABLES:
-                raise ConfigurationError(f"unknown observable {name!r}")
-        self.record, self.epsilon, self.mask = tuple(record), epsilon, None
-        if g is not None and "threshold_min" in record:
+    The data fix the series: compact data (g given) record the interface
+    observables as well, ``names`` = sup, min, front_half, layer_width,
+    threshold_min; algebraic data (g None) have no interface and record
+    sup and min."""
+
+    def __init__(self, grid: Grid, epsilon: float, g=None):
+        self.epsilon, self.mask, self.stencil = epsilon, None, None
+        self.names = ("sup", "min")
+        if g is not None:
+            self.names += ("front_half", "layer_width", "threshold_min")
             mask = g >= THRESHOLD_K * eps_log(epsilon)
             self.mask = mask if mask.any() else None
-        self.gather = None
         if grid.mode != "plane":
             self.scan = grid.axis(0)
             return
         self.scan = np.arange(0.0, grid.extents[0][1], grid.dx / 2.0)
-        idx, wts = [], []
-        for ax, x in enumerate((self.scan, 0.0)):
-            lo, hi = grid.extents[ax]
-            if np.any(x < lo - 1e-12) or np.any(x > hi + 1e-12):
-                raise DomainError(f"the +x ray leaves extent [{lo}, {hi}]")
-            t = np.clip((x - lo) / grid.dx, 0.0, grid.shape[ax] - 1)
-            i = np.minimum(t.astype(int), grid.shape[ax] - 2)
-            idx.append(i)
-            wts.append(t - i)
-        (i, j), (s, t) = idx, wts
-        self.gather = i, j, ((1 - s) * (1 - t), s * (1 - t), (1 - s) * t, s * t)
+        self.stencil = stencil(grid, (self.scan, 0.0))
 
     def profile(self, u):
-        """u along ``scan``; in plane mode the bilinear terms are summed in
-        grids.interpolate's order, so each sample equals interpolate's."""
-        if self.gather is None:
-            return u
-        i, j, (w00, w10, w01, w11) = self.gather
-        return (w00 * u[i, j] + w10 * u[i + 1, j]
-                + w01 * u[i, j + 1] + w11 * u[i + 1, j + 1])
+        """u along ``scan``; in plane mode each sample equals
+        grids.interpolate's."""
+        return u if self.stencil is None else apply_stencil(u, self.stencil)
 
     def front(self, u, level):
         """Outermost crossing of the level along ``scan``, None when the
@@ -389,20 +375,14 @@ class Observer:
         return None if outer is None or inner is None else outer - inner
 
     def observe(self, u):
-        """The recorded observables of state u, nan for an absent crossing."""
-        out = []
-        for name in self.record:
-            if name == "sup":
-                v = u.max()
-            elif name == "min":
-                v = u.min()
-            elif name == "front_half":
-                v = self.front(u, 0.5)
-            elif name == "layer_width":
-                v = self.thickness(u)
-            else:
-                v = None if self.mask is None else u[self.mask].min()
-            out.append(math.nan if v is None else float(v))
+        """The observables ``names`` of state u, nan for an absent crossing
+        or an empty threshold set."""
+        out = [float(u.max()), float(u.min())]
+        if "front_half" in self.names:
+            front, width = self.front(u, 0.5), self.thickness(u)
+            low = None if self.mask is None else u[self.mask].min()
+            out += [math.nan if v is None else float(v)
+                    for v in (front, width, low)]
         return out
 
 
@@ -433,32 +413,30 @@ def layer_thickness(fld: Field, epsilon: float):
 
 
 def run(config: SimConfig) -> Trajectory:
-    """Integrate to t_end, recording the requested observables each step and
+    """Integrate to t_end, recording the Observer's series each step and
     the checkpoint fields at the requested times (snapped to the step grid).
 
     The loop works on bare arrays; a Field is built only for a checkpoint.
-    A non-finite state raises NumericalError with diagnostic (t, step).
+    A non-finite state raises NumericalError with diagnostic (t, step); so
+    does a sup above max(1, sup u0) + 1e-8, after the last step.
     """
     u0, g = _sample_initial(config.initial, config.grid, config.epsilon)
     u = u0.values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
-    observer = Observer(config.grid, config.epsilon, config.record, g)
+    observer = Observer(config.grid, config.epsilon, g)
     stepper = Stepper(config.grid, dt, config.epsilon)
-
-    checkpoint_idx = {}
-    for tc in config.checkpoint_times:
-        checkpoint_idx.setdefault(int(round(tc / dt)), []).append(tc)
+    checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
 
     times = np.empty(n_steps + 1)
-    series = {name: np.empty(n_steps + 1) for name in config.record}
+    series = {name: np.empty(n_steps + 1) for name in observer.names}
     checkpoints = []
 
     def record(k, t, u):
         times[k] = t
-        for name, value in zip(config.record, observer.observe(u)):
+        for name, value in zip(observer.names, observer.observe(u)):
             series[name][k] = value
-        if k in checkpoint_idx:
+        if k in checkpoint_steps:
             checkpoints.append((t, Field(config.grid, u.copy())))
 
     record(0, 0.0, u)
@@ -472,8 +450,8 @@ def run(config: SimConfig) -> Trajectory:
             )
         record(k, t, u)
 
-    sup0 = max(1.0, float(series["sup"][0])) if "sup" in series else None
-    if sup0 is not None and float(np.max(series["sup"])) > sup0 + 1e-8:
+    sup0 = max(1.0, float(series["sup"][0]))
+    if float(np.max(series["sup"])) > sup0 + 1e-8:
         raise NumericalError("sup-norm bound violated", diagnostic=(config, series))
 
     return Trajectory(config, checkpoints, {"t": times, **series})

@@ -31,7 +31,7 @@ from .barriers import (
     shell_coordinate,
 )
 from .errors import ConfigurationError
-from .geometry import ConvexBody, CutoffDistance
+from .geometry import ConvexBody
 from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
@@ -104,9 +104,8 @@ def compact_family_config(epsilon, body, amplitude, width, t_end,
         raise ConfigurationError(f"unknown mode {mode!r}")
     if checkpoints is None:
         checkpoints = (t_end / 2.0, t_end)
-    record = ("sup", "min", "front_half", "layer_width", "threshold_min")
     return SimConfig(epsilon, grid, initial, t_end=t_end,
-                     checkpoint_times=tuple(checkpoints), record=record)
+                     checkpoint_times=tuple(checkpoints))
 
 
 def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None):
@@ -118,7 +117,7 @@ def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None
     if checkpoints is None:
         checkpoints = (t_end,)
     return SimConfig(epsilon, grid, initial, t_end=t_end,
-                     checkpoint_times=tuple(checkpoints), record=("sup", "min"))
+                     checkpoint_times=tuple(checkpoints))
 
 
 def _front_speed_fit(traj, fit_window):
@@ -131,6 +130,16 @@ def _front_speed_fit(traj, fit_window):
     (slope, icpt), res, *_ = np.linalg.lstsq(A, fp[mask], rcond=None)
     resid = float(np.sqrt(res[0] / mask.sum())) if res.size else 0.0
     return float(slope), float(icpt), resid
+
+
+def _generation_time(traj, epsilon):
+    """First recorded time at which u >= 1 - eps on the whole threshold set
+    {g >= THRESHOLD_K eps|ln eps|}."""
+    hit = np.nonzero(traj.series["threshold_min"] >= 1.0 - epsilon)[0]
+    if hit.size == 0:
+        raise ConfigurationError(
+            f"threshold 1-eps never reached before t_end at eps={epsilon:g}")
+    return float(traj.series["t"][hit[0]])
 
 
 def _require_ladder(epsilons):
@@ -250,15 +259,7 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.5,
     taus = []
     for eps in epsilons:
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
-        traj = cached_run(cfg)
-        t = traj.series["t"]
-        tm = traj.series["threshold_min"]
-        hit = np.nonzero(tm >= 1.0 - eps)[0]
-        if hit.size == 0:
-            raise ConfigurationError(
-                f"threshold 1-eps never reached before t_end at eps={eps:g}"
-            )
-        tau = float(t[hit[0]])
+        tau = _generation_time(cached_run(cfg), eps)
         taus.append(tau)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
     alphas = [r["alpha"] for r in report.rows]
@@ -382,12 +383,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     grid = cfg.grid
     x = grid.axis(0)
 
-    t_series = traj.series["t"]
-    tmin = traj.series["threshold_min"]
-    hit = np.nonzero(tmin >= 1.0 - epsilon)[0]
-    if hit.size == 0:
-        raise ConfigurationError("generation never completed; extend t_end")
-    t_gen = float(t_series[hit[0]])
+    t_gen = _generation_time(traj, epsilon)
 
     K = fit_generation_drift(traj, kin, initial, gen_times)
     wave_min = cached_wave(2.0)
@@ -395,10 +391,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     K_hat = max(1.0, k0)
     m1 = m1_recipe(initial)
     wave_motion = cached_wave(c_motion)
-    cd_motion = CutoffDistance(body, speed=c_motion)
-    c_eps = 2.0 - eL
-    wave_eps = cached_wave(c_eps)
-    cd_eps = CutoffDistance(body, speed=c_eps)
+    wave_eps = cached_wave(2.0 - eL)
     mu = wave_motion.tail_left[1]
     report.metadata["constants"] = dict(
         K=K, K0=k0, K_hat=K_hat, m1=m1, m2=M2, t_gen=t_gen,
@@ -413,14 +406,13 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
         else:
             tm = tc - t_gen
             sub = np.maximum(
-                motion_sub(tm, x, m1, wave_eps, cd_eps, epsilon),
-                motion_sub(tm, x, m1, wave_motion, cd_motion, epsilon),
+                motion_sub(tm, x, m1, wave_eps, body, epsilon),
+                motion_sub(tm, x, m1, wave_motion, body, epsilon),
             )
             res_field = discrete_residual(
-                lambda tt, xx: motion_sub(tt, xx, m1, wave_motion, cd_motion,
-                                          epsilon),
+                lambda tt, xx: motion_sub(tt, xx, m1, wave_motion, body, epsilon),
                 tm if tm > grid.dx else grid.dx, grid, epsilon).values
-            theta = motion_theta(tm, x, m1, cd_motion, epsilon)
+            theta = motion_theta(tm, x, m1, wave_motion, body, epsilon)
             res_sub_viol = max(0.0, float(res_field[~_kink_mask(theta)].max()))
         sup_bar = np.minimum(
             generation_super(tc, kin, initial),

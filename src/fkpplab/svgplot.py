@@ -20,12 +20,12 @@ def _transform(v, lo, hi, log):
     return (v - lo) / (hi - lo) if hi > lo else 0.5
 
 
-def _ticks(lo, hi, log, n=5):
+def _ticks(lo, hi, log):
     if log:
         lo10, hi10 = math.floor(math.log10(lo)), math.ceil(math.log10(hi))
         return [10.0**k for k in range(lo10, hi10 + 1)]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _fmt_tick(v):

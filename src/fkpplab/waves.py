@@ -2,7 +2,8 @@
 
 Monotone profiles exist for c >= 2 and are normalized so U(0) = 1/2.  For
 0 < c < 2 the profile oscillates into 0; we keep the branch up to its first
-sign change, normalized so U(0) = 0, plus a short overshoot window.
+sign change, normalized so U(0) = 0, plus a short overshoot window.  The
+speed alone thus says which normalization a profile carries.
 
 Profiles are computed by shooting: the integration launches a distance 1e-8
 from the rest state U = 1 along the unstable eigenvector of the
@@ -64,9 +65,9 @@ def _integrate(c, z_final, y0, events):
     return sol
 
 
-def _event(offset, direction, terminal=True):
+def _event(offset, direction):
     ev = lambda _, y: y[0] - offset
-    ev.terminal = terminal
+    ev.terminal = True
     ev.direction = direction
     return ev
 
@@ -85,7 +86,6 @@ class WaveProfile:
     z: np.ndarray
     U: np.ndarray
     Uprime: np.ndarray
-    normalization: str  # "half_at_zero" (c >= 2) | "zero_at_zero" (c < 2)
     tail_left: tuple
     tail_right: tuple | None
     _spline: CubicSpline | None = field(default=None, repr=False)
@@ -238,7 +238,6 @@ def solve_wave(c):
         raise NumericalError("monotonicity lost for c >= 2")
 
     tail_left = _left_tail(z, U, lam_u)
-    lam = decay_rate(c)
     if c == 2.0:
         m = z >= z[-1] - 5.0
         # linear LSQ of U e^{z} ~ a z + b, then rescale for an exact seam
@@ -253,7 +252,7 @@ def solve_wave(c):
         C = float(U[-1] * math.exp(lam_fit * z[-1]))
         tail_right = (C, lam_fit, math.nan)
 
-    return WaveProfile(c, z, U, Up, "half_at_zero", tail_left, tail_right)
+    return WaveProfile(c, z, U, Up, tail_left, tail_right)
 
 
 def solve_sign_changing_wave(c):
@@ -277,4 +276,4 @@ def solve_sign_changing_wave(c):
         raise NumericalError("profile not positive left of its first zero")
 
     tail_left = _left_tail(z, U, lam_u)
-    return WaveProfile(c, z, U, Up, "zero_at_zero", tail_left, None)
+    return WaveProfile(c, z, U, Up, tail_left, None)

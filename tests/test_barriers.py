@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fkpplab.barriers import (
+    M2,
     SHELL_C1,
     SHELL_RHO,
     discrete_residual,
@@ -89,19 +90,27 @@ def test_motion_sub_truncation_and_left_value():
     c = 1.5
     wave = cached_wave(c)
     big = ConvexBody.interval(-2.4, 2.4)
-    cd = CutoffDistance(big, speed=c)
     # argument >= 0 (outside the shifted front): barrier is zero
-    assert motion_sub(0.0, 2.5, 0.333, wave, cd, EPS) == 0.0
+    assert motion_sub(0.0, 2.5, 0.333, wave, big, EPS) == 0.0
     # deep inside: (1-eps) times a wave value close to 1
-    val = motion_sub(0.0, 0.0, 0.333, wave, cd, EPS)
+    val = motion_sub(0.0, 0.0, 0.333, wave, big, EPS)
     assert val >= 1.0 - 2.0 * EPS
 
 
-def test_motion_sub_requires_matching_speeds():
-    wave = cached_wave(1.5)
-    cd = CutoffDistance(BODY, speed=1.0)
-    with pytest.raises(ConfigurationError):
-        motion_sub(0.0, 0.0, 1.0, wave, cd, EPS)
+@pytest.mark.parametrize("c", (2.0, 2.5))
+def test_motion_sub_rejects_a_monotone_wave(c):
+    with pytest.raises(ConfigurationError, match="sign-changing"):
+        motion_sub(0.0, 0.0, 1.0, cached_wave(c), BODY, EPS)
+
+
+@pytest.mark.parametrize("c", (1.2, 1.5, 1.8))
+def test_motion_theta_moves_the_cutoff_at_the_wave_speed(c):
+    m1 = 0.333
+    x = np.linspace(-3.0, 3.0, 61)
+    cd = CutoffDistance(BODY, speed=c)
+    shift = eps_log(EPS) * m1 * math.exp(M2 * 0.2)
+    assert np.array_equal(motion_theta(0.2, x, m1, cached_wave(c), BODY, EPS),
+                          (cd.cutoff(0.2, x) + shift) / EPS)
 
 
 def test_discrete_residual_on_equilibria():
@@ -138,15 +147,14 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
     c = 1.5
     wave = cached_wave(c)
     body = ConvexBody.interval(-2.4, 2.4)
-    cd = CutoffDistance(body, speed=c)
     init = InitialData.compact(body, 0.9, 0.1)
     m1 = m1_recipe(init)
     grid = Grid("line", ((-5.0, 5.0),), eps / 8)
     x = grid.axis(0)
     for t in (0.2, 0.8):
-        v = lambda tt, xx: motion_sub(tt, xx, m1, wave, cd, eps)
+        v = lambda tt, xx: motion_sub(tt, xx, m1, wave, body, eps)
         res = discrete_residual(v, t, grid, eps).values
-        away = ~_kink_mask(motion_theta(t, x, m1, cd, eps))
+        away = ~_kink_mask(motion_theta(t, x, m1, wave, body, eps))
         assert float(res[away].max()) <= 5e-3
 
 

@@ -1,7 +1,9 @@
 """The demos and the benchmark's workloads against the API, without running
 them (the five demos alone take about 15 s): every name a script imports
 from fkpplab exists, every call it makes to an imported fkpplab callable
-binds to that callable's signature, and every name it imports is used."""
+binds to that callable's signature, and every name it imports is used.
+The package's modules (bar __init__.py, whose imports are its exports) and
+the tests use every name they import too."""
 
 import ast
 import importlib
@@ -12,6 +14,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "perfbench" / "workloads.py"]
+SOURCES = sorted(p for p in ROOT.glob("src/fkpplab/*.py")
+                 if p.name != "__init__.py") + sorted(ROOT.glob("tests/*.py"))
 
 
 def _imported(tree):
@@ -65,7 +69,7 @@ def test_demo_calls_bind_to_the_api(demo):
     assert checked, f"{demo.name} calls no fkpplab callable"
 
 
-@pytest.mark.parametrize("demo", SCRIPTS, ids=lambda p: p.name)
+@pytest.mark.parametrize("demo", SCRIPTS + SOURCES, ids=lambda p: p.name)
 def test_demo_uses_every_import(demo):
     tree = ast.parse(demo.read_text(), filename=str(demo))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

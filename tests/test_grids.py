@@ -38,6 +38,39 @@ def test_interpolate_affine_exact_all_modes():
         assert interpolate(f, pt) == pytest.approx(float(expected), abs=1e-12)
 
 
+def _scalar_interpolate(fld, x):
+    """The reference: interpolation one point at a time in Python floats,
+    the bilinear terms summed in the order the reports were written with."""
+    g, v, x = fld.grid, fld.values, np.atleast_1d(x)
+    idx, wts = [], []
+    for ax, (lo, hi) in enumerate(g.extents):
+        t = np.clip((float(x[ax]) - lo) / g.dx, 0.0, g.shape[ax] - 1)
+        i = min(int(t), g.shape[ax] - 2)
+        idx.append(i)
+        wts.append(t - i)
+    if g.mode != "plane":
+        (i,), (s,) = idx, wts
+        return (1 - s) * v[i] + s * v[i + 1]
+    (i, j), (s, t) = idx, wts
+    return ((1 - s) * (1 - t) * v[i, j] + s * (1 - t) * v[i + 1, j]
+            + (1 - s) * t * v[i, j + 1] + s * t * v[i + 1, j + 1])
+
+
+@pytest.mark.parametrize("grid", (
+    Grid("line", ((-1.0, 2.0),), 0.1),
+    Grid("radial", ((0.0, 2.0),), 0.1, dim=3),
+    Grid("plane", ((-0.7, 1.3), (-0.45, 0.25)), 0.05),
+))
+def test_interpolate_matches_the_scalar_formula_bitwise(grid):
+    rng = np.random.default_rng(11)
+    f = Field(grid, rng.random(grid.shape))
+    lo, hi = np.array(grid.extents).T
+    points = [lo, hi, lo + grid.dx * 3] + list(rng.uniform(lo, hi, (200, lo.size)))
+    for x in points:
+        x = x if grid.mode == "plane" else float(x[0])
+        assert interpolate(f, x) == _scalar_interpolate(f, x)
+
+
 def test_interpolate_out_of_extents():
     g = Grid("line", ((0.0, 1.0),), 0.1)
     f = Field(g, np.zeros(g.shape))

@@ -1,6 +1,5 @@
 import re
 from collections import OrderedDict
-from dataclasses import replace
 
 import pytest
 
@@ -264,8 +263,7 @@ def test_simulate_runs_the_compact_family_config(tmp_path, monkeypatch, mode,
     family = studies.compact_family_config(
         0.1, body_from_config(load_config(ini)), 0.8, 0.2, 0.2, mode, 2,
         min_reach=extent)
-    assert sim.record == ("sup", "min", "front_half", "layer_width")
-    assert replace(sim, record=family.record) == family
+    assert sim == family
     assert sim.grid.extents[0][1] >= extent
 
 
@@ -301,6 +299,34 @@ def test_cli_blow_up_exit_code(tmp_path, blow_up, capsys):
     assert re.fullmatch(
         f"fkpplab simulate: numerical error: solution lost finiteness "
         f"at step {blow_up}, near t=[0-9.e-]+\n", capsys.readouterr().err)
+
+
+def test_cli_sup_bound_exit_code(tmp_path, set_node, capsys):
+    ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
+    set_node(1.5)
+    rc = cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "fkpplab simulate: numerical error: sup-norm bound violated\n")
+
+
+@pytest.mark.parametrize("command", ("speed", "barriers", "simulate"))
+@pytest.mark.parametrize("geometry, message", (
+    ("shape = interval", "a is required for shape interval"),
+    ("shape = interval\na = -2.4", "b is required for shape interval"),
+    ("shape = ball\ncenter = 0, 0", "radius is required for shape ball"),
+    ("shape = ellipse\nsemi_axes = 0.6, 0.35",
+     "center is required for shape ellipse"),
+    ("a = -2.4\nb = 2.4", "shape is required"),
+))
+def test_cli_geometry_gives_every_key_of_its_shape(tmp_path, capsys, command,
+                                                   geometry, message):
+    # no key is filled in from a default body, which could differ from the
+    # command's own: the barrier check's default interval is (-2.4, 2.4)
+    ini = _write(tmp_path, "cfg.ini", f"[geometry]\n{geometry}\n")
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"fkpplab {command}: configuration error: [geometry] {message}\n")
 
 
 def test_svg_emitter_log_axes(tmp_path):

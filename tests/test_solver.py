@@ -8,7 +8,6 @@ from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid, interpolate
 from fkpplab.kinetics import eps_log
 from fkpplab.reporting import write_table
-from fkpplab import solver
 from fkpplab.solver import (
     RESIDUAL_EVERY,
     InitialData,
@@ -21,7 +20,8 @@ from fkpplab.solver import (
     layer_thickness,
     run,
 )
-from fkpplab.studies import cached_run, cached_wave, compact_family_config
+from fkpplab.studies import (algebraic_family_config, cached_run, cached_wave,
+                             compact_family_config)
 
 EPS = 0.04
 BODY = ConvexBody.interval(-0.5, 0.5)
@@ -308,16 +308,26 @@ def test_observer_plane_profile_matches_interpolate(extents, dx):
     assert np.array_equal(profile, expected)
 
 
-def test_unknown_observable_rejected_before_the_first_step(monkeypatch):
-    def step(self, u):
-        raise AssertionError("stepped before the record was checked")
-
-    monkeypatch.setattr(solver.Stepper, "step", step)
-    init = InitialData.compact(BODY, 0.9, 0.25)
-    cfg = SimConfig(EPS, _line_grid(3.0, EPS / 8), init, t_end=0.1,
-                    record=("sup", "front_quarter"))
-    with pytest.raises(ConfigurationError, match="front_quarter"):
+@pytest.mark.parametrize("variant", ("compact", "algebraic"))
+def test_run_raises_when_sup_exceeds_the_bound(set_node, variant):
+    # sup u0 < 1 for both, so the bound is 1 + 1e-8
+    if variant == "compact":
+        cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.05)
+    else:
+        cfg = algebraic_family_config(0.1, 0.5, 2.0, 0.05, reach=2.0)
+    set_node(1.0 + 0.5e-8)
+    assert float(run(cfg).series["sup"].max()) == 1.0 + 0.5e-8
+    set_node(1.0 + 2e-8)
+    with pytest.raises(NumericalError, match="sup-norm bound violated"):
         run(cfg)
+
+
+def test_series_follow_the_data():
+    compact = run(compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.05))
+    assert tuple(compact.series) == ("t", "sup", "min", "front_half",
+                                     "layer_width", "threshold_min")
+    algebraic = run(algebraic_family_config(0.1, 0.5, 2.0, 0.05, reach=2.0))
+    assert tuple(algebraic.series) == ("t", "sup", "min")
 
 
 def test_radial_matches_plane_on_front_region():
@@ -329,11 +339,9 @@ def test_radial_matches_plane_on_front_region():
     n = math.ceil(need / dx + 2)
     ext = n * dx
     grid_r = Grid("radial", ((0.0, ext),), dx, dim=2)
-    cfg_r = SimConfig(eps, grid_r, init, t_end=t_end, record=("sup", "min"),
-                      checkpoint_times=(t_end,))
+    cfg_r = SimConfig(eps, grid_r, init, t_end=t_end, checkpoint_times=(t_end,))
     grid_p = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
-    cfg_p = SimConfig(eps, grid_p, init, t_end=t_end, record=("sup", "min"),
-                      checkpoint_times=(t_end,))
+    cfg_p = SimConfig(eps, grid_p, init, t_end=t_end, checkpoint_times=(t_end,))
     fr = cached_run(cfg_r).checkpoint_at(t_end)
     fp = cached_run(cfg_p).checkpoint_at(t_end)
     r = grid_r.axis(0)
@@ -359,7 +367,7 @@ def test_run_grid_refinement_moves_front_less_than_dx():
         ext = math.ceil(2.9 / dx) * dx
         grid = _line_grid(ext, dx)
         init = InitialData.compact(BODY, 0.9, 0.25)
-        cfg = SimConfig(eps, grid, init, t_end=0.5, record=("sup", "front_half"))
+        cfg = SimConfig(eps, grid, init, t_end=0.5)
         traj = cached_run(cfg)
         results[dx] = traj.series["front_half"][-1]
     assert abs(results[eps / 8] - results[eps / 16]) <= eps / 8
