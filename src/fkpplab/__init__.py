@@ -17,11 +17,8 @@ from .kinetics import (
     KineticsParams,
     bistable_logistic,
     eps_log,
-    logistic_flow,
     modified_logistic,
-    positivity_time,
     semiflow,
-    semiflow_sensitivity,
 )
 from .solver import (
     InitialData,

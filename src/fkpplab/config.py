@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import configparser
 
+import numpy as np
+
 from .errors import ConfigurationError
 from .geometry import ConvexBody
 
@@ -67,27 +69,40 @@ SHAPE_KEYS = {
 
 
 def _convert(section, key, raw):
+    """The value of one key; a float must be finite."""
     kind = SCHEMA[section][key]
     try:
         if kind is _FLOAT_LIST:
-            return tuple(float(v) for v in raw.split(",") if v.strip())
-        return kind(raw)
+            value = tuple(float(v) for v in raw.split(",") if v.strip())
+        else:
+            value = kind(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if kind in (float, _FLOAT_LIST) and not np.isfinite(value).all():
+        raise ConfigurationError(f"non-finite value for [{section}] {key}: {raw!r}")
+    return value
 
 
 def load_config(path) -> dict:
-    """Parse and validate a config file into {section: {key: value}}."""
+    """Parse and validate a config file into {section: {key: value}}.  A
+    file configparser cannot read (a duplicate section or option, a line
+    before any section, a bad % interpolation) is a ConfigurationError."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = cp.read(path)
+    try:
+        read = cp.read(path)
+        sections = {section: list(cp[section].items())
+                    for section in cp.sections()}
+    except configparser.Error as exc:
+        reason = " ".join(str(exc).split())
+        raise ConfigurationError(f"cannot parse {path}: {reason}") from exc
     if not read:
         raise ConfigurationError(f"config file not found: {path}")
     out = {}
-    for section in cp.sections():
+    for section, items in sections.items():
         if section not in SCHEMA:
             raise ConfigurationError(f"unknown config section [{section}]")
         out[section] = {}
-        for key, raw in cp[section].items():
+        for key, raw in items:
             if key not in SCHEMA[section]:
                 raise ConfigurationError(f"unknown key {key!r} in section [{section}]")
             out[section][key] = _convert(section, key, raw)

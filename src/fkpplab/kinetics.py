@@ -1,6 +1,7 @@
-"""Logistic reaction kinetics and the auxiliary ODE semiflow.
+"""Reaction rates and the auxiliary ODE semiflow.
 
-The reaction of the scaled equation is f(u) = u(1-u).  The barrier
+The reaction of the scaled equation is f(u) = u(1-u); its exact flow is the
+solver's reaction step (solver.Stepper.reaction).  The barrier
 constructions need two companions:
 
 * a bistable extension that agrees with u(1-u) on u >= -1/2 and adds a
@@ -11,11 +12,11 @@ constructions need two companions:
   blended back into the bistable rate by a C2 cutoff psi, and the modified
   rate never exceeds the unmodified one.
 
-The semiflow w(s, xi) of the modified rate, together with its first and
-second xi-derivatives, drives the interface-generation barriers.  The ODE
-w' = f(w) is autonomous and scalar, so the semiflow is exact through its
-time-map: G' = 1/f is monotone between the zeros -1, eps|ln eps| and 1 of
-f, and w(s, xi) solves G(w) = G(xi) + s on the branch of xi.
+The semiflow w(s, xi) of the modified rate drives the interface-generation
+barriers.  The ODE w' = f(w) is autonomous and scalar, so the semiflow is
+exact through its time-map: G' = 1/f is monotone between the zeros -1,
+eps|ln eps| and 1 of f, and w(s, xi) solves G(w) = G(xi) + s on the branch
+of xi.
 
 The cutoff support is tied to the epsilon scales: psi = 1 on
 [-eps/2, min(CUTOFF_INNER, 3 eps|ln eps|)] and vanishes outside
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
-from .smoothing import smoothstep, smoothstep_d1
+from .smoothing import smoothstep
 
 EPS_MAX = 1.0 / math.e  # |ln eps| > 1 to the left of this
 CUTOFF_INNER = 0.25  # psi = 1 up to min(CUTOFF_INNER, 3 eps|ln eps|)
@@ -99,58 +100,39 @@ class KineticsParams:
         return self.epsilon
 
 
-def logistic_flow(xi, s):
-    """Exact solution at time s of z' = z(1-z), z(0) = xi, for xi in [0, 1]."""
-    xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0.0) or np.any(xi > 1.0):
-        raise DomainError("logistic_flow needs xi in [0, 1]; use semiflow otherwise")
-    if s < 0.0:
-        raise DomainError("s must be nonnegative")
-    # xi e^s / (1 + xi (e^s - 1)) rewritten to avoid overflow for large s
-    out = xi / (xi + (1.0 - xi) * np.exp(-s))
-    return out if out.ndim else float(out)
-
-
 def bistable_logistic(u):
-    """u(1-u) extended bistably: zeros at -1, 0, 1 with -1 and 1 stable."""
-    out = _bistable_derivs(u)[0]
-    return out if out.ndim else float(out)
+    """u(1-u) extended bistably: zeros at -1, 0, 1 with -1 and 1 stable.
 
-
-def _bistable_derivs(u):
-    """(f, f') of the bistable extension f = u(1-u) q(u): q = 1 on
-    u >= KNEE, 1 - ((KNEE-u)/(KNEE+1))^3 below, so q(-1) = 0 with
-    q'(-1) > 0 and C2 matching at the knee."""
+    f = u(1-u) q(u): q = 1 on u >= KNEE, 1 - ((KNEE-u)/(KNEE+1))^3 below,
+    so q(-1) = 0 with q'(-1) > 0 and C2 matching at the knee.
+    """
     u = np.asarray(u, dtype=float)
     s = 1.0 / (KNEE + 1.0)
     v = (KNEE - u) * s
     below = u < KNEE
     q = np.where(below, 1.0 - v**3, 1.0)
-    q1 = np.where(below, 3.0 * s * v**2, 0.0)
     core = u * (1.0 - u)
-    return core * q, (1.0 - 2.0 * u) * q + core * q1
+    out = core * q
+    return out if out.ndim else float(out)
 
 
-def _cutoff_derivs(u, p: KineticsParams):
-    """(psi, psi') of the C2 cutoff; 1 near [0, eps|ln eps|], 0 far out."""
+def _cutoff(u, p: KineticsParams):
+    """psi, the C2 cutoff; 1 near [0, eps|ln eps|], 0 far out."""
     u = np.asarray(u, dtype=float)
     psi = np.ones_like(u)
-    psi1 = np.zeros_like(u)
 
     a, b = p.pos_inner, p.pos_outer
     pos = (u > a) & (u < b)
     t = (u - a) / (b - a)
     psi = np.where(pos, 1.0 - smoothstep(t), psi)
-    psi1 = np.where(pos, -smoothstep_d1(t) / (b - a), psi1)
     psi = np.where(u >= b, 0.0, psi)
 
     a, b = p.neg_inner, p.neg_outer
     neg = (u < -a) & (u > -b)
     t = (-u - a) / (b - a)
     psi = np.where(neg, 1.0 - smoothstep(t), psi)
-    psi1 = np.where(neg, smoothstep_d1(t) / (b - a), psi1)
     psi = np.where(u <= -b, 0.0, psi)
-    return psi, psi1
+    return psi
 
 
 def modified_logistic(u, p: KineticsParams):
@@ -159,19 +141,12 @@ def modified_logistic(u, p: KineticsParams):
     Vanishes at u = eps|ln eps|; never exceeds bistable_logistic (checked at
     construction of KineticsParams).
     """
-    out = _modified_derivs(u, p)[0]
-    return out if out.ndim else float(out)
-
-
-def _modified_derivs(u, p: KineticsParams):
-    """(f, f') of the modified rate; f' feeds the sensitivity identities."""
     u = np.asarray(u, dtype=float)
-    psi, psi1 = _cutoff_derivs(u, p)
-    f, f1 = _bistable_derivs(u)
+    psi = _cutoff(u, p)
+    f = bistable_logistic(u)
     lin = (u - p.threshold) / p.log_eps
-    g = psi * lin + (1.0 - psi) * f
-    g1 = psi1 * (lin - f) + psi / p.log_eps + (1.0 - psi) * f1
-    return g, g1
+    out = psi * lin + (1.0 - psi) * f
+    return out if out.ndim else float(out)
 
 
 # --- the time-map ----------------------------------------------------------
@@ -396,47 +371,6 @@ def semiflow(s, xi, p: KineticsParams):
         distinct, where = np.unique(flat, return_inverse=True)
         out = _time_map(p).flow(float(s), distinct)[where].reshape(xi_arr.shape)
     return out if np.ndim(xi) else float(out)
-
-
-def positivity_time(xi, p: KineticsParams):
-    """Time at which the semiflow started from xi in (0, eps|ln eps|) hits zero.
-
-    Closed form of the slow linear rate: |ln eps| * |ln(1 - xi/(eps|ln eps|))|.
-    """
-    if not 0.0 < xi < p.threshold:
-        raise DomainError("xi must lie strictly between 0 and eps|ln eps|")
-    return p.log_eps * abs(math.log(1.0 - xi / p.threshold))
-
-
-def _curvature_at_zero(z, p: KineticsParams):
-    """f''(z) at a zero z of the modified rate: 0 on the linear zone, -2 on
-    the logistic one, the cubic extension's value at -1."""
-    if z == -1.0:
-        k = 1.0 / (KNEE + 1.0)
-        return 6.0 * k * (3.0 + 2.0 * k)
-    return -2.0 if z == 1.0 else 0.0
-
-
-def semiflow_sensitivity(s, xi, p: KineticsParams):
-    """(w_xi, w_xixi) at (s, xi), from the time-map identities
-
-        w_xi = f(w)/f(xi),   w_xixi = w_xi (f'(w) - f'(xi)) / f(xi).
-
-    At a zero z of f the variational equations have the constant
-    coefficients f'(z) and f''(z), and are solved in closed form.
-    """
-    if s < 0.0:
-        raise DomainError("s must be nonnegative")
-    if s == 0.0:
-        return 1.0, 0.0
-    xi = float(xi)
-    f_w, df_w = _modified_derivs(semiflow(s, xi, p), p)
-    f_x, df_x = _modified_derivs(xi, p)
-    if f_x == 0.0:
-        grow = math.exp(df_x * s)
-        return grow, float(_curvature_at_zero(xi, p) * grow * (grow - 1.0) / df_x)
-    w1 = float(f_w / f_x)
-    return w1, float(w1 * (df_w - df_x) / f_x)
 
 
 def fitted_generation_alpha(p: KineticsParams):

@@ -1,15 +1,13 @@
 """Experiment reports: per-epsilon rows, fits, checks, deterministic CSV.
 
 The CSV is the source of truth and must be byte-identical across reruns of
-the same configuration, so volatile metadata (timestamp, runtimes) lives
-only on the in-memory report and is not written to the file.
+the same configuration.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,7 +70,6 @@ class ExperimentReport:
 
     def __post_init__(self):
         self.metadata.setdefault("code_version", __version__)
-        self.metadata.setdefault("timestamp", time.strftime("%Y-%m-%dT%H:%M:%S"))
 
     def add_row(self, **kw):
         self.rows.append(kw)
@@ -97,8 +94,7 @@ class ExperimentReport:
 
     def write_csv(self, path):
         """Deterministic report CSV: header comments, the row table, then
-        fit and check lines.  Volatile fields (timestamp, runtimes) are
-        deliberately omitted."""
+        fit and check lines."""
         with open(path, "w") as fh:
             fh.write(f"# study={self.study}\n")
             fh.write(f"# config_hash={self.metadata.get('config_hash', '')}\n")

@@ -12,11 +12,3 @@ def smoothstep(t):
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
-
-def smoothstep_d1(t):
-    t = np.asarray(t, dtype=float)
-    inside = (t > 0.0) & (t < 1.0)
-    tc = np.clip(t, 0.0, 1.0)
-    d = 30.0 * tc * tc * (tc - 1.0) * (tc - 1.0)
-    return np.where(inside, d, 0.0)
-

@@ -369,17 +369,22 @@ class Observer:
     def thickness(self, u):
         """Width between the outermost u = eps and u = 1 - 2 eps crossings;
         positive for a decreasing front, None when a level is not attained."""
-        p = self.profile(u)
+        return self._width(self.profile(u))
+
+    def _width(self, p):
+        """The thickness of a profile p along ``scan``."""
         outer = _outermost_crossing(self.scan, p, self.epsilon)
         inner = _outermost_crossing(self.scan, p, 1.0 - 2.0 * self.epsilon)
         return None if outer is None or inner is None else outer - inner
 
     def observe(self, u):
         """The observables ``names`` of state u, nan for an absent crossing
-        or an empty threshold set."""
+        or an empty threshold set; the three crossings read one profile."""
         out = [float(u.max()), float(u.min())]
         if "front_half" in self.names:
-            front, width = self.front(u, 0.5), self.thickness(u)
+            p = self.profile(u)
+            front = _outermost_crossing(self.scan, p, 0.5)
+            width = self._width(p)
             low = None if self.mask is None else u[self.mask].min()
             out += [math.nan if v is None else float(v)
                     for v in (front, width, low)]

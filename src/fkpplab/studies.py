@@ -10,7 +10,6 @@ form is byte-stable across reruns.
 from __future__ import annotations
 
 import math
-import time
 from collections import OrderedDict
 
 import numpy as np
@@ -163,7 +162,6 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
     )
     errors = []
     for eps in epsilons:
-        t0 = time.perf_counter()
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         traj = cached_run(cfg)
         speed, icpt, resid = _front_speed_fit(traj, fit_window)
@@ -172,7 +170,6 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
         errors.append(err)
         report.add_row(epsilon=eps, speed=speed, abs_error=err, allowed_error=allowed)
         report.add_fit(f"front~c*t+b@eps={eps:g}", (speed, icpt), resid)
-        report.metadata.setdefault("runtimes", []).append(time.perf_counter() - t0)
         report.add_check(f"speed_error_bound@eps={eps:g}", err <= allowed,
                          f"|{speed:.4f}-2|={err:.4f} <= {allowed:.4f}")
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))

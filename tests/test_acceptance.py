@@ -19,10 +19,8 @@ from fkpplab.kinetics import (
     bistable_logistic,
     eps_log,
     fitted_generation_alpha,
-    logistic_flow,
     modified_logistic,
-    positivity_time,
-    semiflow_sensitivity,
+    semiflow,
 )
 from fkpplab.solver import InitialData, SimConfig, Stepper, default_dt
 from fkpplab.studies import (
@@ -130,35 +128,42 @@ def test_criterion_8_semiflow_suite():
     ok = True
     notes = []
 
-    # logistic closed form vs adaptive RK, 1e-10
+    # the reaction half-step vs adaptive RK, 1e-10
+    p = KineticsParams(0.02)
+    eps = p.epsilon
+    g = Grid("line", ((0.0, 2.0),), 1.0)
     worst = 0.0
     for xi, s in ((0.1, 2.3), (0.5, math.log(3.0)), (0.9, 4.0)):
         sol = solve_ivp(lambda _, z: z * (1 - z), (0, s), [xi],
                         method="DOP853", rtol=1e-12, atol=1e-14)
-        worst = max(worst, abs(logistic_flow(xi, s) - sol.y[0, -1]))
+        step = Stepper(g, 2 * eps * s, eps).reaction(np.full(3, xi))
+        worst = max(worst, float(np.max(np.abs(step - sol.y[0, -1]))))
     ok &= worst <= 1e-10
-    notes.append(f"logistic vs RK {worst:.1e}")
+    notes.append(f"reaction vs RK {worst:.1e}")
 
-    # positivity time vs measured crossing, 1%
-    from fkpplab.kinetics import _modified_derivs
-
-    p = KineticsParams(0.02)
+    # the semiflow changes sign at the closed-form positivity time of the
+    # slow linear zone (within 1e-9 relative); RK crossing within 1%
     xi = p.threshold / 2
+    t_pos = p.log_eps * math.log(1 / (1 - xi / p.threshold))
+    flips = (semiflow(t_pos * (1 - 1e-9), xi, p) > 0
+             > semiflow(t_pos * (1 + 1e-9), xi, p))
     ev = lambda _, w: w[0]
     ev.terminal, ev.direction = True, -1
-    sol = solve_ivp(lambda _, w: _modified_derivs(w, p)[0], (0, 100.0), [xi],
+    sol = solve_ivp(lambda _, w: modified_logistic(w, p), (0, 100.0), [xi],
                     events=ev, method="DOP853", rtol=1e-10, atol=1e-14)
-    rel = abs(sol.t_events[0][0] - positivity_time(xi, p)) / positivity_time(xi, p)
-    ok &= rel <= 0.01
-    notes.append(f"crossing {rel:.1e}")
+    rel = abs(sol.t_events[0][0] - t_pos) / t_pos
+    ok &= flips and rel <= 0.01
+    notes.append(f"sign change {flips}, crossing {rel:.1e}")
 
-    # w_xi > 0 at 20 sampled points
+    # semiflow strictly increasing in xi at 20 sampled points
     rng = np.random.default_rng(17)
-    pos = all(semiflow_sensitivity(rng.uniform(0.2, 3.0),
-                                   rng.uniform(-0.3, 1.5), p)[0] > 0
-              for _ in range(20))
+    pos = True
+    for _ in range(20):
+        s, xi = rng.uniform(0.2, 3.0), rng.uniform(-0.3, 1.5)
+        w = semiflow(s, xi + np.array([-1e-6, 0.0, 1e-6]), p)
+        pos &= bool(np.all(np.diff(w) > 0))
     ok &= pos
-    notes.append(f"w_xi>0 {pos}")
+    notes.append(f"increasing in xi {pos}")
 
     # modified rate below the bistable rate on [-2, 2]
     u = np.linspace(-2, 2, 10_000)

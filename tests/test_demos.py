@@ -1,21 +1,32 @@
-"""The demos and the benchmark's workloads against the API, without running
-them (the five demos alone take about 15 s): every name a script imports
-from fkpplab exists, every call it makes to an imported fkpplab callable
-binds to that callable's signature, and every name it imports is used.
-The package's modules (bar __init__.py, whose imports are its exports) and
-the tests use every name they import too."""
+"""The demos, the benchmark's workloads and README's quickstart against the
+API, without running them (the five demos alone take about 15 s): every
+name a script imports from fkpplab exists, every call it makes to an
+imported fkpplab callable binds to that callable's signature, and every
+name it imports is used.  The package's modules (bar __init__.py, whose
+imports are its exports) and the tests use every name they import too."""
 
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "perfbench" / "workloads.py"]
+SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "perfbench" / "workloads.py",
+                                               ROOT / "README.md"]
 SOURCES = sorted(p for p in ROOT.glob("src/fkpplab/*.py")
                  if p.name != "__init__.py") + sorted(ROOT.glob("tests/*.py"))
+
+
+def _parse(path):
+    """The syntax tree of a script, or of the ```python blocks of a
+    Markdown file."""
+    text = path.read_text()
+    if path.suffix == ".md":
+        text = "\n".join(re.findall(r"^```python\n(.*?)^```", text, re.S | re.M))
+    return ast.parse(text, filename=str(path))
 
 
 def _imported(tree):
@@ -48,7 +59,7 @@ def _callee(func, names):
 
 @pytest.mark.parametrize("demo", SCRIPTS, ids=lambda p: p.name)
 def test_demo_calls_bind_to_the_api(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
+    tree = _parse(demo)
     names = _imported(tree)
     checked = 0
     for call in ast.walk(tree):
@@ -71,7 +82,7 @@ def test_demo_calls_bind_to_the_api(demo):
 
 @pytest.mark.parametrize("demo", SCRIPTS + SOURCES, ids=lambda p: p.name)
 def test_demo_uses_every_import(demo):
-    tree = ast.parse(demo.read_text(), filename=str(demo))
+    tree = _parse(demo)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [
         f"line {node.lineno}: {alias.asname or alias.name}"

@@ -57,6 +57,35 @@ def test_config_rejects_bad_value(tmp_path):
         load_config(path)
 
 
+MALFORMED = {
+    "duplicate_option": ("speed", "[geometry]\nshape = interval\nshape = ball\n",
+                         "option 'shape' in section 'geometry' already exists"),
+    "duplicate_section": ("speed", "[solver]\nt_end = 1\n\n[solver]\nt_end = 2\n",
+                          "section 'solver' already exists"),
+    "no_section_header": ("speed", "t_end = 1\n\n[solver]\n",
+                          "no section headers"),
+    "percent": ("speed", "[solver]\nt_end = 5%\n", "'%' must be followed"),
+    "speeds_nan": ("wave", "[wave]\nspeeds = nan\n",
+                   "non-finite value for [wave] speeds"),
+    "speeds_inf": ("wave", "[wave]\nspeeds = 2.0, inf\n",
+                   "non-finite value for [wave] speeds"),
+    "t_end_nan": ("barriers", "[solver]\nt_end = nan\n",
+                  "non-finite value for [solver] t_end"),
+    "epsilons_nan": ("speed", "[study]\nepsilons = 0.04, nan\n",
+                     "non-finite value for [study] epsilons"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_cli_malformed_config_is_a_configuration_error(tmp_path, capsys, case):
+    command, text, reason = MALFORMED[case]
+    ini = _write(tmp_path, "cfg.ini", text)
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"fkpplab {command}: configuration error: ")
+    assert reason in line
+
+
 def test_config_missing_file():
     with pytest.raises(ConfigurationError, match="not found"):
         load_config("/nonexistent/nowhere.ini")

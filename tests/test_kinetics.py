@@ -5,39 +5,18 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from fkpplab.errors import ConfigurationError, DomainError
+from fkpplab.grids import Grid
 from fkpplab.kinetics import (
     KineticsParams,
-    _modified_derivs,
     _time_map,
     bistable_logistic,
     fitted_generation_alpha,
-    logistic_flow,
     modified_logistic,
-    positivity_time,
     semiflow,
-    semiflow_sensitivity,
 )
+from fkpplab.solver import Stepper
 
 P02 = KineticsParams(0.02)
-
-
-def test_logistic_flow_identity_and_equilibria():
-    assert logistic_flow(0.5, 0.0) == pytest.approx(0.5, abs=1e-15)
-    assert logistic_flow(0.0, 5.0) == 0.0
-    assert logistic_flow(1.0, 17.3) == pytest.approx(1.0, abs=1e-15)
-
-
-def test_logistic_flow_closed_form_vs_rk():
-    assert logistic_flow(0.5, math.log(3.0)) == pytest.approx(0.75, abs=1e-12)
-    for xi, s in ((0.1, 2.3), (0.9, 0.7), (0.37, 5.0)):
-        sol = solve_ivp(lambda _, z: z * (1 - z), (0, s), [xi],
-                        method="DOP853", rtol=1e-12, atol=1e-14)
-        assert logistic_flow(xi, s) == pytest.approx(sol.y[0, -1], abs=1e-10)
-
-
-def test_logistic_flow_domain():
-    with pytest.raises(DomainError):
-        logistic_flow(1.2, 1.0)
 
 
 def test_bistable_zeros_and_positive_branch():
@@ -92,15 +71,19 @@ def test_semiflow_threshold_is_invariant():
     assert semiflow(4.0, -0.05, p) < 0.0
 
 
-def test_semiflow_zero_crossing_matches_positivity_time():
+@pytest.mark.parametrize("frac", [0.5, 0.9])
+def test_semiflow_zero_crossing_matches_closed_form(frac):
+    # on the slow linear zone w' = (w - theta)/|ln eps|, so w reaches 0 at
+    # |ln eps| ln(1/(1 - xi/theta))
     p = P02
-    xi = p.threshold / 2.0
-    t_pred = positivity_time(xi, p)
-    assert t_pred == pytest.approx(p.log_eps * math.log(2.0), rel=1e-12)
+    xi = frac * p.threshold
+    t_pred = p.log_eps * math.log(1.0 / (1.0 - xi / p.threshold))
+    assert semiflow(t_pred * (1.0 - 1e-9), xi, p) > 0.0
+    assert semiflow(t_pred * (1.0 + 1e-9), xi, p) < 0.0
     ev = lambda _, w: w[0]
     ev.terminal = True
     ev.direction = -1
-    sol = solve_ivp(lambda _, w: _modified_derivs(w, p)[0], (0.0, 100.0), [xi],
+    sol = solve_ivp(lambda _, w: modified_logistic(w, p), (0.0, 100.0), [xi],
                     events=ev, method="DOP853", rtol=1e-10, atol=1e-14)
     assert sol.t_events[0][0] == pytest.approx(t_pred, rel=0.01)
 
@@ -124,17 +107,6 @@ def test_time_map_built_on_first_use_and_bounded():
     assert info.maxsize is not None
 
 
-def test_positivity_time_range_and_domain():
-    p = P02
-    assert positivity_time(1e-9, p) < 1e-6
-    assert positivity_time(0.9 * p.threshold, p) == pytest.approx(
-        p.log_eps * math.log(10.0), rel=1e-12)
-    with pytest.raises(DomainError):
-        positivity_time(p.threshold, p)
-    with pytest.raises(DomainError):
-        positivity_time(-0.1, p)
-
-
 def test_semiflow_monotone_in_xi():
     p = P02
     rng = np.random.default_rng(5)
@@ -152,58 +124,15 @@ def test_semiflow_stays_in_range():
             assert abs(semiflow(s, xi, p)) < bound
 
 
-def test_sensitivity_initial_data_and_positivity():
-    assert semiflow_sensitivity(0.0, 0.3, P02) == (1.0, 0.0)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        s = rng.uniform(0.2, 3.0)
-        xi = rng.uniform(-0.3, 1.5)
-        w1, _ = semiflow_sensitivity(s, xi, P02)
-        assert w1 > 0.0
-
-
-def test_sensitivity_against_central_difference():
-    p = P02
-    h = 1e-6
-    for s, xi in ((0.5, 0.1), (2.0, 0.3), (1.0, 0.8), (2.0, -0.2)):
-        w1, _ = semiflow_sensitivity(s, xi, p)
-        fd = (semiflow(s, xi + h, p) - semiflow(s, xi - h, p)) / (2 * h)
-        assert abs(w1 - fd) / abs(fd) <= 1e-4
-
-
-def _variational_oracle(s, xi, p, h=1e-6):
-    """(w_xi, w_xixi) from the variational equations of w' = f(w), with f''
-    as a central difference of f'."""
-
-    def rhs(_, y):
-        w, d1, d2 = y
-        f, f1 = _modified_derivs(w, p)
-        f2 = (_modified_derivs(w + h, p)[1] - _modified_derivs(w - h, p)[1]) / (2 * h)
-        return [float(f), float(f1 * d1), float(f1 * d2 + f2 * d1 * d1)]
-
-    sol = solve_ivp(rhs, (0.0, s), [xi, 1.0, 0.0], method="DOP853",
-                    rtol=1e-11, atol=1e-14)
-    assert sol.success
-    return sol.y[1, -1], sol.y[2, -1]
-
-
-@pytest.mark.parametrize("s, xi", [
-    (0.5, 0.1), (2.0, 0.3), (1.0, 0.8), (2.0, -0.2), (1.5, -0.7), (0.4, -1.3),
-    (3.0, 1.6), (1.0, -1.0), (1.0, P02.threshold), (1.0, 1.0)])
-def test_sensitivity_against_variational_oracle(s, xi):
-    w1, w2 = semiflow_sensitivity(s, xi, P02)
-    o1, o2 = _variational_oracle(s, xi, P02)
-    assert w1 == pytest.approx(o1, rel=1e-7, abs=1e-12)
-    assert w2 == pytest.approx(o2, rel=1e-5, abs=1e-10)
-
-
 def test_logistic_agrees_with_semiflow_above_cutoff():
-    # trajectories staying above the cutoff see the untouched logistic rate
+    # trajectories staying above the cutoff see the untouched logistic rate,
+    # whose exact flow over s is a reaction half-step with dt = 2 eps s
     p = P02
-    for xi in (0.6, 0.8):
-        for s in (0.5, 1.5):
-            assert semiflow(s, xi, p) == pytest.approx(
-                logistic_flow(xi, s), abs=1e-6)
+    g = Grid("line", ((0.0, 2.0),), 1.0)
+    xi = np.array([0.6, 0.7, 0.8])
+    for s in (0.5, 1.5):
+        step = Stepper(g, 2.0 * p.epsilon * s, p.epsilon).reaction(xi)
+        assert np.allclose(semiflow(s, xi, p), step, rtol=0.0, atol=1e-6)
 
 
 def test_generation_alpha_stable_across_ladder():

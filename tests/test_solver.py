@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
@@ -68,6 +69,16 @@ def test_reaction_equilibria_and_closed_form():
     assert out[0] == 0.0
     assert out[1] == 1.0
     assert out[2] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_reaction_matches_rk():
+    # over s = dt/(2 eps) the half-step is the flow of z' = z(1-z)
+    g = _line_grid(0.5, 0.05)
+    for xi, s in ((0.1, 2.3), (0.9, 0.7), (0.37, 5.0)):
+        sol = solve_ivp(lambda _, z: z * (1 - z), (0, s), [xi],
+                        method="DOP853", rtol=1e-12, atol=1e-14)
+        out = Stepper(g, 2.0 * EPS * s, EPS).reaction(np.full(g.shape, xi))
+        assert np.max(np.abs(out - sol.y[0, -1])) <= 1e-10
 
 
 def test_reaction_is_monotone_map():

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fkpplab.errors import DomainError
 from fkpplab.studies import cached_wave
-from fkpplab.waves import decay_rate, solve_sign_changing_wave, solve_wave
+from fkpplab.waves import (decay_rate, solve_sign_changing_wave, solve_wave,
+                           unstable_rate)
 
 
 def test_decay_rate_values():
@@ -114,3 +117,20 @@ def test_dump_table(tmp_path):
     assert len(lines) == prof.z.size + 1
     z0, u0, up0 = map(float, lines[1].split(","))
     assert z0 == prof.z[0] and u0 == prof.U[0] and up0 == prof.Uprime[0]
+
+
+def test_wave_matches_ablowitz_zeppetella_closed_form():
+    # at c = 5/sqrt(6) the wave is U = (1 + (sqrt2 - 1) e^{z/sqrt6})^{-2}
+    # (Ablowitz & Zeppetella 1979), with U(0) = 1/2; 1 - U ~ 2(sqrt2 - 1)
+    # e^{z/sqrt6} on the left and U ~ e^{-2z/sqrt6}/(sqrt2 - 1)^2 on the right
+    r6, a = math.sqrt(6.0), math.sqrt(2.0) - 1.0
+    c = 5.0 / r6
+    prof = solve_wave(c)
+    e = np.exp(prof.z / r6)
+    assert np.max(np.abs(prof.U - (1.0 + a * e) ** -2)) <= 1e-11
+    u_prime = -2.0 * a * e / r6 * (1.0 + a * e) ** -3
+    assert np.max(np.abs(prof.Uprime - u_prime)) <= 1e-11
+    C, mu = prof.tail_left
+    assert C == pytest.approx(2.0 * a, rel=1e-5)
+    assert mu == pytest.approx(unstable_rate(c), abs=1e-7)
+    assert prof.tail_right[1] == pytest.approx(2.0 / r6, rel=1e-4)
