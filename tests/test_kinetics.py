@@ -116,6 +116,32 @@ def test_semiflow_monotone_in_xi():
         assert np.all(np.diff(w) > 0.0), s
 
 
+def _variational_oracle(s, xi, p, h=1e-6):
+    """w_xi from the variational equation d' = f'(w) d of w' = f(w), with f'
+    as a central difference of the modified rate."""
+
+    def rhs(_, y):
+        w, d = y
+        f1 = (modified_logistic(w + h, p) - modified_logistic(w - h, p)) / (2 * h)
+        return [float(modified_logistic(w, p)), float(f1 * d)]
+
+    sol = solve_ivp(rhs, (0.0, s), [xi, 1.0], method="DOP853",
+                    rtol=1e-11, atol=1e-14)
+    assert sol.success
+    return sol.y[1, -1]
+
+
+@pytest.mark.parametrize("s, xi", [
+    (0.5, 0.1), (2.0, 0.3), (1.0, 0.8), (2.0, -0.2), (1.5, -0.7), (0.4, -1.3),
+    (3.0, 1.6), (1.0, -1.0), (1.0, P02.threshold), (1.0, 1.0)])
+def test_sensitivity_against_variational_oracle(s, xi):
+    # the sensitivity w_xi of the semiflow, as a central difference in xi
+    h = 1e-5
+    w = semiflow(s, np.array([xi - h, xi + h]), P02)
+    w1 = (w[1] - w[0]) / (2 * h)
+    assert w1 == pytest.approx(_variational_oracle(s, xi, P02), rel=1e-4)
+
+
 def test_semiflow_stays_in_range():
     p = P02
     bound = 1.0 + 1.0 + 1.0  # sup g + tail cap + 1
