@@ -39,7 +39,7 @@ from .geometry import ConvexBody, CutoffDistance
 from .grids import Field, Grid
 from .kinetics import KineticsParams, eps_log, semiflow
 from .solver import (THRESHOLD_K, InitialData, compact_value, _apply_lap,
-                     _radial_rows)
+                     _lap_rows)
 from .waves import WaveProfile, decay_rate
 
 
@@ -81,18 +81,13 @@ def generation_super(t, kin: KineticsParams, initial: InitialData):
 
 
 def k0_lower_bound(wave: WaveProfile, initial: InitialData):
-    """Amplitude floor max(1, M/m-, (sup g + M)/U(0)) for the global
-    super-solution; m- is the exponential minorant constant of the wave at
-    the tail rate of the data."""
+    """Amplitude floor max(1, sup g / U(0)) for the global super-solution
+    over tail-free data."""
     if wave.tail_right is None:
         raise DomainError("the global super-solution needs a monotone wave")
-    g_sup = initial.g_sup
-    M = initial.tail_cap
-    u0 = wave.evaluate(0.0)
-    terms = [1.0, (g_sup + M) / u0]
-    if M > 0.0:
-        terms.append(M / wave.exp_minorant(initial.tail[0]))
-    return max(terms)
+    if initial.tail_cap > 0.0:
+        raise DomainError("the barrier check takes tail-free data")
+    return max(1.0, initial.g_sup / wave.evaluate(0.0))
 
 
 def global_super(t, x, K_hat, wave: WaveProfile, body: ConvexBody,
@@ -170,8 +165,8 @@ def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(v0, _radial_rows(grid)) / grid.dx**2
+    lap = _apply_lap(v0, _lap_rows(grid, 0)) / grid.dx**2
     if grid.mode == "plane":
-        lap += _apply_lap(v0.T).T / grid.dx**2
+        lap += _apply_lap(v0.T, _lap_rows(grid, 1)).T / grid.dx**2
     res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
     return Field(grid, res)

@@ -75,6 +75,15 @@ class ConvexBody:
         return 2
 
     @property
+    def center(self):
+        """The centre, one coordinate per axis; the region is symmetric
+        about it along every axis."""
+        if self.shape == "interval":
+            a, b = self.params
+            return ((a + b) / 2.0,)
+        return self.params[0]
+
+    @property
     def inradius(self):
         if self.shape == "interval":
             a, b = self.params

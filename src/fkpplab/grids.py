@@ -6,6 +6,9 @@ Three geometry modes are supported:
 * ``radial`` -- r in [0, R], radially symmetric in dimension N >= 2, so the
   Laplacian is u_rr + (N-1)/r u_r
 * ``plane``  -- two Cartesian axes, values stored row-major as (n0, n1)
+
+The solver reads an axis that starts at 0 as ending at a mirror wall: the
+radial origin, or the symmetry plane x = 0 of a run reduced to its half.
 """
 
 from __future__ import annotations

@@ -10,13 +10,17 @@ makes the composed scheme comparison-preserving and keeps
 
 Line-mode Neumann rows use the telescoping form (u1 - u0)/dx^2 so the plain
 sum of values is conserved exactly; the radial outer wall uses the mirror
-form, which is what second-order accuracy wants there.
+form, which is what second-order accuracy wants there.  A wall at 0 (the
+radial origin, or the symmetry plane of a half line or quarter plane) has
+the mirror row of a ghost node u_{-1} = u_1.
 
 A run builds one Stepper, which computes everything that is constant over
 the run (the factor of each axis's Crank-Nicolson matrix, the reaction
 decay factor) once, and one Observer, which does the same for the recorded
 observables (scan coordinates, plane-mode gather, threshold mask); the loop
-works on bare arrays.
+works on bare arrays.  A run that is even in a coordinate (a grid (-e, e)
+with a node at 0, data even in that coordinate) is solved on that axis's
+half x >= 0 and its checkpoints are unfolded onto the full grid.
 """
 
 from __future__ import annotations
@@ -84,23 +88,31 @@ class InitialData:
         return self.tail[1] if (self.variant == "compact" and self.tail) else 0.0
 
 
-def _radii(grid: Grid):
-    """||x|| per node."""
+def _nodes(grid: Grid, index):
+    """The coordinates of the nodes grid[index], ``index`` one slice per
+    axis: the axis values in line and radial mode, the points (n0, n1, 2)
+    in plane mode.  Bit for bit the same slice of grid.points()."""
+    axes = [grid.axis(i)[s] for i, s in enumerate(index)]
     if grid.mode == "plane":
-        return np.linalg.norm(grid.points(), axis=-1)
-    return np.abs(grid.axis(0))
+        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return axes[0]
 
 
-def _body_distance_on_grid(body: ConvexBody, grid: Grid):
-    if grid.mode == "line":
+def _radii(mode, x):
+    """||x|| of node coordinates x."""
+    return np.linalg.norm(x, axis=-1) if mode == "plane" else np.abs(x)
+
+
+def _body_distance(body: ConvexBody, mode, x):
+    if mode == "line":
         if body.shape != "interval":
             raise ConfigurationError("line mode needs an interval region")
-        return body.signed_distance(grid.axis(0))
-    if grid.mode == "radial":
+        return body.signed_distance(x)
+    if mode == "radial":
         if body.shape != "ball" or any(c != 0.0 for c in body.params[0]):
             raise ConfigurationError("radial mode needs an origin-centred ball")
-        return grid.axis(0) - body.params[1]
-    return body.signed_distance(grid.points())
+        return x - body.params[1]
+    return body.signed_distance(x)
 
 
 def _ramp(initial: InitialData, d):
@@ -118,11 +130,12 @@ def compact_value(initial: InitialData, x):
     return _ramp(initial, initial.body.signed_distance(x))
 
 
-def _sample_initial(initial: InitialData, grid: Grid, epsilon: float):
-    """(u0 as a Field, g) on the grid from one distance evaluation; g, the
-    compact part, is None for algebraic data."""
+def _sample_initial(initial: InitialData, grid: Grid, epsilon: float, x):
+    """(u0 as a Field on the grid, g) from one distance evaluation at the
+    grid's node coordinates x (_nodes); g, the compact part, is None for
+    algebraic data."""
     if initial.variant == "compact":
-        d = _body_distance_on_grid(initial.body, grid)
+        d = _body_distance(initial.body, grid.mode, x)
         if float(d.min()) > -initial.width / 4:
             raise ConfigurationError("grid does not cover the support of g")
         if float(d.max()) < 0.0:
@@ -131,14 +144,15 @@ def _sample_initial(initial: InitialData, grid: Grid, epsilon: float):
         if initial.tail is None:
             return Field(grid, g), g
         lam, M = initial.tail
-        return Field(grid, g + M * np.exp(-lam * _radii(grid) / epsilon)), g
-    r = _radii(grid)
+        return Field(grid, g + M * np.exp(-lam * _radii(grid.mode, x) / epsilon)), g
+    r = _radii(grid.mode, x)
     return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n)), None
 
 
 def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
     """Sample u0 on the grid."""
-    return _sample_initial(initial, grid, epsilon)[0]
+    whole = (slice(None),) * len(grid.extents)
+    return _sample_initial(initial, grid, epsilon, _nodes(grid, whole))[0]
 
 
 def outflow_margin(diameter, t_end, epsilon):
@@ -202,47 +216,68 @@ class Trajectory:
         raise KeyError(f"no checkpoint near t={t}")
 
 
+def _mirrored(grid: Grid, axis: int):
+    """Whether the axis has a mirror wall at its low end: an axis that
+    starts at 0 is the radial r >= 0, or the half x >= 0 of a run that is
+    even in that coordinate."""
+    return bool(grid.extents[axis][0] == 0.0)
+
+
 @lru_cache(maxsize=32)
 def _lap_coeffs(grid: Grid, axis: int):
-    """(sub, diag, sup) of the Neumann Laplacian along one axis, unscaled
-    (multiply by 1/dx^2)."""
+    """(sub, diag, sup) of the Laplacian along one axis, unscaled (multiply
+    by 1/dx^2): the stencil 1, -2, 1 (with the radial terms (N-1)/r u_r in
+    radial mode) and, at each wall,
+
+    * at a low wall at 0, the mirror row -2N, 2N of a ghost node
+      u_{-1} = u_1, N the radial dimension (Lap u = N u_rr at r = 0) and 1
+      on a line or plane axis;
+    * at any other line or plane wall, the telescoping Neumann row -1, 1,
+      which conserves the plain sum exactly;
+    * at the radial outer wall, the mirror row 2, -2 (the radial term drops
+      out)."""
     n = grid.shape[axis]
     sub = np.ones(n - 1)
     diag = np.full(n, -2.0)
     sup = np.ones(n - 1)
     if grid.mode == "radial":
-        N = grid.dim
         i = np.arange(1, n - 1, dtype=float)
-        sub[: n - 2] = 1.0 - (N - 1) / (2.0 * i)
-        sup[1:] = 1.0 + (N - 1) / (2.0 * i)
-        diag[0] = -2.0 * N  # Lap u = N u_rr at r = 0
-        sup[0] = 2.0 * N
-        sub[-1] = 2.0  # mirror wall at r = R (radial term drops out)
+        sub[: n - 2] = 1.0 - (grid.dim - 1) / (2.0 * i)
+        sup[1:] = 1.0 + (grid.dim - 1) / (2.0 * i)
+        sub[-1] = 2.0
     else:
-        diag[0] = -1.0  # telescoping Neumann rows: exact sum conservation
         diag[-1] = -1.0
+    if _mirrored(grid, axis):
+        N = grid.dim if grid.mode == "radial" else 1
+        diag[0] = -2.0 * N
+        sup[0] = 2.0 * N
+    else:
+        diag[0] = -1.0
     return sub, diag, sup
 
 
-def _radial_rows(grid: Grid):
-    """_apply_lap's coefficients for the grid: the radial rows, or None for
-    a line or plane axis."""
-    return _lap_coeffs(grid, 0) if grid.mode == "radial" else None
+def _lap_rows(grid: Grid, axis: int):
+    """What _apply_lap needs of one axis: the radial _lap_coeffs, or for a
+    line or plane axis whether its low wall is a mirror."""
+    return _lap_coeffs(grid, 0) if grid.mode == "radial" else _mirrored(grid, axis)
 
 
-def _apply_lap(u, rows=None):
+def _apply_lap(u, rows):
     """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1), in
-    the order diag*u, + sup*u[1:], + sub*u[:-1].  With ``rows`` None it is
-    the line and plane stencil 1, -2, 1 (-1 at the walls), applied with
-    slices and scalars: every product with those coefficients is exact, so
-    the bits are those of the coefficient arrays.  Radial ``rows`` are
-    _lap_coeffs(grid, 0)."""
-    if rows is None:
+    the order diag*u, + sup*u[1:], + sub*u[:-1]; ``rows`` is
+    _lap_rows(grid, axis).  On a line or plane axis it is the stencil
+    1, -2, 1 with telescoping walls, applied with slices and scalars, and a
+    mirror row that is the telescoping row doubled: every product with
+    those coefficients is exact, so the bits are those of _lap_coeffs'
+    arrays.  Radial rows are the arrays themselves."""
+    if isinstance(rows, bool):
         out = -2.0 * u
         out[0] = -u[0]
         out[-1] = -u[-1]
         out[:-1] += u[1:]
         out[1:] += u[:-1]
+        if rows:
+            out[0] *= 2.0
         return out
     sub, diag, sup = rows
     shape = (-1,) + (1,) * (u.ndim - 1)
@@ -264,24 +299,25 @@ class Stepper:
     * the LU factor of (I - a L) along each axis, a = eps dt / (2 dx^2);
       the diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
-    * the radial Laplacian rows (line and plane axes need none).
+    * the Laplacian rows of each axis (_lap_rows).
 
     ``step`` maps a bare value array to the next one; the line solves run
     along axis 0 (the y sweep on the transpose), all lines in one dgttrs
     call.  The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
-    steps after it.
+    steps after it.  Every row, a mirror row included, keeps (I + a L)
+    nonnegative for a <= 1/2 (1/(2N) in radial mode), as default_dt gives.
     """
 
     def __init__(self, grid: Grid, dt: float, epsilon: float):
         self.grid = grid
         self.decay = np.exp(-(dt / 2.0 / epsilon))
         self.a = epsilon * dt / 2.0 / grid.dx**2
-        self.rows = _radial_rows(grid)
-        coeffs = [_lap_coeffs(grid, i) for i in range(len(grid.extents))]
+        axes = range(len(grid.extents))
+        self.rows = tuple(_lap_rows(grid, i) for i in axes)
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
-            for sub, diag, sup in coeffs
+            for sub, diag, sup in (_lap_coeffs(grid, i) for i in axes)
         )
         self.steps = 0
 
@@ -296,9 +332,10 @@ class Stepper:
         d += u
         return np.divide(u, d, out=d)
 
-    def _explicit(self, u):
-        """(I + a L) u along axis 0, formed in the Laplacian's array."""
-        out = _apply_lap(u, self.rows)
+    def _explicit(self, u, rows):
+        """(I + a L) u along axis 0 with the Laplacian rows of that axis,
+        formed in the Laplacian's array."""
+        out = _apply_lap(u, rows)
         out *= self.a
         out += u
         return out
@@ -313,10 +350,10 @@ class Stepper:
         """
         check = self.steps % RESIDUAL_EVERY == 0
         if self.grid.mode == "plane":
-            fx, fy = self.factors
-            u = fx.solve(self._explicit(u.T).T, check)
-            return fy.solve(self._explicit(u).T, check).T
-        return self.factors[0].solve(self._explicit(u), check)
+            (fx, fy), (rx, ry) = self.factors, self.rows
+            u = fx.solve(self._explicit(u.T, ry).T, check)
+            return fy.solve(self._explicit(u, rx).T, check).T
+        return self.factors[0].solve(self._explicit(u, self.rows[0]), check)
 
     def step(self, u):
         """The state one Strang step after u (a new array)."""
@@ -360,11 +397,6 @@ class Observer:
         """u along ``scan``; in plane mode each sample equals
         grids.interpolate's."""
         return u if self.stencil is None else apply_stencil(u, self.stencil)
-
-    def front(self, u, level):
-        """Outermost crossing of the level along ``scan``, None when the
-        level is not attained."""
-        return _outermost_crossing(self.scan, self.profile(u), level)
 
     def thickness(self, u):
         """Width between the outermost u = eps and u = 1 - 2 eps crossings;
@@ -417,20 +449,58 @@ def layer_thickness(fld: Field, epsilon: float):
     return Observer(fld.grid, epsilon).thickness(fld.values)
 
 
+def _even_axes(config: SimConfig):
+    """One bool per axis of the grid: whether the run is even in that
+    coordinate.  It is when the axis's extent is (-e, e) with a node at 0
+    and the data are even in the coordinate: compact data on a body centred
+    at 0 along the axis (their tail is radial), or algebraic data (radial).
+    A radial axis starts at 0 and is never even."""
+    grid, initial = config.grid, config.initial
+    n = len(grid.extents)
+    center = (0.0,) * n if initial.variant == "algebraic" else initial.body.center
+    return tuple(len(center) == n and center[i] == 0.0 and lo == -hi
+                 and grid.shape[i] % 2 == 1
+                 for i, (lo, hi) in enumerate(grid.extents))
+
+
+def _unfold(q, even):
+    """The values on the configuration grid of a state q of the reduced
+    grid, as a new array: along each even axis, with h its middle node,
+    nodes h + i and h - i both take q[i]."""
+    q = q.copy()
+    for ax in np.flatnonzero(even):
+        mirror = q.take(np.arange(q.shape[ax] - 1, 0, -1), axis=ax)
+        q = np.concatenate((mirror, q), axis=ax)
+    return q
+
+
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, recording the Observer's series each step and
     the checkpoint fields at the requested times (snapped to the step grid).
+
+    Along each axis the run is even in (_even_axes) it integrates on the
+    half x >= 0 of the grid, whose low wall at 0 is a mirror; u0 there is
+    the full u0 restricted, bit for bit.  The series are those of the
+    reduced grid, and each checkpoint is unfolded onto the configuration's
+    grid.
 
     The loop works on bare arrays; a Field is built only for a checkpoint.
     A non-finite state raises NumericalError with diagnostic (t, step); so
     does a sup above max(1, sup u0) + 1e-8, after the last step.
     """
-    u0, g = _sample_initial(config.initial, config.grid, config.epsilon)
+    full, even = config.grid, _even_axes(config)
+    grid = Grid(full.mode, tuple((0.0, hi) if e else (lo, hi)
+                                 for e, (lo, hi) in zip(even, full.extents)),
+                full.dx, full.dim)
+    index = tuple(slice(n // 2 if e else 0, None)
+                  for e, n in zip(even, full.shape))
+    u0, g = _sample_initial(config.initial, grid, config.epsilon,
+                            _nodes(full, index))
     u = u0.values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps
-    observer = Observer(config.grid, config.epsilon, g)
-    stepper = Stepper(config.grid, dt, config.epsilon)
+    observer = Observer(grid, config.epsilon, g)
+    stepper = Stepper(grid, dt, config.epsilon)
     checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
 
     times = np.empty(n_steps + 1)
@@ -442,7 +512,7 @@ def run(config: SimConfig) -> Trajectory:
         for name, value in zip(observer.names, observer.observe(u)):
             series[name][k] = value
         if k in checkpoint_steps:
-            checkpoints.append((t, Field(config.grid, u.copy())))
+            checkpoints.append((t, Field(full, _unfold(u, even))))
 
     record(0, 0.0, u)
     for k in range(1, n_steps + 1):

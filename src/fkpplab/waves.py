@@ -150,15 +150,6 @@ class WaveProfile:
         ratio = self.U[m] / (self.z[m] * np.exp(-self.z[m]))
         return float(ratio.min()), float(ratio.max())
 
-    def exp_minorant(self, lam):
-        """min over z >= 0 of U(z) e^{lam z}; requires lam >= the tail rate
-        so the infimum is attained on the table."""
-        rate = self.tail_right[1] if self.tail_right else None
-        if rate is None or lam < rate - 1e-12:
-            raise DomainError("exponent decays slower than the wave tail")
-        m = self.z >= 0.0
-        return float(np.min(self.U[m] * np.exp(lam * self.z[m])))
-
     def exp_majorant(self, lam):
         """max over z >= 0 of U(z) e^{lam z} (including the fitted tail limit)."""
         if self.tail_right is None:

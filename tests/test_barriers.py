@@ -18,7 +18,7 @@ from fkpplab.barriers import (
     radial_sub_W,
     shell_coordinate,
 )
-from fkpplab.errors import ConfigurationError
+from fkpplab.errors import ConfigurationError, DomainError
 from fkpplab.geometry import ConvexBody, CutoffDistance
 from fkpplab.grids import Grid
 from fkpplab.kinetics import KineticsParams, eps_log
@@ -54,12 +54,11 @@ def test_generation_super_constant_and_relaxing():
 def test_k0_lower_bound_arithmetic():
     wave = cached_wave(2.0)
     tail_free = InitialData.compact(BODY, amplitude=1.0, width=0.25)
-    # M = 0: max(1, 2*(1+0)) with U(0) = 1/2
+    # max(1, 2*1) with U(0) = 1/2
     assert k0_lower_bound(wave, tail_free) == pytest.approx(2.0, rel=1e-9)
     tailed = InitialData.compact(BODY, amplitude=1.0, width=0.25, tail=(1.0, 0.5))
-    m_minus = wave.exp_minorant(1.0)
-    expected = max(1.0, 0.5 / m_minus, 2.0 * 1.5)
-    assert k0_lower_bound(wave, tailed) == pytest.approx(expected, rel=1e-9)
+    with pytest.raises(DomainError, match="tail-free"):
+        k0_lower_bound(wave, tailed)
     assert k0_lower_bound(wave, tail_free) >= 1.0
 
 
@@ -67,10 +66,9 @@ def test_k0_monotone_in_amplitude_and_tail():
     wave = cached_wave(2.0)
     base = k0_lower_bound(wave, InitialData.compact(BODY, 0.5, 0.25))
     higher = k0_lower_bound(wave, InitialData.compact(BODY, 0.9, 0.25))
-    tailed = k0_lower_bound(
-        wave, InitialData.compact(BODY, 0.5, 0.25, tail=(1.0, 0.4)))
     assert base <= higher
-    assert base <= tailed
+    with pytest.raises(DomainError, match="tail-free"):
+        k0_lower_bound(wave, InitialData.compact(BODY, 0.5, 0.25, tail=(1.0, 0.4)))
 
 
 def test_global_super_anchor_and_tail():

@@ -1,6 +1,6 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
-the outermost level crossing, the Laplacian stencil and the explicit
-Crank-Nicolson half, the reaction half-step and the ellipse foot-point
+the outermost level crossing, the Laplacian stencil (mirror walls included)
+and the explicit Crank-Nicolson half, the reaction half-step and the ellipse foot-point
 bisection.  The replaced formulas are kept here as the oracles."""
 
 import numpy as np
@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 
 from fkpplab.geometry import _ellipse_signed_distance
 from fkpplab.grids import Grid
-from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs,
-                            _outermost_crossing, _radial_rows)
+from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
+                            _outermost_crossing)
 
 PROPS = settings(max_examples=200, deadline=None)
 EPS = 0.04
@@ -20,6 +20,9 @@ GRIDS = {
     "line": Grid("line", ((-0.1, 0.1),), EPS / 8),
     "radial": Grid("radial", ((0.0, 0.2),), EPS / 8, dim=3),
     "plane": Grid("plane", ((-0.06, 0.06), (-0.05, 0.05)), EPS / 8),
+    # the reduced grids of runs even in x (and y): a mirror wall at 0
+    "half_line": Grid("line", ((0.0, 0.1),), EPS / 8),
+    "quarter_plane": Grid("plane", ((0.0, 0.06), (0.0, 0.05)), EPS / 8),
 }
 
 
@@ -118,14 +121,15 @@ def _laid_out(u, fortran):
 @given(_values(GRIDS["line"].shape))
 def test_lap_matches_coefficient_arrays_line(u):
     g = GRIDS["line"]
-    assert _bits(_apply_lap(u)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+    assert _bits(_apply_lap(u, _lap_rows(g, 0))) == _bits(
+        lap_oracle(_lap_coeffs(g, 0), u))
 
 
 @PROPS
 @given(_values(GRIDS["radial"].shape))
 def test_lap_matches_coefficient_arrays_radial(u):
     g = GRIDS["radial"]
-    assert _bits(_apply_lap(u, _radial_rows(g))) == _bits(
+    assert _bits(_apply_lap(u, _lap_rows(g, 0))) == _bits(
         lap_oracle(_lap_coeffs(g, 0), u))
 
 
@@ -134,10 +138,45 @@ def test_lap_matches_coefficient_arrays_radial(u):
 def test_lap_matches_coefficient_arrays_plane(u, fortran):
     g = GRIDS["plane"]
     u = _laid_out(u, fortran)
-    assert _radial_rows(g) is None
-    assert _bits(_apply_lap(u)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
-    assert _bits(_apply_lap(u.T).T) == _bits(
+    assert _lap_rows(g, 0) is False and _lap_rows(g, 1) is False
+    assert _bits(_apply_lap(u, False)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+    assert _bits(_apply_lap(u.T, False).T) == _bits(
         lap_oracle(_lap_coeffs(g, 1), u.T).T)
+
+
+@PROPS
+@given(_values(GRIDS["half_line"].shape))
+def test_lap_matches_coefficient_arrays_half_line(u):
+    g = GRIDS["half_line"]
+    assert _lap_rows(g, 0) is True
+    assert _bits(_apply_lap(u, True)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+
+
+@PROPS
+@given(_values(GRIDS["quarter_plane"].shape), st.booleans())
+def test_lap_matches_coefficient_arrays_quarter_plane(u, fortran):
+    g = GRIDS["quarter_plane"]
+    u = _laid_out(u, fortran)
+    assert _lap_rows(g, 0) is True and _lap_rows(g, 1) is True
+    assert _bits(_apply_lap(u, True)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
+    assert _bits(_apply_lap(u.T, True).T) == _bits(
+        lap_oracle(_lap_coeffs(g, 1), u.T).T)
+
+
+def test_mirror_row_is_the_radial_origin_row_at_n_1():
+    half = GRIDS["half_line"]
+    radial = Grid("radial", half.extents, half.dx, dim=2)
+    object.__setattr__(radial, "dim", 1)  # N = 1 is not a configuration
+    sub, diag, sup = _lap_coeffs(half, 0)
+    r_sub, r_diag, r_sup = _lap_coeffs(radial, 0)
+    assert (diag[0], sup[0]) == (r_diag[0], r_sup[0]) == (-2.0, 2.0)
+    # the rows differ only at the outer wall: telescoping against mirror
+    assert _bits(diag[:-1]) == _bits(r_diag[:-1])
+    assert _bits(sup) == _bits(r_sup)
+    assert _bits(sub[:-1]) == _bits(r_sub[:-1])
+    for n in (2, 3):
+        rows = _lap_coeffs(Grid("radial", half.extents, half.dx, dim=n), 0)
+        assert (rows[1][0], rows[2][0]) == (n * diag[0], n * sup[0])
 
 
 @pytest.mark.parametrize("mode", list(GRIDS))
@@ -147,10 +186,10 @@ def test_explicit_half_matches_u_plus_a_lap(mode, fortran):
     u = _laid_out(np.random.default_rng(3).random(g.shape), fortran)
     stepper = Stepper(g, 0.7 * g.dx**2 / EPS, EPS)
     a, before = stepper.a, u.copy()
-    assert _bits(stepper._explicit(u)) == _bits(
+    assert _bits(stepper._explicit(u, stepper.rows[0])) == _bits(
         u + a * lap_oracle(_lap_coeffs(g, 0), u))
-    if mode == "plane":
-        assert _bits(stepper._explicit(u.T).T) == _bits(
+    if g.mode == "plane":
+        assert _bits(stepper._explicit(u.T, stepper.rows[1]).T) == _bits(
             u + a * lap_oracle(_lap_coeffs(g, 1), u.T).T)
     assert _bits(u) == _bits(before)
 

@@ -1,7 +1,7 @@
-"""Property tests of the Strang stepper (comparison, sum conservation,
-monotone reaction, reuse of one Stepper against a fresh one per step) and of
-the semiflow (agreement with an ODE solve, the semigroup law, monotonicity,
-fixed zeros, independence of the batch)."""
+"""Property tests of the Strang stepper (comparison, sum conservation on
+the full and the half line, monotone reaction, reuse of one Stepper against
+a fresh one per step) and of the semiflow (agreement with an ODE solve,
+the semigroup law, monotonicity, fixed zeros, independence of the batch)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,6 +19,7 @@ GRIDS = {
     "radial": Grid("radial", ((0.0, 0.2),), EPS / 8, dim=3),
     "plane": Grid("plane", ((-0.06, 0.06), (-0.05, 0.05)), EPS / 8),
 }
+HALF_LINE = Grid("line", ((0.0, 0.1),), EPS / 8)
 PROPS = settings(max_examples=25, deadline=None)
 
 
@@ -67,6 +68,16 @@ def test_line_diffusion_conserves_sum(u, dt_scale):
     g = GRIDS["line"]
     out = Stepper(g, dt_scale * default_dt(g, EPS), EPS).diffusion(u)
     assert abs(out.sum() - u.sum()) <= 1e-12 * max(1.0, u.sum())
+
+
+@PROPS
+@given(_values(HALF_LINE.shape), st.floats(0.05, 1.0))
+def test_half_line_diffusion_conserves_trapezoid_sum(u, dt_scale):
+    # the half x >= 0 of an even run: half weight on the mirror node at 0
+    w = np.ones(HALF_LINE.shape)
+    w[0] = 0.5
+    out = Stepper(HALF_LINE, dt_scale * default_dt(HALF_LINE, EPS), EPS).diffusion(u)
+    assert abs(w @ out - w @ u) <= 1e-12 * max(1.0, w @ u)
 
 
 @PROPS
