@@ -13,13 +13,7 @@ __version__ = "0.1.0"
 from .errors import ConfigurationError, DomainError, NumericalError, ShootingError
 from .geometry import ConvexBody, CutoffDistance
 from .grids import Field, Grid, TridiagonalFactor, interpolate
-from .kinetics import (
-    KineticsParams,
-    bistable_logistic,
-    eps_log,
-    modified_logistic,
-    semiflow,
-)
+from .kinetics import KineticsParams, eps_log, modified_logistic, semiflow
 from .solver import (
     InitialData,
     Observer,

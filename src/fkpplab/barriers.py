@@ -11,9 +11,11 @@ so the harness can check both the orderings and the residual signs.
 
 Barriers at a glance (all vectorized over the spatial argument):
 
-* generation_sub  -- max(0, w(t/eps, g(x) - K t)); valid on the short
-  generation window, equals g at t = 0.
-* generation_super -- the spatially constant w(t/eps, sup g + M).
+* generation_sub  -- max(0, w(t/eps, g(x) - K t)) with w the semiflow of
+  the eps-modified rate; valid on the short generation window, equals g at
+  t = 0.
+* generation_super -- the spatially constant logistic flow
+  xi / (xi + (1 - xi) e^{-t/eps}) of xi = sup u0 (sup g + M with a tail).
 * global_super    -- K_hat * U((d(0,x) - 2 t)/eps) with the minimal-speed
   wave U; needs K_hat >= k0_lower_bound (deliberately not enforced here so
   a sabotaged amplitude can be seen to fail the ordering check).
@@ -67,17 +69,19 @@ def c_const_recipe(t_end, m1, mu):
 
 
 def generation_sub(t, x, K, kin: KineticsParams, initial: InitialData):
-    """max(0, w(t/eps, g(x) - K t)): pushes the data through the ODE while a
-    drift -K t absorbs the neglected diffusion.  Equals g at t = 0 and
-    vanishes outside the support of g."""
+    """max(0, w(t/eps, g(x) - K t)), which kinetics.semiflow returns: pushes
+    the data through the ODE while a drift -K t absorbs the neglected
+    diffusion.  Equals g at t = 0 and vanishes outside the support of g."""
     xi = compact_value(initial, x) - K * t
-    w = semiflow(t / kin.epsilon, xi, kin)
-    return np.maximum(0.0, w)
+    return semiflow(t / kin.epsilon, xi, kin)
 
 
-def generation_super(t, kin: KineticsParams, initial: InitialData):
-    """Spatially constant super-solution w(t/eps, sup u0)."""
-    return float(semiflow(t / kin.epsilon, initial.sup_norm, kin))
+def generation_super(t, epsilon: float, initial: InitialData):
+    """Spatially constant super-solution: the logistic flow
+    xi / (xi + (1 - xi) e^{-t/eps}) of xi = sup u0, an exact solution of the
+    equation that starts above the data."""
+    xi = initial.sup_norm
+    return 1.0 / (1.0 + (1.0 - xi) / xi * math.exp(-t / epsilon))
 
 
 def k0_lower_bound(wave: WaveProfile, initial: InitialData):

@@ -412,7 +412,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
             theta = motion_theta(tm, x, m1, wave_motion, body, epsilon)
             res_sub_viol = max(0.0, float(res_field[~_kink_mask(theta)].max()))
         sup_bar = np.minimum(
-            generation_super(tc, kin, initial),
+            generation_super(tc, epsilon, initial),
             global_super(tc, x, K_hat, wave_min, body, epsilon),
         )
         res_sup = discrete_residual(

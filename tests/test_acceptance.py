@@ -11,17 +11,11 @@ import time
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Grid, interpolate
-from fkpplab.kinetics import (
-    KineticsParams,
-    bistable_logistic,
-    eps_log,
-    fitted_generation_alpha,
-    modified_logistic,
-    semiflow,
-)
+from fkpplab.kinetics import KineticsParams, eps_log, modified_logistic, semiflow
 from fkpplab.solver import InitialData, SimConfig, Stepper, default_dt
 from fkpplab.studies import (
     cached_run,
@@ -141,38 +135,47 @@ def test_criterion_8_semiflow_suite():
     ok &= worst <= 1e-10
     notes.append(f"reaction vs RK {worst:.1e}")
 
-    # the semiflow changes sign at the closed-form positivity time of the
+    # the semiflow reaches 0 at the closed-form positivity time of the
     # slow linear zone (within 1e-9 relative); RK crossing within 1%
     xi = p.threshold / 2
     t_pos = p.log_eps * math.log(1 / (1 - xi / p.threshold))
-    flips = (semiflow(t_pos * (1 - 1e-9), xi, p) > 0
-             > semiflow(t_pos * (1 + 1e-9), xi, p))
+    reaches = (semiflow(t_pos * (1 - 1e-9), xi, p) > 0
+               == semiflow(t_pos * (1 + 1e-9), xi, p))
     ev = lambda _, w: w[0]
     ev.terminal, ev.direction = True, -1
     sol = solve_ivp(lambda _, w: modified_logistic(w, p), (0, 100.0), [xi],
                     events=ev, method="DOP853", rtol=1e-10, atol=1e-14)
     rel = abs(sol.t_events[0][0] - t_pos) / t_pos
-    ok &= flips and rel <= 0.01
-    notes.append(f"sign change {flips}, crossing {rel:.1e}")
+    ok &= reaches and rel <= 0.01
+    notes.append(f"reaches 0 {reaches}, crossing {rel:.1e}")
 
-    # semiflow strictly increasing in xi at 20 sampled points
+    # semiflow strictly increasing in xi where positive, never decreasing,
+    # at 20 sampled points
     rng = np.random.default_rng(17)
     pos = True
     for _ in range(20):
         s, xi = rng.uniform(0.2, 3.0), rng.uniform(-0.3, 1.5)
         w = semiflow(s, xi + np.array([-1e-6, 0.0, 1e-6]), p)
-        pos &= bool(np.all(np.diff(w) > 0))
+        rise = np.diff(w)
+        pos &= bool(np.all(rise >= 0) and np.all(rise[w[1:] > 0] > 0))
     ok &= pos
     notes.append(f"increasing in xi {pos}")
 
-    # modified rate below the bistable rate on [-2, 2]
-    u = np.linspace(-2, 2, 10_000)
-    gap = float((modified_logistic(u, p) - bistable_logistic(u)).max())
+    # modified rate below u(1-u) on [0, 2]
+    u = np.linspace(0, 2, 10_000)
+    gap = float((modified_logistic(u, p) - u * (1 - u)).max())
     ok &= gap <= 1e-12
     notes.append(f"rate gap {gap:.1e}")
 
-    # threshold constant stable within a factor 2
-    alphas = [fitted_generation_alpha(KineticsParams(e)) for e in LADDER]
+    # threshold constant stable within a factor 2: the longer of the passage
+    # times 3 eps|ln eps| -> 1 - eps and 2 -> 1 + eps, by a root find
+    def alpha(k):
+        def passage(xi, level):
+            return brentq(lambda s: semiflow(s, xi, k) - level, 0, 60 * k.log_eps)
+        return max(passage(3 * k.threshold, 1 - k.epsilon),
+                   passage(2.0, 1 + k.epsilon)) / k.log_eps
+
+    alphas = [alpha(KineticsParams(e)) for e in LADDER]
     spread = max(alphas) / min(alphas)
     ok &= spread <= 2.0
     notes.append(f"alpha spread {spread:.2f}")

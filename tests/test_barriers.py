@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from fkpplab.barriers import (
     M2,
@@ -46,9 +47,23 @@ def test_generation_sub_vanishes_outside_support():
 
 def test_generation_super_constant_and_relaxing():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25, tail=(1.0, 0.1))
-    assert generation_super(0.0, KIN, init) == pytest.approx(1.0)
+    assert generation_super(0.0, EPS, init) == pytest.approx(1.0)
     t_gen = 2.0 * eps_log(EPS)
-    assert generation_super(t_gen, KIN, init) <= 1.0 + EPS
+    assert generation_super(t_gen, EPS, init) <= 1.0 + EPS
+
+
+@pytest.mark.parametrize("init", [
+    InitialData.compact(BODY, amplitude=0.3, width=0.25),
+    InitialData.compact(BODY, amplitude=0.9, width=0.25, tail=(1.0, 0.5))])
+def test_generation_super_is_the_logistic_flow(init):
+    # the exact flow of u_t = u(1-u)/eps from sup u0, for a sup inside the
+    # cutoff zone of the modified rate and for a tailed sup above 1
+    ts = np.linspace(0.0, 4.0 * eps_log(EPS), 9)
+    sol = solve_ivp(lambda _, u: u * (1.0 - u), (0.0, ts[-1] / EPS),
+                    [init.sup_norm], t_eval=ts / EPS, method="DOP853",
+                    rtol=1e-12, atol=1e-14)
+    sup = [generation_super(t, EPS, init) for t in ts]
+    assert np.allclose(sup, sol.y[0], rtol=0.0, atol=1e-10)
 
 
 def test_k0_lower_bound_arithmetic():

@@ -1,5 +1,7 @@
+import ast
 import re
 from collections import OrderedDict
+from pathlib import Path
 
 import pytest
 
@@ -398,3 +400,43 @@ def test_study_caches_evict_least_recently_used(monkeypatch):
         studies.cached_wave(2.0 + c)
     assert 2.0 not in studies._WAVE_CACHE
     assert len(studies._WAVE_CACHE) == studies.CACHE_SIZE
+
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in ROOT.glob("src/fkpplab/*.py") if p.name != "__init__.py")
+# Callers: the package (bar the exports), the demos and the benchmark's
+# workloads; tests are not callers.
+CALLERS = MODULES + sorted(ROOT.glob("demos/*.py")) + [
+    ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "child.py"]
+
+
+def _module_level_names(tree):
+    """Every def, class and assigned name at the top level of a module."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
+
+
+def _loaded_names(tree):
+    """Every name read in a module, bare (`f`) or as an attribute (`m.f`)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+
+
+def test_every_module_level_name_has_a_caller():
+    loaded = set()
+    for path in CALLERS:
+        loaded.update(_loaded_names(ast.parse(path.read_text())))
+    unread = [f"{path.name}: {name}" for path in MODULES
+              for name in _module_level_names(ast.parse(path.read_text()))
+              if name not in loaded]
+    assert not unread, f"defined but read by no caller: {unread}"

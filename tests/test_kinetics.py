@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from fkpplab.errors import ConfigurationError, DomainError
 from fkpplab.grids import Grid
 from fkpplab.kinetics import (
     KineticsParams,
     _time_map,
-    bistable_logistic,
-    fitted_generation_alpha,
     modified_logistic,
     semiflow,
 )
@@ -19,37 +18,39 @@ from fkpplab.solver import Stepper
 P02 = KineticsParams(0.02)
 
 
-def test_bistable_zeros_and_positive_branch():
-    for u in (-1.0, 0.0, 1.0):
-        assert bistable_logistic(u) == pytest.approx(0.0, abs=1e-15)
-    assert bistable_logistic(0.5) == pytest.approx(0.25, abs=1e-15)
-    # chosen extension at -0.75: u(1-u) * (1 - 0.5^3)
-    assert bistable_logistic(-0.75) == pytest.approx(-1.1484375, abs=1e-14)
+def test_modified_rate_zeros_and_logistic_branch():
+    p = P02
+    for u in (p.threshold, 1.0):
+        assert modified_logistic(u, p) == pytest.approx(0.0, abs=1e-15)
+    # from pos_outer on the rate is u(1-u)
+    for u in (p.pos_outer, 0.75, 1.5):
+        assert modified_logistic(u, p) == u * (1.0 - u)
 
 
-def test_bistable_slopes():
+def test_modified_rate_slopes():
+    p = P02
     h = 1e-7
-    d0 = (bistable_logistic(h) - bistable_logistic(-h)) / (2 * h)
-    d1 = (bistable_logistic(1 + h) - bistable_logistic(1 - h)) / (2 * h)
-    dm1 = (bistable_logistic(-1 + h) - bistable_logistic(-1 - h)) / (2 * h)
-    assert d0 == pytest.approx(1.0, abs=1e-6)
-    assert d1 == pytest.approx(-1.0, abs=1e-6)
-    assert dm1 < 0
+
+    def slope(u):
+        return (modified_logistic(u + h, p) - modified_logistic(u - h, p)) / (2 * h)
+
+    assert slope(p.threshold) == pytest.approx(1.0 / p.log_eps, abs=1e-6)
+    assert slope(1.0) == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_modified_rate_anchor_points():
     p = P02
     assert modified_logistic(p.threshold, p) == pytest.approx(0.0, abs=1e-15)
-    assert modified_logistic(0.5, p) == pytest.approx(bistable_logistic(0.5), abs=1e-15)
+    assert modified_logistic(0.5, p) == pytest.approx(0.25, abs=1e-15)
     p1 = KineticsParams(0.1)
     assert modified_logistic(0.0, p1) == pytest.approx(-0.1, abs=1e-12)
 
 
 @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
-def test_modified_rate_never_exceeds_bistable(eps):
+def test_modified_rate_never_exceeds_logistic(eps):
     p = KineticsParams(eps)
-    u = np.linspace(-2.0, 2.0, 10_000)
-    gap = modified_logistic(u, p) - bistable_logistic(u)
+    u = np.linspace(0.0, 2.0, 10_000)
+    gap = modified_logistic(u, p) - u * (1.0 - u)
     assert float(gap.max()) <= 1e-12
 
 
@@ -68,18 +69,18 @@ def test_semiflow_threshold_is_invariant():
     p = P02
     for s in (0.5, 3.0, 10.0):
         assert semiflow(s, p.threshold, p) >= p.threshold - 1e-12
-    assert semiflow(4.0, -0.05, p) < 0.0
+    assert semiflow(4.0, -0.05, p) == 0.0
 
 
 @pytest.mark.parametrize("frac", [0.5, 0.9])
 def test_semiflow_zero_crossing_matches_closed_form(frac):
     # on the slow linear zone w' = (w - theta)/|ln eps|, so w reaches 0 at
-    # |ln eps| ln(1/(1 - xi/theta))
+    # |ln eps| ln(1/(1 - xi/theta)) and stays there
     p = P02
     xi = frac * p.threshold
     t_pred = p.log_eps * math.log(1.0 / (1.0 - xi / p.threshold))
     assert semiflow(t_pred * (1.0 - 1e-9), xi, p) > 0.0
-    assert semiflow(t_pred * (1.0 + 1e-9), xi, p) < 0.0
+    assert semiflow(t_pred * (1.0 + 1e-9), xi, p) == 0.0
     ev = lambda _, w: w[0]
     ev.terminal = True
     ev.direction = -1
@@ -89,9 +90,11 @@ def test_semiflow_zero_crossing_matches_closed_form(frac):
 
 
 def test_semiflow_rejects_bad_data():
-    for xi in (math.nan, math.inf, -(2.0**21)):
+    for xi in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError):
             semiflow(1.0, np.array([0.3, xi]), P02)
+    # any finite datum is valid; a negative one maps to 0
+    assert semiflow(1.0, np.array([0.3, -(2.0**21)]), P02)[1] == 0.0
     with pytest.raises(DomainError):
         semiflow(math.nan, 0.3, P02)
 
@@ -113,7 +116,9 @@ def test_semiflow_monotone_in_xi():
     for s in (0.3, 1.0, 2.0, 4.0):
         xi = np.sort(rng.uniform(-0.5, 1.8, 5))
         w = semiflow(s, xi, p)
-        assert np.all(np.diff(w) > 0.0), s
+        # strictly increasing where w > 0, never decreasing
+        rise = np.diff(w)
+        assert np.all(rise >= 0.0) and np.all(rise[w[1:] > 0.0] > 0.0), s
 
 
 def _variational_oracle(s, xi, p, h=1e-6):
@@ -135,11 +140,15 @@ def _variational_oracle(s, xi, p, h=1e-6):
     (0.5, 0.1), (2.0, 0.3), (1.0, 0.8), (2.0, -0.2), (1.5, -0.7), (0.4, -1.3),
     (3.0, 1.6), (1.0, -1.0), (1.0, P02.threshold), (1.0, 1.0)])
 def test_sensitivity_against_variational_oracle(s, xi):
-    # the sensitivity w_xi of the semiflow, as a central difference in xi
+    # the sensitivity w_xi of the semiflow, as a central difference in xi;
+    # max(0, w) is 0 on xi <= 0, so its sensitivity there is 0
     h = 1e-5
     w = semiflow(s, np.array([xi - h, xi + h]), P02)
     w1 = (w[1] - w[0]) / (2 * h)
-    assert w1 == pytest.approx(_variational_oracle(s, xi, P02), rel=1e-4)
+    if xi <= 0.0:
+        assert w1 == 0.0
+    else:
+        assert w1 == pytest.approx(_variational_oracle(s, xi, P02), rel=1e-4)
 
 
 def test_semiflow_stays_in_range():
@@ -161,11 +170,25 @@ def test_logistic_agrees_with_semiflow_above_cutoff():
         assert np.allclose(semiflow(s, xi, p), step, rtol=0.0, atol=1e-6)
 
 
+def _passage_time(p, xi, level):
+    """The time the semiflow from xi takes to reach level, by a root find."""
+    return brentq(lambda s: semiflow(s, xi, p) - level, 0.0, 60.0 * p.log_eps,
+                  xtol=1e-13)
+
+
+def _generation_alpha(p):
+    """The longer of the passage times 3 eps|ln eps| -> 1 - eps and
+    2 -> 1 + eps, over |ln eps|."""
+    eps = p.epsilon
+    return max(_passage_time(p, 3.0 * p.threshold, 1.0 - eps),
+               _passage_time(p, 2.0, 1.0 + eps)) / p.log_eps
+
+
 def test_generation_alpha_stable_across_ladder():
     alphas = {}
     for eps in (0.04, 0.02, 0.01):
         p = KineticsParams(eps)
-        a = fitted_generation_alpha(p)
+        a = _generation_alpha(p)
         alphas[eps] = a
         L = p.log_eps
         grid = np.linspace(3.0 * p.threshold, 2.0, 12)
@@ -191,5 +214,5 @@ def test_generation_alpha_matches_event_integration(eps):
     p = KineticsParams(eps)
     s_low = _crossing_time(p, 3.0 * p.threshold, 1.0 - eps, +1)
     s_high = _crossing_time(p, 2.0, 1.0 + eps, -1)
-    alpha = fitted_generation_alpha(p)
+    alpha = _generation_alpha(p)
     assert alpha == pytest.approx(max(s_low, s_high) / p.log_eps, rel=1e-9)

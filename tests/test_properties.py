@@ -1,7 +1,10 @@
 """Property tests of the Strang stepper (comparison, sum conservation on
 the full and the half line, monotone reaction, reuse of one Stepper against
 a fresh one per step) and of the semiflow (agreement with an ODE solve,
-the semigroup law, monotonicity, fixed zeros, independence of the batch)."""
+the semigroup law, monotonicity, fixed points, zero on xi <= 0, the closed
+form below eps|ln eps|, independence of the batch)."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from fkpplab.grids import Grid
-from fkpplab.kinetics import KNEE, KineticsParams, modified_logistic, semiflow
+from fkpplab.kinetics import KineticsParams, modified_logistic, semiflow
 from fkpplab.solver import Stepper, default_dt
 
 EPS = 0.04
@@ -109,12 +112,13 @@ KINETICS = {eps: KineticsParams(eps) for eps in (0.04, 0.02, 0.01)}
 
 
 def _zeros(p):
-    return (-1.0, p.threshold, 1.0)
+    """The fixed points of max(0, w): 0, where it stays, and the zeros of
+    the rate."""
+    return (0.0, p.threshold, 1.0)
 
 
 def _breakpoints(p):
-    return (-1.0, KNEE, -p.neg_outer, -p.neg_inner, p.threshold,
-            p.pos_inner, p.pos_outer, 1.0)
+    return (0.0, p.threshold, p.pos_inner, p.pos_outer, 1.0)
 
 
 @st.composite
@@ -141,7 +145,7 @@ def _ode_oracle(s, xi, p):
 @given(kinetics_and_xi(), st.floats(0.0, 20.0))
 def test_semiflow_matches_ode_oracle(p_xi, s):
     p, xi = p_xi
-    assert abs(semiflow(s, xi, p) - _ode_oracle(s, xi, p)) <= 1e-9
+    assert abs(semiflow(s, xi, p) - max(0.0, _ode_oracle(s, xi, p))) <= 1e-9
 
 
 @PROPS
@@ -161,9 +165,33 @@ def test_semiflow_semigroup_law(p_xi, s, t):
        st.lists(st.integers(-2000, 2000), min_size=2, max_size=30, unique=True),
        st.floats(1e-3, 1.0))
 def test_semiflow_strictly_increasing_in_xi(eps, ks, s):
-    # xi 1e-3 apart on [-2, 2]; in time s <= 1 no gap closes below rounding
+    # xi 1e-3 apart on [-2, 2]; in time s <= 1 no gap closes below rounding.
+    # Strictly increasing where w > 0, never decreasing.
     xi = np.sort(np.array(ks)) / 1000.0
-    assert np.all(np.diff(semiflow(s, xi, KINETICS[eps])) > 0.0)
+    w = semiflow(s, xi, KINETICS[eps])
+    rise = np.diff(w)
+    assert np.all(rise >= 0.0)
+    assert np.all(rise[w[1:] > 0.0] > 0.0)
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINETICS)), st.floats(-1e6, 0.0),
+       st.floats(0.0, 1e3))
+def test_semiflow_vanishes_on_nonpositive_data(eps, xi, s):
+    assert semiflow(s, xi, KINETICS[eps]) == 0.0
+
+
+@PROPS
+@given(st.sampled_from(sorted(KINETICS)), st.floats(0.0, 1.0,
+       exclude_min=True, exclude_max=True), st.floats(0.0, 30.0))
+def test_semiflow_closed_form_below_threshold(eps, frac, s):
+    # on (0, theta) the rate is (w - theta)/|ln eps|: w decays away from
+    # theta until it reaches 0, where max(0, w) stays
+    p = KINETICS[eps]
+    theta = p.threshold
+    xi = frac * theta
+    exact = max(0.0, theta - (theta - xi) * math.exp(s / p.log_eps))
+    assert abs(semiflow(s, xi, p) - exact) <= 1e-15
 
 
 @PROPS
