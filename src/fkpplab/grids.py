@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from .errors import ConfigurationError, DomainError, NumericalError
 
@@ -136,8 +136,8 @@ def interpolate(fld: Field, x):
 
 
 class TridiagonalFactor:
-    """LU factor of a diagonally dominant tridiagonal T, computed once by
-    LAPACK ``dgttrf`` and reused by every ``dgttrs`` solve.
+    """Factor of a diagonally dominant tridiagonal T, computed once and
+    reused by every solve.
 
     ``lower`` (length n-1) is the sub-diagonal, ``diag`` (length n) the main
     diagonal, ``upper`` (length n-1) the super-diagonal.  T must be
@@ -145,6 +145,14 @@ class TridiagonalFactor:
     at least one row is accepted, which covers the classic
     Neumann-Laplacian rows); otherwise NumericalError is raised here, before
     any solve.
+
+    The values choose the factor.  A T with a positive diagonal that is
+    symmetric, or becomes so when row 0 is halved (``upper[0]`` twice
+    ``lower[0]``: the mirror row of a wall at 0 on a line or plane axis), is
+    positive definite and gets LAPACK's LDL^T, ``dpttrf`` once and
+    ``dpttrs`` per solve, with row 0 of the right-hand side halved as well;
+    halving is exact, so this solves T itself.  Every other T (the radial
+    rows 1 -+ (N-1)/(2i)) gets the pivoting LU, ``dgttrf`` and ``dgttrs``.
     """
 
     def __init__(self, lower, diag, upper):
@@ -163,19 +171,35 @@ class TridiagonalFactor:
             raise NumericalError("tridiagonal system is not diagonally dominant")
 
         self.lower, self.diag, self.upper = lower, diag, upper
-        *self._lu, info = dgttrf(lower, diag, upper)
+        self._halve = n > 1 and lower[0] != 0.0 and upper[0] == 2.0 * lower[0]
+        d, e = diag.copy(), upper.copy()
+        if self._halve:
+            d[0] *= 0.5
+            e[0] *= 0.5
+        self._lu = self._ldl = None
+        if np.array_equal(e, lower) and np.all(d > 0.0):
+            *self._ldl, info = dpttrf(d, e)
+        else:
+            *self._lu, info = dgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalError("tridiagonal system is singular")
 
     def solve(self, rhs, check=True):
         """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
         block of right-hand sides, solved in one call.  With ``check`` the
-        solution is verified to relative residual <= 1e-12; without it the
-        solve may overwrite ``rhs``."""
+        solution is verified to relative residual <= 1e-12 and ``rhs`` is
+        left as it was; without it the solve may overwrite ``rhs``."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.diag.size:
             raise ConfigurationError("right-hand side length differs from n")
-        y, info = dgttrs(*self._lu, rhs, overwrite_b=not check)
+        if self._lu is not None:
+            y, info = dgttrs(*self._lu, rhs, overwrite_b=not check)
+        elif self._halve:
+            b = np.array(rhs, order="F") if check else rhs
+            b[0] *= 0.5
+            y, info = dpttrs(*self._ldl, b, overwrite_b=True)
+        else:
+            y, info = dpttrs(*self._ldl, rhs, overwrite_b=not check)
         if info != 0:
             raise NumericalError("tridiagonal solve failed")
         if check:

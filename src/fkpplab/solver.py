@@ -296,13 +296,15 @@ class Stepper:
     """Strang step reaction(dt/2) o diffusion(dt) o reaction(dt/2) on one
     grid, with every quantity that is constant over a run computed once:
 
-    * the LU factor of (I - a L) along each axis, a = eps dt / (2 dx^2);
-      the diagonal-dominance check runs here, at factorisation;
+    * the factor of (I - a L) along each axis, a = eps dt / (2 dx^2):
+      LDL^T on a line or plane axis, whose rows are symmetric (a mirror
+      row once halved), LU on a radial one (TridiagonalFactor); the
+      diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
     * the Laplacian rows of each axis (_lap_rows).
 
     ``step`` maps a bare value array to the next one; the line solves run
-    along axis 0 (the y sweep on the transpose), all lines in one dgttrs
+    along axis 0 (the y sweep on the transpose), all lines in one LAPACK
     call.  The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
     steps after it.  Every row, a mirror row included, keeps (I + a L)
@@ -409,10 +411,18 @@ class Observer:
         inner = _outermost_crossing(self.scan, p, 1.0 - 2.0 * self.epsilon)
         return None if outer is None or inner is None else outer - inner
 
-    def observe(self, u):
-        """The observables ``names`` of state u, nan for an absent crossing
-        or an empty threshold set; the three crossings read one profile."""
+    def observe(self, u, t, k):
+        """The observables ``names`` of state u, step k at time t, nan for
+        an absent crossing or an empty threshold set; the three crossings
+        read one profile.  A non-finite value shows in the sup (NaN, +inf)
+        or the min (-inf): it raises NumericalError with diagnostic (t, k)
+        before any crossing is read."""
         out = [float(u.max()), float(u.min())]
+        if not (math.isfinite(out[0]) and math.isfinite(out[1])):
+            raise NumericalError(
+                f"solution lost finiteness at step {k}, near t={t:g}",
+                diagnostic=(t, k),
+            )
         if "front_half" in self.names:
             p = self.profile(u)
             front = _outermost_crossing(self.scan, p, 0.5)
@@ -485,8 +495,9 @@ def run(config: SimConfig) -> Trajectory:
     grid.
 
     The loop works on bare arrays; a Field is built only for a checkpoint.
-    A non-finite state raises NumericalError with diagnostic (t, step); so
-    does a sup above max(1, sup u0) + 1e-8, after the last step.
+    A non-finite state raises NumericalError with diagnostic (t, step), from
+    Observer.observe; so does a sup above max(1, sup u0) + 1e-8, after the
+    last step.
     """
     full, even = config.grid, _even_axes(config)
     grid = Grid(full.mode, tuple((0.0, hi) if e else (lo, hi)
@@ -509,7 +520,7 @@ def run(config: SimConfig) -> Trajectory:
 
     def record(k, t, u):
         times[k] = t
-        for name, value in zip(observer.names, observer.observe(u)):
+        for name, value in zip(observer.names, observer.observe(u, t, k)):
             series[name][k] = value
         if k in checkpoint_steps:
             checkpoints.append((t, Field(full, _unfold(u, even))))
@@ -517,13 +528,7 @@ def run(config: SimConfig) -> Trajectory:
     record(0, 0.0, u)
     for k in range(1, n_steps + 1):
         u = stepper.step(u)
-        t = k * dt
-        if not np.all(np.isfinite(u)):
-            raise NumericalError(
-                f"solution lost finiteness at step {k}, near t={t:g}",
-                diagnostic=(t, k),
-            )
-        record(k, t, u)
+        record(k, k * dt, u)
 
     sup0 = max(1.0, float(series["sup"][0]))
     if float(np.max(series["sup"])) > sup0 + 1e-8:

@@ -137,6 +137,35 @@ def test_tridiagonal_block_rhs():
         assert np.allclose(y[:, j], yj, atol=1e-13)
 
 
+def test_tridiagonal_factor_follows_the_values():
+    rng = np.random.default_rng(17)
+    n = 30
+    sub, sup = rng.uniform(-1, 1, n - 1), rng.uniform(-1, 1, n - 1)
+    diag = 2.5 + rng.uniform(0, 1, n)
+    rhs = rng.uniform(-1, 1, n)
+    mirror = sub.copy()
+    mirror[0] *= 2.0  # the symmetric T with row 0 doubled
+    cases = [  # (lower, diag, upper, takes LDL^T)
+        (sub, diag, sup, False),  # non-symmetric
+        (sub, diag, sub, True),
+        (sub, diag, mirror, True),
+        (mirror, diag, sub, False),  # column 0 doubled instead
+        (sub, -diag, sub, False),  # symmetric negative definite
+    ]
+    for lower, d, upper, ldl in cases:
+        factor = TridiagonalFactor(lower, d, upper)
+        assert (factor._ldl is not None, factor._lu is not None) == (ldl, not ldl)
+        dense = np.diag(d) + np.diag(lower, -1) + np.diag(upper, 1)
+        ref = np.linalg.solve(dense, rhs)
+        assert np.max(np.abs(factor.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tridiagonal_rejects_singular_symmetric():
+    # weakly dominant rows 0 and 1 decouple from the strict row 2
+    with pytest.raises(NumericalError, match="singular"):
+        TridiagonalFactor([-1.0, 0.0], [1.0, 1.0, 2.0], [-1.0, 0.0])
+
+
 def test_field_rejects_non_finite():
     g = Grid("line", ((0.0, 1.0),), 0.1)
     vals = np.zeros(g.shape)

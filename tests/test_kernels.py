@@ -1,18 +1,21 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
 the outermost level crossing, the Laplacian stencil (mirror walls included)
 and the explicit Crank-Nicolson half, the reaction half-step and the ellipse foot-point
-bisection.  The replaced formulas are kept here as the oracles."""
+bisection.  The replaced formulas are kept here as the oracles.  The line
+solve is held to the pivoting LU it replaced on line and plane axes to
+1e-13, and bit for bit on radial ones."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from fkpplab.geometry import _ellipse_signed_distance
 from fkpplab.grids import Grid
 from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
-                            _outermost_crossing)
+                            _outermost_crossing, default_dt)
 
 PROPS = settings(max_examples=200, deadline=None)
 EPS = 0.04
@@ -192,6 +195,64 @@ def test_explicit_half_matches_u_plus_a_lap(mode, fortran):
         assert _bits(stepper._explicit(u.T, stepper.rows[1]).T) == _bits(
             u + a * lap_oracle(_lap_coeffs(g, 1), u.T).T)
     assert _bits(u) == _bits(before)
+
+
+# ---- the line solve ---------------------------------------------------------
+
+def _factors(g):
+    return Stepper(g, default_dt(g, EPS), EPS).factors
+
+
+def lu_oracle(factor, rhs):
+    """The solve by LAPACK's pivoting LU of the factor's own T."""
+    *lu, info = dgttrf(factor.lower, factor.diag, factor.upper)
+    assert info == 0
+    y, info = dgttrs(*lu, rhs)
+    assert info == 0
+    return y
+
+
+def _right_hand_sides(n):
+    """A vector and an (n, 7) block in C and in F order."""
+    rng = np.random.default_rng(5)
+    block = rng.random((n, 7))
+    return [rng.random(n), block, np.asfortranarray(block)]
+
+
+@pytest.mark.parametrize("mode", ["line", "half_line", "plane", "quarter_plane"])
+def test_line_and_plane_axes_take_the_ldlt_solve(mode):
+    g = GRIDS[mode]
+    for axis, factor in enumerate(_factors(g)):
+        assert factor._ldl is not None and factor._lu is None
+        assert factor._halve == (g.extents[axis][0] == 0.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_radial_axes_take_the_lu_solve(dim):
+    g = Grid("radial", GRIDS["radial"].extents, EPS / 8, dim=dim)
+    (factor,) = _factors(g)
+    assert factor._lu is not None and factor._ldl is None
+
+
+@pytest.mark.parametrize("mode", sorted(GRIDS))
+def test_solve_matches_the_lu_solve(mode):
+    for factor in _factors(GRIDS[mode]):
+        for rhs in _right_hand_sides(factor.diag.size):
+            want = lu_oracle(factor, rhs)
+            got = factor.solve(rhs)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if factor._lu is not None:
+                assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("mode", sorted(GRIDS))
+def test_solve_leaves_the_checked_right_hand_side_alone(mode):
+    for factor in _factors(GRIDS[mode]):
+        for rhs in _right_hand_sides(factor.diag.size):
+            before = rhs.copy()
+            y = factor.solve(rhs, check=True)
+            assert _bits(rhs) == _bits(before)
+            assert _bits(factor.solve(rhs, check=False)) == _bits(y)
 
 
 # ---- the reaction half-step -------------------------------------------------

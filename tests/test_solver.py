@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import BLOW_UP_STEP
 from scipy.integrate import solve_ivp
 
 from fkpplab.errors import ConfigurationError, NumericalError
@@ -175,11 +176,11 @@ def test_comparison_preservation_random_pairs():
         assert np.all(v - u >= -1e-12)
 
 
-def test_stepper_checks_residual_on_first_step_and_every_25th():
-    g = _line_grid(0.5, EPS / 8)
+def _check_corrupted_factor(g, corrupt):
+    """A Stepper whose factor no longer matches its matrix fails the
+    residual check on its first step and on step RESIDUAL_EVERY."""
     stepper = Stepper(g, default_dt(g, EPS), EPS)
-    lu = stepper.factors[0]._lu
-    lu[1] = lu[1] * (1.0 + 1e-6)  # a factor that no longer matches the matrix
+    corrupt(stepper.factors[0])
     u = np.full(g.shape, 0.5)
     with pytest.raises(NumericalError, match="residual"):
         stepper.step(u)
@@ -190,6 +191,21 @@ def test_stepper_checks_residual_on_first_step_and_every_25th():
         stepper.step(u)
 
 
+def test_stepper_checks_residual_on_first_step_and_every_25th():
+    def corrupt(factor):  # the diagonal of the LDL^T factor
+        factor._ldl[0] = factor._ldl[0] * (1.0 + 1e-6)
+
+    _check_corrupted_factor(_line_grid(0.5, EPS / 8), corrupt)
+
+
+def test_stepper_checks_radial_residual_on_first_step_and_every_25th():
+    def corrupt(factor):  # the diagonal of U in the LU factor
+        factor._lu[1] = factor._lu[1] * (1.0 + 1e-6)
+
+    _check_corrupted_factor(Grid("radial", ((0.0, 0.5),), EPS / 8, dim=2),
+                            corrupt)
+
+
 def test_run_reports_blow_up_with_time_and_step(blow_up):
     cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.2)
     with pytest.raises(NumericalError, match="finiteness") as info:
@@ -197,6 +213,18 @@ def test_run_reports_blow_up_with_time_and_step(blow_up):
     t, k = info.value.diagnostic
     assert k == blow_up
     assert t == pytest.approx(blow_up * cfg.dt, rel=1e-2)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_run_reports_infinite_values_with_time_and_step(set_node, value):
+    # +inf shows in the sup and -inf in the min, before any crossing is read
+    cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.2)
+    set_node(value)
+    with pytest.raises(NumericalError, match="finiteness") as info:
+        run(cfg)
+    t, k = info.value.diagnostic
+    assert k == BLOW_UP_STEP
+    assert t == pytest.approx(BLOW_UP_STEP * cfg.dt, rel=1e-2)
 
 
 def test_sup_norm_bound_with_overshooting_data():

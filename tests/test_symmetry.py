@@ -36,7 +36,7 @@ def _full_domain(cfg):
     for k in range(n + 1):
         if k:
             u = stepper.step(u)
-        rows.append(observer.observe(u))
+        rows.append(observer.observe(u, k * dt, k))
         if k in wanted:
             checkpoints.append(u)
     return dict(zip(observer.names, np.array(rows).T)), checkpoints
