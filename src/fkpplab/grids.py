@@ -139,8 +139,8 @@ class TridiagonalFactor:
     """Factor of a diagonally dominant tridiagonal T, computed once and
     reused by every solve.
 
-    ``lower`` (length n-1) is the sub-diagonal, ``diag`` (length n) the main
-    diagonal, ``upper`` (length n-1) the super-diagonal.  T must be
+    ``lower`` (length n-1) is the sub-diagonal, ``diag`` (length n >= 2)
+    the main diagonal, ``upper`` (length n-1) the super-diagonal.  T must be
     diagonally dominant (weak dominance everywhere with strict dominance in
     at least one row is accepted, which covers the classic
     Neumann-Laplacian rows); otherwise NumericalError is raised here, before
@@ -160,6 +160,8 @@ class TridiagonalFactor:
         diag = np.asarray(diag, dtype=float)
         upper = np.asarray(upper, dtype=float)
         n = diag.size
+        if n < 2:
+            raise ConfigurationError("tridiagonal system needs n >= 2")
         if lower.size != n - 1 or upper.size != n - 1:
             raise ConfigurationError("off-diagonals must have length n-1")
 

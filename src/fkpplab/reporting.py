@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,23 +41,74 @@ def write_table(fh, *columns):
     the broadcast shape), each value as '%.17g', which gives the bytes of
     fmt(); one formatting call per block of about TABLE_ROWS rows.  A column
     smaller than the broadcast shape (a plane checkpoint's axes) has each of
-    its values formatted once, then repeated as a string."""
-    size = np.broadcast(*columns).size
-    cols, fields = [], []
+    its values formatted once, then repeated as a string.
+
+    A full-size column whose bits read the same backwards along axis 0,
+    along the last axis, or both (the field of a run symmetric about the
+    origin) has each mirror pair formatted once, and the mirrored half
+    repeats the strings of the first.  Bits decide, not values: 0.0 == -0.0,
+    but they format as '0' and '-0'.  Only the rows still waiting for their
+    mirror are kept, each joined into one string, so the memory held stays
+    a small fraction of the table's."""
+    shape = np.broadcast(*columns).shape
+    n, width = shape[0], math.prod(shape[1:])
+    step = max(1, TABLE_ROWS // width)
+    blocks, fields = [], []
     for c in map(np.asarray, columns):
-        if c.size < size:
+        small = c.size < n * width
+        if small:
             c = np.array(["%.17g" % v for v in c.ravel().tolist()],
                          dtype=object).reshape(c.shape)
-            fields.append("%s")
+        c = np.broadcast_to(c, shape).reshape(n, width)
+        rows = cols = False
+        if c.dtype == np.float64:
+            bits = c.view(np.int64)
+            rows = n > 1 and np.array_equal(bits, bits[::-1])
+            cols = width > 1 and np.array_equal(bits, bits[:, ::-1])
+        if rows or cols:
+            blocks.append(_mirrored_blocks(c, step, rows, cols))
         else:
-            fields.append("%.17g")
-        cols.append(c)
-    cols = np.broadcast_arrays(*cols)
+            blocks.append(_blocks(c, step))
+        fields.append("%s" if small or rows or cols else "%.17g")
     row = ",".join(fields) + "\n"
-    step = max(1, TABLE_ROWS // cols[0][:1].size)
-    for k in range(0, len(cols[0]), step):
-        block = np.stack([c[k:k + step].ravel() for c in cols], axis=-1)
+    for block in zip(*blocks):
+        block = np.stack(block, axis=-1)
         fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _blocks(c, step):
+    """The values of an (n, m) array, step rows at a time."""
+    for k in range(0, len(c), step):
+        yield c[k:k + step].ravel()
+
+
+def _mirrored_blocks(c, step, rows, cols):
+    """The '%.17g' strings of an (n, m) array, step rows at a time, with each
+    mirror pair formatted once: rows i and n-1-i if ``rows``, columns j and
+    m-1-j if ``cols`` (the caller has checked that their bits agree)."""
+    n, m = c.shape
+    half = m - m // 2 if cols else m  # values formatted per row
+    fresh = n - n // 2 if rows else n  # rows formatted
+    pattern = ",".join(["%.17g"] * half) + "\n"
+    waiting = []  # joined strings of the rows whose mirror is still to come
+    for k in range(0, n, step):
+        stop = min(k + step, n)
+        lines = []
+        if k < fresh:
+            end = min(stop, fresh)
+            values = c[k:end, :half].ravel().tolist()
+            lines = ((pattern * (end - k)) % tuple(values)).split("\n")[:-1]
+            if rows:
+                waiting += lines[:max(0, n // 2 - k)]
+        lines += [waiting.pop() for _ in range(max(k, fresh), stop)]
+        if cols:
+            block = []
+            for line in lines:
+                strings = line.split(",")
+                block += strings + strings[m // 2 - 1::-1]
+        else:
+            block = ",".join(lines).split(",")
+        yield np.array(block, dtype=object)
 
 
 @dataclass

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fkpplab.errors import DomainError, NumericalError
+from fkpplab.errors import ConfigurationError, DomainError, NumericalError
 from fkpplab.grids import Field, Grid, TridiagonalFactor, interpolate
 
 
@@ -116,6 +116,15 @@ def test_tridiagonal_roundtrip_large():
     back[:-1] += sup * y[1:]
     back[1:] += sub * y[:-1]
     assert np.max(np.abs(back - rhs)) <= 1e-10 * np.max(np.abs(rhs))
+
+
+def test_tridiagonal_rejects_bad_shapes():
+    with pytest.raises(ConfigurationError, match="length n-1"):
+        TridiagonalFactor([-1.0], [2.0, 2.0, 2.0], [-1.0, -1.0])
+    with pytest.raises(ConfigurationError, match="n >= 2"):
+        TridiagonalFactor([], [2.0], [])
+    with pytest.raises(ConfigurationError, match="n >= 2"):
+        TridiagonalFactor([], [], [])
 
 
 def test_tridiagonal_rejects_non_dominant():

@@ -2,9 +2,12 @@
 the full and the half line, monotone reaction, reuse of one Stepper against
 a fresh one per step) and of the semiflow (agreement with an ODE solve,
 the semigroup law, monotonicity, fixed points, zero on xi <= 0, the closed
-form below eps|ln eps|, independence of the batch)."""
+form below eps|ln eps|, independence of the batch) and of the table writer
+(the bytes of the f-string formatting, whichever mirror folds apply)."""
 
+import io
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
+from fkpplab import reporting
 from fkpplab.grids import Grid
 from fkpplab.kinetics import KineticsParams, modified_logistic, semiflow
 from fkpplab.solver import Stepper, default_dt
@@ -216,3 +220,49 @@ def test_semiflow_point_independent_of_batch(eps, xs, s, rnd):
     assert np.array_equal(semiflow(s, xs[order], p), w[order])
     picks = np.array([rnd.randrange(xs.size) for _ in range(2 * xs.size)])
     assert np.array_equal(semiflow(s, xs[picks], p), w[picks])
+
+
+# Values whose strings are easy to get wrong: both zeros, subnormals, the
+# smallest normal and numbers near the ends of the exponent range.
+TABLE_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1e300, -1e300, 1e-300, -1e-300, 1 / 3]
+TABLE_VALUES = st.one_of(st.sampled_from(TABLE_SPECIALS),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _mirror(a, axis):
+    """a with the second half along axis replaced by the mirror image of
+    the first, so that it reads the same backwards there, bit for bit."""
+    i = np.arange(a.shape[axis])
+    return a.take(np.minimum(i, i[::-1]), axis=axis)
+
+
+@st.composite
+def mirrored_table(draw):
+    """write_table's columns as dump_checkpoint passes them (the axes of a
+    plane table broadcast as a column and a row), the last made exactly
+    symmetric along no axis, axis 0, the last axis or both."""
+    shape = tuple(draw(st.lists(st.integers(1, 9), min_size=1, max_size=2)))
+    u = draw(arrays(np.float64, shape, elements=TABLE_VALUES))
+    for axis in draw(st.sets(st.sampled_from([0, len(shape) - 1]))):
+        u = _mirror(u, axis)
+    if len(shape) == 1:
+        x = draw(arrays(np.float64, shape, elements=TABLE_VALUES))
+        return (_mirror(x, 0) if draw(st.booleans()) else x), u
+    x0 = draw(arrays(np.float64, (shape[0], 1), elements=TABLE_VALUES))
+    x1 = draw(arrays(np.float64, shape[1], elements=TABLE_VALUES))
+    return x0, x1, u
+
+
+@settings(max_examples=200, deadline=None)
+@given(mirrored_table(), st.integers(1, 12))
+def test_write_table_mirror_folds_match_fstring_formatting(columns, rows):
+    # small blocks, so that the rows of a table and their mirrors fall in
+    # different blocks
+    fh = io.StringIO()
+    with mock.patch.object(reporting, "TABLE_ROWS", rows):
+        reporting.write_table(fh, *columns)
+    cols = np.broadcast_arrays(*columns)
+    assert fh.getvalue() == "".join(
+        ",".join(f"{c[idx]:.17g}" for c in cols) + "\n"
+        for idx in np.ndindex(cols[0].shape))

@@ -1,4 +1,6 @@
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +420,15 @@ def test_run_grid_refinement_moves_front_less_than_dx():
     assert abs(results[eps / 8] - results[eps / 16]) <= eps / 8
 
 
+def _checkpoint_rows(fld):
+    """The rows of fld's checkpoint by the f-string formula: coordinates,
+    then u, row-major over the grid."""
+    axes = [fld.grid.axis(i) for i in range(fld.values.ndim)]
+    return [",".join(f"{v:.17g}" for v in
+                     (*(a[i] for a, i in zip(axes, idx)), fld.values[idx]))
+            for idx in np.ndindex(fld.values.shape)]
+
+
 def test_dump_checkpoint_format(tmp_path):
     g = _line_grid(0.5, 0.25)
     f = Field(g, np.linspace(0, 1, g.shape[0]))
@@ -438,6 +449,19 @@ def test_dump_checkpoint_format(tmp_path):
     assert lines[2:] == [f"{x0[i]:.17g},{x1[j]:.17g},{f.values[i, j]:.17g}"
                          for i in range(g.shape[0]) for j in range(g.shape[1])]
 
+    # runs even in every coordinate: their unfolded checkpoints read the
+    # same backwards along each axis, bit for bit, so write_table folds them
+    ellipse = ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35))
+    for cfg in (compact_family_config(0.1, BODY, 0.9, 0.25, 0.05),
+                compact_family_config(0.3, ellipse, 0.9, 0.25, 0.05,
+                                      mode="plane")):
+        t, fld = run(cfg).checkpoints[-1]
+        bits = fld.values.view(np.int64)
+        assert all(np.array_equal(bits, np.flip(bits, ax))
+                   for ax in range(bits.ndim))
+        dump_checkpoint(fld, t, path)
+        assert path.read_text().splitlines()[2:] == _checkpoint_rows(fld)
+
 
 def test_write_table_matches_fstring_formatting(tmp_path):
     rng = np.random.default_rng(17)
@@ -457,3 +481,38 @@ def test_write_table_matches_fstring_formatting(tmp_path):
     assert path.read_text().splitlines() == [
         f"{col[i, 0]:.17g},{row[j]:.17g},{grid[280 * i + j]:.17g},"
         f"{values[5]:.17g}" for i in range(70) for j in range(280)]
+
+
+def test_write_table_mirror_keeps_the_sign_of_zero(tmp_path):
+    # 0.0 == -0.0, but the bits differ and so do the strings: no pair of
+    # these columns may be folded
+    col = np.array([0.0, 1.0, -0.0])
+    grid = np.array([[0.0, 2.0, -0.0], [3.0, 4.0, 3.0], [-0.0, 2.0, 0.0]])
+    path = tmp_path / "t.csv"
+    with open(path, "w") as fh:
+        write_table(fh, col, col[::-1])
+    assert path.read_text().splitlines() == ["0,-0", "1,1", "-0,0"]
+    with open(path, "w") as fh:
+        write_table(fh, col[:, None], col, grid)
+    assert path.read_text().splitlines() == [
+        f"{col[i]:.17g},{col[j]:.17g},{grid[i, j]:.17g}"
+        for i in range(3) for j in range(3)]
+
+
+def test_write_table_mirror_memory_is_bounded():
+    """A 535x535 table symmetric on both axes keeps only the half rows still
+    waiting for their mirror: the traced peak stays below 6 MB, where a fold
+    that keeps the strings of the whole table peaks near 9 MB."""
+    rng = np.random.default_rng(3)
+    q = rng.random((268, 268)) * 10.0 ** rng.integers(-300, 300, (268, 268))
+    q = np.concatenate((q[:0:-1], q))
+    u = np.concatenate((q[:, :0:-1], q), axis=1)
+    x = np.linspace(-2.67, 2.67, 535)
+    with open(os.devnull, "w") as fh:
+        tracemalloc.start()
+        try:
+            write_table(fh, x[:, None], x, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 6e6
