@@ -11,7 +11,7 @@ plots them.
 import os
 
 from fkpplab.svgplot import line_plot
-from fkpplab.waves import decay_rate, solve_sign_changing_wave, solve_wave
+from fkpplab.waves import decay_rate, solve_wave
 
 OUT = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT, exist_ok=True)
@@ -33,7 +33,7 @@ print(f"  gamma- = {gm:.4f}, gamma+ = {gp:.4f}, spread {gp / gm:.2f}")
 
 print("\n== below the minimal speed the wave changes sign ==")
 for c in (1.0, 1.8):
-    prof = solve_sign_changing_wave(c)
+    prof = solve_wave(c)
     overshoot = prof.U[prof.z > 0].min()
     print(f"  c={c:4.1f}: U(0) = {prof.evaluate(0.0):+.2e},"
           f" overshoot minimum {overshoot:+.4f}")

@@ -9,20 +9,3 @@ interface for algebraically decaying initial data.
 """
 
 __version__ = "0.1.0"
-
-from .errors import ConfigurationError, DomainError, NumericalError, ShootingError
-from .geometry import ConvexBody, CutoffDistance
-from .grids import Field, Grid, TridiagonalFactor, interpolate
-from .kinetics import KineticsParams, eps_log, modified_logistic, semiflow
-from .solver import (
-    InitialData,
-    Observer,
-    SimConfig,
-    Stepper,
-    Trajectory,
-    build_initial,
-    default_dt,
-    layer_thickness,
-    run,
-)
-from .waves import WaveProfile, decay_rate, solve_sign_changing_wave, solve_wave

@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .geometry import ConvexBody, CutoffDistance
+from .geometry import ConvexBody, cutoff_distance
 from .grids import Field, Grid
 from .kinetics import KineticsParams, eps_log, semiflow
 from .solver import (THRESHOLD_K, InitialData, compact_value, _apply_lap,
@@ -89,9 +89,9 @@ def k0_lower_bound(wave: WaveProfile, initial: InitialData):
     over tail-free data."""
     if wave.tail_right is None:
         raise DomainError("the global super-solution needs a monotone wave")
-    if initial.tail_cap > 0.0:
+    if initial.tail is not None:
         raise DomainError("the barrier check takes tail-free data")
-    return max(1.0, initial.g_sup / wave.evaluate(0.0))
+    return max(1.0, initial.amplitude / wave.evaluate(0.0))
 
 
 def global_super(t, x, K_hat, wave: WaveProfile, body: ConvexBody,
@@ -107,7 +107,7 @@ def motion_theta(t, x, m1, wave: WaveProfile, body: ConvexBody,
     """The motion sub-solution's argument
     theta = (d(t,x) + eps|ln eps| m1 e^{M2 t})/eps, with d the cutoff
     distance to the body's front moving at the wave's speed."""
-    d = CutoffDistance(body, speed=wave.c).cutoff(t, x)
+    d = cutoff_distance(body, wave.c, t, x)
     return (d + eps_log(epsilon) * m1 * math.exp(M2 * t)) / epsilon
 
 

@@ -113,13 +113,6 @@ class ConvexBody:
             out = np.maximum(a - x, x - b)
             return float(out) if out.ndim == 0 else out
         x = np.asarray(x, dtype=float)
-        if self.shape == "ball" and (x.ndim == 0 or x.shape[-1] != self.dim):
-            # origin-centred balls also accept radial coordinates directly
-            center, r = self.params
-            if any(c != 0.0 for c in center):
-                raise DomainError("radial coordinates need an origin-centred ball")
-            out = np.abs(x) - r
-            return float(out) if out.ndim == 0 else out
         scalar = x.ndim == 1
         pts = np.atleast_2d(x)
         if pts.shape[-1] != self.dim:
@@ -216,29 +209,12 @@ def _clamp_ramp(s, d0):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class CutoffDistance:
-    """Signed distance to a front moving at constant normal speed c,
-    clamped to [-2 d0, 2 d0] away from the front."""
-
-    body: ConvexBody
-    speed: float
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ConfigurationError("front speed must be positive")
-
-    @property
-    def d0(self):
-        """Half-width of the identity zone of the clamp, 0.2 * inradius."""
-        return 0.2 * self.body.inradius
-
-    def evolved(self, t, x):
-        """Uncut distance d(t, x) = d(0, x) - c t (exact for convex bodies)."""
-        if t < 0:
-            raise DomainError("t must be nonnegative")
-        return self.body.signed_distance(x) - self.speed * t
-
-    def cutoff(self, t, x):
-        """Clamped distance: the ramp applied to the evolved distance."""
-        return _clamp_ramp(self.evolved(t, x), self.d0)
+def cutoff_distance(body: ConvexBody, speed, t, x):
+    """Signed distance d(t, x) = d(0, x) - speed t to the body's front
+    moving at constant normal speed (exact for convex bodies), clamped by
+    the ramp to [-2 d0, 2 d0], d0 = 0.2 * inradius, away from the front."""
+    if speed <= 0:
+        raise ConfigurationError("front speed must be positive")
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    return _clamp_ramp(body.signed_distance(x) - speed * t, 0.2 * body.inradius)

@@ -3,8 +3,8 @@
 Three geometry modes are supported:
 
 * ``line``   -- one Cartesian axis, u = u(x)
-* ``radial`` -- r in [0, R], radially symmetric in dimension N >= 2, so the
-  Laplacian is u_rr + (N-1)/r u_r
+* ``radial`` -- r in [0, R], radially symmetric in dimension N = 2 or 3, so
+  the Laplacian is u_rr + (N-1)/r u_r
 * ``plane``  -- two Cartesian axes, values stored row-major as (n0, n1)
 
 The solver reads an axis that starts at 0 as ending at a mirror wall: the
@@ -53,8 +53,11 @@ class Grid:
         if self.mode == "radial":
             if self.extents[0][0] != 0.0:
                 raise ConfigurationError("radial extent must start at r = 0")
-            if self.dim < 2:
-                raise ConfigurationError("radial mode needs dimension N >= 2")
+            if self.dim not in (2, 3):
+                raise ConfigurationError(
+                    "radial mode needs dimension N = 2 or 3: from N = 4 the "
+                    "rows 1 - (N-1)/(2i) near the origin are negative, and "
+                    "the step no longer preserves order")
 
     @property
     def shape(self):
@@ -67,12 +70,15 @@ class Grid:
         lo, hi = self.extents[i]
         return np.linspace(lo, hi, self.shape[i])
 
-    def points(self):
-        """Coordinates of all grid points; shape (n,) in 1D, (n0, n1, 2) in plane mode."""
+    def points(self, index=None):
+        """Coordinates of the nodes grid[index], ``index`` one slice per axis
+        (all nodes by default): shape (n,) in 1D, (n0, n1, 2) in plane mode."""
+        if index is None:
+            index = (slice(None),) * len(self.extents)
+        axes = [self.axis(i)[s] for i, s in enumerate(index)]
         if self.mode == "plane":
-            x0, x1 = self.axis(0), self.axis(1)
-            return np.stack(np.meshgrid(x0, x1, indexing="ij"), axis=-1)
-        return self.axis(0)
+            return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        return axes[0]
 
 
 @dataclass

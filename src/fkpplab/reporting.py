@@ -51,6 +51,8 @@ def write_table(fh, *columns):
     mirror are kept, each joined into one string, so the memory held stays
     a small fraction of the table's."""
     shape = np.broadcast(*columns).shape
+    if 0 in shape:  # an empty table has no rows to write
+        return
     n, width = shape[0], math.prod(shape[1:])
     step = max(1, TABLE_ROWS // width)
     blocks, fields = [], []

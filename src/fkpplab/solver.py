@@ -78,25 +78,6 @@ class InitialData:
             return self.amplitude + (self.tail[1] if self.tail else 0.0)
         return self.m
 
-    @property
-    def g_sup(self):
-        """sup of the compact part g alone."""
-        return self.amplitude if self.variant == "compact" else 0.0
-
-    @property
-    def tail_cap(self):
-        return self.tail[1] if (self.variant == "compact" and self.tail) else 0.0
-
-
-def _nodes(grid: Grid, index):
-    """The coordinates of the nodes grid[index], ``index`` one slice per
-    axis: the axis values in line and radial mode, the points (n0, n1, 2)
-    in plane mode.  Bit for bit the same slice of grid.points()."""
-    axes = [grid.axis(i)[s] for i, s in enumerate(index)]
-    if grid.mode == "plane":
-        return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return axes[0]
-
 
 def _radii(mode, x):
     """||x|| of node coordinates x."""
@@ -123,8 +104,8 @@ def _ramp(initial: InitialData, d):
 
 
 def compact_value(initial: InitialData, x):
-    """g at arbitrary points (coordinates in line mode, radii in radial mode,
-    points in plane mode)."""
+    """g at arbitrary points (coordinates for an interval body, points of
+    the body's dimension otherwise)."""
     if initial.variant != "compact":
         raise DomainError("g is defined for compact data only")
     return _ramp(initial, initial.body.signed_distance(x))
@@ -132,8 +113,8 @@ def compact_value(initial: InitialData, x):
 
 def _sample_initial(initial: InitialData, grid: Grid, epsilon: float, x):
     """(u0 as a Field on the grid, g) from one distance evaluation at the
-    grid's node coordinates x (_nodes); g, the compact part, is None for
-    algebraic data."""
+    grid's node coordinates x (Grid.points); g, the compact part, is None
+    for algebraic data."""
     if initial.variant == "compact":
         d = _body_distance(initial.body, grid.mode, x)
         if float(d.min()) > -initial.width / 4:
@@ -151,8 +132,7 @@ def _sample_initial(initial: InitialData, grid: Grid, epsilon: float, x):
 
 def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
     """Sample u0 on the grid."""
-    whole = (slice(None),) * len(grid.extents)
-    return _sample_initial(initial, grid, epsilon, _nodes(grid, whole))[0]
+    return _sample_initial(initial, grid, epsilon, grid.points())[0]
 
 
 def outflow_margin(diameter, t_end, epsilon):
@@ -164,7 +144,8 @@ def outflow_margin(diameter, t_end, epsilon):
 def default_dt(grid: Grid, epsilon: float):
     """Largest step that keeps Crank-Nicolson order-preserving: the explicit
     half-factor (I + a L) must stay entrywise nonnegative, eps dt/dx^2 <= 1/N
-    (N = radial dimension; 1 otherwise).  Capped by the accuracy rule dx/2."""
+    (N = radial dimension, 2 or 3 as Grid requires; 1 otherwise).  Capped
+    by the accuracy rule dx/2."""
     k = grid.dim if grid.mode == "radial" else 1
     return min(grid.dx / 2.0, grid.dx**2 / (epsilon * k))
 
@@ -308,7 +289,8 @@ class Stepper:
     call.  The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
     steps after it.  Every row, a mirror row included, keeps (I + a L)
-    nonnegative for a <= 1/2 (1/(2N) in radial mode), as default_dt gives.
+    nonnegative for a <= 1/2 (1/(2N) in radial mode, N = 2 or 3), as
+    default_dt gives.
     """
 
     def __init__(self, grid: Grid, dt: float, epsilon: float):
@@ -506,7 +488,7 @@ def run(config: SimConfig) -> Trajectory:
     index = tuple(slice(n // 2 if e else 0, None)
                   for e, n in zip(even, full.shape))
     u0, g = _sample_initial(config.initial, grid, config.epsilon,
-                            _nodes(full, index))
+                            full.points(index))
     u = u0.values
     n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
     dt = config.t_end / n_steps

@@ -168,11 +168,6 @@ class WaveProfile:
             write_table(fh, self.z, self.U, self.Uprime)
 
 
-def _launch_state(c):
-    lam_u = unstable_rate(c)
-    return [1.0 - _LAUNCH, -_LAUNCH * lam_u], lam_u
-
-
 def _resample(leg1, leg2, z_shift, dz):
     """Uniform table (multiples of dz, containing 0).  leg1 covers the
     original frame [0, z_shift] (anchor translated to 0), leg2 continues
@@ -206,29 +201,44 @@ def _left_tail(z, U, lam_guess):
 
 
 def solve_wave(c):
-    """Monotone travelling wave for c >= 2, U(0) = 1/2.
+    """Travelling wave of speed c > 0.
 
-    Shoots from the unstable manifold of U = 1, translates the half-level
-    crossing to z = 0, continues until U < 1e-10 or the span is exhausted,
-    resamples, and fits the tails.
+    Shoots from the unstable manifold of U = 1 and translates the anchor
+    crossing to z = 0: for c >= 2 the monotone wave with U(0) = 1/2,
+    continued until U < 1e-10 or the span is exhausted, with both tails
+    fitted; for 0 < c < 2 the sign-changing wave with its first zero at
+    z = 0, continued over a short overshoot window, with the left tail
+    fitted.
     """
-    if c < 2.0:
-        raise DomainError("monotone waves need c >= 2; see solve_sign_changing_wave")
-    y0, lam_u = _launch_state(c)
-    guard = math.log(0.6 / _LAUNCH) / lam_u + 20.0
+    if not c > 0.0:
+        raise DomainError("travelling waves need c > 0")
+    monotone = c >= 2.0
+    lam_u = unstable_rate(c)
+    y0 = [1.0 - _LAUNCH, -_LAUNCH * lam_u]
+    # the first zero of a sign-changing wave lies further out than U = 1/2
+    pad = 0.0 if monotone else Z_SPAN
+    guard = math.log(0.6 / _LAUNCH) / lam_u + pad + 20.0
+    anchor = 0.5 if monotone else 0.0
 
-    leg1 = _integrate(c, guard, y0, [_event(0.5, -1)])
+    leg1 = _integrate(c, guard, y0, [_event(anchor, -1)])
     if len(leg1.t_events[0]) == 0:
-        raise ShootingError("never reached U = 1/2 within the span guard")
-    z_half = float(leg1.t_events[0][0])
+        raise ShootingError(f"never reached U = {anchor:g} within the span guard")
+    z_anchor = float(leg1.t_events[0][0])
 
-    leg2 = _integrate(c, Z_SPAN, leg1.sol(z_half), [_event(WAVE_FLOOR, -1)])
-    z, U, Up = _resample(leg1, leg2, z_half, TABLE_DZ)
+    if monotone:
+        leg2 = _integrate(c, Z_SPAN, leg1.sol(z_anchor), [_event(WAVE_FLOOR, -1)])
+    else:  # a short overshoot window past the first zero
+        leg2 = _integrate(c, 5.0, leg1.sol(z_anchor), [])
+    z, U, Up = _resample(leg1, leg2, z_anchor, TABLE_DZ)
+    tail_left = _left_tail(z, U, lam_u)
+
+    if not monotone:
+        if np.any(U[z < -TABLE_DZ / 2] <= 0.0):
+            raise NumericalError("profile not positive left of its first zero")
+        return WaveProfile(c, z, U, Up, tail_left, None)
 
     if np.any(np.diff(U) > 1e-12):
         raise NumericalError("monotonicity lost for c >= 2")
-
-    tail_left = _left_tail(z, U, lam_u)
     if c == 2.0:
         m = z >= z[-1] - 5.0
         # linear LSQ of U e^{z} ~ a z + b, then rescale for an exact seam
@@ -244,27 +254,3 @@ def solve_wave(c):
         tail_right = (C, lam_fit, math.nan)
 
     return WaveProfile(c, z, U, Up, tail_left, tail_right)
-
-
-def solve_sign_changing_wave(c):
-    """Sign-changing wave for 0 < c < 2: first zero crossing at z = 0, table
-    extended by a short overshoot window past the crossing."""
-    if not 0.0 < c < 2.0:
-        raise DomainError("sign-changing waves need 0 < c < 2")
-    y0, lam_u = _launch_state(c)
-    guard = math.log(0.6 / _LAUNCH) / lam_u + Z_SPAN + 20.0
-
-    leg1 = _integrate(c, guard, y0, [_event(0.0, -1)])
-    if len(leg1.t_events[0]) == 0:
-        raise ShootingError("no zero crossing within the span")
-    z_zero = float(leg1.t_events[0][0])
-
-    overshoot = 5.0
-    leg2 = _integrate(c, overshoot, leg1.sol(z_zero), [])
-    z, U, Up = _resample(leg1, leg2, z_zero, TABLE_DZ)
-
-    if np.any(U[z < -TABLE_DZ / 2] <= 0.0):
-        raise NumericalError("profile not positive left of its first zero")
-
-    tail_left = _left_tail(z, U, lam_u)
-    return WaveProfile(c, z, U, Up, tail_left, None)

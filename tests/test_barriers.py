@@ -20,7 +20,7 @@ from fkpplab.barriers import (
     shell_coordinate,
 )
 from fkpplab.errors import ConfigurationError, DomainError
-from fkpplab.geometry import ConvexBody, CutoffDistance
+from fkpplab.geometry import ConvexBody, cutoff_distance
 from fkpplab.grids import Grid
 from fkpplab.kinetics import KineticsParams, eps_log
 from fkpplab.solver import InitialData, compact_value
@@ -75,6 +75,8 @@ def test_k0_lower_bound_arithmetic():
     with pytest.raises(DomainError, match="tail-free"):
         k0_lower_bound(wave, tailed)
     assert k0_lower_bound(wave, tail_free) >= 1.0
+    # algebraic data have no compact part: the floor is 1
+    assert k0_lower_bound(wave, InitialData.algebraic(0.5, 2.0)) == 1.0
 
 
 def test_k0_monotone_in_amplitude_and_tail():
@@ -120,10 +122,9 @@ def test_motion_sub_rejects_a_monotone_wave(c):
 def test_motion_theta_moves_the_cutoff_at_the_wave_speed(c):
     m1 = 0.333
     x = np.linspace(-3.0, 3.0, 61)
-    cd = CutoffDistance(BODY, speed=c)
     shift = eps_log(EPS) * m1 * math.exp(M2 * 0.2)
     assert np.array_equal(motion_theta(0.2, x, m1, cached_wave(c), BODY, EPS),
-                          (cd.cutoff(0.2, x) + shift) / EPS)
+                          (cutoff_distance(BODY, c, 0.2, x) + shift) / EPS)
 
 
 def test_discrete_residual_on_equilibria():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fkpplab.errors import ConfigurationError, DomainError
-from fkpplab.geometry import ConvexBody, CutoffDistance
+from fkpplab.geometry import ConvexBody, _clamp_ramp, cutoff_distance
 
 
 def test_ball_and_interval_distances():
@@ -67,32 +67,45 @@ def test_distance_is_1_lipschitz():
 
 
 def test_evolved_distance_dilation():
+    # inside the identity zone |d| <= d0 = 0.2 the cutoff is the evolved
+    # distance d(0, x) - c t
     ball = ConvexBody.ball((0.0, 0.0), 1.0)
-    cd = CutoffDistance(ball, speed=2.0)
-    assert cd.evolved(0.0, np.array([2.0, 0.0])) == pytest.approx(1.0)
+    assert cutoff_distance(ball, 2.0, 0.0, np.array([1.1, 0.0])) == pytest.approx(0.1)
     # dilated radius 1.5 after t = 0.25 at speed 2
-    assert cd.evolved(0.25, np.array([2.0, 0.0])) == pytest.approx(0.5)
+    assert cutoff_distance(ball, 2.0, 0.25, np.array([1.6, 0.0])) == pytest.approx(0.1)
     boundary = np.array([1.0, 0.0])
-    for t in (0.1, 0.7):
-        assert cd.evolved(t, boundary) == pytest.approx(-2.0 * t)
+    for t in (0.05, 0.1):
+        assert cutoff_distance(ball, 2.0, t, boundary) == pytest.approx(-2.0 * t)
 
 
 def test_evolved_distance_exact_transport():
-    # d_t + c = 0 holds exactly for every x, not only near the front
+    # d_t + c = 0 holds exactly for every x in the identity zone of the
+    # clamp, on both sides of the front
     iv = ConvexBody.interval(-0.5, 0.5)
-    cd = CutoffDistance(iv, speed=1.5)
     rng = np.random.default_rng(1)
-    for x in rng.uniform(-3, 3, 20):
+    front = 0.5 + 1.5 * 0.4
+    for x in rng.choice((-1.0, 1.0), 20) * (front + rng.uniform(-0.05, 0.05, 20)):
         h = 1e-6
-        dt_d = (cd.evolved(0.4 + h, x) - cd.evolved(0.4 - h, x)) / (2 * h)
+        dt_d = (cutoff_distance(iv, 1.5, 0.4 + h, x)
+                - cutoff_distance(iv, 1.5, 0.4 - h, x)) / (2 * h)
         assert dt_d + 1.5 == pytest.approx(0.0, abs=1e-9)
 
 
+def test_cutoff_distance_preconditions():
+    iv = ConvexBody.interval(-0.5, 0.5)
+    for speed in (0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            cutoff_distance(iv, speed, 0.1, 0.0)
+    with pytest.raises(DomainError):
+        cutoff_distance(iv, 2.0, -0.1, 0.0)
+
+
 def test_cutoff_ramp_values():
-    cd = CutoffDistance(ConvexBody.ball((0.0, 0.0), 1.0), speed=2.0)
-    d0 = cd.d0
-    assert d0 == pytest.approx(0.2)  # 0.2 * inradius
-    from fkpplab.geometry import _clamp_ramp
+    ball = ConvexBody.ball((0.0, 0.0), 1.0)
+    d0 = 0.2  # 0.2 * inradius
+    # far from the front the cutoff saturates at 2 d0
+    assert cutoff_distance(ball, 2.0, 0.0, np.array([5.0, 0.0])) == pytest.approx(2.0 * d0)
+    assert cutoff_distance(ball, 2.0, 0.0, np.array([0.0, 0.0])) == pytest.approx(-2.0 * d0)
 
     assert _clamp_ramp(0.5 * d0, d0) == pytest.approx(0.5 * d0, abs=1e-15)
     assert _clamp_ramp(-3.0 * d0, d0) == pytest.approx(-2.0 * d0, abs=1e-15)
@@ -103,33 +116,34 @@ def test_cutoff_ramp_values():
 
 def test_cutoff_gradient_is_unit_in_tube():
     ball = ConvexBody.ball((0.0, 0.0), 1.0)
-    cd = CutoffDistance(ball, speed=2.0)
+    d0 = 0.2
     rng = np.random.default_rng(4)
     h = 1e-6
     checked = 0
     for _ in range(200):
         x = rng.uniform(-2.5, 2.5, 2)
         t = rng.uniform(0.0, 0.5)
-        if abs(cd.evolved(t, x)) >= 0.9 * cd.d0:
+        # the ramp is the identity on |d| <= d0 and beyond it |ramp| > d0
+        if abs(cutoff_distance(ball, 2.0, t, x)) >= 0.9 * d0:
             continue
-        gx = (cd.cutoff(t, x + [h, 0]) - cd.cutoff(t, x - [h, 0])) / (2 * h)
-        gy = (cd.cutoff(t, x + [0, h]) - cd.cutoff(t, x - [0, h])) / (2 * h)
+        gx = (cutoff_distance(ball, 2.0, t, x + [h, 0])
+              - cutoff_distance(ball, 2.0, t, x - [h, 0])) / (2 * h)
+        gy = (cutoff_distance(ball, 2.0, t, x + [0, h])
+              - cutoff_distance(ball, 2.0, t, x - [0, h])) / (2 * h)
         assert math.hypot(gx, gy) == pytest.approx(1.0, abs=1e-5)
         checked += 1
     assert checked > 10
 
 
 def test_cutoff_at_t0_is_the_signed_distance_near_the_boundary():
-    cd = CutoffDistance(ConvexBody.interval(-1.0, 1.0), speed=2.0)
+    iv = ConvexBody.interval(-1.0, 1.0)
     x = 1.05
-    assert cd.cutoff(0.0, x) == cd.body.signed_distance(x)
-    assert cd.body.signed_distance(x) == pytest.approx(0.05)
+    assert cutoff_distance(iv, 2.0, 0.0, x) == iv.signed_distance(x)
+    assert iv.signed_distance(x) == pytest.approx(0.05)
 
 
-def test_radial_coordinates_for_origin_ball():
+def test_ball_takes_points_not_radii():
+    # a 1-D array of three radii is not a point of a 2-D ball
     ball = ConvexBody.ball((0.0, 0.0), 0.5)
-    r = np.array([0.0, 0.25, 0.5, 2.0])
-    assert np.allclose(ball.signed_distance(r), r - 0.5)
-    off = ConvexBody.ball((0.25, 0.0), 0.5)
     with pytest.raises(DomainError):
-        off.signed_distance(np.array([1.0, 2.0, 3.0]))
+        ball.signed_distance(np.array([0.1, 0.2, 0.3]))

@@ -175,6 +175,29 @@ def test_tridiagonal_rejects_singular_symmetric():
         TridiagonalFactor([-1.0, 0.0], [1.0, 1.0, 2.0], [-1.0, 0.0])
 
 
+@pytest.mark.parametrize("grid", (
+    Grid("line", ((-1.0, 2.0),), 0.1),
+    Grid("radial", ((0.0, 2.0),), 0.1, dim=3),
+    Grid("plane", ((-0.7, 1.3), (-0.45, 0.25)), 0.05),
+))
+def test_points_of_an_index_are_that_slice_of_all_points(grid):
+    bits = lambda a: a.view(np.int64)
+    whole = grid.points()
+    for index in ((slice(None),) * len(grid.extents),
+                  tuple(slice(n // 2, None) for n in grid.shape),
+                  tuple(slice(1, n - 2) for n in grid.shape)):
+        part = grid.points(index)
+        assert np.array_equal(bits(part), bits(whole[index]))
+
+
+@pytest.mark.parametrize("dim", (1, 4, 5, 8))
+def test_radial_grid_takes_dimension_2_or_3(dim):
+    # from N = 4 the sub-diagonal 1 - (N-1)/(2i) is negative near the
+    # origin, so no step keeps the explicit half nonnegative
+    with pytest.raises(ConfigurationError, match="N = 2 or 3"):
+        Grid("radial", ((0.0, 1.0),), 0.1, dim=dim)
+
+
 def test_field_rejects_non_finite():
     g = Grid("line", ((0.0, 1.0),), 0.1)
     vals = np.zeros(g.shape)

@@ -1,10 +1,14 @@
 import ast
+import importlib
+import os
 import re
-from collections import OrderedDict
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fkpplab
 from fkpplab import cli, studies
 from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
@@ -247,6 +251,14 @@ def test_cli_rejects_keys_the_command_does_not_read(tmp_path, capsys, case):
     assert re.search(rf"\b{key}\b", err) and f"fkpplab {command}" in err
 
 
+def test_cli_rejects_radial_dimension_above_3(tmp_path, capsys):
+    # from N = 4 the radial step no longer preserves order
+    ini = _write(tmp_path, "cfg.ini", "[solver]\ndim = 4\n")
+    assert cli.main(["no-interface", "--config", ini,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "N = 2 or 3" in capsys.readouterr().err
+
+
 def test_every_schema_key_is_read_by_a_command():
     read = set()
     for readings in cli.COMMANDS.values():
@@ -380,26 +392,40 @@ def test_report_summary_and_passed_flag():
     assert any("FAIL" in l and "broken" in l for l in lines)
 
 
-def test_study_caches_evict_least_recently_used(monkeypatch):
+@pytest.fixture
+def empty_study_caches():
+    """The study caches emptied before the test and again after it, so no
+    stub's entries outlive it."""
+    for cache in (studies._run, studies._wave):
+        cache.cache_clear()
+    yield
+    for cache in (studies._run, studies._wave):
+        cache.cache_clear()
+
+
+def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches):
     built = []
-    monkeypatch.setattr(studies, "_TRAJ_CACHE", OrderedDict())
     monkeypatch.setattr(studies, "run", lambda cfg: built.append(cfg) or cfg)
     for key in range(studies.CACHE_SIZE):
         studies.cached_run(key)
     studies.cached_run(0)  # a hit: key 1 is now the least recently used
     studies.cached_run(studies.CACHE_SIZE)  # one past the cap
-    assert len(studies._TRAJ_CACHE) == studies.CACHE_SIZE
-    assert 1 not in studies._TRAJ_CACHE and 0 in studies._TRAJ_CACHE
+    assert studies._run.cache_info().currsize == studies.CACHE_SIZE
     assert len(built) == studies.CACHE_SIZE + 1
-    studies.cached_run(1)  # evicted, so built again
-    assert built[-1] == 1 and 2 not in studies._TRAJ_CACHE
+    studies.cached_run(0)  # still held, so not built again
+    assert len(built) == studies.CACHE_SIZE + 1
+    studies.cached_run(1)  # evicted, so built again, which evicts key 2
+    assert built[-1] == 1 and len(built) == studies.CACHE_SIZE + 2
+    studies.cached_run(2)
+    assert built[-1] == 2
 
-    monkeypatch.setattr(studies, "_WAVE_CACHE", OrderedDict())
-    monkeypatch.setattr(studies, "solve_wave", lambda c: c)
+    solved = []
+    monkeypatch.setattr(studies, "solve_wave", lambda c: solved.append(c) or c)
     for c in range(studies.CACHE_SIZE + 1):
         studies.cached_wave(2.0 + c)
-    assert 2.0 not in studies._WAVE_CACHE
-    assert len(studies._WAVE_CACHE) == studies.CACHE_SIZE
+    assert studies._wave.cache_info().currsize == studies.CACHE_SIZE
+    studies.cached_wave(2.0)  # evicted, so solved again
+    assert solved == [2.0 + c for c in range(studies.CACHE_SIZE + 1)] + [2.0]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -432,11 +458,50 @@ def _loaded_names(tree):
             yield node.attr
 
 
+def _members(path, tree):
+    """(Class.member, member) for every method, property and annotated
+    field of the module's classes, bar special names and overrides of a
+    base class's member (cli._Parser.error), which their base calls."""
+    module = importlib.import_module(f"fkpplab.{path.stem}")
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = getattr(module, node.name).__mro__[1:]
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = item.name
+            elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                name = item.target.id
+            else:
+                continue
+            special = name.startswith("__") and name.endswith("__")
+            if not special and not any(hasattr(b, name) for b in bases):
+                yield f"{node.name}.{name}", name
+
+
 def test_every_module_level_name_has_a_caller():
     loaded = set()
     for path in CALLERS:
         loaded.update(_loaded_names(ast.parse(path.read_text())))
-    unread = [f"{path.name}: {name}" for path in MODULES
-              for name in _module_level_names(ast.parse(path.read_text()))
-              if name not in loaded]
+    unread = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text())
+        unread += [f"{path.name}: {name}" for name in _module_level_names(tree)
+                   if name not in loaded]
+        unread += [f"{path.name}: {qual}" for qual, name in _members(path, tree)
+                   if name not in loaded]
     assert not unread, f"defined but read by no caller: {unread}"
+
+
+def test_solver_import_leaves_wave_shooting_modules_unloaded():
+    """Importing the solver does not load scipy.integrate or
+    scipy.interpolate, which only the wave shooting needs: checked in a
+    fresh interpreter, by what it has loaded."""
+    src = str(Path(fkpplab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, fkpplab.solver; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.integrate', 'scipy.interpolate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"

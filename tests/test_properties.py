@@ -5,11 +5,13 @@ the semigroup law, monotonicity, fixed points, zero on xi <= 0, the closed
 form below eps|ln eps|, independence of the batch) and of the table writer
 (the bytes of the f-string formatting, whichever mirror folds apply)."""
 
+import dataclasses
 import io
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -42,8 +44,7 @@ def ordered_pair(draw, mode):
     return u, u + draw(_values(shape, 0.1))
 
 
-def _check_order_preserved(mode, pair, steps=3):
-    g = GRIDS[mode]
+def _check_order_preserved(g, pair, steps=3):
     u, v = pair
     stepper = Stepper(g, default_dt(g, EPS), EPS)
     for _ in range(steps):
@@ -54,19 +55,20 @@ def _check_order_preserved(mode, pair, steps=3):
 @PROPS
 @given(ordered_pair("line"))
 def test_stepper_preserves_order_line(pair):
-    _check_order_preserved("line", pair)
+    _check_order_preserved(GRIDS["line"], pair)
 
 
+@pytest.mark.parametrize("dim", (2, 3))
 @PROPS
 @given(ordered_pair("radial"))
-def test_stepper_preserves_order_radial(pair):
-    _check_order_preserved("radial", pair)
+def test_stepper_preserves_order_radial(dim, pair):
+    _check_order_preserved(dataclasses.replace(GRIDS["radial"], dim=dim), pair)
 
 
 @PROPS
 @given(ordered_pair("plane"))
 def test_stepper_preserves_order_plane(pair):
-    _check_order_preserved("plane", pair)
+    _check_order_preserved(GRIDS["plane"], pair)
 
 
 @PROPS

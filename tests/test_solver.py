@@ -481,6 +481,11 @@ def test_write_table_matches_fstring_formatting(tmp_path):
     assert path.read_text().splitlines() == [
         f"{col[i, 0]:.17g},{row[j]:.17g},{grid[280 * i + j]:.17g},"
         f"{values[5]:.17g}" for i in range(70) for j in range(280)]
+    # an empty table writes nothing, whichever axis is empty
+    for empty in (np.zeros(0), np.zeros((0, 3)), np.zeros((2, 0))):
+        with open(path, "w") as fh:
+            write_table(fh, empty)
+        assert path.read_text() == ""
 
 
 def test_write_table_mirror_keeps_the_sign_of_zero(tmp_path):

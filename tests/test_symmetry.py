@@ -12,7 +12,7 @@ from fkpplab import solver
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Grid
 from fkpplab.solver import (InitialData, Observer, SimConfig, Stepper,
-                            _nodes, _sample_initial, run)
+                            _sample_initial, run)
 from fkpplab.studies import algebraic_family_config, compact_family_config
 
 INTERVAL = ConvexBody.interval(-0.5, 0.5)
@@ -26,8 +26,7 @@ def _full_domain(cfg):
     """run()'s series and checkpoint values, from a Stepper and an Observer
     on the configuration's full grid."""
     grid = cfg.grid
-    whole = (slice(None),) * len(grid.extents)
-    u0, g = _sample_initial(cfg.initial, grid, cfg.epsilon, _nodes(grid, whole))
+    u0, g = _sample_initial(cfg.initial, grid, cfg.epsilon, grid.points())
     n = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
     dt = cfg.t_end / n
     stepper, observer = Stepper(grid, dt, cfg.epsilon), Observer(grid, cfg.epsilon, g)

@@ -5,8 +5,7 @@ import pytest
 
 from fkpplab.errors import DomainError
 from fkpplab.studies import cached_wave
-from fkpplab.waves import (decay_rate, solve_sign_changing_wave, solve_wave,
-                           unstable_rate)
+from fkpplab.waves import decay_rate, solve_wave, unstable_rate
 
 
 def test_decay_rate_values():
@@ -95,16 +94,24 @@ def test_sign_changing_wave():
 
 
 def test_sign_changing_tail_lengthens_toward_minimal_speed():
-    near = solve_sign_changing_wave(1.99)
+    near = solve_wave(1.99)
     far = cached_wave(1.0)
     assert near.z[0] < far.z[0]
 
 
 def test_speed_preconditions():
     with pytest.raises(DomainError):
-        solve_wave(1.5)
+        solve_wave(0.0)
     with pytest.raises(DomainError):
-        solve_sign_changing_wave(2.5)
+        solve_wave(-1.5)
+
+
+def test_cached_wave_solves_at_its_key():
+    # the key rounds to 12 decimals, so a speed a hair below 2 is the
+    # minimal-speed monotone wave
+    prof = cached_wave(1.9999999999999)
+    assert prof.c == 2.0
+    assert prof.tail_right is not None and prof.tail_right[1] == 1.0
 
 
 def test_dump_table(tmp_path):
