@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: wave, simulate, speed, thickness, generation, no-interface,
-barriers.  Each takes --config <path> and --out <dir>; every command but
-simulate also takes --svg, which adds the plots of PLOTS.  COMMANDS says
-which config keys each one reads; any other key is an error.
+barriers.  Each takes --config <path>, --out <dir> and --svg, which adds
+the plots of PLOTS.  COMMANDS says which config keys each one reads; any
+other key is an error.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -156,7 +156,8 @@ def _kwargs(reading, cfg) -> dict:
 
 def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
     traj = run(sim)
-    report = ExperimentReport("simulate", columns=_SIM_COLUMNS)
+    report = ExperimentReport("simulate", columns=_SIM_COLUMNS,
+                              metadata={"checkpoints": traj.checkpoints})
     ts = traj.series["t"]
     for tc, fld in traj.checkpoints:
         i = int(round(tc / (ts[1] - ts[0]))) if len(ts) > 1 else 0
@@ -166,13 +167,31 @@ def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
     return report
 
 
+def _thin(*arrays):
+    """The arrays subsampled alike to at most about 500 points."""
+    step = -(-len(arrays[0]) // 500)
+    return [a[::step] for a in arrays]
+
+
+def _plot_simulate(out, report):
+    series = []
+    for tc, fld in report.metadata["checkpoints"]:
+        u = fld.values
+        if u.ndim == 2:  # plane: the row through y = 0, the middle column
+            u = u[:, u.shape[1] // 2]
+        series.append((*_thin(fld.grid.axis(0), u), f"t={tc:g}"))
+    line_plot(os.path.join(out, "profiles.svg"), series,
+              title="checkpoint profiles", xlabel="x", ylabel="u")
+
+
 def _plot_wave(out, report):
+    series = []
     for r in report.rows:
         prof = cached_wave(r["c"])
-        sub = slice(None, None, 50)
-        line_plot(os.path.join(out, f"wave_c{r['c']:g}.svg"),
-                  [(prof.z[sub], prof.U[sub], f"c={r['c']:g}")],
-                  title="travelling wave", xlabel="z", ylabel="U")
+        keep = (prof.z >= -15.0) & (prof.z <= 15.0)
+        series.append((*_thin(prof.z[keep], prof.U[keep]), f"c={r['c']:g}"))
+    line_plot(os.path.join(out, "waves.svg"), series,
+              title="travelling waves", xlabel="z", ylabel="U")
 
 
 def _plot_speed(out, report):
@@ -215,12 +234,17 @@ def _plot_barriers(out, report):
               [(ts, [r["min_slack_sub"] for r in report.rows], "sub slack"),
                (ts, [r["min_slack_super"] for r in report.rows], "super slack")],
               title="barrier slack", xlabel="t", ylabel="slack")
+    tc, x, u, sub, sup = report.metadata["sandwich"]
+    x, u, sub, sup = _thin(x, u, sub, sup)
+    line_plot(os.path.join(out, "sandwich.svg"),
+              [(x, u, "u"), (x, sub, "sub-solution"), (x, sup, "super-solution")],
+              title=f"sandwich at t={tc:g}", xlabel="x", ylabel="u")
 
 
-# command -> what --svg draws into --out from its report; only these
-# commands take --svg.
+# command -> what --svg draws into --out from its report.
 PLOTS = {
     "wave": _plot_wave,
+    "simulate": _plot_simulate,
     "speed": _plot_speed,
     "thickness": _plot_thickness,
     "generation": _plot_generation,
@@ -238,9 +262,7 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=True, help="output directory")
-        if name in PLOTS:
-            p.add_argument("--svg", action="store_true",
-                           help="also emit SVG plots")
+        p.add_argument("--svg", action="store_true", help="also emit SVG plots")
     args = parser.parse_args(argv)
 
     try:
@@ -253,7 +275,7 @@ def main(argv=None):
         report.metadata.setdefault("config_hash",
                                    config_hash({k: dict(v) for k, v in cfg.items()}))
         report.write_csv(os.path.join(args.out, "report.csv"))
-        if getattr(args, "svg", False):
+        if args.svg:
             PLOTS[args.command](args.out, report)
         for line in report.summary_lines():
             print(line)

@@ -59,8 +59,10 @@ class InitialData:
             raise ConfigurationError("width must be positive")
         if tail is not None:
             lam, M = tail
-            if lam < 1.0 or M <= 0.0:
-                raise ConfigurationError("tail needs lam >= 1 and M > 0")
+            if lam < 1.0:
+                raise ConfigurationError(f"tail_lambda = {lam:g} must be >= 1")
+            if M <= 0.0:
+                raise ConfigurationError(f"tail_cap = {M:g} must be positive")
             tail = (float(lam), float(M))
         return cls("compact", body=body, amplitude=float(amplitude),
                    width=float(width), tail=tail)

@@ -411,6 +411,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
             generation_super(tc, epsilon, initial),
             global_super(tc, x, K_hat, wave_min, body, epsilon),
         )
+        report.metadata["sandwich"] = (tc, x, u, sub, sup_bar)
         res_sup = discrete_residual(
             lambda tt, xx: global_super(tt, xx, K_hat, wave_min, body, epsilon),
             max(tc, grid.dx), grid, epsilon).values

@@ -16,9 +16,16 @@ from scipy.optimize import brentq
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Grid, interpolate
 from fkpplab.kinetics import KineticsParams, eps_log, modified_logistic, semiflow
-from fkpplab.solver import InitialData, SimConfig, Stepper, default_dt
+from fkpplab.solver import (
+    InitialData,
+    SimConfig,
+    Stepper,
+    default_dt,
+    layer_thickness,
+)
 from fkpplab.studies import (
     cached_run,
+    cached_wave,
     compact_family_config,
     run_barrier_check,
     run_generation_study,
@@ -52,8 +59,6 @@ def test_criterion_1_wave_correctness():
 
 def test_criterion_2_minimal_speed_tail_law():
     t0 = time.perf_counter()
-    from fkpplab.studies import cached_wave
-
     prof = cached_wave(2.0)
     gm, gp = prof.kpp_ratio_bounds()
     ok = 0.0 < gm <= gp <= 10.0 * gm
@@ -82,6 +87,21 @@ def test_criterion_4_thickness_scaling():
               f" C_meas in [{min(consts):.2f},{max(consts):.2f}]")
     _verdict(4, "thickness-scaling", rep.passed, detail,
              time.perf_counter() - t0, 60.0)
+
+
+def test_thickness_is_the_minimal_wave_width():
+    """The layer between the levels eps and 1 - 2 eps is eps times the
+    width of the same levels on the c = 2 wave, short by about 0.7 eps:
+    measured (1 - ratio)/eps is 0.78 at eps 0.04 and 0.74 at 0.02, and a
+    5% error in the diffusion factor moves it outside [0.5, 1] at both."""
+    wave = cached_wave(2.0)
+    for eps in (0.04, 0.02):
+        cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
+                                    0.25, 1.0)
+        width = layer_thickness(cached_run(cfg).checkpoint_at(1.0), eps)
+        z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
+        ratio = width / (eps * (z_lo - z_hi))
+        assert 0.5 <= (1.0 - ratio) / eps <= 1.0, (eps, ratio)
 
 
 def test_criterion_5_generation_time():

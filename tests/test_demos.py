@@ -1,9 +1,10 @@
-"""The demos, the benchmark's workloads and README's quickstart against the
-API, without running them (the five demos alone take about 15 s): every
-name a script imports from fkpplab exists, every call it makes to an
-imported fkpplab callable binds to that callable's signature, and every
-name it imports is used.  The package's modules (bar __init__.py, whose
-imports are its exports) and the tests use every name they import too."""
+"""The demo configs, the benchmark's workloads and README's quickstart
+against the API, without running them: every demo config is run by a README
+command and binds to that command's study, every name a script imports
+from fkpplab exists, every call it makes to an imported fkpplab callable
+binds to that callable's signature, and every name it imports is used.  The
+package's modules (bar __init__.py, whose imports are its exports) and the
+tests use every name they import too."""
 
 import ast
 import importlib
@@ -13,11 +14,25 @@ from pathlib import Path
 
 import pytest
 
+from fkpplab import cli
+from fkpplab.config import load_config
+
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted(ROOT.glob("demos/*.py")) + [ROOT / "perfbench" / "workloads.py",
-                                               ROOT / "README.md"]
+README = ROOT / "README.md"
+SCRIPTS = [ROOT / "perfbench" / "workloads.py", README]
 SOURCES = sorted(p for p in ROOT.glob("src/fkpplab/*.py")
                  if p.name != "__init__.py") + sorted(ROOT.glob("tests/*.py"))
+
+
+def test_every_demo_config_binds_to_its_readme_command():
+    commands = re.findall(r"^fkpplab ([\w-]+) --config (demos/\w+\.ini) ",
+                          README.read_text(), re.M)
+    assert ({path for _, path in commands}
+            == {f"demos/{p.name}" for p in ROOT.glob("demos/*.ini")})
+    for command, path in commands:
+        cfg = load_config(str(ROOT / path))
+        reading = cli._reading(command, cfg)
+        inspect.signature(reading.run).bind(**cli._kwargs(reading, cfg))
 
 
 def _parse(path):

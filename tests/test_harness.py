@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fkpplab
 from fkpplab import cli, studies
 from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
+from fkpplab.grids import Field, Grid
 from fkpplab.reporting import ExperimentReport, config_hash
 from fkpplab.studies import run_wave_study
 
@@ -140,9 +142,8 @@ def test_cli_wave_roundtrip(tmp_path):
     assert rc == 0
     assert (out / "report.csv").exists()
     assert (out / "wave_c2.csv").exists()
-    assert (out / "wave_c2.svg").exists()
-    svg = (out / "wave_c2.svg").read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
+    svg = (out / "waves.svg").read_text()
+    assert svg.startswith("<svg") and svg.count("<polyline") == 2
 
 
 def test_cli_usage_errors(tmp_path):
@@ -158,8 +159,11 @@ def test_cli_check_failure_exit_code(tmp_path):
     # an impossible ordering tolerance forces a failing verdict (exit 2)
     ini = _write(tmp_path, "barriers.ini",
                  "[kinetics]\nepsilon = 0.02\n\n[study]\nordering_tol = -1.0\n")
-    rc = cli.main(["barriers", "--config", ini, "--out", str(tmp_path / "o")])
+    out = tmp_path / "o"
+    rc = cli.main(["barriers", "--config", ini, "--out", str(out), "--svg"])
     assert rc == 2
+    # u, the sub-solution and the super-solution at the last checkpoint
+    assert (out / "sandwich.svg").read_text().count("<polyline") == 3
 
 
 SIMULATE_INI = """\
@@ -239,6 +243,12 @@ REJECTED = {
     # without a tail there is no tail rate to read
     "simulate_tail_lambda_without_cap": ("simulate", _add(
         SIMULATE_INI, "initial", "tail_lambda = 1.5"), "tail_lambda"),
+    # the paper's tail M exp(-lam |x|/eps) has lam >= 1 and M > 0
+    "simulate_tail_lambda_below_one": ("simulate", _add(
+        SIMULATE_INI, "initial", "tail_cap = 0.05\ntail_lambda = 0.5"),
+        "tail_lambda"),
+    "simulate_tail_cap_negative": ("simulate", _add(
+        SIMULATE_INI, "initial", "tail_cap = -0.05"), "tail_cap"),
 }
 
 
@@ -315,13 +325,28 @@ def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
     assert _simulated(tmp_path, monkeypatch, ini).initial.tail == (1.0, 0.3)
 
 
-def test_cli_svg_only_for_commands_that_plot(tmp_path, capsys):
+def test_cli_simulate_svg_plots_the_checkpoint_profiles(tmp_path):
     ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
-    with pytest.raises(SystemExit) as info:
-        cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o"),
-                  "--svg"])
-    assert info.value.code == 1
-    assert "--svg" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--svg"]) == 0
+    # one profile per checkpoint, t = 0.1 and 0.2
+    assert (out / "profiles.svg").read_text().count("<polyline") == 2
+
+
+def test_plane_profile_is_the_row_through_y_0(monkeypatch, tmp_path):
+    grid = Grid("plane", ((-1.0, 1.0), (-0.01, 0.01)), 0.002)
+    x, y = grid.points()[..., 0], grid.points()[..., 1]
+    report = ExperimentReport("simulate", columns=(), metadata={
+        "checkpoints": [(0.5, Field(grid, x + 10.0 * y))]})
+    drawn = []
+    monkeypatch.setattr(cli, "line_plot",
+                        lambda path, series, **labels: drawn.extend(series))
+    cli.PLOTS["simulate"](str(tmp_path), report)
+    ((xs, us, label),) = drawn
+    # 1001 nodes along x, thinned to every third: at most about 500 points
+    assert len(xs) == 334 and label == "t=0.5"
+    np.testing.assert_array_equal(xs, grid.axis(0)[::3])
+    np.testing.assert_allclose(us, xs, rtol=0.0, atol=1e-12)
 
 
 def test_cli_simulate_dumps_checkpoints(tmp_path):
@@ -430,10 +455,10 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in ROOT.glob("src/fkpplab/*.py") if p.name != "__init__.py")
-# Callers: the package (bar the exports), the demos and the benchmark's
-# workloads; tests are not callers.
-CALLERS = MODULES + sorted(ROOT.glob("demos/*.py")) + [
-    ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "child.py"]
+# Callers: the package (bar the exports) and the benchmark's workloads;
+# tests are not callers.
+CALLERS = MODULES + [ROOT / "perfbench" / "workloads.py",
+                     ROOT / "perfbench" / "child.py"]
 
 
 def _module_level_names(tree):
