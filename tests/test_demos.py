@@ -24,15 +24,22 @@ SOURCES = sorted(p for p in ROOT.glob("src/fkpplab/*.py")
                  if p.name != "__init__.py") + sorted(ROOT.glob("tests/*.py"))
 
 
-def test_every_demo_config_binds_to_its_readme_command():
-    commands = re.findall(r"^fkpplab ([\w-]+) --config (demos/\w+\.ini) ",
-                          README.read_text(), re.M)
-    assert ({path for _, path in commands}
+# (command, config) of each README line that runs a demo config
+DEMO_COMMANDS = re.findall(r"^fkpplab ([\w-]+) --config (demos/\w+\.ini) ",
+                           README.read_text(), re.M)
+
+
+def test_every_demo_config_is_run_by_a_readme_command():
+    assert ({path for _, path in DEMO_COMMANDS}
             == {f"demos/{p.name}" for p in ROOT.glob("demos/*.ini")})
-    for command, path in commands:
-        cfg = load_config(str(ROOT / path))
-        reading = cli._reading(command, cfg)
-        inspect.signature(reading.run).bind(**cli._kwargs(reading, cfg))
+
+
+@pytest.mark.parametrize("command, path", DEMO_COMMANDS,
+                         ids=[f"{c}-{Path(p).stem}" for c, p in DEMO_COMMANDS])
+def test_demo_config_binds_to_its_readme_command(command, path):
+    cfg = load_config(str(ROOT / path))
+    reading = cli._reading(command, cfg)
+    inspect.signature(reading.run).bind(**cli._kwargs(reading, cfg))
 
 
 def _parse(path):

@@ -325,6 +325,11 @@ def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
     assert _simulated(tmp_path, monkeypatch, ini).initial.tail == (1.0, 0.3)
 
 
+def test_cli_svg_only_for_commands_that_plot():
+    # every command takes --svg, so every command has a plot for it
+    assert list(cli.PLOTS) == list(cli.COMMANDS)
+
+
 def test_cli_simulate_svg_plots_the_checkpoint_profiles(tmp_path):
     ini = _write(tmp_path, "sim.ini", SIMULATE_INI)
     out = tmp_path / "o"
