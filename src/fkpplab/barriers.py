@@ -62,12 +62,6 @@ def m1_recipe(initial: InitialData):
     return THRESHOLD_K * initial.width / initial.amplitude
 
 
-def c_const_recipe(t_end, m1, mu):
-    """Tube constant large enough for the band argument:
-    > max(1, 2(2T + m1 e^{M2 T}), 2/mu)."""
-    return 1.01 * max(1.0, 2.0 * (2.0 * t_end + m1 * math.exp(M2 * t_end)), 2.0 / mu)
-
-
 def generation_sub(t, x, K, kin: KineticsParams, initial: InitialData):
     """max(0, w(t/eps, g(x) - K t)), which kinetics.semiflow returns: pushes
     the data through the ODE while a drift -K t absorbs the neglected

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: wave, simulate, speed, thickness, generation, no-interface,
-barriers.  Each takes --config <path>, --out <dir> and --svg, which adds
-the plots of PLOTS.  COMMANDS says which config keys each one reads; any
-other key is an error.
+barriers.  Each takes --config <path>, --out <dir> and --svg.  COMMANDS
+gives each its plot, which --svg adds, and the functions it calls; a
+command reads the config keys that are parameters of its function (and
+[geometry] for a `body`), and any other key is an error.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -11,12 +12,11 @@ failure, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Callable
 
-from .config import body_from_config, load_config
+from .config import SCHEMA, body_from_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import ConvexBody
 from .kinetics import eps_log
@@ -77,79 +77,51 @@ def _algebraic_simulation(epsilon=None, m=0.5, n=2.0, dim=2, t_end=1.0,
                                    checkpoints=checkpoints)
 
 
-@dataclass(frozen=True)
-class Reading:
-    """How one command reads a config: the function it calls, the
-    "section.key" entries it passes to it as the keyword `key`, the entries
-    it accepts at one value only, and whether [geometry] becomes its `body`
+# "section.key" of each schema key outside [geometry], by key (key names
+# are unique across sections)
+_ENTRIES = {key: f"{section}.{key}" for section, keys in SCHEMA.items()
+            if section != "geometry" for key in keys}
+
+
+def _reads(func) -> tuple:
+    """The entries func reads, and whether [geometry] becomes its `body`
     (body_from_config reads the keys of the shape, config.SHAPE_KEYS)."""
-
-    run: Callable
-    keys: tuple
-    only: dict = field(default_factory=dict)
-    body: bool = False
+    params = inspect.signature(func).parameters
+    return {_ENTRIES[p] for p in params if p in _ENTRIES}, "body" in params
 
 
-_COMPACT = {"initial.variant": "compact"}
-_FAMILY = ("initial.amplitude", "initial.width", "solver.t_end", "study.epsilons")
-_SIMULATION = ("kinetics.epsilon", "solver.dim", "solver.t_end",
-               "solver.extent", "solver.checkpoints")
-
-# command -> its readings; a config is read by the first whose [initial]
-# variant (default compact) it matches.  No other code says which command
-# reads which key.
-COMMANDS = {
-    "wave": (Reading(run_wave_study, ("wave.speeds",)),),
-    "simulate": (
-        Reading(_compact_simulation, _SIMULATION + (
-            "initial.amplitude", "initial.width", "initial.tail_lambda",
-            "initial.tail_cap", "solver.mode"), _COMPACT, body=True),
-        Reading(_algebraic_simulation, _SIMULATION + ("initial.m", "initial.n"),
-                {"initial.variant": "algebraic", "solver.mode": "radial"}),
-    ),
-    "speed": (Reading(run_speed_study, _FAMILY + ("study.fit_window",),
-                      _COMPACT, body=True),),
-    "thickness": (Reading(run_thickness_study, _FAMILY, _COMPACT, body=True),),
-    "generation": (Reading(run_generation_study, _FAMILY, _COMPACT, body=True),),
-    "no-interface": (Reading(run_no_interface_study, (
-        "initial.m", "initial.n", "solver.dim", "study.epsilons",
-        "study.probe_t", "study.probe_x")),),
-    "barriers": (Reading(run_barrier_check, (
-        "kinetics.epsilon", "initial.amplitude", "initial.width",
-        "solver.t_end", "study.c_motion", "study.gen_window",
-        "study.ordering_tol", "study.residual_tol"), _COMPACT, body=True),),
-}
-
-
-def _reading(command, cfg) -> Reading:
+def _reading(command, cfg) -> tuple:
+    """The (function, only) of command that reads cfg: the first whose
+    [initial] variant (default compact) cfg matches."""
     variant = cfg.get("initial", {}).get("variant", "compact")
-    readings = COMMANDS[command]
-    for reading in readings:
-        if reading.only.get("initial.variant", variant) == variant:
-            return reading
-    accepted = " or ".join(r.only["initial.variant"] for r in readings)
+    readings = COMMANDS[command][1:]
+    for func, only in readings:
+        if only.get("initial.variant", variant) == variant:
+            return func, only
+    accepted = " or ".join(only["initial.variant"] for _, only in readings)
     raise ConfigurationError(f"[initial] variant = {variant} is not read by "
                              f"this command (it reads only {accepted})")
 
 
-def _kwargs(reading, cfg) -> dict:
-    """reading.run's keyword arguments from cfg; a key it does not read, or
-    reads at another value, is an error."""
+def _kwargs(func, only, cfg) -> dict:
+    """func's keyword arguments from cfg; a key it does not read, or reads
+    at another value than `only` gives, is an error."""
+    keys, body = _reads(func)
     kw = {}
     for section, values in cfg.items():
         for key, value in values.items():
             entry = f"{section}.{key}"
-            if entry in reading.keys:
+            if entry in keys:
                 kw[key] = value
-            elif entry in reading.only:
-                if value != reading.only[entry]:
+            elif entry in only:
+                if value != only[entry]:
                     raise ConfigurationError(
                         f"[{section}] {key} = {value} is not read by this "
-                        f"command (it reads only {reading.only[entry]})")
-            elif not (reading.body and section == "geometry"):
+                        f"command (it reads only {only[entry]})")
+            elif not (body and section == "geometry"):
                 raise ConfigurationError(
                     f"[{section}] {key} is not read by this command")
-    if reading.body and "geometry" in cfg:
+    if body and "geometry" in cfg:
         kw["body"] = body_from_config(cfg)
     return kw
 
@@ -241,15 +213,22 @@ def _plot_barriers(out, report):
               title=f"sandwich at t={tc:g}", xlabel="x", ylabel="u")
 
 
-# command -> what --svg draws into --out from its report.
-PLOTS = {
-    "wave": _plot_wave,
-    "simulate": _plot_simulate,
-    "speed": _plot_speed,
-    "thickness": _plot_thickness,
-    "generation": _plot_generation,
-    "no-interface": _plot_no_interface,
-    "barriers": _plot_barriers,
+_COMPACT = {"initial.variant": "compact"}
+
+# command -> (what --svg draws into --out from its report, then its readings
+# (function, entries it accepts at one value only)).  A config is read by
+# the first reading whose [initial] variant (default compact) it matches,
+# and reads the schema keys that are parameters of its function.
+COMMANDS = {
+    "wave": (_plot_wave, (run_wave_study, {})),
+    "simulate": (_plot_simulate, (_compact_simulation, _COMPACT),
+                 (_algebraic_simulation, {"initial.variant": "algebraic",
+                                          "solver.mode": "radial"})),
+    "speed": (_plot_speed, (run_speed_study, _COMPACT)),
+    "thickness": (_plot_thickness, (run_thickness_study, _COMPACT)),
+    "generation": (_plot_generation, (run_generation_study, _COMPACT)),
+    "no-interface": (_plot_no_interface, (run_no_interface_study, {})),
+    "barriers": (_plot_barriers, (run_barrier_check, _COMPACT)),
 }
 
 
@@ -268,15 +247,15 @@ def main(argv=None):
     try:
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        reading = _reading(args.command, cfg)
-        made = reading.run(**_kwargs(reading, cfg))
+        func, only = _reading(args.command, cfg)
+        made = func(**_kwargs(func, only, cfg))
         report = (_run_simulate(made, args.out) if args.command == "simulate"
                   else made)
         report.metadata.setdefault("config_hash",
                                    config_hash({k: dict(v) for k, v in cfg.items()}))
         report.write_csv(os.path.join(args.out, "report.csv"))
         if args.svg:
-            PLOTS[args.command](args.out, report)
+            COMMANDS[args.command][0](args.out, report)
         for line in report.summary_lines():
             print(line)
         if report.study == "wave":

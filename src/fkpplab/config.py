@@ -2,8 +2,9 @@
 
 Sections are {kinetics, wave, geometry, initial, solver, study}; every key
 must be known (unknown keys are errors, catching typos early).  Values are
-plain scalars or comma-separated lists.  Which command reads which key is
-the table in cli.py; README lists it per key.
+plain scalars or comma-separated lists.  A command reads the keys that are
+parameters of the function cli.COMMANDS gives it, so a key name belongs to
+one section only; README lists per key which command reads it.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ SHAPE_KEYS = {
 
 
 def _convert(section, key, raw):
-    """The value of one key; a float must be finite."""
+    """The value of one key; a float must be finite, a list not empty."""
     kind = SCHEMA[section][key]
     try:
         if kind is _FLOAT_LIST:
@@ -78,6 +79,8 @@ def _convert(section, key, raw):
             value = kind(raw)
     except ValueError as exc:
         raise ConfigurationError(f"bad value for [{section}] {key}: {raw!r}") from exc
+    if kind is _FLOAT_LIST and not value:
+        raise ConfigurationError(f"empty list for [{section}] {key}")
     if kind in (float, _FLOAT_LIST) and not np.isfinite(value).all():
         raise ConfigurationError(f"non-finite value for [{section}] {key}: {raw!r}")
     return value

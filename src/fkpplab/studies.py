@@ -15,9 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .barriers import (
-    M2,
     SHELL_RHO,
-    c_const_recipe,
     discrete_residual,
     generation_sub,
     generation_super,
@@ -369,7 +367,8 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
                  "max_residual_super_violation", "max_residual_sub_violation"),
         metadata={"config_hash": config_hash(dict(
             epsilon=epsilon, body=body.params, amplitude=amplitude, width=width,
-            t_end=t_end, c_motion=c_motion))},
+            t_end=t_end, c_motion=c_motion, gen_window=gen_window,
+            ordering_tol=ordering_tol, residual_tol=residual_tol))},
     )
     traj = cached_run(cfg)
     kin = KineticsParams(epsilon)
@@ -380,15 +379,10 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
 
     K = fit_generation_drift(traj, kin, initial, gen_times)
     wave_min = cached_wave(2.0)
-    k0 = k0_lower_bound(wave_min, initial)
-    K_hat = max(1.0, k0)
+    K_hat = max(1.0, k0_lower_bound(wave_min, initial))
     m1 = m1_recipe(initial)
     wave_motion = cached_wave(c_motion)
     wave_eps = cached_wave(2.0 - eL)
-    mu = wave_motion.tail_left[1]
-    report.metadata["constants"] = dict(
-        K=K, K0=k0, K_hat=K_hat, m1=m1, m2=M2, t_gen=t_gen,
-        alpha=t_gen / eL, C_const=c_const_recipe(t_end, m1, mu))
 
     worst_sub = worst_super = 0.0
     for tc, fld in traj.checkpoints:

@@ -38,8 +38,8 @@ def test_every_demo_config_is_run_by_a_readme_command():
                          ids=[f"{c}-{Path(p).stem}" for c, p in DEMO_COMMANDS])
 def test_demo_config_binds_to_its_readme_command(command, path):
     cfg = load_config(str(ROOT / path))
-    reading = cli._reading(command, cfg)
-    inspect.signature(reading.run).bind(**cli._kwargs(reading, cfg))
+    run, only = cli._reading(command, cfg)
+    inspect.signature(run).bind(**cli._kwargs(run, only, cfg))
 
 
 def _parse(path):

@@ -15,7 +15,7 @@ from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
 from fkpplab.grids import Field, Grid
 from fkpplab.reporting import ExperimentReport, config_hash
-from fkpplab.studies import run_wave_study
+from fkpplab.studies import run_barrier_check, run_wave_study
 
 SPEED_INI = """\
 [geometry]
@@ -81,6 +81,10 @@ MALFORMED = {
                   "non-finite value for [solver] t_end"),
     "epsilons_nan": ("speed", "[study]\nepsilons = 0.04, nan\n",
                      "non-finite value for [study] epsilons"),
+    # an empty list would pass vacuously, or fail to plot
+    "speeds_empty": ("wave", "[wave]\nspeeds =\n", "empty list for [wave] speeds"),
+    "checkpoints_empty": ("simulate", "[solver]\ncheckpoints =\n",
+                          "empty list for [solver] checkpoints"),
 }
 
 
@@ -123,6 +127,15 @@ def test_report_hash_distinguishes_configs():
     h2 = config_hash({"epsilons": (0.04, 0.02), "t_end": 2.0})
     assert h1 != h2
     assert h1 == config_hash({"t_end": 1.0, "epsilons": (0.04, 0.02)})
+
+
+def test_barrier_report_hash_covers_the_tolerances():
+    # the tolerances decide the verdicts, so reports that differ in them
+    # differ in their hash; all three share one cached run
+    hashes = [run_barrier_check(**kw).metadata["config_hash"]
+              for kw in ({}, {"ordering_tol": 10.0}, {"residual_tol": 1e-2})]
+    assert hashes[0] == "ed794101c8abb08d"
+    assert len(set(hashes)) == 3
 
 
 def test_report_rows_sorted_by_decreasing_epsilon(tmp_path):
@@ -271,14 +284,51 @@ def test_cli_rejects_radial_dimension_above_3(tmp_path, capsys):
 
 def test_every_schema_key_is_read_by_a_command():
     read = set()
-    for readings in cli.COMMANDS.values():
-        for reading in readings:
-            read |= set(reading.keys) | set(reading.only)
-            if reading.body:
+    for _, *readings in cli.COMMANDS.values():
+        for func, only in readings:
+            keys, body = cli._reads(func)
+            read |= keys | set(only)
+            if body:
                 read |= {f"geometry.{key}" for keys in SHAPE_KEYS.values()
                          for key in ("shape",) + keys}
     assert read == {f"{section}.{key}" for section, keys in SCHEMA.items()
                     for key in keys}
+
+
+_FAMILY = {"initial.amplitude", "initial.width", "solver.t_end", "study.epsilons"}
+_SIMULATION = {"kinetics.epsilon", "solver.dim", "solver.t_end",
+               "solver.extent", "solver.checkpoints"}
+# function -> the entries it reads and whether [geometry] becomes its body:
+# the config surface of every command, written out
+READS = {
+    "run_wave_study": ({"wave.speeds"}, False),
+    "_compact_simulation": (_SIMULATION | {
+        "initial.amplitude", "initial.width", "initial.tail_lambda",
+        "initial.tail_cap", "solver.mode"}, True),
+    "_algebraic_simulation": (_SIMULATION | {"initial.m", "initial.n"}, False),
+    "run_speed_study": (_FAMILY | {"study.fit_window"}, True),
+    "run_thickness_study": (_FAMILY, True),
+    "run_generation_study": (_FAMILY, True),
+    "run_no_interface_study": ({"initial.m", "initial.n", "solver.dim",
+                                "study.epsilons", "study.probe_t",
+                                "study.probe_x"}, False),
+    "run_barrier_check": ({"kinetics.epsilon", "initial.amplitude",
+                           "initial.width", "solver.t_end", "study.c_motion",
+                           "study.gen_window", "study.ordering_tol",
+                           "study.residual_tol"}, True),
+}
+
+
+def test_each_reading_reads_its_written_out_keys():
+    assert {func.__name__: cli._reads(func)
+            for _, *readings in cli.COMMANDS.values()
+            for func, _ in readings} == READS
+
+
+def test_schema_key_names_are_unique_across_sections():
+    # a parameter name is the one schema key it reads
+    names = [key for keys in SCHEMA.values() for key in keys]
+    assert len(names) == len(set(names))
 
 
 class _Captured(Exception):
@@ -327,7 +377,7 @@ def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
 
 def test_cli_svg_only_for_commands_that_plot():
     # every command takes --svg, so every command has a plot for it
-    assert list(cli.PLOTS) == list(cli.COMMANDS)
+    assert all(callable(entry[0]) for entry in cli.COMMANDS.values())
 
 
 def test_cli_simulate_svg_plots_the_checkpoint_profiles(tmp_path):
@@ -346,7 +396,7 @@ def test_plane_profile_is_the_row_through_y_0(monkeypatch, tmp_path):
     drawn = []
     monkeypatch.setattr(cli, "line_plot",
                         lambda path, series, **labels: drawn.extend(series))
-    cli.PLOTS["simulate"](str(tmp_path), report)
+    cli.COMMANDS["simulate"][0](str(tmp_path), report)
     ((xs, us, label),) = drawn
     # 1001 nodes along x, thinned to every third: at most about 500 points
     assert len(xs) == 334 and label == "t=0.5"
@@ -521,6 +571,25 @@ def test_every_module_level_name_has_a_caller():
         unread += [f"{path.name}: {qual}" for qual, name in _members(path, tree)
                    if name not in loaded]
     assert not unread, f"defined but read by no caller: {unread}"
+
+
+def test_settable_values_do_not_grow():
+    """Parameters with a default, annotated fields of @dataclass classes and
+    config.SCHEMA keys, over the package's modules: each is a value a caller
+    can set.  Raising the bound needs a CHANGES.md line naming the new
+    option."""
+    defaults = fields = 0
+    for path in ROOT.glob("src/fkpplab/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arguments):
+                defaults += len(node.defaults) + sum(
+                    d is not None for d in node.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0] == "dataclass"
+                    for d in node.decorator_list):
+                fields += sum(isinstance(item, ast.AnnAssign) for item in node.body)
+    keys = sum(len(section) for section in SCHEMA.values())
+    assert defaults + fields + keys <= 136, (defaults, fields, keys)
 
 
 def test_solver_import_leaves_wave_shooting_modules_unloaded():
