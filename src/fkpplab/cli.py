@@ -45,14 +45,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
-def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
-                        tail_lambda=None, tail_cap=0.0, mode="line", dim=None,
-                        t_end=1.0, extent=0.0, checkpoints=None):
+def _compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
+                        amplitude=0.9, width=0.25, tail_lambda=None,
+                        tail_cap=0.0, mode="line", dim=None, t_end=1.0,
+                        extent=0.0, checkpoints=None):
     """The SimConfig `simulate` runs for compact data: the study family's.
     The tail rate defaults to 1 and is read only with a tail, tail_cap != 0;
     the dimension defaults to 2 and is read only in radial mode."""
-    if epsilon is None:
-        raise ConfigurationError("[kinetics] epsilon is required for simulate")
     if dim is not None and mode != "radial":
         raise ConfigurationError(f"[solver] dim is not read in {mode} mode")
     if tail_cap == 0.0 and tail_lambda is not None:
@@ -61,16 +60,13 @@ def _compact_simulation(epsilon=None, body=None, amplitude=0.9, width=0.25,
     tail = (None if tail_cap == 0.0
             else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
     return compact_family_config(
-        epsilon, body or ConvexBody.interval(-0.5, 0.5), amplitude, width,
-        t_end, mode, 2 if dim is None else dim, checkpoints, tail,
-        min_reach=extent)
+        epsilon, body, amplitude, width, t_end, mode,
+        2 if dim is None else dim, checkpoints, tail, min_reach=extent)
 
 
-def _algebraic_simulation(epsilon=None, m=0.5, n=2.0, dim=2, t_end=1.0,
+def _algebraic_simulation(epsilon, m=0.5, n=2.0, dim=2, t_end=1.0,
                           extent=4.0, checkpoints=None):
     """The radial SimConfig `simulate` runs for algebraic data."""
-    if epsilon is None:
-        raise ConfigurationError("[kinetics] epsilon is required for simulate")
     if checkpoints is None:
         checkpoints = (t_end / 2.0, t_end)
     return algebraic_family_config(epsilon, m, n, t_end, extent, dim=dim,
@@ -104,8 +100,8 @@ def _reading(command, cfg) -> tuple:
 
 
 def _kwargs(func, only, cfg) -> dict:
-    """func's keyword arguments from cfg; a key it does not read, or reads
-    at another value than `only` gives, is an error."""
+    """func's keyword arguments from cfg; a key it does not read, or reads at
+    another value than `only` gives, and a required key missing are errors."""
     keys, body = _reads(func)
     kw = {}
     for section, values in cfg.items():
@@ -123,6 +119,10 @@ def _kwargs(func, only, cfg) -> dict:
                     f"[{section}] {key} is not read by this command")
     if body and "geometry" in cfg:
         kw["body"] = body_from_config(cfg)
+    for p in inspect.signature(func).parameters.values():
+        if p.default is p.empty and p.name not in kw:
+            section, key = _ENTRIES[p.name].split(".")
+            raise ConfigurationError(f"[{section}] {key} is required")
     return kw
 
 

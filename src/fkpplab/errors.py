@@ -15,7 +15,3 @@ class NumericalError(RuntimeError):
     def __init__(self, message, diagnostic=None):
         super().__init__(message)
         self.diagnostic = diagnostic
-
-
-class ShootingError(NumericalError):
-    """A shooting integration never reached its target event."""

@@ -58,9 +58,10 @@ class KineticsParams:
             raise ConfigurationError(
                 "eps|ln eps| must stay below CUTOFF_INNER (epsilon too large)"
             )
-        u = np.linspace(0.0, 2.0, 10_000)
-        gap = modified_logistic(u, self) - u * (1.0 - u)
-        if float(gap.max()) > 1e-12:
+        # modified - u(1-u) = -psi g, psi in [0, 1] and 0 from pos_outer on;
+        # g = u(1-u) - (u - theta)/|ln eps| is concave with g(0) = eps > 0
+        u = self.pos_outer
+        if u * (1.0 - u) - (u - self.threshold) / self.log_eps < 0.0:
             raise ConfigurationError(
                 "modified rate exceeds u(1-u) (epsilon too large)"
             )

@@ -20,8 +20,10 @@ TABLE_ROWS = 4096
 
 
 def config_hash(params: dict) -> str:
-    """Canonical hash of a (nested) parameter mapping."""
-    blob = json.dumps(params, sort_keys=True, default=repr)
+    """Canonical hash of a (nested) parameter mapping; an array counts as
+    the list of its values."""
+    blob = json.dumps(params, sort_keys=True, default=lambda v: (
+        v.tolist() if isinstance(v, np.ndarray) else repr(v)))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

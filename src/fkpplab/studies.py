@@ -5,12 +5,17 @@ epsilon, whose checks encode the quantitative claims being measured (front
 speed 2, layer thickness ~ eps|ln eps|, generation time ~ eps|ln eps|,
 pointwise limit 1 for algebraic tails, barrier orderings), and whose CSV
 form is byte-stable across reruns.
+
+Each study is declared by its signature alone (@_study): a default body is
+a parameter default, a ladder is its distinct epsilons, and config_hash
+covers every argument.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -135,37 +140,69 @@ def _generation_time(traj, epsilon):
     return float(traj.series["t"][hit[0]])
 
 
-def _require_ladder(epsilons):
-    if len(epsilons) < 2:
-        raise ConfigurationError("need at least two epsilon values for a trend")
-    return tuple(sorted(set(epsilons), reverse=True))
+def _study(func):
+    """func with its defaults applied, an `epsilons` ladder as its distinct
+    values, largest first (at least two), and its report's config_hash over
+    every argument, a ConvexBody by its params."""
+    signature = inspect.signature(func)
+
+    @wraps(func)
+    def study(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        params = bound.arguments
+        if "epsilons" in params:
+            params["epsilons"] = tuple(sorted(set(params["epsilons"]),
+                                              reverse=True))
+            if len(params["epsilons"]) < 2:
+                raise ConfigurationError(
+                    "need at least two epsilon values for a trend")
+        report = func(*bound.args, **bound.kwargs)
+        report.metadata["config_hash"] = config_hash(
+            {name: value.params if isinstance(value, ConvexBody) else value
+             for name, value in params.items()})
+        return report
+
+    return study
 
 
-def run_speed_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
+def _fit_eps_log(report, model, column):
+    """Adds the fit column ~ A eps|ln eps| through the origin, by least
+    squares, with its largest residual, and returns that residual."""
+    el = np.array([eps_log(r["epsilon"]) for r in report.rows])
+    v = np.array([r[column] for r in report.rows])
+    a = float(el @ v / (el @ el))
+    resid = float(np.abs(v - a * el).max())
+    report.add_fit(model, (a,), resid)
+    return resid
+
+
+def _check_stable(report, name, *columns):
+    """Adds the check that the columns' values vary by a factor 2 at most."""
+    values = [r[c] for r in report.rows for c in columns]
+    report.add_check(name, max(values) / min(values) <= 2.0,
+                     f"max/min={max(values) / min(values):.3f}")
+
+
+@_study
+def run_speed_study(epsilons=(0.04, 0.02, 0.01),
+                    body=ConvexBody.interval(-0.5, 0.5), amplitude=0.9,
                     width=0.25, t_end=1.0, fit_window=0.2) -> ExperimentReport:
     """Front position series -> least-squares speed; the fitted speed must
     sit within 10 eps|ln eps| of 2 and the error must shrink down the ladder."""
-    epsilons = _require_ladder(epsilons)
-    body = body or ConvexBody.interval(-0.5, 0.5)
     report = ExperimentReport(
-        "speed",
-        columns=("epsilon", "speed", "abs_error", "allowed_error"),
-        metadata={"config_hash": config_hash(dict(
-            epsilons=epsilons, body=body.params, amplitude=amplitude,
-            width=width, t_end=t_end, fit_window=fit_window))},
-    )
-    errors = []
+        "speed", columns=("epsilon", "speed", "abs_error", "allowed_error"))
     for eps in epsilons:
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         traj = cached_run(cfg)
         speed, icpt, resid = _front_speed_fit(traj, fit_window)
         err = abs(speed - 2.0)
         allowed = 10.0 * eps_log(eps)
-        errors.append(err)
         report.add_row(epsilon=eps, speed=speed, abs_error=err, allowed_error=allowed)
         report.add_fit(f"front~c*t+b@eps={eps:g}", (speed, icpt), resid)
         report.add_check(f"speed_error_bound@eps={eps:g}", err <= allowed,
                          f"|{speed:.4f}-2|={err:.4f} <= {allowed:.4f}")
+    errors = [r["abs_error"] for r in report.rows]
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     report.add_check("speed_error_strictly_decreasing", decreasing,
                      "->".join(f"{e:.4f}" for e in errors))
@@ -188,21 +225,16 @@ def _band_constant(fld, body, t, epsilon):
     return c / eps_log(epsilon)
 
 
-def run_thickness_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
+@_study
+def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
+                        body=ConvexBody.interval(-0.5, 0.5), amplitude=0.9,
                         width=0.25, t_end=1.0) -> ExperimentReport:
     """Layer width W(eps, t) and the measured band constant; both must be
     stable (max/min <= 2) against eps|ln eps| scaling across the ladder."""
-    epsilons = _require_ladder(epsilons)
-    body = body or ConvexBody.interval(-0.5, 0.5)
     report = ExperimentReport(
         "thickness",
         columns=("epsilon", "width_mid", "width_end", "width_over_eps_log",
-                 "band_const_mid", "band_const_end"),
-        metadata={"config_hash": config_hash(dict(
-            epsilons=epsilons, body=body.params, amplitude=amplitude,
-            width=width, t_end=t_end))},
-    )
-    ratios, consts = [], []
+                 "band_const_mid", "band_const_end"))
     for eps in epsilons:
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         traj = cached_run(cfg)
@@ -214,75 +246,50 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.9,
             raise ConfigurationError("band levels not attained at a checkpoint")
         c_mid = _band_constant(f_mid, body, t_end / 2.0, eps)
         c_end = _band_constant(f_end, body, t_end, eps)
-        ratios.append(w_end / eps_log(eps))
-        consts.extend([c_mid, c_end])
         report.add_row(epsilon=eps, width_mid=w_mid, width_end=w_end,
                        width_over_eps_log=w_end / eps_log(eps),
                        band_const_mid=c_mid, band_const_end=c_end)
         report.add_check(f"width_positive@eps={eps:g}", w_end > 0 and w_mid > 0)
-    el = np.array([eps_log(e) for e in epsilons])
-    wv = np.array([r["width_end"] for r in report.rows])
-    slope = float(el @ wv / (el @ el))
-    report.add_fit("width~A*eps*|ln eps|", (slope,),
-                   float(np.abs(wv - slope * el).max()))
-    report.add_check("width_ratio_stable", max(ratios) / min(ratios) <= 2.0,
-                     f"max/min={max(ratios) / min(ratios):.3f}")
-    report.add_check("band_const_stable", max(consts) / min(consts) <= 2.0,
-                     f"max/min={max(consts) / min(consts):.3f}")
+    _fit_eps_log(report, "width~A*eps*|ln eps|", "width_end")
+    _check_stable(report, "width_ratio_stable", "width_over_eps_log")
+    _check_stable(report, "band_const_stable",
+                  "band_const_mid", "band_const_end")
     return report
 
 
-def run_generation_study(epsilons=(0.04, 0.02, 0.01), body=None, amplitude=0.5,
+@_study
+def run_generation_study(epsilons=(0.04, 0.02, 0.01),
+                         body=ConvexBody.interval(-0.5, 0.5), amplitude=0.5,
                          width=0.25, t_end=0.5) -> ExperimentReport:
     """First time the solution clears 1-eps on {g >= 3 eps|ln eps|}; fits
     tau = alpha eps|ln eps| and demands a stable alpha."""
-    epsilons = _require_ladder(epsilons)
     if amplitude >= 1.0:
         raise ConfigurationError("generation needs amplitude < 1 to be nontrivial")
-    body = body or ConvexBody.interval(-0.5, 0.5)
-    report = ExperimentReport(
-        "generation",
-        columns=("epsilon", "tau", "alpha"),
-        metadata={"config_hash": config_hash(dict(
-            epsilons=epsilons, body=body.params, amplitude=amplitude,
-            width=width, t_end=t_end))},
-    )
-    taus = []
+    report = ExperimentReport("generation", columns=("epsilon", "tau", "alpha"))
     for eps in epsilons:
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         tau = _generation_time(cached_run(cfg), eps)
-        taus.append(tau)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
-    alphas = [r["alpha"] for r in report.rows]
-    el = np.array([eps_log(e) for e in epsilons])
-    tv = np.array(taus)
-    alpha_fit = float(el @ tv / (el @ el))
-    resid = float(np.abs(tv - alpha_fit * el).max())
-    report.add_fit("tau~alpha*eps*|ln eps|", (alpha_fit,), resid)
-    report.add_check("alpha_stable_factor_2", max(alphas) / min(alphas) <= 2.0,
-                     f"max/min={max(alphas) / min(alphas):.3f}")
-    report.add_check("fit_residual_below_20pct", resid <= 0.2 * tv.mean(),
-                     f"{resid:.4f} <= {0.2 * tv.mean():.4f}")
+    taus = [r["tau"] for r in report.rows]
+    resid = _fit_eps_log(report, "tau~alpha*eps*|ln eps|", "tau")
+    _check_stable(report, "alpha_stable_factor_2", "alpha")
+    report.add_check("fit_residual_below_20pct", resid <= 0.2 * np.mean(taus),
+                     f"{resid:.4f} <= {0.2 * np.mean(taus):.4f}")
     report.add_check("tau_decreasing", all(a > b for a, b in zip(taus, taus[1:])))
     return report
 
 
+@_study
 def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                            probe_t=0.5, probe_x=2.0, dim=2,
                            control_radius=0.5) -> ExperimentReport:
     """Pointwise probe outside the sharp front: algebraic tails must push it
     to 1 down the ladder while the compact control stays at 0."""
-    epsilons = _require_ladder(epsilons)
     reach = probe_x + 4.0
     report = ExperimentReport(
         "no_interface",
         columns=("epsilon", "probe_algebraic", "probe_compact", "probe_origin",
-                 "control_origin"),
-        metadata={"config_hash": config_hash(dict(
-            epsilons=epsilons, m=m, n=n, probe_t=probe_t, probe_x=probe_x,
-            dim=dim, control_radius=control_radius))},
-    )
-    probes, controls = [], []
+                 "control_origin"))
     for eps in epsilons:
         cfg = algebraic_family_config(eps, m, n, probe_t, reach, dim=dim)
         traj = cached_run(cfg)
@@ -297,8 +304,6 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
         cfld = ctraj.checkpoint_at(probe_t)
         p_cmp = interpolate(cfld, probe_x)
         c_origin = interpolate(cfld, 0.0)
-        probes.append(p_alg)
-        controls.append(p_cmp)
         report.add_row(epsilon=eps, probe_algebraic=p_alg, probe_compact=p_cmp,
                        probe_origin=p_origin, control_origin=c_origin)
         report.add_check(f"control_stays_low@eps={eps:g}", p_cmp <= 0.05,
@@ -308,6 +313,7 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                          min(p_origin, c_origin) >= 1.0 - 2.0 * eps,
                          f"min({p_origin:.4f}, {c_origin:.4f})"
                          f" >= {1 - 2 * eps:.4f}")
+    probes = [r["probe_algebraic"] for r in report.rows]
     increasing = all(a < b for a, b in zip(probes, probes[1:]))
     report.add_check("probe_strictly_increasing", increasing,
                      "->".join(f"{p:.6f}" for p in probes))
@@ -343,16 +349,17 @@ def fit_generation_drift(traj, kin, initial, checkpoints):
     raise ConfigurationError("no drift constant K <= 256 orders the barrier")
 
 
-def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
-                      t_end=1.0, c_motion=1.5, gen_window=2.0,
-                      ordering_tol=None, residual_tol=5e-3) -> ExperimentReport:
+@_study
+def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
+                      amplitude=0.9, width=0.1, t_end=1.0, c_motion=1.5,
+                      gen_window=2.0, ordering_tol=None,
+                      residual_tol=5e-3) -> ExperimentReport:
     """Sandwich and sign checks for every barrier on one compact run, plus
     the expanding-shell barrier over algebraic data; emits the
     (t, slack, violation) table and one verdict per property.  A sabotaged
     global super-solution, its amplitude below the K0 floor, must be seen
     to break the ordering.
     """
-    body = body or ConvexBody.interval(-2.4, 2.4)
     initial = InitialData.compact(body, amplitude, width)
     dx = epsilon / 8.0
     tol = ordering_tol if ordering_tol is not None else max(1e-3, 5.0 * dx)
@@ -364,12 +371,7 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     report = ExperimentReport(
         "barriers",
         columns=("t", "min_slack_sub", "min_slack_super",
-                 "max_residual_super_violation", "max_residual_sub_violation"),
-        metadata={"config_hash": config_hash(dict(
-            epsilon=epsilon, body=body.params, amplitude=amplitude, width=width,
-            t_end=t_end, c_motion=c_motion, gen_window=gen_window,
-            ordering_tol=ordering_tol, residual_tol=residual_tol))},
-    )
+                 "max_residual_super_violation", "max_residual_sub_violation"))
     traj = cached_run(cfg)
     kin = KineticsParams(epsilon)
     grid = cfg.grid
@@ -457,15 +459,14 @@ def run_barrier_check(epsilon=0.02, body=None, amplitude=0.9, width=0.1,
     return report
 
 
+@_study
 def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
     """Wave tables: equation residual, fitted tail rates against the
     quadratic-root law, and the z e^{-z} envelope at the minimal speed."""
     report = ExperimentReport(
         "wave",
         columns=("c", "residual_max", "lambda_fit", "lambda_theory",
-                 "gamma_minus", "gamma_plus"),
-        metadata={"config_hash": config_hash(dict(speeds=tuple(speeds)))},
-    )
+                 "gamma_minus", "gamma_plus"))
     for c in speeds:
         prof = cached_wave(c)
         res = float(prof.residual().max())

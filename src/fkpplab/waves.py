@@ -22,7 +22,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from .errors import DomainError, NumericalError, ShootingError
+from .errors import DomainError, NumericalError
 from .reporting import write_table
 
 WAVE_FLOOR = 1e-10  # right-tail truncation level
@@ -222,7 +222,7 @@ def solve_wave(c):
 
     leg1 = _integrate(c, guard, y0, [_event(anchor, -1)])
     if len(leg1.t_events[0]) == 0:
-        raise ShootingError(f"never reached U = {anchor:g} within the span guard")
+        raise NumericalError(f"never reached U = {anchor:g} within the span guard")
     z_anchor = float(leg1.t_events[0][0])
 
     if monotone:

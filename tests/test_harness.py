@@ -13,6 +13,7 @@ import fkpplab
 from fkpplab import cli, studies
 from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
+from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid
 from fkpplab.reporting import ExperimentReport, config_hash
 from fkpplab.studies import run_barrier_check, run_wave_study
@@ -85,6 +86,18 @@ MALFORMED = {
     "speeds_empty": ("wave", "[wave]\nspeeds =\n", "empty list for [wave] speeds"),
     "checkpoints_empty": ("simulate", "[solver]\ncheckpoints =\n",
                           "empty list for [solver] checkpoints"),
+    # a trend needs two distinct rungs, counted after duplicates are dropped
+    "epsilons_repeated": ("speed", "[study]\nepsilons = 0.1, 0.1\n",
+                          "need at least two epsilon values"),
+    "epsilons_single": ("thickness", "[study]\nepsilons = 0.04\n",
+                        "need at least two epsilon values"),
+    # a parameter without a default is a required key
+    "simulate_compact_without_epsilon": (
+        "simulate", "[initial]\namplitude = 0.8\n\n[solver]\nt_end = 0.2\n",
+        "[kinetics] epsilon is required"),
+    "simulate_algebraic_without_epsilon": (
+        "simulate", "[initial]\nvariant = algebraic\n\n[solver]\nmode = radial\n",
+        "[kinetics] epsilon is required"),
 }
 
 
@@ -127,6 +140,9 @@ def test_report_hash_distinguishes_configs():
     h2 = config_hash({"epsilons": (0.04, 0.02), "t_end": 2.0})
     assert h1 != h2
     assert h1 == config_hash({"t_end": 1.0, "epsilons": (0.04, 0.02)})
+    # an array hashes as its values, as the tuple or list of them does
+    assert config_hash({"speeds": np.array([2.0, 2.5])}) == (
+        config_hash({"speeds": (2.0, 2.5)}))
 
 
 def test_barrier_report_hash_covers_the_tolerances():
@@ -136,6 +152,37 @@ def test_barrier_report_hash_covers_the_tolerances():
               for kw in ({}, {"ordering_tol": 10.0}, {"residual_tol": 1e-2})]
     assert hashes[0] == "ed794101c8abb08d"
     assert len(set(hashes)) == 3
+
+
+@studies._study
+def _toy_study(epsilons=(0.04, 0.02), body=ConvexBody.interval(-1.0, 1.0),
+               k=3.0, tol=None):
+    return ExperimentReport("toy", columns=("epsilon",),
+                            metadata={"epsilons": epsilons})
+
+
+def test_study_hash_covers_every_argument_defaults_included():
+    report = _toy_study()
+    assert report.metadata["config_hash"] == config_hash(dict(
+        epsilons=(0.04, 0.02), body=(-1.0, 1.0), k=3.0, tol=None))
+    # positional, keyword and default spellings of one call hash alike
+    body = ConvexBody.interval(-1.0, 1.0)
+    spellings = [_toy_study(), _toy_study((0.04, 0.02), body, 3.0, None),
+                 _toy_study(k=3.0, epsilons=[0.02, 0.04, 0.02], body=body),
+                 _toy_study([0.02, 0.04], tol=None)]
+    assert {r.metadata["config_hash"] for r in spellings} == {
+        report.metadata["config_hash"]}
+    # the study sees the ladder as its distinct values, largest first
+    assert {r.metadata["epsilons"] for r in spellings} == {(0.04, 0.02)}
+    assert _toy_study(k=2.0).metadata["config_hash"] != (
+        report.metadata["config_hash"])
+
+
+def test_every_study_reading_is_study_declared():
+    wrapper = studies._study(lambda: None).__code__
+    declared = [func for _, *readings in cli.COMMANDS.values()
+                for func, _ in readings if func.__module__ == studies.__name__]
+    assert declared and all(func.__code__ is wrapper for func in declared)
 
 
 def test_report_rows_sorted_by_decreasing_epsilon(tmp_path):
@@ -589,7 +636,7 @@ def test_settable_values_do_not_grow():
                     for d in node.decorator_list):
                 fields += sum(isinstance(item, ast.AnnAssign) for item in node.body)
     keys = sum(len(section) for section in SCHEMA.values())
-    assert defaults + fields + keys <= 136, (defaults, fields, keys)
+    assert defaults + fields + keys <= 134, (defaults, fields, keys)
 
 
 def test_solver_import_leaves_wave_shooting_modules_unloaded():

@@ -46,8 +46,9 @@ def test_modified_rate_anchor_points():
     assert modified_logistic(0.0, p1) == pytest.approx(-0.1, abs=1e-12)
 
 
-@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+@pytest.mark.parametrize("eps", [0.1, 0.04, 0.02, 0.01, 0.005, 1e-4])
 def test_modified_rate_never_exceeds_logistic(eps):
+    # KineticsParams checks this exactly, at pos_outer; sampled here
     p = KineticsParams(eps)
     u = np.linspace(0.0, 2.0, 10_000)
     gap = modified_logistic(u, p) - u * (1.0 - u)
