@@ -4,7 +4,8 @@ Subcommands: wave, simulate, speed, thickness, generation, no-interface,
 barriers.  Each takes --config <path>, --out <dir> and --svg.  COMMANDS
 gives each its plot, which --svg adds, and the functions it calls; a
 command reads the config keys that are parameters of its function (and
-[geometry] for a `body`), and any other key is an error.
+[geometry] for a `body`), and any other key is an error.  Each function is
+a study returning its report, so main runs every command alike.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -18,16 +19,13 @@ import sys
 
 from .config import SCHEMA, body_from_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
-from .geometry import ConvexBody
 from .kinetics import eps_log
-from .reporting import ExperimentReport, config_hash
-from .solver import SimConfig, dump_checkpoint, run
 from .svgplot import line_plot
 from .studies import (
-    algebraic_family_config,
     cached_wave,
-    compact_family_config,
+    run_algebraic_simulation,
     run_barrier_check,
+    run_compact_simulation,
     run_generation_study,
     run_no_interface_study,
     run_speed_study,
@@ -35,42 +33,12 @@ from .studies import (
     run_wave_study,
 )
 
-_SIM_COLUMNS = ("t", "sup", "min", "front_half", "layer_width")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
-
-
-def _compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
-                        amplitude=0.9, width=0.25, tail_lambda=None,
-                        tail_cap=0.0, mode="line", dim=None, t_end=1.0,
-                        extent=0.0, checkpoints=None):
-    """The SimConfig `simulate` runs for compact data: the study family's.
-    The tail rate defaults to 1 and is read only with a tail, tail_cap != 0;
-    the dimension defaults to 2 and is read only in radial mode."""
-    if dim is not None and mode != "radial":
-        raise ConfigurationError(f"[solver] dim is not read in {mode} mode")
-    if tail_cap == 0.0 and tail_lambda is not None:
-        raise ConfigurationError(
-            "[initial] tail_lambda is not read when tail_cap is 0 or absent")
-    tail = (None if tail_cap == 0.0
-            else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
-    return compact_family_config(
-        epsilon, body, amplitude, width, t_end, mode,
-        2 if dim is None else dim, checkpoints, tail, min_reach=extent)
-
-
-def _algebraic_simulation(epsilon, m=0.5, n=2.0, dim=2, t_end=1.0,
-                          extent=4.0, checkpoints=None):
-    """The radial SimConfig `simulate` runs for algebraic data."""
-    if checkpoints is None:
-        checkpoints = (t_end / 2.0, t_end)
-    return algebraic_family_config(epsilon, m, n, t_end, extent, dim=dim,
-                                   checkpoints=checkpoints)
 
 
 # "section.key" of each schema key outside [geometry], by key (key names
@@ -124,19 +92,6 @@ def _kwargs(func, only, cfg) -> dict:
             section, key = _ENTRIES[p.name].split(".")
             raise ConfigurationError(f"[{section}] {key} is required")
     return kw
-
-
-def _run_simulate(sim: SimConfig, out) -> ExperimentReport:
-    traj = run(sim)
-    report = ExperimentReport("simulate", columns=_SIM_COLUMNS,
-                              metadata={"checkpoints": traj.checkpoints})
-    ts = traj.series["t"]
-    for tc, fld in traj.checkpoints:
-        i = int(round(tc / (ts[1] - ts[0]))) if len(ts) > 1 else 0
-        report.add_row(t=tc, **{name: traj.series[name][i] for name in
-                                _SIM_COLUMNS[1:] if name in traj.series})
-        dump_checkpoint(fld, tc, os.path.join(out, f"checkpoint_t{tc:g}.csv"))
-    return report
 
 
 def _thin(*arrays):
@@ -221,9 +176,9 @@ _COMPACT = {"initial.variant": "compact"}
 # and reads the schema keys that are parameters of its function.
 COMMANDS = {
     "wave": (_plot_wave, (run_wave_study, {})),
-    "simulate": (_plot_simulate, (_compact_simulation, _COMPACT),
-                 (_algebraic_simulation, {"initial.variant": "algebraic",
-                                          "solver.mode": "radial"})),
+    "simulate": (_plot_simulate, (run_compact_simulation, _COMPACT),
+                 (run_algebraic_simulation, {"initial.variant": "algebraic",
+                                             "solver.mode": "radial"})),
     "speed": (_plot_speed, (run_speed_study, _COMPACT)),
     "thickness": (_plot_thickness, (run_thickness_study, _COMPACT)),
     "generation": (_plot_generation, (run_generation_study, _COMPACT)),
@@ -248,20 +203,14 @@ def main(argv=None):
         cfg = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         func, only = _reading(args.command, cfg)
-        made = func(**_kwargs(func, only, cfg))
-        report = (_run_simulate(made, args.out) if args.command == "simulate"
-                  else made)
-        report.metadata.setdefault("config_hash",
-                                   config_hash({k: dict(v) for k, v in cfg.items()}))
+        report = func(**_kwargs(func, only, cfg))
         report.write_csv(os.path.join(args.out, "report.csv"))
+        for name, write in report.metadata.get("tables", {}).items():
+            write(os.path.join(args.out, name))
         if args.svg:
             COMMANDS[args.command][0](args.out, report)
         for line in report.summary_lines():
             print(line)
-        if report.study == "wave":
-            for r in report.rows:
-                cached_wave(r["c"]).dump_table(
-                    os.path.join(args.out, f"wave_c{r['c']:g}.csv"))
         print(f"report written to {os.path.join(args.out, 'report.csv')}")
         return 0 if report.passed else 2
     except (ConfigurationError, DomainError) as exc:

@@ -8,14 +8,15 @@ form is byte-stable across reruns.
 
 Each study is declared by its signature alone (@_study): a default body is
 a parameter default, a ladder is its distinct epsilons, and config_hash
-covers every argument.
+covers every argument.  Every CLI command runs a study; a report names
+the files it writes beside report.csv in metadata["tables"] (name: writer).
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 
@@ -37,7 +38,8 @@ from .geometry import ConvexBody
 from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
-from .solver import (InitialData, SimConfig, build_initial, layer_thickness,
+from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
+                     compact_value, dump_checkpoint, layer_thickness,
                      outflow_margin, run)
 from .waves import decay_rate, solve_wave
 
@@ -130,6 +132,19 @@ def _front_speed_fit(traj, fit_window):
     return float(slope), float(icpt), resid
 
 
+def _check_threshold_set(initial, epsilon):
+    """Raises when the threshold set {g >= THRESHOLD_K eps|ln eps|} is
+    empty, g below the level even at the body's centre, where it peaks:
+    no t_end can help."""
+    level = THRESHOLD_K * eps_log(epsilon)
+    peak = float(np.max(compact_value(initial, initial.body.center)))
+    if peak < level:
+        raise ConfigurationError(
+            f"threshold set {{g >= {THRESHOLD_K:g} eps|ln eps|}} is empty at "
+            f"eps={epsilon:g}: amplitude {initial.amplitude:g} gives g at most "
+            f"{peak:.4g} < {THRESHOLD_K:g} eps|ln eps| = {level:.4g}")
+
+
 def _generation_time(traj, epsilon):
     """First recorded time at which u >= 1 - eps on the whole threshold set
     {g >= THRESHOLD_K eps|ln eps|}."""
@@ -189,7 +204,11 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01),
                     body=ConvexBody.interval(-0.5, 0.5), amplitude=0.9,
                     width=0.25, t_end=1.0, fit_window=0.2) -> ExperimentReport:
     """Front position series -> least-squares speed; the fitted speed must
-    sit within 10 eps|ln eps| of 2 and the error must shrink down the ladder."""
+    sit within 10 eps|ln eps| of 2 and the error must shrink down the ladder.
+    The fit reads t >= fit_window t_end, past the generation transient."""
+    if not 0.0 <= fit_window < 1.0:
+        raise ConfigurationError(
+            f"[study] fit_window = {fit_window:g} must lie in [0, 1)")
     report = ExperimentReport(
         "speed", columns=("epsilon", "speed", "abs_error", "allowed_error"))
     for eps in epsilons:
@@ -265,8 +284,10 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
     tau = alpha eps|ln eps| and demands a stable alpha."""
     if amplitude >= 1.0:
         raise ConfigurationError("generation needs amplitude < 1 to be nontrivial")
+    initial = InitialData.compact(body, amplitude, width)
     report = ExperimentReport("generation", columns=("epsilon", "tau", "alpha"))
     for eps in epsilons:
+        _check_threshold_set(initial, eps)
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         tau = _generation_time(cached_run(cfg), eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
@@ -364,6 +385,11 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     dx = epsilon / 8.0
     tol = ordering_tol if ordering_tol is not None else max(1e-3, 5.0 * dx)
     eL = eps_log(epsilon)
+    if not 0.0 < gen_window * eL <= t_end:
+        raise ConfigurationError(
+            f"[study] gen_window = {gen_window:g} must give 0 < gen_window "
+            f"eps|ln eps| = {gen_window * eL:.4g} <= t_end = {t_end:g}")
+    _check_threshold_set(initial, epsilon)
     gen_times = tuple(np.linspace(0.25, 1.0, 4) * gen_window * eL)
     motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
     cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
@@ -466,9 +492,10 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
     report = ExperimentReport(
         "wave",
         columns=("c", "residual_max", "lambda_fit", "lambda_theory",
-                 "gamma_minus", "gamma_plus"))
+                 "gamma_minus", "gamma_plus"), metadata={"tables": {}})
     for c in speeds:
         prof = cached_wave(c)
+        report.metadata["tables"][f"wave_c{c:g}.csv"] = prof.dump_table
         res = float(prof.residual().max())
         lam_fit = prof.tail_right[1] if prof.tail_right else math.nan
         lam_th = decay_rate(c) if c >= 2.0 else math.nan
@@ -487,3 +514,50 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
             report.add_check("kpp_ratio_bounded", 0.0 < gm <= gp <= 10.0 * gm,
                              f"gamma+/gamma- = {gp / gm:.3f}")
     return report
+
+
+def _simulation_report(sim: SimConfig) -> ExperimentReport:
+    """The `simulate` report of a plain run(), so a plane run is not cached:
+    per checkpoint, the series at its own recorded time and its table."""
+    traj = run(sim)
+    columns = ("t", "sup", "min", "front_half", "layer_width")
+    tables = {}
+    report = ExperimentReport("simulate", columns=columns, metadata={
+        "checkpoints": traj.checkpoints, "tables": tables})
+    for tc, fld in traj.checkpoints:
+        i = int(np.searchsorted(traj.series["t"], tc))
+        report.add_row(t=tc, **{name: traj.series[name][i] for name in
+                                columns[1:] if name in traj.series})
+        tables[f"checkpoint_t{tc:g}.csv"] = partial(dump_checkpoint, fld, tc)
+    return report
+
+
+@_study
+def run_compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
+                           amplitude=0.9, width=0.25, tail_lambda=None,
+                           tail_cap=0.0, mode="line", dim=None, t_end=1.0,
+                           extent=0.0, checkpoints=None) -> ExperimentReport:
+    """`simulate` for compact data: one run of the study family's config.
+    The tail rate defaults to 1 and is read only with a tail, tail_cap != 0;
+    the dimension defaults to 2 and is read only in radial mode."""
+    if dim is not None and mode != "radial":
+        raise ConfigurationError(f"[solver] dim is not read in {mode} mode")
+    if tail_cap == 0.0 and tail_lambda is not None:
+        raise ConfigurationError(
+            "[initial] tail_lambda is not read when tail_cap is 0 or absent")
+    tail = (None if tail_cap == 0.0
+            else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
+    return _simulation_report(compact_family_config(
+        epsilon, body, amplitude, width, t_end, mode,
+        2 if dim is None else dim, checkpoints, tail, min_reach=extent))
+
+
+@_study
+def run_algebraic_simulation(epsilon, m=0.5, n=2.0, dim=2, t_end=1.0,
+                             extent=4.0, checkpoints=None) -> ExperimentReport:
+    """`simulate` for algebraic data: one radial run of the study family's
+    config."""
+    if checkpoints is None:
+        checkpoints = (t_end / 2.0, t_end)
+    return _simulation_report(algebraic_family_config(
+        epsilon, m, n, t_end, extent, dim=dim, checkpoints=checkpoints))

@@ -98,6 +98,25 @@ MALFORMED = {
     "simulate_algebraic_without_epsilon": (
         "simulate", "[initial]\nvariant = algebraic\n\n[solver]\nmode = radial\n",
         "[kinetics] epsilon is required"),
+    # g <= amplitude 0.5 < 3 eps|ln eps| = 0.69 at eps = 0.1: no t_end can help
+    "threshold_set_empty": (
+        "generation", "[study]\nepsilons = 0.1, 0.05\n\n[solver]\nt_end = 0.3\n",
+        "threshold set {g >= 3 eps|ln eps|} is empty at eps=0.1: amplitude 0.5 "
+        "gives g at most 0.5 < 3 eps|ln eps| = 0.6908"),
+    # a body thinner than the ramp keeps g below its amplitude: at most
+    # 0.6 (1 - 0.6^3) = 0.4704 < 3 eps|ln eps| = 0.5064 at eps = 0.06
+    "threshold_set_empty_thin_body": (
+        "generation", "[geometry]\nshape = interval\na = -0.1\nb = 0.1\n\n"
+        "[initial]\namplitude = 0.6\n\n[study]\nepsilons = 0.06, 0.04\n",
+        "is empty at eps=0.06: amplitude 0.6 gives g at most 0.4704 < "),
+    # the fit would start past t_end, or before t = 0
+    "fit_window_past_t_end": ("speed", "[study]\nfit_window = 1.5\n",
+                              "[study] fit_window = 1.5"),
+    "fit_window_negative": ("speed", "[study]\nfit_window = -3\n",
+                            "[study] fit_window = -3"),
+    # the generation checkpoints gen_window eps|ln eps| would pass t_end
+    "gen_window_past_t_end": ("barriers", "[study]\ngen_window = 500\n",
+                              "[study] gen_window = 500"),
 }
 
 
@@ -180,9 +199,10 @@ def test_study_hash_covers_every_argument_defaults_included():
 
 def test_every_study_reading_is_study_declared():
     wrapper = studies._study(lambda: None).__code__
-    declared = [func for _, *readings in cli.COMMANDS.values()
-                for func, _ in readings if func.__module__ == studies.__name__]
-    assert declared and all(func.__code__ is wrapper for func in declared)
+    funcs = [func for _, *readings in cli.COMMANDS.values()
+             for func, _ in readings]
+    assert all(func.__code__ is wrapper and func.__module__ == studies.__name__
+               for func in funcs)
 
 
 def test_report_rows_sorted_by_decreasing_epsilon(tmp_path):
@@ -349,10 +369,10 @@ _SIMULATION = {"kinetics.epsilon", "solver.dim", "solver.t_end",
 # the config surface of every command, written out
 READS = {
     "run_wave_study": ({"wave.speeds"}, False),
-    "_compact_simulation": (_SIMULATION | {
+    "run_compact_simulation": (_SIMULATION | {
         "initial.amplitude", "initial.width", "initial.tail_lambda",
         "initial.tail_cap", "solver.mode"}, True),
-    "_algebraic_simulation": (_SIMULATION | {"initial.m", "initial.n"}, False),
+    "run_algebraic_simulation": (_SIMULATION | {"initial.m", "initial.n"}, False),
     "run_speed_study": (_FAMILY | {"study.fit_window"}, True),
     "run_thickness_study": (_FAMILY, True),
     "run_generation_study": (_FAMILY, True),
@@ -390,7 +410,7 @@ def _simulated(tmp_path, monkeypatch, ini):
         handed.append(sim)
         raise _Captured
 
-    monkeypatch.setattr(cli, "run", capture)
+    monkeypatch.setattr(studies, "run", capture)
     with pytest.raises(_Captured):
         cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")])
     (sim,) = handed
@@ -460,6 +480,40 @@ def test_cli_simulate_dumps_checkpoints(tmp_path):
     assert (out / "checkpoint_t0.2.csv").exists()
     header = (out / "checkpoint_t0.2.csv").read_text().splitlines()[0]
     assert header.startswith("# t=")
+
+
+def test_simulate_hashes_its_arguments_with_defaults(tmp_path):
+    # amplitude = 0.9 is the default: written out or left out, it is one run
+    hashes = []
+    for name, text in (("written", SIMULATE_INI),
+                       ("omitted", SIMULATE_INI.replace("amplitude = 0.9\n", ""))):
+        out = tmp_path / name
+        ini = _write(tmp_path, f"{name}.ini", text)
+        assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 0
+        hashes.append((out / "report.csv").read_text().splitlines()[1])
+    assert hashes == ["# config_hash=b5a322eabb918de9"] * 2
+
+
+@pytest.mark.parametrize("svg", (False, True))
+@pytest.mark.parametrize("command, ini, tables, svgs", (
+    ("simulate", SIMULATE_INI, {"checkpoint_t0.1.csv", "checkpoint_t0.2.csv"},
+     {"profiles.svg"}),
+    ("wave", WAVE_INI, {"wave_c2.csv", "wave_c2.5.csv"}, {"waves.svg"}),
+), ids=("simulate", "wave"))
+def test_out_holds_the_report_and_the_tables_it_names(tmp_path, monkeypatch,
+                                                      command, ini, tables,
+                                                      svgs, svg):
+    written = []
+    write_csv = ExperimentReport.write_csv
+    monkeypatch.setattr(ExperimentReport, "write_csv",
+                        lambda self, path: written.append(self) or write_csv(self, path))
+    out = tmp_path / "o"
+    ini = _write(tmp_path, "cfg.ini", ini)
+    assert cli.main([command, "--config", ini, "--out", str(out)]
+                    + ["--svg"] * svg) == 0
+    (report,) = written
+    assert set(report.metadata["tables"]) == tables
+    assert set(os.listdir(out)) == {"report.csv"} | tables | (svgs if svg else set())
 
 
 def test_cli_blow_up_exit_code(tmp_path, blow_up, capsys):
