@@ -2,10 +2,11 @@
 
 Subcommands: wave, simulate, speed, thickness, generation, no-interface,
 barriers.  Each takes --config <path>, --out <dir> and --svg.  COMMANDS
-gives each its plot, which --svg adds, and the functions it calls; a
-command reads the config keys that are parameters of its function (and
-[geometry] for a `body`), and any other key is an error.  Each function is
-a study returning its report, so main runs every command alike.
+gives each the functions it calls; a command reads the config keys that
+are parameters of its function (and [geometry] for a `body`), and any
+other key is an error.  Each function is a study returning its report,
+which names the tables it writes and the figures --svg adds, so main runs
+every command alike.
 Exit codes: 0 all checks pass, 1 usage/configuration error, 2 check
 failure, 3 numerical error.
 """
@@ -19,10 +20,7 @@ import sys
 
 from .config import SCHEMA, body_from_config, load_config
 from .errors import ConfigurationError, DomainError, NumericalError
-from .kinetics import eps_log
-from .svgplot import line_plot
 from .studies import (
-    cached_wave,
     run_algebraic_simulation,
     run_barrier_check,
     run_compact_simulation,
@@ -58,7 +56,7 @@ def _reading(command, cfg) -> tuple:
     """The (function, only) of command that reads cfg: the first whose
     [initial] variant (default compact) cfg matches."""
     variant = cfg.get("initial", {}).get("variant", "compact")
-    readings = COMMANDS[command][1:]
+    readings = COMMANDS[command]
     for func, only in readings:
         if only.get("initial.variant", variant) == variant:
             return func, only
@@ -94,96 +92,22 @@ def _kwargs(func, only, cfg) -> dict:
     return kw
 
 
-def _thin(*arrays):
-    """The arrays subsampled alike to at most about 500 points."""
-    step = -(-len(arrays[0]) // 500)
-    return [a[::step] for a in arrays]
-
-
-def _plot_simulate(out, report):
-    series = []
-    for tc, fld in report.metadata["checkpoints"]:
-        u = fld.values
-        if u.ndim == 2:  # plane: the row through y = 0, the middle column
-            u = u[:, u.shape[1] // 2]
-        series.append((*_thin(fld.grid.axis(0), u), f"t={tc:g}"))
-    line_plot(os.path.join(out, "profiles.svg"), series,
-              title="checkpoint profiles", xlabel="x", ylabel="u")
-
-
-def _plot_wave(out, report):
-    series = []
-    for r in report.rows:
-        prof = cached_wave(r["c"])
-        keep = (prof.z >= -15.0) & (prof.z <= 15.0)
-        series.append((*_thin(prof.z[keep], prof.U[keep]), f"c={r['c']:g}"))
-    line_plot(os.path.join(out, "waves.svg"), series,
-              title="travelling waves", xlabel="z", ylabel="U")
-
-
-def _plot_speed(out, report):
-    eps = [r["epsilon"] for r in report.rows]
-    line_plot(os.path.join(out, "speed.svg"),
-              [(eps, [r["abs_error"] for r in report.rows], "measured"),
-               (eps, [r["allowed_error"] for r in report.rows], "allowed")],
-              title="front speed error", xlabel="epsilon",
-              ylabel="|speed - 2|", logx=True, logy=True)
-
-
-def _plot_thickness(out, report):
-    eps = [r["epsilon"] for r in report.rows]
-    line_plot(os.path.join(out, "thickness.svg"),
-              [(eps, [r["width_over_eps_log"] for r in report.rows],
-                "W/(eps|ln eps|)")],
-              title="layer width scaling", xlabel="epsilon",
-              ylabel="ratio", logx=True)
-
-
-def _plot_generation(out, report):
-    el = [eps_log(r["epsilon"]) for r in report.rows]
-    line_plot(os.path.join(out, "generation.svg"),
-              [(el, [r["tau"] for r in report.rows], "tau")],
-              title="generation time", xlabel="eps |ln eps|", ylabel="tau")
-
-
-def _plot_no_interface(out, report):
-    eps = [r["epsilon"] for r in report.rows]
-    line_plot(os.path.join(out, "no_interface.svg"),
-              [(eps, [r["probe_algebraic"] for r in report.rows], "algebraic"),
-               (eps, [r["probe_compact"] for r in report.rows], "compact")],
-              title="probe outside the front", xlabel="epsilon",
-              ylabel="u(t0, x0)", logx=True)
-
-
-def _plot_barriers(out, report):
-    ts = [r["t"] for r in report.rows]
-    line_plot(os.path.join(out, "barriers.svg"),
-              [(ts, [r["min_slack_sub"] for r in report.rows], "sub slack"),
-               (ts, [r["min_slack_super"] for r in report.rows], "super slack")],
-              title="barrier slack", xlabel="t", ylabel="slack")
-    tc, x, u, sub, sup = report.metadata["sandwich"]
-    x, u, sub, sup = _thin(x, u, sub, sup)
-    line_plot(os.path.join(out, "sandwich.svg"),
-              [(x, u, "u"), (x, sub, "sub-solution"), (x, sup, "super-solution")],
-              title=f"sandwich at t={tc:g}", xlabel="x", ylabel="u")
-
-
 _COMPACT = {"initial.variant": "compact"}
 
-# command -> (what --svg draws into --out from its report, then its readings
-# (function, entries it accepts at one value only)).  A config is read by
-# the first reading whose [initial] variant (default compact) it matches,
-# and reads the schema keys that are parameters of its function.
+# command -> its readings (function, entries it accepts at one value only).
+# A config is read by the first reading whose [initial] variant (default
+# compact) it matches, and reads the schema keys that are parameters of
+# its function.
 COMMANDS = {
-    "wave": (_plot_wave, (run_wave_study, {})),
-    "simulate": (_plot_simulate, (run_compact_simulation, _COMPACT),
+    "wave": [(run_wave_study, {})],
+    "simulate": [(run_compact_simulation, _COMPACT),
                  (run_algebraic_simulation, {"initial.variant": "algebraic",
-                                             "solver.mode": "radial"})),
-    "speed": (_plot_speed, (run_speed_study, _COMPACT)),
-    "thickness": (_plot_thickness, (run_thickness_study, _COMPACT)),
-    "generation": (_plot_generation, (run_generation_study, _COMPACT)),
-    "no-interface": (_plot_no_interface, (run_no_interface_study, {})),
-    "barriers": (_plot_barriers, (run_barrier_check, _COMPACT)),
+                                             "solver.mode": "radial"})],
+    "speed": [(run_speed_study, _COMPACT)],
+    "thickness": [(run_thickness_study, _COMPACT)],
+    "generation": [(run_generation_study, _COMPACT)],
+    "no-interface": [(run_no_interface_study, {})],
+    "barriers": [(run_barrier_check, _COMPACT)],
 }
 
 
@@ -205,10 +129,11 @@ def main(argv=None):
         func, only = _reading(args.command, cfg)
         report = func(**_kwargs(func, only, cfg))
         report.write_csv(os.path.join(args.out, "report.csv"))
-        for name, write in report.metadata.get("tables", {}).items():
-            write(os.path.join(args.out, name))
+        files = dict(report.metadata.get("tables", {}))
         if args.svg:
-            COMMANDS[args.command][0](args.out, report)
+            files.update(report.metadata.get("figures", {}))
+        for name, write in files.items():
+            write(os.path.join(args.out, name))
         for line in report.summary_lines():
             print(line)
         print(f"report written to {os.path.join(args.out, 'report.csv')}")

@@ -8,8 +8,10 @@ form is byte-stable across reruns.
 
 Each study is declared by its signature alone (@_study): a default body is
 a parameter default, a ladder is its distinct epsilons, and config_hash
-covers every argument.  Every CLI command runs a study; a report names
-the files it writes beside report.csv in metadata["tables"] (name: writer).
+covers every argument at its effective value.  Every CLI command runs a
+study; a report names the files it writes beside report.csv, each by a
+writer taking the path: its CSV tables in metadata["tables"] and its SVG
+figures in metadata["figures"].
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .reporting import ExperimentReport, config_hash
 from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
                      compact_value, dump_checkpoint, layer_thickness,
                      outflow_margin, run)
+from .svgplot import line_plot
 from .waves import decay_rate, solve_wave
 
 # Entries each study cache keeps; past it the least recently used goes.
@@ -155,10 +158,13 @@ def _generation_time(traj, epsilon):
     return float(traj.series["t"][hit[0]])
 
 
-def _study(func):
-    """func with its defaults applied, an `epsilons` ladder as its distinct
-    values, largest first (at least two), and its report's config_hash over
-    every argument, a ConvexBody by its params."""
+def _study(func, **derived):
+    """func with its defaults applied; a None argument named in `derived` as
+    the value its rule gives from the arguments (None where func does not
+    read it), an `epsilons` ladder as its distinct values, largest first
+    (at least two), and `speeds` as its distinct values in order.  The
+    report's config_hash covers every argument so read, a ConvexBody by
+    its params, so an omitted key and its effective value hash alike."""
     signature = inspect.signature(func)
 
     @wraps(func)
@@ -166,6 +172,11 @@ def _study(func):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         params = bound.arguments
+        for name, rule in derived.items():
+            if params[name] is None:
+                params[name] = rule(params)
+        if "speeds" in params:
+            params["speeds"] = tuple(dict.fromkeys(params["speeds"]))
         if "epsilons" in params:
             params["epsilons"] = tuple(sorted(set(params["epsilons"]),
                                               reverse=True))
@@ -179,6 +190,11 @@ def _study(func):
         return report
 
     return study
+
+
+def _column(report, name):
+    """The values of the column `name` over the report's rows."""
+    return [r[name] for r in report.rows]
 
 
 def _fit_eps_log(report, model, column):
@@ -221,10 +237,15 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01),
         report.add_fit(f"front~c*t+b@eps={eps:g}", (speed, icpt), resid)
         report.add_check(f"speed_error_bound@eps={eps:g}", err <= allowed,
                          f"|{speed:.4f}-2|={err:.4f} <= {allowed:.4f}")
-    errors = [r["abs_error"] for r in report.rows]
+    eps, errors = _column(report, "epsilon"), _column(report, "abs_error")
     decreasing = all(a > b for a, b in zip(errors, errors[1:]))
     report.add_check("speed_error_strictly_decreasing", decreasing,
                      "->".join(f"{e:.4f}" for e in errors))
+    report.metadata["figures"] = {"speed.svg": partial(
+        line_plot, series=[(eps, errors, "measured"),
+                           (eps, _column(report, "allowed_error"), "allowed")],
+        title="front speed error", xlabel="epsilon", ylabel="|speed - 2|",
+        logx=True, logy=True)}
     return report
 
 
@@ -273,6 +294,12 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
     _check_stable(report, "width_ratio_stable", "width_over_eps_log")
     _check_stable(report, "band_const_stable",
                   "band_const_mid", "band_const_end")
+    report.metadata["figures"] = {"thickness.svg": partial(
+        line_plot, series=[(_column(report, "epsilon"),
+                            _column(report, "width_over_eps_log"),
+                            "W/(eps|ln eps|)")],
+        title="layer width scaling", xlabel="epsilon", ylabel="ratio",
+        logx=True)}
     return report
 
 
@@ -291,12 +318,16 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         tau = _generation_time(cached_run(cfg), eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
-    taus = [r["tau"] for r in report.rows]
+    taus = _column(report, "tau")
     resid = _fit_eps_log(report, "tau~alpha*eps*|ln eps|", "tau")
     _check_stable(report, "alpha_stable_factor_2", "alpha")
     report.add_check("fit_residual_below_20pct", resid <= 0.2 * np.mean(taus),
                      f"{resid:.4f} <= {0.2 * np.mean(taus):.4f}")
     report.add_check("tau_decreasing", all(a > b for a, b in zip(taus, taus[1:])))
+    report.metadata["figures"] = {"generation.svg": partial(
+        line_plot, series=[([eps_log(eps) for eps in _column(report, "epsilon")],
+                            taus, "tau")],
+        title="generation time", xlabel="eps |ln eps|", ylabel="tau")}
     return report
 
 
@@ -334,12 +365,17 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                          min(p_origin, c_origin) >= 1.0 - 2.0 * eps,
                          f"min({p_origin:.4f}, {c_origin:.4f})"
                          f" >= {1 - 2 * eps:.4f}")
-    probes = [r["probe_algebraic"] for r in report.rows]
+    eps, probes = _column(report, "epsilon"), _column(report, "probe_algebraic")
     increasing = all(a < b for a, b in zip(probes, probes[1:]))
     report.add_check("probe_strictly_increasing", increasing,
                      "->".join(f"{p:.6f}" for p in probes))
     report.add_check("probe_final_above_0.9", probes[-1] >= 0.9,
                      f"{probes[-1]:.4f}")
+    report.metadata["figures"] = {"no_interface.svg": partial(
+        line_plot, series=[(eps, probes, "algebraic"),
+                           (eps, _column(report, "probe_compact"), "compact")],
+        title="probe outside the front", xlabel="epsilon", ylabel="u(t0, x0)",
+        logx=True)}
     return report
 
 
@@ -370,7 +406,8 @@ def fit_generation_drift(traj, kin, initial, checkpoints):
     raise ConfigurationError("no drift constant K <= 256 orders the barrier")
 
 
-@_study
+@partial(_study,
+         ordering_tol=lambda a: max(1e-3, 5.0 * (a["epsilon"] / 8.0)))
 def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
                       amplitude=0.9, width=0.1, t_end=1.0, c_motion=1.5,
                       gen_window=2.0, ordering_tol=None,
@@ -379,11 +416,11 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     the expanding-shell barrier over algebraic data; emits the
     (t, slack, violation) table and one verdict per property.  A sabotaged
     global super-solution, its amplitude below the K0 floor, must be seen
-    to break the ordering.
+    to break the ordering.  The ordering tolerance defaults to
+    max(1e-3, 5 dx), dx = eps/8.
     """
     initial = InitialData.compact(body, amplitude, width)
     dx = epsilon / 8.0
-    tol = ordering_tol if ordering_tol is not None else max(1e-3, 5.0 * dx)
     eL = eps_log(epsilon)
     if not 0.0 < gen_window * eL <= t_end:
         raise ConfigurationError(
@@ -433,7 +470,6 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
             generation_super(tc, epsilon, initial),
             global_super(tc, x, K_hat, wave_min, body, epsilon),
         )
-        report.metadata["sandwich"] = (tc, x, u, sub, sup_bar)
         res_sup = discrete_residual(
             lambda tt, xx: global_super(tt, xx, K_hat, wave_min, body, epsilon),
             max(tc, grid.dx), grid, epsilon).values
@@ -446,10 +482,23 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
                        max_residual_super_violation=res_sup_viol,
                        max_residual_sub_violation=res_sub_viol)
 
-    report.add_check("sub_barriers_below_solution", worst_sub >= -tol,
-                     f"min slack {worst_sub:.4f} >= -{tol:.4f}")
-    report.add_check("super_barriers_above_solution", worst_super >= -tol,
-                     f"min slack {worst_super:.4f} >= -{tol:.4f}")
+    ts = _column(report, "t")
+    report.metadata["figures"] = {
+        "barriers.svg": partial(
+            line_plot, series=[(ts, _column(report, "min_slack_sub"), "sub slack"),
+                               (ts, _column(report, "min_slack_super"),
+                                "super slack")],
+            title="barrier slack", xlabel="t", ylabel="slack"),
+        # u between the barriers at the last checkpoint
+        "sandwich.svg": partial(
+            line_plot, series=[(x, u, "u"), (x, sub, "sub-solution"),
+                               (x, sup_bar, "super-solution")],
+            title=f"sandwich at t={tc:g}", xlabel="x", ylabel="u")}
+    report.add_check("sub_barriers_below_solution", worst_sub >= -ordering_tol,
+                     f"min slack {worst_sub:.4f} >= -{ordering_tol:.4f}")
+    report.add_check("super_barriers_above_solution",
+                     worst_super >= -ordering_tol,
+                     f"min slack {worst_super:.4f} >= -{ordering_tol:.4f}")
     res_viols = [max(r["max_residual_super_violation"],
                      r["max_residual_sub_violation"]) for r in report.rows]
     report.add_check("residual_signs", max(res_viols) <= residual_tol,
@@ -460,7 +509,7 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     for tc, fld in traj.checkpoints:
         gs = global_super(tc, x, 0.5, wave_min, body, epsilon)
         viol = max(viol, float((fld.values - gs).max()))
-    report.add_check("sabotage_detected", viol > tol,
+    report.add_check("sabotage_detected", viol > ordering_tol,
                      f"K_hat=0.5<K0 violates by {viol:.3f}")
 
     # expanding-shell barrier over algebraic data (radial)
@@ -489,13 +538,19 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
 def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
     """Wave tables: equation residual, fitted tail rates against the
     quadratic-root law, and the z e^{-z} envelope at the minimal speed."""
+    tables, waves = {}, []
     report = ExperimentReport(
         "wave",
         columns=("c", "residual_max", "lambda_fit", "lambda_theory",
-                 "gamma_minus", "gamma_plus"), metadata={"tables": {}})
+                 "gamma_minus", "gamma_plus"), metadata={
+            "tables": tables, "figures": {"waves.svg": partial(
+                line_plot, series=waves, title="travelling waves",
+                xlabel="z", ylabel="U")}})
     for c in speeds:
         prof = cached_wave(c)
-        report.metadata["tables"][f"wave_c{c:g}.csv"] = prof.dump_table
+        tables[f"wave_c{c:g}.csv"] = prof.dump_table
+        keep = (prof.z >= -15.0) & (prof.z <= 15.0)
+        waves.append((prof.z[keep], prof.U[keep], f"c={c:g}"))
         res = float(prof.residual().max())
         lam_fit = prof.tail_right[1] if prof.tail_right else math.nan
         lam_th = decay_rate(c) if c >= 2.0 else math.nan
@@ -518,21 +573,35 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
 
 def _simulation_report(sim: SimConfig) -> ExperimentReport:
     """The `simulate` report of a plain run(), so a plane run is not cached:
-    per checkpoint, the series at its own recorded time and its table."""
+    per checkpoint, the series at its own recorded time, its table and its
+    profile (a plane run's row through y = 0)."""
     traj = run(sim)
     columns = ("t", "sup", "min", "front_half", "layer_width")
-    tables = {}
+    tables, profiles = {}, []
     report = ExperimentReport("simulate", columns=columns, metadata={
-        "checkpoints": traj.checkpoints, "tables": tables})
+        "tables": tables, "figures": {"profiles.svg": partial(
+            line_plot, series=profiles, title="checkpoint profiles",
+            xlabel="x", ylabel="u")}})
     for tc, fld in traj.checkpoints:
         i = int(np.searchsorted(traj.series["t"], tc))
         report.add_row(t=tc, **{name: traj.series[name][i] for name in
                                 columns[1:] if name in traj.series})
         tables[f"checkpoint_t{tc:g}.csv"] = partial(dump_checkpoint, fld, tc)
+        u = fld.values
+        if u.ndim == 2:  # plane: the row through y = 0, the middle column
+            u = u[:, u.shape[1] // 2]
+        profiles.append((fld.grid.axis(0), u, f"t={tc:g}"))
     return report
 
 
-@_study
+def _mid_and_end(arguments):
+    """`simulate`'s default checkpoints: t_end / 2 and t_end."""
+    return (arguments["t_end"] / 2.0, arguments["t_end"])
+
+
+@partial(_study, dim=lambda a: 2 if a["mode"] == "radial" else None,
+         tail_lambda=lambda a: None if a["tail_cap"] == 0.0 else 1.0,
+         checkpoints=_mid_and_end)
 def run_compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
                            amplitude=0.9, width=0.25, tail_lambda=None,
                            tail_cap=0.0, mode="line", dim=None, t_end=1.0,
@@ -545,19 +614,16 @@ def run_compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
     if tail_cap == 0.0 and tail_lambda is not None:
         raise ConfigurationError(
             "[initial] tail_lambda is not read when tail_cap is 0 or absent")
-    tail = (None if tail_cap == 0.0
-            else (1.0 if tail_lambda is None else tail_lambda, tail_cap))
+    tail = None if tail_cap == 0.0 else (tail_lambda, tail_cap)
     return _simulation_report(compact_family_config(
-        epsilon, body, amplitude, width, t_end, mode,
-        2 if dim is None else dim, checkpoints, tail, min_reach=extent))
+        epsilon, body, amplitude, width, t_end, mode, dim, checkpoints, tail,
+        min_reach=extent))
 
 
-@_study
+@partial(_study, checkpoints=_mid_and_end)
 def run_algebraic_simulation(epsilon, m=0.5, n=2.0, dim=2, t_end=1.0,
                              extent=4.0, checkpoints=None) -> ExperimentReport:
     """`simulate` for algebraic data: one radial run of the study family's
     config."""
-    if checkpoints is None:
-        checkpoints = (t_end / 2.0, t_end)
     return _simulation_report(algebraic_family_config(
         epsilon, m, n, t_end, extent, dim=dim, checkpoints=checkpoints))

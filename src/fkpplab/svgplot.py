@@ -39,17 +39,18 @@ def _fmt_tick(v):
 def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=False):
     """Write an SVG with one polyline per (x, y, label) triple in *series*.
 
-    Points with non-finite coordinates (or non-positive ones on log axes)
-    are dropped.
+    A series longer than about 500 points is subsampled to at most that
+    many; points with non-finite coordinates (or non-positive ones on log
+    axes) are dropped.
     """
-    pts = []
-    for xs, ys, _ in series:
-        for x, y in zip(xs, ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if (logx and x <= 0) or (logy and y <= 0):
-                continue
-            pts.append((x, y))
+    kept = []
+    for xs, ys, label in series:
+        step = max(1, -(-len(xs) // 500))
+        kept.append(([(x, y) for x, y in zip(xs[::step], ys[::step])
+                      if math.isfinite(x) and math.isfinite(y)
+                      and not (logx and x <= 0) and not (logy and y <= 0)],
+                     label))
+    pts = [p for points, _ in kept for p in points]
     if not pts:
         raise ValueError("nothing to plot")
     xlo, xhi = min(p[0] for p in pts), max(p[0] for p in pts)
@@ -99,16 +100,11 @@ def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=Fal
                    f'stroke="#333"/>')
         out.append(f'<text x="{_ML - 8}" y="{y + 4:.1f}" text-anchor="end">'
                    f"{_fmt_tick(tv)}</text>")
-    for i, (xs, ys, label) in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
-        coords = [
-            f"{px(x):.2f},{py(y):.2f}"
-            for x, y in zip(xs, ys)
-            if math.isfinite(x) and math.isfinite(y)
-            and not (logx and x <= 0) and not (logy and y <= 0)
-        ]
-        if not coords:
+    for i, (points, label) in enumerate(kept):
+        if not points:
             continue
+        color = _PALETTE[i % len(_PALETTE)]
+        coords = [f"{px(x):.2f},{py(y):.2f}" for x, y in points]
         out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         if label:

@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fkpplab
-from fkpplab import cli, studies
+from fkpplab import cli, studies, svgplot
 from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError
 from fkpplab.geometry import ConvexBody
@@ -169,7 +170,8 @@ def test_barrier_report_hash_covers_the_tolerances():
     # differ in their hash; all three share one cached run
     hashes = [run_barrier_check(**kw).metadata["config_hash"]
               for kw in ({}, {"ordering_tol": 10.0}, {"residual_tol": 1e-2})]
-    assert hashes[0] == "ed794101c8abb08d"
+    # the default ordering_tol hashes as its value, max(1e-3, 5 eps/8)
+    assert hashes[0] == "0997b8df45a4a1a1"
     assert len(set(hashes)) == 3
 
 
@@ -199,8 +201,10 @@ def test_study_hash_covers_every_argument_defaults_included():
 
 def test_every_study_reading_is_study_declared():
     wrapper = studies._study(lambda: None).__code__
-    funcs = [func for _, *readings in cli.COMMANDS.values()
+    funcs = [func for readings in cli.COMMANDS.values()
              for func, _ in readings]
+    # every reading is seen: the eight functions of READS, below
+    assert sorted(func.__name__ for func in funcs) == sorted(READS)
     assert all(func.__code__ is wrapper and func.__module__ == studies.__name__
                for func in funcs)
 
@@ -351,7 +355,7 @@ def test_cli_rejects_radial_dimension_above_3(tmp_path, capsys):
 
 def test_every_schema_key_is_read_by_a_command():
     read = set()
-    for _, *readings in cli.COMMANDS.values():
+    for readings in cli.COMMANDS.values():
         for func, only in readings:
             keys, body = cli._reads(func)
             read |= keys | set(only)
@@ -388,7 +392,7 @@ READS = {
 
 def test_each_reading_reads_its_written_out_keys():
     assert {func.__name__: cli._reads(func)
-            for _, *readings in cli.COMMANDS.values()
+            for readings in cli.COMMANDS.values()
             for func, _ in readings} == READS
 
 
@@ -442,9 +446,35 @@ def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
     assert _simulated(tmp_path, monkeypatch, ini).initial.tail == (1.0, 0.3)
 
 
-def test_cli_svg_only_for_commands_that_plot():
-    # every command takes --svg, so every command has a plot for it
-    assert all(callable(entry[0]) for entry in cli.COMMANDS.values())
+# command -> a small config, the tables its report names and its figures
+FILES = {
+    "wave": (WAVE_INI, {"wave_c2.csv", "wave_c2.5.csv"}, {"waves.svg"}),
+    "simulate": (SIMULATE_INI, {"checkpoint_t0.1.csv", "checkpoint_t0.2.csv"},
+                 {"profiles.svg"}),
+    "speed": (SPEED_INI, set(), {"speed.svg"}),
+    "thickness": (SPEED_INI, set(), {"thickness.svg"}),
+    "generation": (SPEED_INI, set(), {"generation.svg"}),
+    "no-interface": ("[study]\nepsilons = 0.04, 0.02\n", set(),
+                     {"no_interface.svg"}),
+    "barriers": ("[kinetics]\nepsilon = 0.04\n", set(),
+                 {"barriers.svg", "sandwich.svg"}),
+}
+
+
+def _report(tmp_path, command, text):
+    """The report the command's study returns for the config text."""
+    cfg = load_config(_write(tmp_path, "cfg.ini", text))
+    func, only = cli._reading(command, cfg)
+    return func(**cli._kwargs(func, only, cfg))
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_cli_svg_only_for_commands_that_plot(tmp_path, command):
+    # every command takes --svg, so every command's report names a figure
+    report = _report(tmp_path, command, FILES[command][0])
+    assert report.metadata["figures"]
+    assert all(name.endswith(".svg") and callable(write)
+               for name, write in report.metadata["figures"].items())
 
 
 def test_cli_simulate_svg_plots_the_checkpoint_profiles(tmp_path):
@@ -458,17 +488,25 @@ def test_cli_simulate_svg_plots_the_checkpoint_profiles(tmp_path):
 def test_plane_profile_is_the_row_through_y_0(monkeypatch, tmp_path):
     grid = Grid("plane", ((-1.0, 1.0), (-0.01, 0.01)), 0.002)
     x, y = grid.points()[..., 0], grid.points()[..., 1]
-    report = ExperimentReport("simulate", columns=(), metadata={
-        "checkpoints": [(0.5, Field(grid, x + 10.0 * y))]})
+    traj = SimpleNamespace(checkpoints=[(0.5, Field(grid, x + 10.0 * y))],
+                           series={"t": np.array([0.0, 0.5])})
+    monkeypatch.setattr(studies, "run", lambda sim: traj)
     drawn = []
-    monkeypatch.setattr(cli, "line_plot",
+    monkeypatch.setattr(studies, "line_plot",
                         lambda path, series, **labels: drawn.extend(series))
-    cli.COMMANDS["simulate"][0](str(tmp_path), report)
+    report = studies._simulation_report(None)
+    report.metadata["figures"]["profiles.svg"](str(tmp_path / "p.svg"))
     ((xs, us, label),) = drawn
-    # 1001 nodes along x, thinned to every third: at most about 500 points
-    assert len(xs) == 334 and label == "t=0.5"
-    np.testing.assert_array_equal(xs, grid.axis(0)[::3])
+    assert label == "t=0.5"
+    np.testing.assert_array_equal(xs, grid.axis(0))
     np.testing.assert_allclose(us, xs, rtol=0.0, atol=1e-12)
+    # 1001 nodes along x, thinned to every third: at most about 500 points
+    svgplot.line_plot(tmp_path / "drawn.svg", drawn)
+    svgplot.line_plot(tmp_path / "third.svg", [(xs[::3], us[::3], label)])
+    drawn_svg = (tmp_path / "drawn.svg").read_text()
+    assert drawn_svg == (tmp_path / "third.svg").read_text()
+    (points,) = re.findall(r'<polyline points="([^"]*)"', drawn_svg)
+    assert len(points.split()) == 334
 
 
 def test_cli_simulate_dumps_checkpoints(tmp_path):
@@ -495,14 +533,10 @@ def test_simulate_hashes_its_arguments_with_defaults(tmp_path):
 
 
 @pytest.mark.parametrize("svg", (False, True))
-@pytest.mark.parametrize("command, ini, tables, svgs", (
-    ("simulate", SIMULATE_INI, {"checkpoint_t0.1.csv", "checkpoint_t0.2.csv"},
-     {"profiles.svg"}),
-    ("wave", WAVE_INI, {"wave_c2.csv", "wave_c2.5.csv"}, {"waves.svg"}),
-), ids=("simulate", "wave"))
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_out_holds_the_report_and_the_tables_it_names(tmp_path, monkeypatch,
-                                                      command, ini, tables,
-                                                      svgs, svg):
+                                                      command, svg):
+    ini, tables, svgs = FILES[command]
     written = []
     write_csv = ExperimentReport.write_csv
     monkeypatch.setattr(ExperimentReport, "write_csv",
@@ -512,8 +546,81 @@ def test_out_holds_the_report_and_the_tables_it_names(tmp_path, monkeypatch,
     assert cli.main([command, "--config", ini, "--out", str(out)]
                     + ["--svg"] * svg) == 0
     (report,) = written
-    assert set(report.metadata["tables"]) == tables
+    assert set(report.metadata.get("tables", {})) == tables
+    assert set(report.metadata["figures"]) == svgs
     assert set(os.listdir(out)) == {"report.csv"} | tables | (svgs if svg else set())
+
+
+def test_wave_svg_solves_each_speed_once(tmp_path, monkeypatch,
+                                         empty_study_caches):
+    # one more speed than the wave cache holds: the figure draws the
+    # study's own profiles, not a second cache lookup that solves again
+    solved = []
+    solve_wave = studies.solve_wave
+    monkeypatch.setattr(studies, "solve_wave",
+                        lambda c: solved.append(c) or solve_wave(c))
+    speeds = [round(2.0 + 0.1 * k, 1) for k in range(studies.CACHE_SIZE + 1)]
+    ini = _write(tmp_path, "wave.ini",
+                 "[wave]\nspeeds = " + ", ".join(map(str, speeds)) + "\n")
+    out = tmp_path / "o"
+    assert cli.main(["wave", "--config", ini, "--out", str(out), "--svg"]) == 0
+    assert solved == speeds
+    svg = (out / "waves.svg").read_text()
+    assert svg.count("<polyline") == studies.CACHE_SIZE + 1
+
+
+def test_repeated_wave_speed_is_read_once():
+    once, twice = run_wave_study(speeds=(2.5,)), run_wave_study(speeds=(2.5, 2.5))
+    assert twice.rows == once.rows and twice.checks == once.checks
+    assert list(twice.metadata["tables"]) == ["wave_c2.5.csv"]
+    assert twice.metadata["config_hash"] == once.metadata["config_hash"]
+
+
+RADIAL_INI = """\
+[kinetics]
+epsilon = 0.1
+
+[geometry]
+shape = ball
+center = 0, 0
+radius = 0.5
+
+[solver]
+mode = radial
+t_end = 0.1
+"""
+
+
+# command, config, a key's effective value written out into a section, and
+# the one hash of both: the key omitted hashes as the value it takes
+EFFECTIVE = {
+    "dim": ("simulate", RADIAL_INI, "solver", "dim = 2", "bbff740c6f0e00c5"),
+    "tail_lambda": ("simulate", "[kinetics]\nepsilon = 0.1\n\n[initial]\n"
+                    "tail_cap = 0.01\n\n[solver]\nt_end = 0.1\n", "initial",
+                    "tail_lambda = 1", "b259712e987fe996"),
+    "compact_checkpoints": ("simulate", "[kinetics]\nepsilon = 0.1\n\n"
+                            "[solver]\nt_end = 0.1\n", "solver",
+                            "checkpoints = 0.05, 0.1", "da32e50852ed9726"),
+    "algebraic_checkpoints": ("simulate", _add(RADIAL_INI.replace(
+        "[geometry]\nshape = ball\ncenter = 0, 0\nradius = 0.5\n",
+        "[initial]\n"), "initial", "variant = algebraic"), "solver",
+        "checkpoints = 0.05, 0.1", "301c88b7669880b8"),
+    "ordering_tol": ("barriers", "[kinetics]\nepsilon = 0.02\n\n[study]\n"
+                     "residual_tol = 5e-3\n", "study", "ordering_tol = 0.0125",
+                     "0997b8df45a4a1a1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EFFECTIVE))
+def test_an_omitted_key_hashes_as_its_effective_value(tmp_path, case):
+    command, text, section, line, expected = EFFECTIVE[case]
+    hashes = []
+    for name, ini in (("omitted", text), ("written", _add(text, section, line))):
+        out = tmp_path / name
+        ini = _write(tmp_path, f"{name}.ini", ini)
+        assert cli.main([command, "--config", ini, "--out", str(out)]) == 0
+        hashes.append((out / "report.csv").read_text().splitlines()[1])
+    assert hashes == [f"# config_hash={expected}"] * 2
 
 
 def test_cli_blow_up_exit_code(tmp_path, blow_up, capsys):
