@@ -122,14 +122,16 @@ def stencil(grid: Grid, coords):
 
 def apply_stencil(values, st):
     """The interpolated values of a stencil(grid, coords) ``st``: the
-    weighted terms summed in axis order, lower index first."""
+    weighted terms summed in axis order, lower index first.  The grid's
+    axes are the trailing axes of ``values``, so a block of states
+    (leading axis) gives one row of values per state."""
     idx, w = st
     if len(idx) == 1:
         (i,) = idx
-        return w[0] * values[i] + w[1] * values[i + 1]
+        return w[0] * values[..., i] + w[1] * values[..., i + 1]
     i, j = idx
-    return (w[0] * values[i, j] + w[1] * values[i + 1, j]
-            + w[2] * values[i, j + 1] + w[3] * values[i + 1, j + 1])
+    return (w[0] * values[..., i, j] + w[1] * values[..., i + 1, j]
+            + w[2] * values[..., i, j + 1] + w[3] * values[..., i + 1, j + 1])
 
 
 def interpolate(fld: Field, x):

@@ -17,10 +17,11 @@ the mirror row of a ghost node u_{-1} = u_1.
 A run builds one Stepper, which computes everything that is constant over
 the run (the factor of each axis's Crank-Nicolson matrix, the reaction
 decay factor) once, and one Observer, which does the same for the recorded
-observables (scan coordinates, plane-mode gather, threshold mask); the loop
-works on bare arrays.  A run that is even in a coordinate (a grid (-e, e)
-with a node at 0, data even in that coordinate) is solved on that axis's
-half x >= 0 and its checkpoints are unfolded onto the full grid.
+observables (scan coordinates, plane-mode gather, threshold set); the loop
+works on bare arrays and hands the Observer blocks of consecutive states.
+A run that is even in a coordinate (a grid (-e, e) with a node at 0, data
+even in that coordinate) is solved on that axis's half x >= 0 and its
+checkpoints are unfolded onto the full grid.
 """
 
 from __future__ import annotations
@@ -358,89 +359,112 @@ class Observer:
     """The observables of one run, with what is constant over the run
     computed once: the scan coordinates ``scan`` (the grid axis in line and
     radial mode; in plane mode the +x half-axis every dx/2, with the
-    bilinear stencil of grids.interpolate at each sample) and the threshold
-    mask {g >= THRESHOLD_K eps|ln eps|} of the compact part g.
+    bilinear stencil of grids.interpolate at each sample) and the node
+    indices of the threshold set {g >= THRESHOLD_K eps|ln eps|} of the
+    compact part g.
 
     The data fix the series: compact data (g given) record the interface
     observables as well, ``names`` = sup, min, front_half, layer_width,
     threshold_min; algebraic data (g None) have no interface and record
-    sup and min."""
+    sup and min.
+
+    Every method reads a block of consecutive states, shaped
+    (K, *grid.shape), and gives one value per state; each state's values
+    are the same bits whatever other states share its block."""
 
     def __init__(self, grid: Grid, epsilon: float, g=None):
-        self.epsilon, self.mask, self.stencil = epsilon, None, None
+        self.epsilon, self.threshold, self.stencil = epsilon, None, None
         self.names = ("sup", "min")
         if g is not None:
             self.names += ("front_half", "layer_width", "threshold_min")
             mask = g >= THRESHOLD_K * eps_log(epsilon)
-            self.mask = mask if mask.any() else None
+            self.threshold = np.nonzero(mask) if mask.any() else None
         if grid.mode != "plane":
             self.scan = grid.axis(0)
             return
         self.scan = np.arange(0.0, grid.extents[0][1], grid.dx / 2.0)
         self.stencil = stencil(grid, (self.scan, 0.0))
 
-    def profile(self, u):
-        """u along ``scan``; in plane mode each sample equals
-        grids.interpolate's."""
-        return u if self.stencil is None else apply_stencil(u, self.stencil)
+    def profile(self, block):
+        """Each state of the block along ``scan``, one row per state; in
+        plane mode each sample equals grids.interpolate's."""
+        return block if self.stencil is None else apply_stencil(block, self.stencil)
 
-    def thickness(self, u):
-        """Width between the outermost u = eps and u = 1 - 2 eps crossings;
-        positive for a decreasing front, None when a level is not attained."""
-        return self._width(self.profile(u))
+    def thickness(self, block):
+        """Width between the outermost u = eps and u = 1 - 2 eps crossings
+        of each state; positive for a decreasing front, nan when a level is
+        not attained."""
+        return self._crossings(self.profile(block), ())[0]
 
-    def _width(self, p):
-        """The thickness of a profile p along ``scan``."""
-        outer = _outermost_crossing(self.scan, p, self.epsilon)
-        inner = _outermost_crossing(self.scan, p, 1.0 - 2.0 * self.epsilon)
-        return None if outer is None or inner is None else outer - inner
+    def _crossings(self, p, levels):
+        """For the profiles p along ``scan`` (one row per state): the
+        outermost crossings of each of ``levels``, one row per level, then
+        the thickness row, the outermost u = eps crossing less the
+        outermost u = 1 - 2 eps one; all from one _outermost_crossings."""
+        *fronts, outer, inner = _outermost_crossings(
+            self.scan, p, (*levels, self.epsilon, 1.0 - 2.0 * self.epsilon))
+        return (*fronts, outer - inner)
 
-    def observe(self, u, t, k):
-        """The observables ``names`` of state u, step k at time t, nan for
-        an absent crossing or an empty threshold set; the three crossings
-        read one profile.  A non-finite value shows in the sup (NaN, +inf)
-        or the min (-inf): it raises NumericalError with diagnostic (t, k)
-        before any crossing is read."""
-        out = [float(u.max()), float(u.min())]
-        if not (math.isfinite(out[0]) and math.isfinite(out[1])):
+    def observe(self, block, times, k):
+        """The observables ``names`` of a block of the states of steps
+        k, k+1, ... at ``times``, one row of K values per name, nan for an
+        absent crossing or an empty threshold set; the three crossings read
+        one profile.  A non-finite value shows in the sup (NaN, +inf) or the
+        min (-inf): it raises NumericalError with diagnostic (t, step) of the
+        first such state, before any crossing is read."""
+        axes = tuple(range(1, block.ndim))
+        rows = [block.max(axis=axes), block.min(axis=axes)]
+        finite = np.isfinite(rows[0]) & np.isfinite(rows[1])
+        if not finite.all():
+            i = int(np.argmin(finite))
+            t = float(times[i])
             raise NumericalError(
-                f"solution lost finiteness at step {k}, near t={t:g}",
-                diagnostic=(t, k),
+                f"solution lost finiteness at step {k + i}, near t={t:g}",
+                diagnostic=(t, k + i),
             )
         if "front_half" in self.names:
-            p = self.profile(u)
-            front = _outermost_crossing(self.scan, p, 0.5)
-            width = self._width(p)
-            low = None if self.mask is None else u[self.mask].min()
-            out += [math.nan if v is None else float(v)
-                    for v in (front, width, low)]
-        return out
+            rows += self._crossings(self.profile(block), (0.5,))
+            if self.threshold is None:
+                rows.append(np.full(len(block), math.nan))
+            else:
+                rows.append(block[(slice(None), *self.threshold)].min(axis=1))
+        return np.array(rows)
 
 
-def _outermost_crossing(x, u, level):
-    """Linear interpolation of the level between samples i and i+1, for the
-    last i with (u[i] - level)(u[i+1] - level) <= 0 and not both zero; None
-    when there is no such i.  That i is the last sample not on the same side
-    of the level as u[-1] (for u[-1] on the level: the last sample off it),
-    found with one comparison pass.  u must be finite."""
-    head, last = u[:-1], u[-1]
-    if last > level:
-        other = head <= level
-    elif last < level:
-        other = head >= level
-    else:
-        other = head != level
-    i = other.size - 1 - int(other[::-1].argmax())
-    if not other[i]:
-        return None
-    d0, d1 = u[i] - level, u[i + 1] - level
+def _outermost_crossings(x, p, levels):
+    """For each level and each row u of p: linear interpolation of the
+    level between samples i and i+1, for the last i with
+    (u[i] - level)(u[i+1] - level) <= 0 and not both zero; nan when there
+    is no such i.  One row of values per level.
+
+    That i is the last sample not on the same side of the level as u[-1]
+    (for u[-1] on the level: the last sample off it), the first hit of one
+    argmax along each reversed row.  One >= comparison over the block
+    serves every row whose last sample is below the level; the rare rows at
+    or above it are compared again on their own.  p must be finite."""
+    levels = np.asarray(levels, dtype=float)[:, None]
+    # u[n-2], ..., u[0] (sample i is column n - 2 - i), copied so that the
+    # comparison reads it forwards
+    rev = p[:, -2::-1].copy()
+    other = rev >= levels[:, :, None]
+    last = p[:, -1]
+    for m, r in zip(*np.nonzero(last >= levels)):
+        level = levels[m, 0]
+        other[m, r] = rev[r] <= level if last[r] > level else rev[r] != level
+    rows = np.arange(len(p))
+    j = other.argmax(axis=2)
+    i = p.shape[1] - 2 - j
+    hit = other[np.arange(len(levels))[:, None], rows, j]
+    d0 = np.where(hit, p[rows, i] - levels, math.nan)
+    d1 = p[rows, i + 1] - levels
     frac = d0 / (d0 - d1)
-    return float(x[i] + frac * (x[i + 1] - x[i]))
+    return x[i] + frac * (x[i + 1] - x[i])
 
 
 def layer_thickness(fld: Field, epsilon: float):
-    """Observer.thickness of a field."""
-    return Observer(fld.grid, epsilon).thickness(fld.values)
+    """Observer.thickness of a field; None when a level is not attained."""
+    w = float(Observer(fld.grid, epsilon).thickness(fld.values[None])[0])
+    return None if math.isnan(w) else w
 
 
 def _even_axes(config: SimConfig):
@@ -468,6 +492,11 @@ def _unfold(q, even):
     return q
 
 
+# The byte size of the block of states a run observes in one call: K =
+# max(1, BLOCK_BYTES // state bytes) consecutive states.
+BLOCK_BYTES = 1 << 20
+
+
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end, recording the Observer's series each step and
     the checkpoint fields at the requested times (snapped to the step grid).
@@ -479,9 +508,15 @@ def run(config: SimConfig) -> Trajectory:
     grid.
 
     The loop works on bare arrays; a Field is built only for a checkpoint.
-    A non-finite state raises NumericalError with diagnostic (t, step), from
-    Observer.observe; so does a sup above max(1, sup u0) + 1e-8, after the
-    last step.
+    Each state is copied into one buffer of K states (BLOCK_BYTES), which
+    the Observer reads in one call when it is full, at a checkpoint step,
+    at the end, and before a NumericalError of the Stepper is re-raised;
+    at K = 1 each state is read in place.  So a non-finite state raises
+    NumericalError with diagnostic (t, step) for the first such step, from
+    Observer.observe, before any checkpoint or later fault; the steps taken
+    past it, before its block is read, raise no floating-point warning.  A
+    sup above max(1, sup u0) + 1e-8 raises NumericalError after the last
+    step.
     """
     full, even = config.grid, _even_axes(config)
     grid = Grid(full.mode, tuple((0.0, hi) if e else (lo, hi)
@@ -498,22 +533,39 @@ def run(config: SimConfig) -> Trajectory:
     stepper = Stepper(grid, dt, config.epsilon)
     checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
 
-    times = np.empty(n_steps + 1)
-    series = {name: np.empty(n_steps + 1) for name in observer.names}
+    times = np.arange(n_steps + 1) * dt
+    values = np.empty((len(observer.names), n_steps + 1))
     checkpoints = []
+    size = max(1, BLOCK_BYTES // u.nbytes)
+    block = np.empty((size, *u.shape)) if size > 1 else None
+    filled = 0
 
-    def record(k, t, u):
-        times[k] = t
-        for name, value in zip(observer.names, observer.observe(u, t, k)):
-            series[name][k] = value
-        if k in checkpoint_steps:
-            checkpoints.append((t, Field(full, _unfold(u, even))))
+    def read(states, k):
+        """Record the series of the states of the steps up to k."""
+        first = k + 1 - len(states)
+        values[:, first:k + 1] = observer.observe(states, times[first:k + 1], first)
 
-    record(0, 0.0, u)
-    for k in range(1, n_steps + 1):
-        u = stepper.step(u)
-        record(k, k * dt, u)
+    with np.errstate(all="ignore"):
+        for k in range(n_steps + 1):
+            if k:
+                try:
+                    u = stepper.step(u)
+                except NumericalError:
+                    if filled:
+                        read(block[:filled], k - 1)
+                    raise
+            if block is None:
+                read(u[None], k)
+            else:
+                block[filled] = u
+                filled += 1
+                if filled == size or k in checkpoint_steps or k == n_steps:
+                    read(block[:filled], k)
+                    filled = 0
+            if k in checkpoint_steps:
+                checkpoints.append((float(times[k]), Field(full, _unfold(u, even))))
 
+    series = dict(zip(observer.names, values))
     sup0 = max(1.0, float(series["sup"][0]))
     if float(np.max(series["sup"])) > sup0 + 1e-8:
         raise NumericalError("sup-norm bound violated", diagnostic=(config, series))

@@ -537,7 +537,15 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
 @_study
 def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
     """Wave tables: equation residual, fitted tail rates against the
-    quadratic-root law, and the z e^{-z} envelope at the minimal speed."""
+    quadratic-root law, and the z e^{-z} envelope at the minimal speed.
+    Each speed c names its table, checks and curve by {c:g}, so two speeds
+    with one name are a ConfigurationError."""
+    named = {}
+    for c in speeds:
+        other = named.setdefault(f"{c:g}", c)
+        if other != c:
+            raise ConfigurationError(
+                f"[wave] speeds {other!r} and {c!r} share the name c={c:g}")
     tables, waves = {}, []
     report = ExperimentReport(
         "wave",

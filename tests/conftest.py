@@ -8,14 +8,14 @@ BLOW_UP_STEP = 3
 
 @pytest.fixture
 def set_node(monkeypatch):
-    """set_node(value): every Stepper then sets the middle node of its state
-    to value on step BLOW_UP_STEP."""
+    """set_node(value, step=BLOW_UP_STEP): every Stepper then sets the middle
+    node of its state to value on that step."""
     real = Stepper.step
 
-    def patch(value):
+    def patch(value, step=BLOW_UP_STEP):
         def step_with_value(self, u):
             u = real(self, u)
-            if self.steps == BLOW_UP_STEP:
+            if self.steps == step:
                 u.flat[u.size // 2] = value
             return u
 

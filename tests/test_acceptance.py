@@ -13,8 +13,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from fkpplab import solver
 from fkpplab.geometry import ConvexBody
-from fkpplab.grids import Grid, interpolate
+from fkpplab.grids import Field, Grid, interpolate
 from fkpplab.kinetics import KineticsParams, eps_log, modified_logistic, semiflow
 from fkpplab.solver import (
     InitialData,
@@ -102,6 +103,35 @@ def test_thickness_is_the_minimal_wave_width():
         z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
         ratio = width / (eps * (z_lo - z_hi))
         assert 0.5 <= (1.0 - ratio) / eps <= 1.0, (eps, ratio)
+
+
+def _ablowitz_zeppetella(z):
+    """The exact travelling wave of u_t = u_zz + u(1 - u) with speed
+    5/sqrt(6) (Ablowitz and Zeppetella, Bull. Math. Biol. 41 (1979) 835)."""
+    return 1.0 / (1.0 + np.exp(z / math.sqrt(6.0))) ** 2
+
+
+def test_front_tracks_the_exact_wave(monkeypatch):
+    """run() started from the Ablowitz-Zeppetella wave u0 = U((x - x0)/eps)
+    at eps 0.04: the observed front_half follows x0 + eps z_half + c t,
+    U(z_half) = 1/2, c = 5/sqrt(6).  At dx = eps/8 and t <= 0.5 the largest
+    error measured is 1.17e-4 (0.023 dx); the bound is about twice that."""
+    eps, x0, t_end = 0.04, -1.0, 0.5
+    c = 5.0 / math.sqrt(6.0)
+    z_half = math.sqrt(6.0) * math.log(math.sqrt(2.0) - 1.0)
+    sample = solver._sample_initial
+
+    def wave(initial, grid, epsilon, x):
+        g = sample(initial, grid, epsilon, x)[1]  # still gives the threshold set
+        return Field(grid, _ablowitz_zeppetella((x - x0) / epsilon)), g
+
+    monkeypatch.setattr(solver, "_sample_initial", wave)
+    # an off-centre body: the wave is not even, so the run is not reduced
+    cfg = compact_family_config(eps, ConvexBody.interval(-0.45, 0.55), 0.9,
+                                0.25, t_end)
+    series = solver.run(cfg).series
+    exact = x0 + eps * z_half + c * series["t"]
+    assert np.max(np.abs(series["front_half"] - exact)) <= 2.5e-4
 
 
 def test_criterion_5_generation_time():

@@ -85,6 +85,9 @@ MALFORMED = {
                      "non-finite value for [study] epsilons"),
     # an empty list would pass vacuously, or fail to plot
     "speeds_empty": ("wave", "[wave]\nspeeds =\n", "empty list for [wave] speeds"),
+    # distinct speeds that would write one table, wave_c2.5.csv
+    "speeds_same_name": ("wave", "[wave]\nspeeds = 2.0, 2.5, 2.5000001\n",
+                         "[wave] speeds 2.5 and 2.5000001 share the name c=2.5"),
     "checkpoints_empty": ("simulate", "[solver]\ncheckpoints =\n",
                           "empty list for [solver] checkpoints"),
     # a trend needs two distinct rungs, counted after duplicates are dropped

@@ -1,9 +1,10 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
-the outermost level crossing, the Laplacian stencil (mirror walls included)
-and the explicit Crank-Nicolson half, the reaction half-step and the ellipse foot-point
-bisection.  The replaced formulas are kept here as the oracles.  The line
-solve is held to the pivoting LU it replaced on line and plane axes to
-1e-13, and bit for bit on radial ones."""
+the outermost level crossing (each row of a block of profiles), the
+Laplacian stencil (mirror walls included) and the explicit Crank-Nicolson
+half, the reaction half-step and the ellipse foot-point bisection.  The
+replaced formulas are kept here as the oracles.  The line solve is held to
+the pivoting LU it replaced on line and plane axes to 1e-13, and bit for
+bit on radial ones."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs
 from fkpplab.geometry import _ellipse_signed_distance
 from fkpplab.grids import Grid
 from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
-                            _outermost_crossing, default_dt)
+                            _outermost_crossings, default_dt)
 
 PROPS = settings(max_examples=200, deadline=None)
 EPS = 0.04
@@ -48,14 +49,19 @@ def crossing_oracle(x, u, level):
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
-def _check_crossing(u, level):
-    u = np.asarray(u, dtype=float)
-    x = np.linspace(-1.0, 2.0, u.size)
-    got, want = _outermost_crossing(x, u, level), crossing_oracle(x, u, level)
-    if want is None:
-        assert got is None
-    else:
-        assert _bits(got) == _bits(want)
+def _check_crossings(block, level):
+    """Each row of the block against the oracle, bit for bit; nan where the
+    oracle finds no crossing."""
+    block = np.asarray(block, dtype=float)
+    x = np.linspace(-1.0, 2.0, block.shape[1])
+    (got,) = _outermost_crossings(x, block, (level,))
+    assert got.shape == (len(block),)
+    for row, value in zip(block, got):
+        want = crossing_oracle(x, row, level)
+        if want is None:
+            assert np.isnan(value)
+        else:
+            assert _bits(value) == _bits(want)
 
 
 # The levels the observer reads: 1/2, eps and 1 - 2 eps.
@@ -81,23 +87,42 @@ LEVELS = (0.5, EPS, 1.0 - 2.0 * EPS, 0.01, 0.98)
 def test_crossing_matches_the_product_rule(u, level):
     near = {"L": level, "L+": np.nextafter(level, 2.0),
             "L-": np.nextafter(level, -1.0)}
-    _check_crossing([near.get(v, v) for v in u], level)
+    _check_crossings([[near.get(v, v) for v in u]], level)
 
 
 @st.composite
-def crossing_cases(draw):
+def crossing_cases(draw, rows=st.just(1)):
+    """A level and a block of profiles of one length, its values on the
+    level, one ulp either side of it, at 0 or 1, or anywhere in [0, 1.2]:
+    rows whose last sample is above, on or below the level share a block."""
     level = draw(st.sampled_from(LEVELS))
     near = st.sampled_from([level, np.nextafter(level, 2.0),
                             np.nextafter(level, -1.0), 0.0, 1.0])
     values = st.one_of(near, st.floats(0.0, 1.2, allow_subnormal=False))
-    u = draw(arrays(np.float64, st.integers(2, 40), elements=values))
-    return u, level
+    shape = st.tuples(rows, st.integers(2, 40))
+    return draw(arrays(np.float64, shape, elements=values)), level
 
 
 @PROPS
 @given(crossing_cases())
 def test_crossing_matches_the_product_rule_on_random_profiles(case):
-    _check_crossing(*case)
+    _check_crossings(*case)
+
+
+@PROPS
+@given(crossing_cases(st.integers(1, 6)), st.data())
+def test_each_row_of_a_block_gets_its_own_crossing(case, data):
+    # batch independence: a row's bits do not depend on its neighbours, on
+    # its place in the block, nor on the other levels read in the same call
+    block, level = case
+    _check_crossings(block, level)
+    x = np.linspace(-1.0, 2.0, block.shape[1])
+    alone = [_outermost_crossings(x, row[None], (level,))[0, 0] for row in block]
+    order = data.draw(st.permutations(range(len(block))))
+    shuffled = _outermost_crossings(x, block[order], (level,))[0]
+    assert _bits(shuffled) == _bits(np.array(alone)[order])
+    apart = [_outermost_crossings(x, block, (v,))[0] for v in LEVELS]
+    assert _bits(_outermost_crossings(x, block, LEVELS)) == _bits(apart)
 
 
 # ---- the Laplacian and the explicit half ------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from conftest import BLOW_UP_STEP
 from scipy.integrate import solve_ivp
 
+from fkpplab import solver
 from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid, interpolate
@@ -18,7 +19,7 @@ from fkpplab.solver import (
     Observer,
     SimConfig,
     Stepper,
-    _outermost_crossing,
+    _outermost_crossings,
     build_initial,
     default_dt,
     dump_checkpoint,
@@ -37,8 +38,10 @@ def _line_grid(ext, dx):
 
 
 def _front(obs, u, level):
-    """The outermost crossing of the level along the observer's scan."""
-    return _outermost_crossing(obs.scan, obs.profile(u), level)
+    """The outermost crossing of the level along the observer's scan of the
+    state u, None when the level is not attained."""
+    x = float(_outermost_crossings(obs.scan, obs.profile(u[None]), (level,))[0, 0])
+    return None if math.isnan(x) else x
 
 
 def test_build_initial_compact_profile():
@@ -208,6 +211,9 @@ def test_stepper_checks_radial_residual_on_first_step_and_every_25th():
                             corrupt)
 
 
+# The steps run() takes past a non-finite state, before its block is read,
+# must not warn: the finiteness error is the one report of the fault.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_reports_blow_up_with_time_and_step(blow_up):
     cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.2)
     with pytest.raises(NumericalError, match="finiteness") as info:
@@ -217,6 +223,7 @@ def test_run_reports_blow_up_with_time_and_step(blow_up):
     assert t == pytest.approx(blow_up * cfg.dt, rel=1e-2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_run_reports_infinite_values_with_time_and_step(set_node, value):
     # +inf shows in the sup and -inf in the min, before any crossing is read
@@ -227,6 +234,38 @@ def test_run_reports_infinite_values_with_time_and_step(set_node, value):
     t, k = info.value.diagnostic
     assert k == BLOW_UP_STEP
     assert t == pytest.approx(BLOW_UP_STEP * cfg.dt, rel=1e-2)
+
+
+def _blow_up_step(cfg, dt, where):
+    """A step on which run(cfg) reads its block of states: the first
+    checkpoint, the last step of the first full block, or the step after
+    it.  The run is centred, so it steps on the half line."""
+    if where == "checkpoint":
+        return round(cfg.checkpoint_times[0] / dt)
+    size = solver.BLOCK_BYTES // (8 * (cfg.grid.shape[0] // 2 + 1))
+    return size - 1 if where == "block_end" else size
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["checkpoint", "block_end", "after_block_end"])
+def test_run_reports_blow_up_where_a_block_is_read(set_node, value, where):
+    # the block is read before a checkpoint Field is built from a NaN state
+    # (a ConfigurationError), and before the next step's reaction rejects a
+    # -inf (a NumericalError of its own)
+    if where == "checkpoint":
+        cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=0.2)
+    else:  # one checkpoint, at the end: the first block fills up
+        cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=1.0,
+                                    checkpoints=(1.0,))
+    n_steps = math.ceil(cfg.t_end / cfg.dt - 1e-12)
+    dt = cfg.t_end / n_steps
+    step = _blow_up_step(cfg, dt, where)
+    assert 0 < step < n_steps - 1
+    set_node(value, step)
+    with pytest.raises(NumericalError, match=f"finiteness at step {step},") as info:
+        run(cfg)
+    assert info.value.diagnostic == (step * dt, step)
 
 
 def test_sup_norm_bound_with_overshooting_data():
@@ -349,7 +388,7 @@ def test_observer_plane_profile_matches_interpolate(extents, dx):
     rng = np.random.default_rng(3)
     f = Field(g, rng.random(g.shape))
     obs = Observer(g, EPS)
-    profile = obs.profile(f.values)
+    profile = obs.profile(f.values[None])[0]
     expected = np.array([interpolate(f, (s, 0.0)) for s in obs.scan])
     assert obs.scan[0] == 0.0 and obs.scan[-1] < extents[0][1]
     assert np.array_equal(profile, expected)
@@ -367,6 +406,59 @@ def test_run_raises_when_sup_exceeds_the_bound(set_node, variant):
     set_node(1.0 + 2e-8)
     with pytest.raises(NumericalError, match="sup-norm bound violated"):
         run(cfg)
+
+
+def _observed_one_state_at_a_time(monkeypatch, cfg):
+    """run(cfg), the sizes of the blocks it observed, and the series of the
+    states it stepped through, observed one at a time (u[None]) by the
+    run's own Observer."""
+    states, final, observers, blocks = [], [], [], []
+    real_step = Stepper.step
+
+    def step(self, u):
+        states.append(u.copy())
+        final[:] = [real_step(self, u)]
+        return final[0]
+
+    class Recording(Observer):
+        def __init__(self, *args):
+            super().__init__(*args)
+            observers.append(self)
+
+        def observe(self, block, times, k):
+            blocks.append(len(block))
+            return super().observe(block, times, k)
+
+    monkeypatch.setattr(Stepper, "step", step)
+    monkeypatch.setattr(solver, "Observer", Recording)
+    traj = run(cfg)
+    (observer,) = observers
+    sizes, t = blocks[:], traj.series["t"]
+    rows = [observer.observe(u[None], t[k:k + 1], k)[:, 0]
+            for k, u in enumerate(states + final)]
+    return traj, sizes, dict(zip(observer.names, np.array(rows).T))
+
+
+@pytest.mark.parametrize("cfg", [
+    compact_family_config(0.04, BODY, 0.9, 0.25, 0.5),
+    compact_family_config(0.04, BODY, 0.9, 0.25, 0.5, tail=(1.0, 0.3)),
+    algebraic_family_config(0.05, 0.5, 2.0, 0.3, reach=2.0),
+    compact_family_config(0.05, ConvexBody.ball((0.0, 0.0), 0.5), 0.9, 0.25,
+                          0.3, mode="radial", dim=3),
+    compact_family_config(0.3, ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)),
+                          0.9, 0.25, 0.05, mode="plane"),
+    compact_family_config(0.3, ConvexBody.ellipse((0.05, -0.04), (0.6, 0.35)),
+                          0.9, 0.25, 0.05, mode="plane"),
+], ids=["line", "line_tail", "radial_algebraic", "radial_compact",
+        "plane_centred", "plane_off_centre"])
+def test_block_reads_equal_one_state_at_a_time(monkeypatch, cfg):
+    traj, sizes, series = _observed_one_state_at_a_time(monkeypatch, cfg)
+    n = len(traj.series["t"])
+    assert sum(sizes) == n and len(sizes) > 1 and max(sizes) > 1
+    assert set(traj.series) == {"t", *series}
+    for name, values in series.items():
+        assert len(values) == n
+        assert traj.series[name].tobytes() == values.tobytes(), name
 
 
 def test_series_follow_the_data():
@@ -405,6 +497,13 @@ def test_config_validation():
         SimConfig(0.04, _line_grid(4.0, 0.04), init, t_end=1.0)
     with pytest.raises(ConfigurationError):  # domain below outflow margin
         SimConfig(0.04, _line_grid(1.0, 0.005), init, t_end=1.0)
+
+
+def test_studies_reject_a_tail_below_the_papers_threshold():
+    # the studies' compact family is the paper's data class: a tail
+    # M exp(-lam |x| / eps) needs lam >= 1
+    with pytest.raises(ConfigurationError, match=r"\btail_lambda = 0.5\b"):
+        compact_family_config(0.04, BODY, 0.9, 0.25, 0.5, tail=(0.5, 0.05))
 
 
 def test_run_grid_refinement_moves_front_less_than_dx():

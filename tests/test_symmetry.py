@@ -35,7 +35,7 @@ def _full_domain(cfg):
     for k in range(n + 1):
         if k:
             u = stepper.step(u)
-        rows.append(observer.observe(u, k * dt, k))
+        rows.append(observer.observe(u[None], np.array([k * dt]), k)[:, 0])
         if k in wanted:
             checkpoints.append(u)
     return dict(zip(observer.names, np.array(rows).T)), checkpoints
