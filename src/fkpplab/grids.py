@@ -65,7 +65,7 @@ class Grid:
             round((hi - lo) / self.dx) + 1 for lo, hi in self.extents
         )
 
-    def axis(self, i=0):
+    def axis(self, i):
         """Coordinates along axis i."""
         lo, hi = self.extents[i]
         return np.linspace(lo, hi, self.shape[i])
@@ -181,47 +181,42 @@ class TridiagonalFactor:
             raise NumericalError("tridiagonal system is not diagonally dominant")
 
         self.lower, self.diag, self.upper = lower, diag, upper
-        self._halve = n > 1 and lower[0] != 0.0 and upper[0] == 2.0 * lower[0]
+        self._halve = lower[0] != 0.0 and upper[0] == 2.0 * lower[0]
         d, e = diag.copy(), upper.copy()
         if self._halve:
             d[0] *= 0.5
             e[0] *= 0.5
-        self._lu = self._ldl = None
         if np.array_equal(e, lower) and np.all(d > 0.0):
-            *self._ldl, info = dpttrf(d, e)
+            self._trs = dpttrs
+            *self._factor, info = dpttrf(d, e)
         else:
-            *self._lu, info = dgttrf(lower, diag, upper)
+            self._trs = dgttrs
+            *self._factor, info = dgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalError("tridiagonal system is singular")
 
-    def solve(self, rhs, check=True):
+    def solve(self, rhs, check):
         """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
-        block of right-hand sides, solved in one call.  With ``check`` the
-        solution is verified to relative residual <= 1e-12 and ``rhs`` is
-        left as it was; without it the solve may overwrite ``rhs``."""
+        block of right-hand sides, solved in one call.  With ``check`` it
+        solves a Fortran-order copy, so ``rhs`` is left as it was, and
+        verifies the relative residual <= 1e-12; without it the solve may
+        overwrite ``rhs``."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.diag.size:
             raise ConfigurationError("right-hand side length differs from n")
-        if self._lu is not None:
-            y, info = dgttrs(*self._lu, rhs, overwrite_b=not check)
-        elif self._halve:
-            b = np.array(rhs, order="F") if check else rhs
+        b = np.array(rhs, order="F") if check else rhs
+        if self._halve:
             b[0] *= 0.5
-            y, info = dpttrs(*self._ldl, b, overwrite_b=True)
-        else:
-            y, info = dpttrs(*self._ldl, rhs, overwrite_b=not check)
+        y, info = self._trs(*self._factor, b, overwrite_b=True)
         if info != 0:
             raise NumericalError("tridiagonal solve failed")
         if check:
-            self._check_residual(y, rhs)
+            shape = (-1, *([1] * (rhs.ndim - 1)))
+            resid = self.diag.reshape(shape) * y
+            resid[:-1] += self.upper.reshape(shape) * y[1:]
+            resid[1:] += self.lower.reshape(shape) * y[:-1]
+            resid -= rhs
+            scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
+            if float(np.max(np.abs(resid))) > 1e-12 * scale:
+                raise NumericalError("tridiagonal solve residual exceeds 1e-12")
         return y
-
-    def _check_residual(self, y, rhs):
-        shape = (-1, *([1] * (rhs.ndim - 1)))
-        resid = self.diag.reshape(shape) * y
-        resid[:-1] += self.upper.reshape(shape) * y[1:]
-        resid[1:] += self.lower.reshape(shape) * y[:-1]
-        resid -= rhs
-        scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
-        if float(np.max(np.abs(resid))) > 1e-12 * scale:
-            raise NumericalError("tridiagonal solve residual exceeds 1e-12")

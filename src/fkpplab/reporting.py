@@ -29,8 +29,6 @@ def config_hash(params: dict) -> str:
 
 def fmt(x) -> str:
     """Deterministic float formatting (17 significant digits)."""
-    if isinstance(x, bool):
-        return str(x)
     if isinstance(x, float):
         return f"{x:.17g}"
     if x is None:
@@ -49,9 +47,9 @@ def write_table(fh, *columns):
     along the last axis, or both (the field of a run symmetric about the
     origin) has each mirror pair formatted once, and the mirrored half
     repeats the strings of the first.  Bits decide, not values: 0.0 == -0.0,
-    but they format as '0' and '-0'.  Only the rows still waiting for their
-    mirror are kept, each joined into one string, so the memory held stays
-    a small fraction of the table's."""
+    but they format as '0' and '-0'.  At most the first half of the rows is
+    kept, each joined into one string, so the memory held stays a small
+    fraction of the table's."""
     shape = np.broadcast(*columns).shape
     if 0 in shape:  # an empty table has no rows to write
         return
@@ -88,23 +86,22 @@ def _blocks(c, step):
 
 def _mirrored_blocks(c, step, rows, cols):
     """The '%.17g' strings of an (n, m) array, step rows at a time, with each
-    mirror pair formatted once: rows i and n-1-i if ``rows``, columns j and
-    m-1-j if ``cols`` (the caller has checked that their bits agree)."""
+    mirror pair formatted once: rows i and n-1-i if ``rows`` (the first half
+    formatted, the second read back in reverse), columns j and m-1-j if
+    ``cols`` (the caller has checked that their bits agree)."""
     n, m = c.shape
     half = m - m // 2 if cols else m  # values formatted per row
     fresh = n - n // 2 if rows else n  # rows formatted
     pattern = ",".join(["%.17g"] * half) + "\n"
-    waiting = []  # joined strings of the rows whose mirror is still to come
+    formatted = []  # with ``rows``, the strings of the rows formatted so far
     for k in range(0, n, step):
         stop = min(k + step, n)
-        lines = []
-        if k < fresh:
-            end = min(stop, fresh)
-            values = c[k:end, :half].ravel().tolist()
-            lines = ((pattern * (end - k)) % tuple(values)).split("\n")[:-1]
-            if rows:
-                waiting += lines[:max(0, n // 2 - k)]
-        lines += [waiting.pop() for _ in range(max(k, fresh), stop)]
+        end = min(stop, fresh)  # rows past the first half format none
+        values = c[k:end, :half].ravel().tolist()
+        lines = ((pattern * (end - k)) % tuple(values)).split("\n")[:-1]
+        if rows:
+            formatted += lines
+            lines = [formatted[min(i, n - 1 - i)] for i in range(k, stop)]
         if cols:
             block = []
             for line in lines:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -207,7 +206,6 @@ def _mirrored(grid: Grid, axis: int):
     return bool(grid.extents[axis][0] == 0.0)
 
 
-@lru_cache(maxsize=32)
 def _lap_coeffs(grid: Grid, axis: int):
     """(sub, diag, sup) of the Laplacian along one axis, unscaled (multiply
     by 1/dx^2): the stencil 1, -2, 1 (with the radial terms (N-1)/r u_r in
@@ -301,10 +299,12 @@ class Stepper:
         self.decay = np.exp(-(dt / 2.0 / epsilon))
         self.a = epsilon * dt / 2.0 / grid.dx**2
         axes = range(len(grid.extents))
-        self.rows = tuple(_lap_rows(grid, i) for i in axes)
+        coeffs = tuple(_lap_coeffs(grid, i) for i in axes)
+        self.rows = coeffs if grid.mode == "radial" else tuple(
+            _lap_rows(grid, i) for i in axes)
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
-            for sub, diag, sup in (_lap_coeffs(grid, i) for i in axes)
+            for sub, diag, sup in coeffs
         )
         self.steps = 0
 
@@ -390,28 +390,14 @@ class Observer:
         plane mode each sample equals grids.interpolate's."""
         return block if self.stencil is None else apply_stencil(block, self.stencil)
 
-    def thickness(self, block):
-        """Width between the outermost u = eps and u = 1 - 2 eps crossings
-        of each state; positive for a decreasing front, nan when a level is
-        not attained."""
-        return self._crossings(self.profile(block), ())[0]
-
-    def _crossings(self, p, levels):
-        """For the profiles p along ``scan`` (one row per state): the
-        outermost crossings of each of ``levels``, one row per level, then
-        the thickness row, the outermost u = eps crossing less the
-        outermost u = 1 - 2 eps one; all from one _outermost_crossings."""
-        *fronts, outer, inner = _outermost_crossings(
-            self.scan, p, (*levels, self.epsilon, 1.0 - 2.0 * self.epsilon))
-        return (*fronts, outer - inner)
-
     def observe(self, block, times, k):
         """The observables ``names`` of a block of the states of steps
         k, k+1, ... at ``times``, one row of K values per name, nan for an
-        absent crossing or an empty threshold set; the three crossings read
-        one profile.  A non-finite value shows in the sup (NaN, +inf) or the
-        min (-inf): it raises NumericalError with diagnostic (t, step) of the
-        first such state, before any crossing is read."""
+        absent crossing or an empty threshold set; the three crossings come
+        from one _outermost_crossings.  A non-finite value shows in the sup
+        (NaN, +inf) or the min (-inf): it raises NumericalError with
+        diagnostic (t, step) of the first such state, before any crossing is
+        read."""
         axes = tuple(range(1, block.ndim))
         rows = [block.max(axis=axes), block.min(axis=axes)]
         finite = np.isfinite(rows[0]) & np.isfinite(rows[1])
@@ -423,7 +409,10 @@ class Observer:
                 diagnostic=(t, k + i),
             )
         if "front_half" in self.names:
-            rows += self._crossings(self.profile(block), (0.5,))
+            half, outer, inner = _outermost_crossings(
+                self.scan, self.profile(block),
+                (0.5, self.epsilon, 1.0 - 2.0 * self.epsilon))
+            rows += [half, outer - inner]
             if self.threshold is None:
                 rows.append(np.full(len(block), math.nan))
             else:
@@ -462,8 +451,11 @@ def _outermost_crossings(x, p, levels):
 
 
 def layer_thickness(fld: Field, epsilon: float):
-    """Observer.thickness of a field; None when a level is not attained."""
-    w = float(Observer(fld.grid, epsilon).thickness(fld.values[None])[0])
+    """A field's layer_width, as run() records it; None if a level is absent."""
+    obs = Observer(fld.grid, epsilon)
+    outer, inner = _outermost_crossings(obs.scan, obs.profile(fld.values[None]),
+                                        (epsilon, 1.0 - 2.0 * epsilon))
+    w = float(outer[0] - inner[0])
     return None if math.isnan(w) else w
 
 

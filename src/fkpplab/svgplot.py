@@ -36,7 +36,7 @@ def _fmt_tick(v):
     return f"{v:.4g}"
 
 
-def line_plot(path, series, title="", xlabel="", ylabel="", logx=False, logy=False):
+def line_plot(path, series, title, xlabel, ylabel, logx=False, logy=False):
     """Write an SVG with one polyline per (x, y, label) triple in *series*.
 
     A series longer than about 500 points is subsampled to at most that

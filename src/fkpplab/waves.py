@@ -16,7 +16,8 @@ speed c = 2 the right tail carries the extra algebraic factor, U ~ (az+b)e^-z.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -88,11 +89,14 @@ class WaveProfile:
     Uprime: np.ndarray
     tail_left: tuple
     tail_right: tuple | None
-    _spline: CubicSpline | None = field(default=None, repr=False)
 
     @property
     def dz(self):
         return float(self.z[1] - self.z[0])
+
+    @cached_property
+    def _spline(self):
+        return CubicSpline(self.z, self.U)
 
     def evaluate(self, z):
         """U at arbitrary z: cubic inside the table, analytic tails outside."""
@@ -105,8 +109,6 @@ class WaveProfile:
         right = z > hi
         mid = ~(left | right)
         if mid.any():
-            if self._spline is None:
-                self._spline = CubicSpline(self.z, self.U)
             out[mid] = self._spline(z[mid])
         if left.any():
             C, mu = self.tail_left

@@ -14,7 +14,6 @@ and the diff of the file shows which outputs moved.
 
 import hashlib
 import json
-import sys
 import tempfile
 from contextlib import redirect_stdout
 from io import StringIO
@@ -124,4 +123,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrs
 
 from fkpplab.errors import ConfigurationError, DomainError, NumericalError
 from fkpplab.grids import Field, Grid, TridiagonalFactor, interpolate
@@ -80,14 +81,14 @@ def test_interpolate_out_of_extents():
 
 def test_tridiagonal_identity():
     rhs = np.array([3.0, -1.0, 2.0, 0.5])
-    y = TridiagonalFactor(np.zeros(3), np.ones(4), np.zeros(3)).solve(rhs)
+    y = TridiagonalFactor(np.zeros(3), np.ones(4), np.zeros(3)).solve(rhs, check=True)
     assert np.allclose(y, rhs, atol=1e-14)
 
 
 def test_tridiagonal_hand_eliminated_3x3():
     # [2 -1 0; -1 2 -1; 0 -1 2] y = (1, 0, 1)  =>  y = (1, 1, 1)
     y = TridiagonalFactor([-1.0, -1.0], [2.0, 2.0, 2.0],
-                          [-1.0, -1.0]).solve([1.0, 0.0, 1.0])
+                          [-1.0, -1.0]).solve([1.0, 0.0, 1.0], check=True)
     assert np.allclose(y, [1.0, 1.0, 1.0], atol=1e-13)
 
 
@@ -100,7 +101,7 @@ def test_tridiagonal_against_dense_oracle():
         rhs = rng.uniform(-1, 1, n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         ref = np.linalg.solve(dense, rhs)
-        y = TridiagonalFactor(sub, diag, sup).solve(rhs)
+        y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
         assert np.max(np.abs(y - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -111,7 +112,7 @@ def test_tridiagonal_roundtrip_large():
     sup = rng.uniform(-1, 1, n - 1)
     diag = 2.2 + rng.uniform(0, 1, n)
     rhs = rng.uniform(-1, 1, n)
-    y = TridiagonalFactor(sub, diag, sup).solve(rhs)
+    y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
     back = diag * y
     back[:-1] += sup * y[1:]
     back[1:] += sub * y[:-1]
@@ -130,7 +131,7 @@ def test_tridiagonal_rejects_bad_shapes():
 def test_tridiagonal_rejects_non_dominant():
     with pytest.raises(NumericalError):
         TridiagonalFactor([3.0, 3.0], [1.0, 1.0, 1.0],
-                          [3.0, 3.0]).solve([1.0, 1.0, 1.0])
+                          [3.0, 3.0]).solve([1.0, 1.0, 1.0], check=True)
 
 
 def test_tridiagonal_block_rhs():
@@ -140,9 +141,9 @@ def test_tridiagonal_block_rhs():
     sub = rng.uniform(-1, 1, n - 1)
     sup = rng.uniform(-1, 1, n - 1)
     rhs = rng.uniform(-1, 1, (n, 4))
-    y = TridiagonalFactor(sub, diag, sup).solve(rhs)
+    y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
     for j in range(4):
-        yj = TridiagonalFactor(sub, diag, sup).solve(rhs[:, j])
+        yj = TridiagonalFactor(sub, diag, sup).solve(rhs[:, j], check=True)
         assert np.allclose(y[:, j], yj, atol=1e-13)
 
 
@@ -163,10 +164,10 @@ def test_tridiagonal_factor_follows_the_values():
     ]
     for lower, d, upper, ldl in cases:
         factor = TridiagonalFactor(lower, d, upper)
-        assert (factor._ldl is not None, factor._lu is not None) == (ldl, not ldl)
+        assert (factor._trs is dpttrs) == ldl
         dense = np.diag(d) + np.diag(lower, -1) + np.diag(upper, 1)
         ref = np.linalg.solve(dense, rhs)
-        assert np.max(np.abs(factor.solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(factor.solve(rhs, check=True) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_tridiagonal_rejects_singular_symmetric():

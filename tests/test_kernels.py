@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from fkpplab.geometry import _ellipse_signed_distance
 from fkpplab.grids import Grid
@@ -248,7 +248,7 @@ def _right_hand_sides(n):
 def test_line_and_plane_axes_take_the_ldlt_solve(mode):
     g = GRIDS[mode]
     for axis, factor in enumerate(_factors(g)):
-        assert factor._ldl is not None and factor._lu is None
+        assert factor._trs is dpttrs
         assert factor._halve == (g.extents[axis][0] == 0.0)
 
 
@@ -256,7 +256,7 @@ def test_line_and_plane_axes_take_the_ldlt_solve(mode):
 def test_radial_axes_take_the_lu_solve(dim):
     g = Grid("radial", GRIDS["radial"].extents, EPS / 8, dim=dim)
     (factor,) = _factors(g)
-    assert factor._lu is not None and factor._ldl is None
+    assert factor._trs is dgttrs
 
 
 @pytest.mark.parametrize("mode", sorted(GRIDS))
@@ -264,9 +264,9 @@ def test_solve_matches_the_lu_solve(mode):
     for factor in _factors(GRIDS[mode]):
         for rhs in _right_hand_sides(factor.diag.size):
             want = lu_oracle(factor, rhs)
-            got = factor.solve(rhs)
+            got = factor.solve(rhs, check=True)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            if factor._lu is not None:
+            if factor._trs is dgttrs:
                 assert _bits(got) == _bits(want)
 
 

@@ -198,14 +198,14 @@ def _check_corrupted_factor(g, corrupt):
 
 def test_stepper_checks_residual_on_first_step_and_every_25th():
     def corrupt(factor):  # the diagonal of the LDL^T factor
-        factor._ldl[0] = factor._ldl[0] * (1.0 + 1e-6)
+        factor._factor[0] = factor._factor[0] * (1.0 + 1e-6)
 
     _check_corrupted_factor(_line_grid(0.5, EPS / 8), corrupt)
 
 
 def test_stepper_checks_radial_residual_on_first_step_and_every_25th():
     def corrupt(factor):  # the diagonal of U in the LU factor
-        factor._lu[1] = factor._lu[1] * (1.0 + 1e-6)
+        factor._factor[1] = factor._factor[1] * (1.0 + 1e-6)
 
     _check_corrupted_factor(Grid("radial", ((0.0, 0.5),), EPS / 8, dim=2),
                             corrupt)
