@@ -393,11 +393,10 @@ class Observer:
     def observe(self, block, times, k):
         """The observables ``names`` of a block of the states of steps
         k, k+1, ... at ``times``, one row of K values per name, nan for an
-        absent crossing or an empty threshold set; the three crossings come
-        from one _outermost_crossings.  A non-finite value shows in the sup
-        (NaN, +inf) or the min (-inf): it raises NumericalError with
-        diagnostic (t, step) of the first such state, before any crossing is
-        read."""
+        absent crossing or an empty threshold set; the three crossings read
+        one profile.  A non-finite value shows in the sup (NaN, +inf) or the
+        min (-inf): it raises NumericalError with diagnostic (t, step) of the
+        first such state, before any crossing is read."""
         axes = tuple(range(1, block.ndim))
         rows = [block.max(axis=axes), block.min(axis=axes)]
         finite = np.isfinite(rows[0]) & np.isfinite(rows[1])
