@@ -51,13 +51,8 @@ SCHEMA = {
     },
     "study": {
         "epsilons": _FLOAT_LIST,
-        "fit_window": float,  # speed fit starts at fit_window * t_end
         "probe_t": float,
         "probe_x": float,
-        "c_motion": float,
-        "gen_window": float,  # generation barrier window, units of eps|ln eps|
-        "ordering_tol": float,
-        "residual_tol": float,
     },
 }
 

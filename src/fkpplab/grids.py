@@ -30,7 +30,7 @@ class Grid:
     mode: str
     extents: tuple  # ((lo, hi),) or ((lo, hi), (lo, hi))
     dx: float
-    dim: int = 1  # spatial dimension N of the Laplacian (radial mode only)
+    dim: int = 1  # N of the radial Laplacian; 1 in line and plane mode
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -58,6 +58,8 @@ class Grid:
                     "radial mode needs dimension N = 2 or 3: from N = 4 the "
                     "rows 1 - (N-1)/(2i) near the origin are negative, and "
                     "the step no longer preserves order")
+        elif self.dim != 1:
+            raise ConfigurationError(f"{self.mode} mode reads no dim, got {self.dim}")
 
     @property
     def shape(self):

@@ -146,10 +146,9 @@ def outflow_margin(diameter, t_end, epsilon):
 def default_dt(grid: Grid, epsilon: float):
     """Largest step that keeps Crank-Nicolson order-preserving: the explicit
     half-factor (I + a L) must stay entrywise nonnegative, eps dt/dx^2 <= 1/N
-    (N = radial dimension, 2 or 3 as Grid requires; 1 otherwise).  Capped
-    by the accuracy rule dx/2."""
-    k = grid.dim if grid.mode == "radial" else 1
-    return min(grid.dx / 2.0, grid.dx**2 / (epsilon * k))
+    (N = grid.dim: 2 or 3 in radial mode, 1 otherwise, as Grid requires).
+    Capped by the accuracy rule dx/2."""
+    return min(grid.dx / 2.0, grid.dx**2 / (epsilon * grid.dim))
 
 
 @dataclass(frozen=True)
@@ -230,9 +229,8 @@ def _lap_coeffs(grid: Grid, axis: int):
     else:
         diag[-1] = -1.0
     if _mirrored(grid, axis):
-        N = grid.dim if grid.mode == "radial" else 1
-        diag[0] = -2.0 * N
-        sup[0] = 2.0 * N
+        diag[0] = -2.0 * grid.dim
+        sup[0] = 2.0 * grid.dim
     else:
         diag[0] = -1.0
     return sub, diag, sup

@@ -58,6 +58,15 @@ SHELL_SPEED = 2.5
 KINK_WIDTH = 2
 # The first generation drift fit_generation_drift tries.
 DRIFT_START = 3.0
+# Fixed, not configured: a config sets up the experiment, not its verdicts.
+# The speed fit reads t >= FIT_WINDOW t_end, past the generation transient.
+FIT_WINDOW = 0.2
+# The wave speed c of the barrier check's motion sub-solution.
+MOTION_SPEED = 1.5
+# The barrier check's generation window, in units of eps|ln eps|.
+GEN_WINDOW = 2.0
+# The largest residual of the wrong sign a barrier's residual check allows.
+RESIDUAL_TOL = 5e-3
 
 
 # The study caches, under the plain functions cached_run and cached_wave.
@@ -123,10 +132,10 @@ def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None
                      checkpoint_times=tuple(checkpoints))
 
 
-def _front_speed_fit(traj, fit_window):
+def _front_speed_fit(traj):
     t = traj.series["t"]
     fp = traj.series["front_half"]
-    mask = (t >= fit_window * traj.config.t_end) & np.isfinite(fp)
+    mask = (t >= FIT_WINDOW * traj.config.t_end) & np.isfinite(fp)
     if mask.sum() < 2:
         raise ConfigurationError("front never crossed the half level in the window")
     A = np.vstack([t[mask], np.ones(mask.sum())]).T
@@ -209,28 +218,25 @@ def _fit_eps_log(report, model, column):
 
 
 def _check_stable(report, name, *columns):
-    """Adds the check that the columns' values vary by a factor 2 at most."""
+    """Adds the check that the columns' values are positive, within a factor 2."""
     values = [r[c] for r in report.rows for c in columns]
-    report.add_check(name, max(values) / min(values) <= 2.0,
-                     f"max/min={max(values) / min(values):.3f}")
+    ratio = max(values) / min(values) if min(values) > 0.0 else math.inf
+    report.add_check(name, ratio <= 2.0, f"max/min={ratio:.3f}")
 
 
 @_study
 def run_speed_study(epsilons=(0.04, 0.02, 0.01),
                     body=ConvexBody.interval(-0.5, 0.5), amplitude=0.9,
-                    width=0.25, t_end=1.0, fit_window=0.2) -> ExperimentReport:
+                    width=0.25, t_end=1.0) -> ExperimentReport:
     """Front position series -> least-squares speed; the fitted speed must
     sit within 10 eps|ln eps| of 2 and the error must shrink down the ladder.
-    The fit reads t >= fit_window t_end, past the generation transient."""
-    if not 0.0 <= fit_window < 1.0:
-        raise ConfigurationError(
-            f"[study] fit_window = {fit_window:g} must lie in [0, 1)")
+    The fit reads t >= FIT_WINDOW t_end, past the generation transient."""
     report = ExperimentReport(
         "speed", columns=("epsilon", "speed", "abs_error", "allowed_error"))
     for eps in epsilons:
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         traj = cached_run(cfg)
-        speed, icpt, resid = _front_speed_fit(traj, fit_window)
+        speed, icpt, resid = _front_speed_fit(traj)
         err = abs(speed - 2.0)
         allowed = 10.0 * eps_log(eps)
         report.add_row(epsilon=eps, speed=speed, abs_error=err, allowed_error=allowed)
@@ -282,7 +288,7 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
         f_end = traj.checkpoint_at(t_end)
         w_mid = layer_thickness(f_mid, eps)
         w_end = layer_thickness(f_end, eps)
-        if w_mid is None or w_end is None or min(w_mid, w_end) <= 0:
+        if w_mid is None or w_end is None:
             raise ConfigurationError("band levels not attained at a checkpoint")
         c_mid = _band_constant(f_mid, body, t_end / 2.0, eps)
         c_end = _band_constant(f_end, body, t_end, eps)
@@ -406,28 +412,27 @@ def fit_generation_drift(traj, kin, initial, checkpoints):
     raise ConfigurationError("no drift constant K <= 256 orders the barrier")
 
 
-@partial(_study,
-         ordering_tol=lambda a: max(1e-3, 5.0 * (a["epsilon"] / 8.0)))
+@_study
 def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
-                      amplitude=0.9, width=0.1, t_end=1.0, c_motion=1.5,
-                      gen_window=2.0, ordering_tol=None,
-                      residual_tol=5e-3) -> ExperimentReport:
+                      amplitude=0.9, width=0.1, t_end=1.0) -> ExperimentReport:
     """Sandwich and sign checks for every barrier on one compact run, plus
     the expanding-shell barrier over algebraic data; emits the
     (t, slack, violation) table and one verdict per property.  A sabotaged
     global super-solution, its amplitude below the K0 floor, must be seen
-    to break the ordering.  The ordering tolerance defaults to
-    max(1e-3, 5 dx), dx = eps/8.
+    to break the ordering.  The ordering tolerance is max(1e-3, 5 dx),
+    dx = eps/8; the generation window GEN_WINDOW eps|ln eps| must fit in
+    t_end.
     """
     initial = InitialData.compact(body, amplitude, width)
     dx = epsilon / 8.0
+    ordering_tol = max(1e-3, 5.0 * dx)
     eL = eps_log(epsilon)
-    if not 0.0 < gen_window * eL <= t_end:
+    if not GEN_WINDOW * eL <= t_end:
         raise ConfigurationError(
-            f"[study] gen_window = {gen_window:g} must give 0 < gen_window "
-            f"eps|ln eps| = {gen_window * eL:.4g} <= t_end = {t_end:g}")
+            f"[solver] t_end = {t_end:g} must be at least GEN_WINDOW "
+            f"eps|ln eps| = {GEN_WINDOW * eL:.4g}")
     _check_threshold_set(initial, epsilon)
-    gen_times = tuple(np.linspace(0.25, 1.0, 4) * gen_window * eL)
+    gen_times = tuple(np.linspace(0.25, 1.0, 4) * GEN_WINDOW * eL)
     motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
     cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
                                 checkpoints=gen_times + motion_times)
@@ -446,13 +451,13 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     wave_min = cached_wave(2.0)
     K_hat = max(1.0, k0_lower_bound(wave_min, initial))
     m1 = m1_recipe(initial)
-    wave_motion = cached_wave(c_motion)
+    wave_motion = cached_wave(MOTION_SPEED)
     wave_eps = cached_wave(2.0 - eL)
 
     viol = 0.0  # the sabotage probe: u over global_super at K_hat = 0.5
     for tc, fld in traj.checkpoints:
         u = fld.values
-        if tc <= gen_window * eL:
+        if tc <= GEN_WINDOW * eL:
             sub = generation_sub(tc, x, K, kin, initial)
             res_sub_viol = 0.0
         else:
@@ -503,8 +508,8 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
                      f"min slack {worst_super:.4f} >= -{ordering_tol:.4f}")
     res_viols = [max(r["max_residual_super_violation"],
                      r["max_residual_sub_violation"]) for r in report.rows]
-    report.add_check("residual_signs", max(res_viols) <= residual_tol,
-                     f"max violation {max(res_viols):.2e} <= {residual_tol:g}")
+    report.add_check("residual_signs", max(res_viols) <= RESIDUAL_TOL,
+                     f"max violation {max(res_viols):.2e} <= {RESIDUAL_TOL:g}")
 
     # an amplitude below the K0 floor must break the ordering
     report.add_check("sabotage_detected", viol > ordering_tol,
@@ -527,7 +532,7 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     s = shell_coordinate(t_shell, r, epsilon)
     kinks = _kink_mask(s - SHELL_RHO) | _kink_mask(s + SHELL_RHO)
     shell_viol = max(0.0, float(res[~kinks].max()))
-    report.add_check("shell_residual_sign", shell_viol <= residual_tol,
+    report.add_check("shell_residual_sign", shell_viol <= RESIDUAL_TOL,
                      f"max violation {shell_viol:.2e}")
     return report
 

@@ -187,16 +187,14 @@ def _resample(leg1, leg2, z_shift, dz):
     return z, U, Up
 
 
-def _left_tail(z, U, lam_guess):
+def _left_tail(z, U):
     """(C, mu) with 1-U <= C e^{mu z} on z <= 0: rate from a log-linear fit
     over the leftmost decade, amplitude the exact majorant constant over the
-    table (which also pins the seam to within fit error, ~1e-13 relative)."""
+    table (which also pins the seam to within fit error, ~1e-13 relative).
+    As mu < 1 for every c, the decade spans over ln(10)/TABLE_DZ rows."""
     v = 1.0 - U
     m = (v >= v[0]) & (v <= 10.0 * v[0])
-    if m.sum() < 10:
-        mu = lam_guess
-    else:
-        mu = float(np.polyfit(z[m], np.log(v[m]), 1)[0])
+    mu = float(np.polyfit(z[m], np.log(v[m]), 1)[0])
     left = z <= 0.0
     C = float(np.max(v[left] * np.exp(-mu * z[left])))
     return C, mu
@@ -232,7 +230,7 @@ def solve_wave(c):
     else:  # a short overshoot window past the first zero
         leg2 = _integrate(c, 5.0, leg1.sol(z_anchor), [])
     z, U, Up = _resample(leg1, leg2, z_anchor, TABLE_DZ)
-    tail_left = _left_tail(z, U, lam_u)
+    tail_left = _left_tail(z, U)
 
     if not monotone:
         if np.any(U[z < -TABLE_DZ / 2] <= 0.0):

@@ -9,7 +9,8 @@ each and compares; a change that moves bytes rewrites the file with
 
     PYTHONPATH=src python tests/output_digest.py
 
-and the diff of the file shows which outputs moved.
+which prints each run and file whose SHA-256 moved, and each run added or
+dropped, against the file it replaces.
 """
 
 import hashlib
@@ -114,12 +115,30 @@ def digest(name, work):
     return {"exit": code, "files": files}
 
 
+def moved(old, new):
+    """One line per run in only one of the digests' runs, per changed exit
+    code and per file whose SHA-256 differs (or is in only one run)."""
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new or name not in old:
+            yield f"{'dropped' if name in old else 'added'} run {name}"
+            continue
+        if old[name]["exit"] != new[name]["exit"]:
+            yield f"{name}: exit {old[name]['exit']} -> {new[name]['exit']}"
+        was, now = old[name]["files"], new[name]["files"]
+        for file in sorted(was.keys() | now.keys()):
+            if was.get(file) != now.get(file):
+                yield f"moved {name}/{file}"
+
+
 def main():
+    old = json.loads(DIGEST.read_text())["runs"] if DIGEST.exists() else {}
     with tempfile.TemporaryDirectory() as work:
         runs = {name: digest(name, work) for name in RUNS}
     DIGEST.write_text(json.dumps({**versions(), "runs": runs}, indent=1) + "\n")
     print(f"wrote {DIGEST.relative_to(ROOT)}: {len(runs)} runs, "
           f"{sum(len(r['files']) for r in runs.values())} files")
+    for line in moved(old, runs):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from fkpplab.solver import (
     layer_thickness,
 )
 from fkpplab.studies import (
+    _front_speed_fit,
     cached_run,
     cached_wave,
     compact_family_config,
@@ -104,6 +105,19 @@ def test_thickness_is_the_minimal_wave_width():
         z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
         ratio = width / (eps * (z_lo - z_hi))
         assert 0.5 <= (1.0 - ratio) / eps <= 1.0, (eps, ratio)
+
+
+def test_front_speed_has_the_bramson_delay():
+    """The front is 2t - (3/2) eps ln(t/eps) + O(eps) (Bramson, Mem. AMS 44
+    (1983) no. 285).  Fitted over the speed study's window, t >= 0.2, the
+    delay alone gives (speed - 2)/eps = -2.78; measured -3.110, -2.768 and
+    -2.535 at eps 0.04, 0.02 and 0.01.  A 5% error in the diffusion factor
+    or the reaction rate moves it by more than 0.5 at every rung."""
+    for eps in LADDER:
+        cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
+                                    0.25, 1.0)
+        speed = _front_speed_fit(cached_run(cfg))[0]
+        assert abs((speed - 2.0) / eps + 2.78) <= 0.5, (eps, speed)
 
 
 def _ablowitz_zeppetella(z):

@@ -199,6 +199,14 @@ def test_radial_grid_takes_dimension_2_or_3(dim):
         Grid("radial", ((0.0, 1.0),), 0.1, dim=dim)
 
 
+@pytest.mark.parametrize("mode, extents", (
+    ("line", ((-1.0, 1.0),)), ("plane", ((-1.0, 1.0), (-1.0, 1.0)))))
+def test_only_a_radial_grid_takes_a_dimension(mode, extents):
+    # a line or plane Laplacian has N = 1: any other dim would be ignored
+    with pytest.raises(ConfigurationError, match=f"{mode} mode reads no dim"):
+        Grid(mode, extents, 0.125, dim=3)
+
+
 def test_field_rejects_non_finite():
     g = Grid("line", ((0.0, 1.0),), 0.1)
     vals = np.zeros(g.shape)

@@ -17,7 +17,7 @@ from fkpplab.errors import ConfigurationError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid
 from fkpplab.reporting import ExperimentReport, config_hash
-from fkpplab.studies import run_barrier_check, run_wave_study
+from fkpplab.studies import run_wave_study
 
 SPEED_INI = """\
 [geometry]
@@ -113,14 +113,24 @@ MALFORMED = {
         "generation", "[geometry]\nshape = interval\na = -0.1\nb = 0.1\n\n"
         "[initial]\namplitude = 0.6\n\n[study]\nepsilons = 0.06, 0.04\n",
         "is empty at eps=0.06: amplitude 0.6 gives g at most 0.4704 < "),
-    # the fit would start past t_end, or before t = 0
-    "fit_window_past_t_end": ("speed", "[study]\nfit_window = 1.5\n",
-                              "[study] fit_window = 1.5"),
-    "fit_window_negative": ("speed", "[study]\nfit_window = -3\n",
-                            "[study] fit_window = -3"),
-    # the generation checkpoints gen_window eps|ln eps| would pass t_end
-    "gen_window_past_t_end": ("barriers", "[study]\ngen_window = 500\n",
-                              "[study] gen_window = 500"),
+    # the generation checkpoints GEN_WINDOW eps|ln eps| would pass t_end
+    "gen_window_past_t_end": (
+        "barriers", "[solver]\nt_end = 0.1\n",
+        "[solver] t_end = 0.1 must be at least GEN_WINDOW eps|ln eps| = 0.1565"),
+    # how a verdict is computed, and how loose it is, are constants, not
+    # keys, so no config can loosen a tolerance until its verdict passes
+    "fit_window_retired": ("speed", "[study]\nfit_window = 0.2\n",
+                           "unknown key 'fit_window' in section [study]"),
+    "c_motion_retired": ("barriers", "[study]\nc_motion = 1.5\n",
+                         "unknown key 'c_motion' in section [study]"),
+    "gen_window_retired": ("barriers", "[study]\ngen_window = 2\n",
+                           "unknown key 'gen_window' in section [study]"),
+    "ordering_tol_retired": (
+        "barriers", "[kinetics]\nepsilon = 0.02\n\n[study]\n"
+        "ordering_tol = 0.2\nresidual_tol = 1e9\n",
+        "unknown key 'ordering_tol' in section [study]"),
+    "residual_tol_retired": ("barriers", "[study]\nresidual_tol = 1e9\n",
+                             "unknown key 'residual_tol' in section [study]"),
 }
 
 
@@ -166,16 +176,6 @@ def test_report_hash_distinguishes_configs():
     # an array hashes as its values, as the tuple or list of them does
     assert config_hash({"speeds": np.array([2.0, 2.5])}) == (
         config_hash({"speeds": (2.0, 2.5)}))
-
-
-def test_barrier_report_hash_covers_the_tolerances():
-    # the tolerances decide the verdicts, so reports that differ in them
-    # differ in their hash; all three share one cached run
-    hashes = [run_barrier_check(**kw).metadata["config_hash"]
-              for kw in ({}, {"ordering_tol": 10.0}, {"residual_tol": 1e-2})]
-    # the default ordering_tol hashes as its value, max(1e-3, 5 eps/8)
-    assert hashes[0] == "0997b8df45a4a1a1"
-    assert len(set(hashes)) == 3
 
 
 @studies._study
@@ -242,15 +242,32 @@ def test_cli_usage_errors(tmp_path):
     assert cli.main(["speed", "--config", bad, "--out", str(tmp_path)]) == 1
 
 
-def test_cli_check_failure_exit_code(tmp_path):
-    # an impossible ordering tolerance forces a failing verdict (exit 2)
-    ini = _write(tmp_path, "barriers.ini",
-                 "[kinetics]\nepsilon = 0.02\n\n[study]\nordering_tol = -1.0\n")
+def test_cli_check_failure_exit_code(tmp_path, monkeypatch):
+    # an impossible residual tolerance forces a failing verdict (exit 2)
+    monkeypatch.setattr(studies, "RESIDUAL_TOL", -1.0)
+    ini = _write(tmp_path, "barriers.ini", "[kinetics]\nepsilon = 0.02\n")
     out = tmp_path / "o"
     rc = cli.main(["barriers", "--config", ini, "--out", str(out), "--svg"])
     assert rc == 2
     # u, the sub-solution and the super-solution at the last checkpoint
     assert (out / "sandwich.svg").read_text().count("<polyline") == 3
+
+
+@pytest.mark.parametrize("width", (-0.01, 0.0))
+def test_a_width_not_positive_fails_its_checks(tmp_path, monkeypatch, capsys,
+                                               width):
+    # the band levels are attained, so the width is a verdict (exit 2), not
+    # a configuration error; the ratio check reads False, not 1/0
+    layer_thickness = studies.layer_thickness
+    monkeypatch.setattr(studies, "layer_thickness", lambda fld, eps: (
+        width if eps == 0.02 else layer_thickness(fld, eps)))
+    ini = _write(tmp_path, "cfg.ini", SPEED_INI)
+    assert cli.main(["thickness", "--config", ini,
+                     "--out", str(tmp_path / "o")]) == 2
+    failed = {line.split(": ")[1].split(" ")[0]
+              for line in capsys.readouterr().out.splitlines()
+              if line.startswith("[FAIL]")}
+    assert {"width_positive@eps=0.02", "width_ratio_stable"} <= failed
 
 
 SIMULATE_INI = """\
@@ -296,8 +313,8 @@ def _add(ini, section, line):
 
 # command, config, the key it must reject
 REJECTED = {
-    "wave_fit_window": ("wave", WAVE_INI + "\n[study]\nfit_window = 0.2\n",
-                        "fit_window"),
+    "wave_probe_t": ("wave", WAVE_INI + "\n[study]\nprobe_t = 0.2\n",
+                     "probe_t"),
     "speed_mode": ("speed", _add(SPEED_INI, "solver", "mode = line"), "mode"),
     "speed_epsilon": ("speed", SPEED_INI + "\n[kinetics]\nepsilon = 0.02\n",
                       "epsilon"),
@@ -380,16 +397,14 @@ READS = {
         "initial.amplitude", "initial.width", "initial.tail_lambda",
         "initial.tail_cap", "solver.mode"}, True),
     "run_algebraic_simulation": (_SIMULATION | {"initial.m", "initial.n"}, False),
-    "run_speed_study": (_FAMILY | {"study.fit_window"}, True),
+    "run_speed_study": (_FAMILY, True),
     "run_thickness_study": (_FAMILY, True),
     "run_generation_study": (_FAMILY, True),
     "run_no_interface_study": ({"initial.m", "initial.n", "solver.dim",
                                 "study.epsilons", "study.probe_t",
                                 "study.probe_x"}, False),
     "run_barrier_check": ({"kinetics.epsilon", "initial.amplitude",
-                           "initial.width", "solver.t_end", "study.c_motion",
-                           "study.gen_window", "study.ordering_tol",
-                           "study.residual_tol"}, True),
+                           "initial.width", "solver.t_end"}, True),
 }
 
 
@@ -609,9 +624,6 @@ EFFECTIVE = {
         "[geometry]\nshape = ball\ncenter = 0, 0\nradius = 0.5\n",
         "[initial]\n"), "initial", "variant = algebraic"), "solver",
         "checkpoints = 0.05, 0.1", "301c88b7669880b8"),
-    "ordering_tol": ("barriers", "[kinetics]\nepsilon = 0.02\n\n[study]\n"
-                     "residual_tol = 5e-3\n", "study", "ordering_tol = 0.0125",
-                     "0997b8df45a4a1a1"),
 }
 
 
@@ -801,7 +813,7 @@ def test_settable_values_do_not_grow():
                     for d in node.decorator_list):
                 fields += sum(isinstance(item, ast.AnnAssign) for item in node.body)
     keys = sum(len(section) for section in SCHEMA.values())
-    assert defaults + fields + keys <= 128, (defaults, fields, keys)
+    assert defaults + fields + keys <= 118, (defaults, fields, keys)
 
 
 def test_solver_import_leaves_wave_shooting_modules_unloaded():
