@@ -40,7 +40,10 @@ CUTOFF_OUTER = 0.5  # psi = 0 from min(CUTOFF_OUTER, 6 eps|ln eps|)
 
 
 def eps_log(epsilon):
-    """The generation scale eps * |ln eps|."""
+    """The generation scale eps * |ln eps|, on the layer domain (0, 1/e) of
+    eps; any other epsilon is a ConfigurationError."""
+    if not 0.0 < epsilon < EPS_MAX:
+        raise ConfigurationError(f"epsilon = {epsilon:g} must lie in (0, 1/e)")
     return epsilon * abs(math.log(epsilon))
 
 
@@ -52,8 +55,6 @@ class KineticsParams:
     epsilon: float
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < EPS_MAX:
-            raise ConfigurationError("epsilon must lie in (0, 1/e)")
         if eps_log(self.epsilon) >= CUTOFF_INNER:
             raise ConfigurationError(
                 "eps|ln eps| must stay below CUTOFF_INNER (epsilon too large)"

@@ -137,9 +137,11 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
     return _sample_initial(initial, grid, epsilon, grid.points())[0]
 
 
-def outflow_margin(diameter, t_end, epsilon):
-    """Domain reach a run needs: half the data's diameter, plus the distance
-    2 t_end the front travels, plus ten layer widths eps|ln eps|."""
+def outflow_margin(initial: InitialData, t_end, epsilon):
+    """Domain reach a run needs: half the diameter of the data's body (0 for
+    algebraic data, centred at the origin), plus the distance 2 t_end the
+    front travels, plus ten layer widths eps|ln eps|."""
+    diameter = initial.body.diameter if initial.variant == "compact" else 0.0
     return diameter / 2.0 + 2.0 * t_end + 10.0 * eps_log(epsilon)
 
 
@@ -160,14 +162,12 @@ class SimConfig:
     checkpoint_times: tuple = ()
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0 / math.e:
-            raise ConfigurationError("epsilon must lie in (0, 1/e)")
+        # eps_log, in the margin, rejects an epsilon outside (0, 1/e) first
+        margin = outflow_margin(self.initial, self.t_end, self.epsilon)
         if self.t_end <= 0.0:
             raise ConfigurationError("t_end must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
             raise ConfigurationError("resolution rule dx <= epsilon/8 violated")
-        diam = self.initial.body.diameter if self.initial.variant == "compact" else 0.0
-        margin = outflow_margin(diam, self.t_end, self.epsilon)
         for lo, hi in self.grid.extents:
             reach = hi if self.grid.mode == "radial" else min(-lo, hi)
             if reach + 1e-9 < margin:
@@ -179,9 +179,16 @@ class SimConfig:
                 raise ConfigurationError("checkpoint outside [0, t_end]")
 
     @property
+    def n_steps(self):
+        """The number of steps run() takes: the fewest of at most
+        default_dt(grid, epsilon) each."""
+        return max(1, math.ceil(self.t_end / default_dt(self.grid, self.epsilon)
+                                - 1e-12))
+
+    @property
     def dt(self):
-        """The order-preserving step default_dt(grid, epsilon)."""
-        return default_dt(self.grid, self.epsilon)
+        """The step run() takes, t_end / n_steps: at most default_dt."""
+        return self.t_end / self.n_steps
 
 
 @dataclass
@@ -487,8 +494,9 @@ BLOCK_BYTES = 1 << 20
 
 
 def run(config: SimConfig) -> Trajectory:
-    """Integrate to t_end, recording the Observer's series each step and
-    the checkpoint fields at the requested times (snapped to the step grid).
+    """Integrate to t_end in the config's n_steps steps of dt, recording the
+    Observer's series each step and the checkpoint fields at the requested
+    times (snapped to the step grid).
 
     Along each axis the run is even in (_even_axes) it integrates on the
     half x >= 0 of the grid, whose low wall at 0 is a mirror; u0 there is
@@ -499,13 +507,12 @@ def run(config: SimConfig) -> Trajectory:
     The loop works on bare arrays; a Field is built only for a checkpoint.
     Each state is copied into one buffer of K states (BLOCK_BYTES), which
     the Observer reads in one call when it is full, at a checkpoint step,
-    at the end, and before a NumericalError of the Stepper is re-raised;
-    at K = 1 each state is read in place.  So a non-finite state raises
-    NumericalError with diagnostic (t, step) for the first such step, from
-    Observer.observe, before any checkpoint or later fault; the steps taken
-    past it, before its block is read, raise no floating-point warning.  A
-    sup above max(1, sup u0) + 1e-8 raises NumericalError after the last
-    step.
+    at the end, and before a NumericalError of the Stepper is re-raised.
+    So a non-finite state raises NumericalError with diagnostic (t, step)
+    for the first such step, from Observer.observe, before any checkpoint
+    or later fault; the steps taken past it, before its block is read,
+    raise no floating-point warning.  A sup above max(1, sup u0) + 1e-8
+    raises NumericalError after the last step.
     """
     full, even = config.grid, _even_axes(config)
     grid = Grid(full.mode, tuple((0.0, hi) if e else (lo, hi)
@@ -516,8 +523,7 @@ def run(config: SimConfig) -> Trajectory:
     u0, g = _sample_initial(config.initial, grid, config.epsilon,
                             full.points(index))
     u = u0.values
-    n_steps = max(1, math.ceil(config.t_end / config.dt - 1e-12))
-    dt = config.t_end / n_steps
+    n_steps, dt = config.n_steps, config.dt
     observer = Observer(grid, config.epsilon, g)
     stepper = Stepper(grid, dt, config.epsilon)
     checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
@@ -526,7 +532,7 @@ def run(config: SimConfig) -> Trajectory:
     values = np.empty((len(observer.names), n_steps + 1))
     checkpoints = []
     size = max(1, BLOCK_BYTES // u.nbytes)
-    block = np.empty((size, *u.shape)) if size > 1 else None
+    block = np.empty((size, *u.shape))
     filled = 0
 
     def read(states, k):
@@ -543,14 +549,11 @@ def run(config: SimConfig) -> Trajectory:
                     if filled:
                         read(block[:filled], k - 1)
                     raise
-            if block is None:
-                read(u[None], k)
-            else:
-                block[filled] = u
-                filled += 1
-                if filled == size or k in checkpoint_steps or k == n_steps:
-                    read(block[:filled], k)
-                    filled = 0
+            block[filled] = u
+            filled += 1
+            if filled == size or k in checkpoint_steps or k == n_steps:
+                read(block[:filled], k)
+                filled = 0
             if k in checkpoint_steps:
                 checkpoints.append((float(times[k]), Field(full, _unfold(u, even))))
 

@@ -93,43 +93,36 @@ def cached_wave(c):
     return _wave(round(c, 12))
 
 
-def _snap_extent(need, dx):
-    return math.ceil(need / dx + 2) * dx
+def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
+    """A study family's SimConfig at one epsilon: dx = eps/8 and an extent e
+    two nodes past the larger of `reach` and the outflow margin, (0, e) in
+    radial mode of dimension dim, (-e, e) on each axis otherwise."""
+    need = max(reach, outflow_margin(initial, t_end, epsilon))
+    dx = epsilon / 8.0
+    ext = math.ceil(need / dx + 2) * dx
+    radial = mode == "radial"
+    extents = ((0.0 if radial else -ext, ext),) * (2 if mode == "plane" else 1)
+    return SimConfig(epsilon, Grid(mode, extents, dx, dim if radial else 1),
+                     initial, t_end=t_end, checkpoint_times=tuple(checkpoints))
 
 
 def compact_family_config(epsilon, body, amplitude, width, t_end,
                           mode="line", dim=1, checkpoints=None, tail=None,
                           min_reach=0.0):
-    """SimConfig for the standard compact-data family at one epsilon:
-    dx = eps/8, order-preserving dt, domain sized by the outflow margin."""
-    initial = InitialData.compact(body, amplitude, width, tail)
-    dx = epsilon / 8.0
-    need = max(outflow_margin(body.diameter, t_end, epsilon), min_reach)
-    ext = _snap_extent(need, dx)
-    if mode == "line":
-        grid = Grid("line", ((-ext, ext),), dx)
-    elif mode == "radial":
-        grid = Grid("radial", ((0.0, ext),), dx, dim=dim)
-    elif mode == "plane":
-        grid = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
-    else:
-        raise ConfigurationError(f"unknown mode {mode!r}")
-    if checkpoints is None:
-        checkpoints = (t_end / 2.0, t_end)
-    return SimConfig(epsilon, grid, initial, t_end=t_end,
-                     checkpoint_times=tuple(checkpoints))
+    """The compact-data family's SimConfig at one epsilon (_family_config),
+    with checkpoints t_end / 2 and t_end by default."""
+    return _family_config(
+        epsilon, InitialData.compact(body, amplitude, width, tail), t_end,
+        mode, dim, (t_end / 2.0, t_end) if checkpoints is None else checkpoints,
+        min_reach)
 
 
 def algebraic_family_config(epsilon, m, n, t_end, reach, dim=2, checkpoints=None):
-    initial = InitialData.algebraic(m, n)
-    dx = epsilon / 8.0
-    need = max(reach, outflow_margin(0.0, t_end, epsilon))
-    ext = _snap_extent(need, dx)
-    grid = Grid("radial", ((0.0, ext),), dx, dim=dim)
-    if checkpoints is None:
-        checkpoints = (t_end,)
-    return SimConfig(epsilon, grid, initial, t_end=t_end,
-                     checkpoint_times=tuple(checkpoints))
+    """The algebraic-data family's radial SimConfig at one epsilon
+    (_family_config), with checkpoint t_end by default."""
+    return _family_config(epsilon, InitialData.algebraic(m, n), t_end, "radial",
+                          dim, (t_end,) if checkpoints is None else checkpoints,
+                          reach)
 
 
 def _front_speed_fit(traj):
@@ -317,11 +310,10 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
     tau = alpha eps|ln eps| and demands a stable alpha."""
     if amplitude >= 1.0:
         raise ConfigurationError("generation needs amplitude < 1 to be nontrivial")
-    initial = InitialData.compact(body, amplitude, width)
     report = ExperimentReport("generation", columns=("epsilon", "tau", "alpha"))
     for eps in epsilons:
-        _check_threshold_set(initial, eps)
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
+        _check_threshold_set(cfg.initial, eps)
         tau = _generation_time(cached_run(cfg), eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
     taus = _column(report, "tau")
@@ -423,26 +415,24 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     dx = eps/8; the generation window GEN_WINDOW eps|ln eps| must fit in
     t_end.
     """
-    initial = InitialData.compact(body, amplitude, width)
-    dx = epsilon / 8.0
-    ordering_tol = max(1e-3, 5.0 * dx)
     eL = eps_log(epsilon)
     if not GEN_WINDOW * eL <= t_end:
         raise ConfigurationError(
             f"[solver] t_end = {t_end:g} must be at least GEN_WINDOW "
             f"eps|ln eps| = {GEN_WINDOW * eL:.4g}")
-    _check_threshold_set(initial, epsilon)
     gen_times = tuple(np.linspace(0.25, 1.0, 4) * GEN_WINDOW * eL)
     motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
     cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
                                 checkpoints=gen_times + motion_times)
+    initial, grid = cfg.initial, cfg.grid
+    _check_threshold_set(initial, epsilon)
+    ordering_tol = max(1e-3, 5.0 * grid.dx)
     report = ExperimentReport(
         "barriers",
         columns=("t", "min_slack_sub", "min_slack_super",
                  "max_residual_super_violation", "max_residual_sub_violation"))
     traj = cached_run(cfg)
     kin = KineticsParams(epsilon)
-    grid = cfg.grid
     x = grid.axis(0)
 
     t_gen = _generation_time(traj, epsilon)
@@ -516,18 +506,17 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
                      f"K_hat=0.5<K0 violates by {viol:.3f}")
 
     # expanding-shell barrier over algebraic data (radial)
-    alg = InitialData.algebraic(0.5, 2.0)
+    shell = algebraic_family_config(epsilon, 0.5, 2.0, 0.4, 4.0)
+    alg, rgrid, t_shell = shell.initial, shell.grid, shell.t_end
     wave_shell = cached_wave(SHELL_SPEED)
-    rgrid = Grid("radial", ((0.0, _snap_extent(4.0, dx)),), dx, dim=2)
     r = rgrid.axis(0)
-    w0 = radial_sub_W(0.0, r, wave_shell, epsilon, 2, alg)
+    w0 = radial_sub_W(0.0, r, wave_shell, epsilon, rgrid.dim, alg)
     u0 = build_initial(alg, rgrid, epsilon).values
     report.add_check("shell_under_initial_data",
                      bool(np.all(w0 <= u0 + 1e-12)),
                      f"max gap {float((w0 - u0).max()):.2e}")
-    t_shell = 0.4
     res = discrete_residual(
-        lambda tt, rr: radial_sub_W(tt, rr, wave_shell, epsilon, 2, alg),
+        lambda tt, rr: radial_sub_W(tt, rr, wave_shell, epsilon, rgrid.dim, alg),
         t_shell, rgrid, epsilon).values
     s = shell_coordinate(t_shell, r, epsilon)
     kinks = _kink_mask(s - SHELL_RHO) | _kink_mask(s + SHELL_RHO)

@@ -8,9 +8,10 @@ speed alone thus says which normalization a profile carries.
 Profiles are computed by shooting: the integration launches a distance 1e-8
 from the rest state U = 1 along the unstable eigenvector of the
 linearization, runs with a high-order adaptive integrator, and is resampled
-onto a uniform table.  Exponential tails are fitted on the final decade of
-decay so the profile can be evaluated anywhere on the line; for the minimal
-speed c = 2 the right tail carries the extra algebraic factor, U ~ (az+b)e^-z.
+onto a uniform table.  Exponential tails let the profile be evaluated
+anywhere on the line: the left one decays at the unstable rate, the right
+one is fitted on the final decade of decay; for the minimal speed c = 2 the
+right tail carries the extra algebraic factor, U ~ (az+b)e^-z.
 """
 
 from __future__ import annotations
@@ -187,14 +188,11 @@ def _resample(leg1, leg2, z_shift, dz):
     return z, U, Up
 
 
-def _left_tail(z, U):
-    """(C, mu) with 1-U <= C e^{mu z} on z <= 0: rate from a log-linear fit
-    over the leftmost decade, amplitude the exact majorant constant over the
-    table (which also pins the seam to within fit error, ~1e-13 relative).
-    As mu < 1 for every c, the decade spans over ln(10)/TABLE_DZ rows."""
+def _left_tail(z, U, mu):
+    """(C, mu) with 1-U <= C e^{mu z} on z <= 0: mu the unstable rate of the
+    linearization at U = 1, the root of r^2 + c r - 1 = 0 that 1 - U decays
+    at to the left, and C the exact majorant constant over the table."""
     v = 1.0 - U
-    m = (v >= v[0]) & (v <= 10.0 * v[0])
-    mu = float(np.polyfit(z[m], np.log(v[m]), 1)[0])
     left = z <= 0.0
     C = float(np.max(v[left] * np.exp(-mu * z[left])))
     return C, mu
@@ -205,10 +203,9 @@ def solve_wave(c):
 
     Shoots from the unstable manifold of U = 1 and translates the anchor
     crossing to z = 0: for c >= 2 the monotone wave with U(0) = 1/2,
-    continued until U < 1e-10 or the span is exhausted, with both tails
-    fitted; for 0 < c < 2 the sign-changing wave with its first zero at
-    z = 0, continued over a short overshoot window, with the left tail
-    fitted.
+    continued until U < 1e-10 or the span is exhausted, with both tails;
+    for 0 < c < 2 the sign-changing wave with its first zero at z = 0,
+    continued over a short overshoot window, with the left tail only.
     """
     if not c > 0.0:
         raise DomainError("travelling waves need c > 0")
@@ -230,7 +227,7 @@ def solve_wave(c):
     else:  # a short overshoot window past the first zero
         leg2 = _integrate(c, 5.0, leg1.sol(z_anchor), [])
     z, U, Up = _resample(leg1, leg2, z_anchor, TABLE_DZ)
-    tail_left = _left_tail(z, U)
+    tail_left = _left_tail(z, U, lam_u)
 
     if not monotone:
         if np.any(U[z < -TABLE_DZ / 2] <= 0.0):

@@ -95,6 +95,15 @@ MALFORMED = {
                           "need at least two epsilon values"),
     "epsilons_single": ("thickness", "[study]\nepsilons = 0.04\n",
                         "need at least two epsilon values"),
+    # every command rejects an epsilon outside (0, 1/e), by one rule
+    "epsilon_negative": ("barriers", "[kinetics]\nepsilon = -0.1\n",
+                         "epsilon = -0.1 must lie in (0, 1/e)"),
+    "epsilon_zero": ("simulate", "[kinetics]\nepsilon = 0\n",
+                     "epsilon = 0 must lie in (0, 1/e)"),
+    "epsilon_above_1_over_e": ("simulate", "[kinetics]\nepsilon = 0.5\n",
+                               "epsilon = 0.5 must lie in (0, 1/e)"),
+    "epsilons_negative": ("speed", "[study]\nepsilons = 0.04, -0.02\n",
+                          "epsilon = -0.02 must lie in (0, 1/e)"),
     # a parameter without a default is a required key
     "simulate_compact_without_epsilon": (
         "simulate", "[initial]\namplitude = 0.8\n\n[solver]\nt_end = 0.2\n",
@@ -814,6 +823,22 @@ def test_settable_values_do_not_grow():
                 fields += sum(isinstance(item, ast.AnnAssign) for item in node.body)
     keys = sum(len(section) for section in SCHEMA.values())
     assert defaults + fields + keys <= 118, (defaults, fields, keys)
+
+
+def test_only_kinetics_names_the_epsilon_bound():
+    """The domain (0, 1/e) of epsilon is decided once, by kinetics.eps_log:
+    no other module names EPS_MAX or math.e."""
+    named = []
+    for path in ROOT.glob("src/fkpplab/*.py"):
+        if path.name == "kinetics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "EPS_MAX"
+                    or isinstance(node, ast.alias) and node.name == "EPS_MAX"
+                    or isinstance(node, ast.Attribute)
+                    and ast.unparse(node) in ("math.e", "kinetics.EPS_MAX")):
+                named.append(f"{path.name}:{node.lineno}")
+    assert not named, named
 
 
 def test_solver_import_leaves_wave_shooting_modules_unloaded():

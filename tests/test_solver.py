@@ -11,7 +11,7 @@ from fkpplab import solver
 from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid, interpolate
-from fkpplab.kinetics import eps_log
+from fkpplab.kinetics import KineticsParams, eps_log
 from fkpplab.reporting import write_table
 from fkpplab.solver import (
     RESIDUAL_EVERY,
@@ -258,8 +258,7 @@ def test_run_reports_blow_up_where_a_block_is_read(set_node, value, where):
     else:  # one checkpoint, at the end: the first block fills up
         cfg = compact_family_config(0.1, BODY, 0.9, 0.25, t_end=1.0,
                                     checkpoints=(1.0,))
-    n_steps = math.ceil(cfg.t_end / cfg.dt - 1e-12)
-    dt = cfg.t_end / n_steps
+    n_steps, dt = cfg.n_steps, cfg.dt
     step = _blow_up_step(cfg, dt, where)
     assert 0 < step < n_steps - 1
     set_node(value, step)
@@ -497,6 +496,32 @@ def test_config_validation():
         SimConfig(0.04, _line_grid(4.0, 0.04), init, t_end=1.0)
     with pytest.raises(ConfigurationError):  # domain below outflow margin
         SimConfig(0.04, _line_grid(1.0, 0.005), init, t_end=1.0)
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5))
+def test_epsilon_outside_its_domain_is_one_error(eps):
+    # eps_log decides the domain (0, 1/e); SimConfig and KineticsParams
+    # reject such an epsilon through it, before any other check
+    init = InitialData.compact(BODY, 0.9, 0.25)
+    message = rf"^epsilon = {eps:g} must lie in \(0, 1/e\)$"
+    for build in (eps_log, KineticsParams,
+                  lambda e: SimConfig(e, _line_grid(4.0, 0.005), init, 1.0)):
+        with pytest.raises(ConfigurationError, match=message):
+            build(eps)
+
+
+def test_checkpoint_at_reads_the_step_run_takes():
+    # t_end = 1.01 default_dt is two steps of 0.505 default_dt.  Step 1 lies
+    # 0.505 default_dt before t_end: within half the cap default_dt, but a
+    # whole step of the run away, so the checkpoint at t_end is step 2's
+    cap = default_dt(_line_grid(1.0, 0.1 / 8.0), 0.1)
+    cfg = compact_family_config(0.1, BODY, 0.9, 0.25, 1.01 * cap,
+                                checkpoints=(0.505 * cap, 1.01 * cap))
+    traj = run(cfg)
+    (_, step_1), (t_2, step_2) = traj.checkpoints
+    assert traj.checkpoint_at(cfg.t_end) is step_2
+    assert traj.checkpoint_at(0.505 * cap) is step_1
+    assert cfg.n_steps == 2 and t_2 == 2 * cfg.dt == cfg.t_end
 
 
 def test_studies_reject_a_tail_below_the_papers_threshold():

@@ -3,8 +3,6 @@ with a mirror wall at 0, and its checkpoints are unfolded: the reduced run
 against the same run stepped on the full grid, and which configurations
 are reduced."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -27,8 +25,7 @@ def _full_domain(cfg):
     on the configuration's full grid."""
     grid = cfg.grid
     u0, g = _sample_initial(cfg.initial, grid, cfg.epsilon, grid.points())
-    n = max(1, math.ceil(cfg.t_end / cfg.dt - 1e-12))
-    dt = cfg.t_end / n
+    n, dt = cfg.n_steps, cfg.dt
     stepper, observer = Stepper(grid, dt, cfg.epsilon), Observer(grid, cfg.epsilon, g)
     wanted = {int(round(tc / dt)) for tc in cfg.checkpoint_times}
     u, rows, checkpoints = u0.values, [], []
