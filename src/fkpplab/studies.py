@@ -12,12 +12,23 @@ covers every argument at its effective value.  Every CLI command runs a
 study; a report names the files it writes beside report.csv, each by a
 writer taking the path: its CSV tables in metadata["tables"] and its SVG
 figures in metadata["figures"].
+
+A ladder study builds every rung's config before any run starts, so an
+invalid rung fails at once, and reads their runs in one cached_runs call.
+The rungs not in the run cache run at the same time, each in a worker
+process forked from the caller: at most one worker per uncached rung and
+per usable CPU (os.sched_getaffinity), so `taskset -c 0` runs them one
+after another in the calling process, as does a batch of one or a platform
+without fork.  A worker runs the same code on the same config, so every
+report, table, figure and checkpoint keeps its bytes.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import os
+from collections import OrderedDict
 from functools import lru_cache, partial, wraps
 
 import numpy as np
@@ -69,22 +80,81 @@ GEN_WINDOW = 2.0
 RESIDUAL_TOL = 5e-3
 
 
-# The study caches, under the plain functions cached_run and cached_wave.
-# They read `run` and `solve_wave` from the module at call time, so a
-# wrapper bound to any of the four names (perfbench's tracer) is seen.
-@lru_cache(maxsize=CACHE_SIZE)
-def _run(cfg):
-    return run(cfg)
+# The run cache: each config's trajectory, least recently used first, at
+# most CACHE_SIZE of them; cached_runs fills it.
+_runs = OrderedDict()
 
 
+# The wave cache, under the plain function cached_wave.  Both caches read
+# `run` and `solve_wave` from the module at call time, so a wrapper bound to
+# either name (perfbench's tracer, a test's stub) is seen, in a pool worker
+# too: it is forked with the module as it is.
 @lru_cache(maxsize=CACHE_SIZE)
 def _wave(c):
     return solve_wave(c)
 
 
+def _pool_size(n):
+    """Worker processes for n uncached runs: one per run and per usable CPU,
+    or 1 (the calling process) without the fork start method."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(n, cpus)
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            return 1
+    return workers
+
+
+def _run_in_worker(cfg):
+    """run(cfg) in a pool worker.  The pool pickles this function by name;
+    `run` itself may be a stub or a wrapper that does not pickle."""
+    return run(cfg)
+
+
+def _fresh_runs(cfgs):
+    """run(cfg) of each config, in order.  With more than one worker
+    (_pool_size) the runs go to a pool of forked workers, costliest (steps
+    times nodes) first, and are read back in order, so the error raised is
+    the first config's that fails, as in a serial run.  No worker outlives
+    the call: on an error the runs not yet started are cancelled."""
+    workers = _pool_size(len(cfgs))
+    if workers <= 1:
+        return [run(cfg) for cfg in cfgs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context("fork"))
+    try:
+        costliest = sorted(cfgs, reverse=True, key=lambda cfg: cfg.n_steps
+                           * math.prod(cfg.grid.shape))
+        futures = {cfg: pool.submit(_run_in_worker, cfg) for cfg in costliest}
+        return [futures[cfg].result() for cfg in cfgs]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def cached_runs(cfgs):
+    """run(cfg) of each config of the list, in order, the whole batch even
+    past CACHE_SIZE.  A cached config is read from the run cache; the others
+    run at the same time (_fresh_runs) and are cached, and the CACHE_SIZE
+    most recently used stay."""
+    trajs = {cfg: _runs[cfg] for cfg in cfgs if cfg in _runs}
+    missing = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in trajs]
+    trajs.update(zip(missing, _fresh_runs(missing)))
+    for cfg in cfgs:
+        _runs[cfg] = trajs[cfg]
+        _runs.move_to_end(cfg)
+        if len(_runs) > CACHE_SIZE:
+            _runs.popitem(last=False)
+    return [trajs[cfg] for cfg in cfgs]
+
+
 def cached_run(cfg: SimConfig):
-    """run(cfg), kept for the CACHE_SIZE most recently used configs."""
-    return _run(cfg)
+    """cached_runs of the one config."""
+    return cached_runs([cfg])[0]
 
 
 def cached_wave(c):
@@ -226,9 +296,9 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01),
     The fit reads t >= FIT_WINDOW t_end, past the generation transient."""
     report = ExperimentReport(
         "speed", columns=("epsilon", "speed", "abs_error", "allowed_error"))
-    for eps in epsilons:
-        cfg = compact_family_config(eps, body, amplitude, width, t_end)
-        traj = cached_run(cfg)
+    cfgs = [compact_family_config(eps, body, amplitude, width, t_end)
+            for eps in epsilons]
+    for eps, traj in zip(epsilons, cached_runs(cfgs)):
         speed, icpt, resid = _front_speed_fit(traj)
         err = abs(speed - 2.0)
         allowed = 10.0 * eps_log(eps)
@@ -274,9 +344,9 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
         "thickness",
         columns=("epsilon", "width_mid", "width_end", "width_over_eps_log",
                  "band_const_mid", "band_const_end"))
-    for eps in epsilons:
-        cfg = compact_family_config(eps, body, amplitude, width, t_end)
-        traj = cached_run(cfg)
+    cfgs = [compact_family_config(eps, body, amplitude, width, t_end)
+            for eps in epsilons]
+    for eps, traj in zip(epsilons, cached_runs(cfgs)):
         f_mid = traj.checkpoint_at(t_end / 2.0)
         f_end = traj.checkpoint_at(t_end)
         w_mid = layer_thickness(f_mid, eps)
@@ -311,10 +381,12 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
     if amplitude >= 1.0:
         raise ConfigurationError("generation needs amplitude < 1 to be nontrivial")
     report = ExperimentReport("generation", columns=("epsilon", "tau", "alpha"))
+    cfgs = []
     for eps in epsilons:
-        cfg = compact_family_config(eps, body, amplitude, width, t_end)
-        _check_threshold_set(cfg.initial, eps)
-        tau = _generation_time(cached_run(cfg), eps)
+        cfgs.append(compact_family_config(eps, body, amplitude, width, t_end))
+        _check_threshold_set(cfgs[-1].initial, eps)
+    for eps, traj in zip(epsilons, cached_runs(cfgs)):
+        tau = _generation_time(traj, eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
     taus = _column(report, "tau")
     resid = _fit_eps_log(report, "tau~alpha*eps*|ln eps|", "tau")
@@ -340,17 +412,18 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
         "no_interface",
         columns=("epsilon", "probe_algebraic", "probe_compact", "probe_origin",
                  "control_origin"))
+    body = ConvexBody.ball((0.0,) * dim, control_radius)
+    cfgs = []  # per rung, its algebraic run and its compact control
     for eps in epsilons:
-        cfg = algebraic_family_config(eps, m, n, probe_t, reach, dim=dim)
-        traj = cached_run(cfg)
+        cfgs += [algebraic_family_config(eps, m, n, probe_t, reach, dim=dim),
+                 compact_family_config(eps, body, CONTROL_AMPLITUDE,
+                                       CONTROL_WIDTH, probe_t, mode="radial",
+                                       dim=dim, min_reach=reach)]
+    trajs = cached_runs(cfgs)
+    for eps, traj, ctraj in zip(epsilons, trajs[::2], trajs[1::2]):
         fld = traj.checkpoint_at(probe_t)
         p_alg = interpolate(fld, probe_x)
         p_origin = interpolate(fld, 0.0)
-        body = ConvexBody.ball((0.0,) * dim, control_radius)
-        ccfg = compact_family_config(eps, body, CONTROL_AMPLITUDE, CONTROL_WIDTH,
-                                     probe_t, mode="radial", dim=dim,
-                                     min_reach=reach)
-        ctraj = cached_run(ccfg)
         cfld = ctraj.checkpoint_at(probe_t)
         p_cmp = interpolate(cfld, probe_x)
         c_origin = interpolate(cfld, 0.0)

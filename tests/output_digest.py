@@ -106,7 +106,7 @@ def digest(name, work):
         path.write_text(config)
         config = str(path)
     out = work / name
-    studies._run.cache_clear()
+    studies._runs.clear()
     studies._wave.cache_clear()
     with redirect_stdout(StringIO()):
         code = cli.main([command, "--config", config, "--out", str(out), "--svg"])

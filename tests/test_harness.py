@@ -1,5 +1,6 @@
 import ast
 import importlib
+import multiprocessing
 import os
 import re
 import subprocess
@@ -13,10 +14,11 @@ import pytest
 import fkpplab
 from fkpplab import cli, studies, svgplot
 from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
-from fkpplab.errors import ConfigurationError
+from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid
 from fkpplab.reporting import ExperimentReport, config_hash
+from fkpplab.solver import run
 from fkpplab.studies import run_wave_study
 
 SPEED_INI = """\
@@ -709,11 +711,11 @@ def test_report_summary_and_passed_flag():
 def empty_study_caches():
     """The study caches emptied before the test and again after it, so no
     stub's entries outlive it."""
-    for cache in (studies._run, studies._wave):
-        cache.cache_clear()
+    studies._runs.clear()
+    studies._wave.cache_clear()
     yield
-    for cache in (studies._run, studies._wave):
-        cache.cache_clear()
+    studies._runs.clear()
+    studies._wave.cache_clear()
 
 
 def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches):
@@ -723,7 +725,7 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
         studies.cached_run(key)
     studies.cached_run(0)  # a hit: key 1 is now the least recently used
     studies.cached_run(studies.CACHE_SIZE)  # one past the cap
-    assert studies._run.cache_info().currsize == studies.CACHE_SIZE
+    assert len(studies._runs) == studies.CACHE_SIZE
     assert len(built) == studies.CACHE_SIZE + 1
     studies.cached_run(0)  # still held, so not built again
     assert len(built) == studies.CACHE_SIZE + 1
@@ -739,6 +741,106 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
     assert studies._wave.cache_info().currsize == studies.CACHE_SIZE
     studies.cached_wave(2.0)  # evicted, so solved again
     assert solved == [2.0 + c for c in range(studies.CACHE_SIZE + 1)] + [2.0]
+
+
+def _usable_cpus(monkeypatch, n):
+    """Make cached_runs see n usable CPUs: 1 runs every rung in this process,
+    as under `taskset -c 0`; 2 sends a batch's rungs to two workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_a_batch_past_the_cache_size_is_returned_whole(monkeypatch,
+                                                       empty_study_caches):
+    _usable_cpus(monkeypatch, 1)
+    built = []
+    monkeypatch.setattr(studies, "run", lambda cfg: built.append(cfg) or str(cfg))
+    keys = list(range(studies.CACHE_SIZE + 2))
+    assert studies.cached_runs(keys) == [str(key) for key in keys]
+    assert built == keys  # in this process, in order
+    assert list(studies._runs) == keys[2:]  # the most recently used stay
+
+
+def _assert_same_trajectory(a, b):
+    assert a.config == b.config
+    assert a.series.keys() == b.series.keys()
+    for name in a.series:
+        assert np.array_equal(a.series[name], b.series[name], equal_nan=True), name
+    assert len(a.checkpoints) == len(b.checkpoints)
+    for (ta, fa), (tb, fb) in zip(a.checkpoints, b.checkpoints):
+        assert ta == tb and fa.grid == fb.grid
+        assert np.array_equal(fa.values, fb.values)
+
+
+# a study, its arguments, and the runs in its one batch: no-interface runs
+# an algebraic run and a compact control per rung
+@pytest.mark.parametrize("study, kwargs, n_runs", (
+    (studies.run_speed_study, {"epsilons": (0.1, 0.05, 0.04), "t_end": 0.2}, 3),
+    (studies.run_no_interface_study, {"epsilons": (0.1, 0.05), "probe_t": 0.2},
+     4),
+))
+def test_a_pooled_batch_equals_runs_in_process(monkeypatch, empty_study_caches,
+                                               study, kwargs, n_runs):
+    _usable_cpus(monkeypatch, 2)
+    in_parent = []
+    monkeypatch.setattr(studies, "run", lambda cfg: in_parent.append(cfg) or run(cfg))
+    batches = []
+    cached_runs = studies.cached_runs
+
+    def spy(cfgs):
+        trajs = cached_runs(cfgs)
+        batches.append((cfgs, trajs))
+        return trajs
+
+    monkeypatch.setattr(studies, "cached_runs", spy)
+    study(**kwargs)
+    assert multiprocessing.active_children() == []
+    ((cfgs, trajs),) = batches
+    assert len(cfgs) == n_runs
+    assert in_parent == []  # every rung ran in a worker
+    for cfg, traj in zip(cfgs, trajs):
+        _assert_same_trajectory(traj, run(cfg))
+
+
+def test_a_failing_rung_raises_as_in_a_serial_run(tmp_path, monkeypatch, capsys,
+                                                  empty_study_caches, blow_up):
+    # both rungs blow up on the same step, so at different times; the
+    # costlier eps = 0.05 rung starts first, the eps = 0.1 error is raised
+    _usable_cpus(monkeypatch, 2)
+    in_parent = []
+    monkeypatch.setattr(studies, "run", lambda cfg: in_parent.append(cfg) or run(cfg))
+    with pytest.raises(NumericalError) as serial:
+        run(studies.compact_family_config(0.1, ConvexBody.interval(-0.5, 0.5),
+                                          0.9, 0.25, 0.2))
+    assert serial.value.diagnostic[1] == blow_up
+    with pytest.raises(NumericalError) as pooled:
+        studies.run_speed_study((0.05, 0.1), t_end=0.2)
+    assert in_parent == []
+    assert str(pooled.value) == str(serial.value)
+    assert pooled.value.diagnostic == serial.value.diagnostic
+    assert multiprocessing.active_children() == []
+
+    ini = _write(tmp_path, "cfg.ini",
+                 "[solver]\nt_end = 0.2\n\n[study]\nepsilons = 0.05, 0.1\n")
+    assert cli.main(["speed", "--config", ini, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        f"fkpplab speed: numerical error: {serial.value}\n")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ("speed", "thickness", "generation",
+                                     "no-interface"))
+def test_an_invalid_rung_fails_before_any_run(tmp_path, monkeypatch, capsys,
+                                              command):
+    # with one usable CPU a run would happen in this process, and be counted
+    _usable_cpus(monkeypatch, 1)
+    runs = []
+    monkeypatch.setattr(studies, "run", lambda cfg: runs.append(cfg) or run(cfg))
+    ini = _write(tmp_path, "cfg.ini", "[study]\nepsilons = 0.01, -0.02\n")
+    assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"fkpplab {command}: configuration error: "
+        "epsilon = -0.02 must lie in (0, 1/e)\n")
+    assert runs == []
 
 
 ROOT = Path(__file__).resolve().parent.parent
