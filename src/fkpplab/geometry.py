@@ -5,7 +5,8 @@ For a convex region the dilation by ct is again the level set {d0 <= ct} of
 the initial signed distance, so the evolving signed distance is exactly
 d(t, x) = d(0, x) - c t, for every x (inside and outside).  No level-set PDE
 is needed.  The clamped variant applies an increasing C2 ramp that is the
-identity on [-d0, d0] and saturates at -2 d0 / +2 d0.
+identity on [-d0, d0] and saturates at -2 d0 / +2 d0.  A body's reach
+bounds how far its points lie from the origin: the outflow margin's start.
 """
 
 from __future__ import annotations
@@ -93,13 +94,12 @@ class ConvexBody:
         return min(self.params[1])
 
     @property
-    def diameter(self):
+    def reach(self):
+        """|center| plus the largest half-width: the farthest a point of the
+        region lies from the origin, or a bound on it for an ellipse."""
         if self.shape == "interval":
-            a, b = self.params
-            return b - a
-        if self.shape == "ball":
-            return 2.0 * self.params[1]
-        return 2.0 * max(self.params[1])
+            return max(-self.params[0], self.params[1])
+        return sum(c * c for c in self.params[0]) ** 0.5 + float(np.max(self.params[1]))
 
     def signed_distance(self, x):
         """Exact signed distance: negative inside, positive outside.

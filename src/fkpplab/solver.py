@@ -14,6 +14,10 @@ form, which is what second-order accuracy wants there.  A wall at 0 (the
 radial origin, or the symmetry plane of a half line or quarter plane) has
 the mirror row of a ghost node u_{-1} = u_1.
 
+SimConfig alone decides whether compact data's body fits the grid: an
+interval on a line, a 2-D body on a plane, and in radial mode of dimension
+N a ball of dimension N centred at the origin.
+
 A run builds one Stepper, which computes everything that is constant over
 the run (the factor of each axis's Crank-Nicolson matrix, the reaction
 decay factor) once, and one Observer, which does the same for the recorded
@@ -86,18 +90,6 @@ def _radii(mode, x):
     return np.linalg.norm(x, axis=-1) if mode == "plane" else np.abs(x)
 
 
-def _body_distance(body: ConvexBody, mode, x):
-    if mode == "line":
-        if body.shape != "interval":
-            raise ConfigurationError("line mode needs an interval region")
-        return body.signed_distance(x)
-    if mode == "radial":
-        if body.shape != "ball" or any(c != 0.0 for c in body.params[0]):
-            raise ConfigurationError("radial mode needs an origin-centred ball")
-        return x - body.params[1]
-    return body.signed_distance(x)
-
-
 def _ramp(initial: InitialData, d):
     """The compact part g = A(1 - (1-s)^3), s = clamp(-d/w, 0, 1), from the
     signed distance d to the body."""
@@ -113,12 +105,13 @@ def compact_value(initial: InitialData, x):
     return _ramp(initial, initial.body.signed_distance(x))
 
 
-def _sample_initial(initial: InitialData, grid: Grid, epsilon: float, x):
+def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
     """(u0 as a Field on the grid, g) from one distance evaluation at the
     grid's node coordinates x (Grid.points); g, the compact part, is None
-    for algebraic data."""
+    for algebraic data.  A radial x is the radius about the ball's centre."""
     if initial.variant == "compact":
-        d = _body_distance(initial.body, grid.mode, x)
+        body = initial.body
+        d = x - body.inradius if grid.mode == "radial" else body.signed_distance(x)
         if float(d.min()) > -initial.width / 4:
             raise ConfigurationError("grid does not cover the support of g")
         if float(d.max()) < 0.0:
@@ -132,17 +125,12 @@ def _sample_initial(initial: InitialData, grid: Grid, epsilon: float, x):
     return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n)), None
 
 
-def build_initial(initial: InitialData, grid: Grid, epsilon: float) -> Field:
-    """Sample u0 on the grid."""
-    return _sample_initial(initial, grid, epsilon, grid.points())[0]
-
-
 def outflow_margin(initial: InitialData, t_end, epsilon):
-    """Domain reach a run needs: half the diameter of the data's body (0 for
-    algebraic data, centred at the origin), plus the distance 2 t_end the
-    front travels, plus ten layer widths eps|ln eps|."""
-    diameter = initial.body.diameter if initial.variant == "compact" else 0.0
-    return diameter / 2.0 + 2.0 * t_end + 10.0 * eps_log(epsilon)
+    """Domain reach a run needs: the reach of the data's body from the
+    origin (0 for algebraic data, centred at the origin), plus the distance
+    2 t_end the front travels, plus ten layer widths eps|ln eps|."""
+    reach = initial.body.reach if initial.variant == "compact" else 0.0
+    return reach + 2.0 * t_end + 10.0 * eps_log(epsilon)
 
 
 def default_dt(grid: Grid, epsilon: float):
@@ -164,6 +152,17 @@ class SimConfig:
     def __post_init__(self):
         # eps_log, in the margin, rejects an epsilon outside (0, 1/e) first
         margin = outflow_margin(self.initial, self.t_end, self.epsilon)
+        body, mode, n = self.initial.body, self.grid.mode, self.grid.dim
+        if body is not None:
+            fits, need = {
+                "line": (body.shape == "interval", "an interval"),
+                "plane": (body.dim == 2, "a two-dimensional region"),
+                "radial": (body.shape == "ball" and body.dim == n
+                           and not any(body.center),
+                           f"a {n}-D ball centred at the origin")}[mode]
+            if not fits:
+                raise ConfigurationError(f"{mode} mode needs {need}, got a "
+                                         f"{body.dim}-D {body.shape}")
         if self.t_end <= 0.0:
             raise ConfigurationError("t_end must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
@@ -472,7 +471,7 @@ def _even_axes(config: SimConfig):
     grid, initial = config.grid, config.initial
     n = len(grid.extents)
     center = (0.0,) * n if initial.variant == "algebraic" else initial.body.center
-    return tuple(len(center) == n and center[i] == 0.0 and lo == -hi
+    return tuple(center[i] == 0.0 and lo == -hi
                  and grid.shape[i] % 2 == 1
                  for i, (lo, hi) in enumerate(grid.extents))
 
@@ -520,8 +519,8 @@ def run(config: SimConfig) -> Trajectory:
                 full.dx, full.dim)
     index = tuple(slice(n // 2 if e else 0, None)
                   for e, n in zip(even, full.shape))
-    u0, g = _sample_initial(config.initial, grid, config.epsilon,
-                            full.points(index))
+    u0, g = build_initial(config.initial, grid, config.epsilon,
+                          full.points(index))
     u = u0.values
     n_steps, dt = config.n_steps, config.dt
     observer = Observer(grid, config.epsilon, g)

@@ -584,7 +584,7 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     wave_shell = cached_wave(SHELL_SPEED)
     r = rgrid.axis(0)
     w0 = radial_sub_W(0.0, r, wave_shell, epsilon, rgrid.dim, alg)
-    u0 = build_initial(alg, rgrid, epsilon).values
+    u0 = build_initial(alg, rgrid, epsilon, r)[0].values
     report.add_check("shell_under_initial_data",
                      bool(np.all(w0 <= u0 + 1e-12)),
                      f"max gap {float((w0 - u0).max()):.2e}")

@@ -168,14 +168,14 @@ def test_front_tracks_the_exact_wave(monkeypatch, mode):
     eps, body, t_end, x0, bound = EXACT_WAVE[mode]
     c = 5.0 / math.sqrt(6.0)
     z_half = math.sqrt(6.0) * math.log(math.sqrt(2.0) - 1.0)
-    sample = solver._sample_initial
+    sample = solver.build_initial
 
     def wave(initial, grid, epsilon, x):
         g = sample(initial, grid, epsilon, x)[1]  # still gives the threshold set
         along = x[..., 0] if grid.mode == "plane" else x
         return Field(grid, _ablowitz_zeppetella((along - x0) / epsilon)), g
 
-    monkeypatch.setattr(solver, "_sample_initial", wave)
+    monkeypatch.setattr(solver, "build_initial", wave)
     cfg = compact_family_config(eps, body, 0.9, 0.25, t_end, mode=mode)
     series = solver.run(cfg).series
     exact = x0 + eps * z_half + c * series["t"]

@@ -23,6 +23,31 @@ def test_bodies_must_contain_origin():
         ConvexBody.ball((3.0, 0.0), 1.0)
 
 
+@pytest.mark.parametrize("body, reach", [
+    (ConvexBody.interval(-0.05, 0.95), 0.95),
+    (ConvexBody.interval(-0.7, 0.2), 0.7),
+    (ConvexBody.ball((0.3, -0.4), 1.0), 1.5),
+    (ConvexBody.ball((0.0, 0.0, 0.0), 0.5), 0.5),
+    (ConvexBody.ellipse((0.0, 0.0), (0.6, 1.3)), 1.3),
+    (ConvexBody.ellipse((0.3, 0.4), (1.3, 0.6)), 1.8),
+], ids=["interval_right", "interval_left", "ball_off_centre", "ball_3d",
+        "ellipse_centred", "ellipse_off_centre"])
+def test_reach_bounds_the_region_from_the_origin(body, reach):
+    assert body.reach == pytest.approx(reach, rel=1e-15)
+    if body.shape != "interval":  # points on the boundary, all within reach
+        th = np.linspace(0.0, 2.0 * np.pi, 4001)
+        center, size = body.params
+        pts = np.asarray(center)[:2] + np.stack((np.cos(th), np.sin(th)), -1) * size
+        assert np.hypot(*pts.T).max() <= body.reach * (1 + 1e-12)
+
+
+def test_reach_of_a_centred_body_is_half_its_diameter():
+    # the outflow margin of a centred body is as it was, bit for bit
+    assert ConvexBody.interval(-0.35, 0.35).reach == (0.35 - -0.35) / 2.0
+    assert ConvexBody.ball((0.0, 0.0), 0.45).reach == 2.0 * 0.45 / 2.0
+    assert ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)).reach == 2.0 * 0.6 / 2.0
+
+
 def _brute_force_reference(center, axes, pts, n=100_000):
     th = np.linspace(0, 2 * np.pi, n, endpoint=False)
     bx = center[0] + axes[0] * np.cos(th)

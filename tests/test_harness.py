@@ -475,6 +475,35 @@ def test_simulate_tail_rate_defaults_to_one(tmp_path, monkeypatch):
     assert _simulated(tmp_path, monkeypatch, ini).initial.tail == (1.0, 0.3)
 
 
+BALL_3D = "shape = ball\ncenter = 0, 0, 0\nradius = 0.5"
+
+
+@pytest.mark.parametrize("geometry, solver, message", (
+    ("shape = interval\na = -0.5\nb = 0.5", "mode = plane",
+     "plane mode needs a two-dimensional region, got a 1-D interval"),
+    (BALL_3D, "mode = plane",
+     "plane mode needs a two-dimensional region, got a 3-D ball"),
+    (BALL_3D, "mode = radial\ndim = 2",
+     "radial mode needs a 2-D ball centred at the origin, got a 3-D ball"),
+    (BALL_3D, "mode = radial",
+     "radial mode needs a 2-D ball centred at the origin, got a 3-D ball"),
+    ("shape = ball\ncenter = 0.1, 0\nradius = 0.5", "mode = radial",
+     "radial mode needs a 2-D ball centred at the origin, got a 2-D ball"),
+), ids=["plane_interval", "plane_ball_3d", "radial_dim_2_ball_3d",
+        "radial_ball_3d", "radial_off_centre"])
+def test_simulate_rejects_a_body_that_does_not_fit_the_grid(
+        tmp_path, monkeypatch, capsys, geometry, solver, message):
+    runs = []
+    monkeypatch.setattr(studies, "run", lambda cfg: runs.append(cfg) or run(cfg))
+    ini = _write(tmp_path, "sim.ini",
+                 f"[kinetics]\nepsilon = 0.1\n\n[geometry]\n{geometry}\n\n"
+                 f"[solver]\n{solver}\nt_end = 0.1\n")
+    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"fkpplab simulate: configuration error: {message}\n")
+    assert runs == []
+
+
 # command -> a small config, the tables its report names and its figures
 FILES = {
     "wave": (WAVE_INI, {"wave_c2.csv", "wave_c2.5.csv"}, {"waves.svg"}),
@@ -827,19 +856,26 @@ def test_a_failing_rung_raises_as_in_a_serial_run(tmp_path, monkeypatch, capsys,
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("command", ("speed", "thickness", "generation",
-                                     "no-interface"))
+@pytest.mark.parametrize("command, text, message", [
+    *(pytest.param(command, "[study]\nepsilons = 0.01, -0.02\n",
+                   "epsilon = -0.02 must lie in (0, 1/e)", id=command)
+      for command in ("speed", "thickness", "generation", "no-interface")),
+    # every rung runs in line mode, which a ball does not fit
+    *(pytest.param(command, "[geometry]\nshape = ball\ncenter = 0, 0\n"
+                   "radius = 0.5\n", "line mode needs an interval, got a 2-D ball",
+                   id=f"{command}-ball")
+      for command in ("speed", "thickness", "generation")),
+])
 def test_an_invalid_rung_fails_before_any_run(tmp_path, monkeypatch, capsys,
-                                              command):
+                                              command, text, message):
     # with one usable CPU a run would happen in this process, and be counted
     _usable_cpus(monkeypatch, 1)
     runs = []
     monkeypatch.setattr(studies, "run", lambda cfg: runs.append(cfg) or run(cfg))
-    ini = _write(tmp_path, "cfg.ini", "[study]\nepsilons = 0.01, -0.02\n")
+    ini = _write(tmp_path, "cfg.ini", text)
     assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (
-        f"fkpplab {command}: configuration error: "
-        "epsilon = -0.02 must lie in (0, 1/e)\n")
+        f"fkpplab {command}: configuration error: {message}\n")
     assert runs == []
 
 

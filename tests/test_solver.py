@@ -47,7 +47,7 @@ def _front(obs, u, level):
 def test_build_initial_compact_profile():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25)
     g = _line_grid(1.0, 0.005)
-    f = build_initial(init, g, EPS)
+    f = build_initial(init, g, EPS, g.points())[0]
     assert interpolate(f, 0.0) == pytest.approx(0.9)  # saturated plateau
     assert interpolate(f, 0.8) == 0.0  # outside the support
     # one-sided edge slope 3A/w of the analytic ramp
@@ -61,15 +61,16 @@ def test_build_initial_compact_profile():
 def test_build_initial_algebraic():
     init = InitialData.algebraic(m=0.5, n=2.0)
     g = Grid("radial", ((0.0, 1.0),), 0.005, dim=2)
-    f = build_initial(init, g, EPS)
+    f = build_initial(init, g, EPS, g.points())[0]
     assert f.values[0] == pytest.approx(0.5)
     assert interpolate(f, EPS) == pytest.approx(0.25, rel=1e-4)  # m/2 at r=eps
 
 
 def test_build_initial_requires_covering_grid():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25)
+    grid = _line_grid(0.3, 0.005)
     with pytest.raises(ConfigurationError):
-        build_initial(init, _line_grid(0.3, 0.005), EPS)
+        build_initial(init, grid, EPS, grid.points())
 
 
 def test_reaction_equilibria_and_closed_form():
@@ -442,8 +443,8 @@ def _observed_one_state_at_a_time(monkeypatch, cfg):
     compact_family_config(0.04, BODY, 0.9, 0.25, 0.5),
     compact_family_config(0.04, BODY, 0.9, 0.25, 0.5, tail=(1.0, 0.3)),
     algebraic_family_config(0.05, 0.5, 2.0, 0.3, reach=2.0),
-    compact_family_config(0.05, ConvexBody.ball((0.0, 0.0), 0.5), 0.9, 0.25,
-                          0.3, mode="radial", dim=3),
+    compact_family_config(0.05, ConvexBody.ball((0.0, 0.0, 0.0), 0.5), 0.9,
+                          0.25, 0.3, mode="radial", dim=3),
     compact_family_config(0.3, ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)),
                           0.9, 0.25, 0.05, mode="plane"),
     compact_family_config(0.3, ConvexBody.ellipse((0.05, -0.04), (0.6, 0.35)),
@@ -496,6 +497,16 @@ def test_config_validation():
         SimConfig(0.04, _line_grid(4.0, 0.04), init, t_end=1.0)
     with pytest.raises(ConfigurationError):  # domain below outflow margin
         SimConfig(0.04, _line_grid(1.0, 0.005), init, t_end=1.0)
+
+
+def test_outflow_margin_clears_an_off_centre_body():
+    # the walls stand ten layer widths past the farthest point the sharp
+    # front reaches: the body's reach from the origin plus 2 t_end
+    eps, t_end = 0.01, 1.0
+    cfg = compact_family_config(eps, ConvexBody.interval(-0.05, 0.95), 0.9,
+                                0.25, t_end)
+    ((lo, hi),) = cfg.grid.extents
+    assert min(-lo, hi) - (0.95 + 2.0 * t_end) >= 10.0 * eps_log(eps)
 
 
 @pytest.mark.parametrize("eps", (0.0, 0.5))

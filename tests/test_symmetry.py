@@ -10,7 +10,7 @@ from fkpplab import solver
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Grid
 from fkpplab.solver import (InitialData, Observer, SimConfig, Stepper,
-                            _sample_initial, run)
+                            build_initial, run)
 from fkpplab.studies import algebraic_family_config, compact_family_config
 
 INTERVAL = ConvexBody.interval(-0.5, 0.5)
@@ -24,7 +24,7 @@ def _full_domain(cfg):
     """run()'s series and checkpoint values, from a Stepper and an Observer
     on the configuration's full grid."""
     grid = cfg.grid
-    u0, g = _sample_initial(cfg.initial, grid, cfg.epsilon, grid.points())
+    u0, g = build_initial(cfg.initial, grid, cfg.epsilon, grid.points())
     n, dt = cfg.n_steps, cfg.dt
     stepper, observer = Stepper(grid, dt, cfg.epsilon), Observer(grid, cfg.epsilon, g)
     wanted = {int(round(tc / dt)) for tc in cfg.checkpoint_times}
