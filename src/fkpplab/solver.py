@@ -193,15 +193,8 @@ class SimConfig:
 @dataclass
 class Trajectory:
     config: SimConfig
-    checkpoints: list  # [(t, Field)]
+    checkpoints: list  # [(t, Field)] as run() recorded them, in step order
     series: dict  # name -> (times, values) arrays
-
-    def checkpoint_at(self, t):
-        """Checkpoint nearest the requested time (within half a step)."""
-        for tc, fld in self.checkpoints:
-            if abs(tc - t) <= 0.51 * self.config.dt + 1e-9:
-                return fld
-        raise KeyError(f"no checkpoint near t={t}")
 
 
 def _mirrored(grid: Grid, axis: int):
@@ -494,8 +487,8 @@ BLOCK_BYTES = 1 << 20
 
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end in the config's n_steps steps of dt, recording the
-    Observer's series each step and the checkpoint fields at the requested
-    times (snapped to the step grid).
+    Observer's series each step and, in step order, a checkpoint
+    (k dt, field) at the step k = round(t / dt) of each requested time t.
 
     Along each axis the run is even in (_even_axes) it integrates on the
     half x >= 0 of the grid, whose low wall at 0 is a mirror; u0 there is

@@ -20,7 +20,8 @@ process forked from the caller: at most one worker per uncached rung and
 per usable CPU (os.sched_getaffinity), so `taskset -c 0` runs them one
 after another in the calling process, as does a batch of one or a platform
 without fork.  A worker runs the same code on the same config, so every
-report, table, figure and checkpoint keeps its bytes.
+report, table, figure and checkpoint keeps its bytes; a failing rung stops
+the others.  A study reads each checkpoint field at its recorded t.
 """
 
 from __future__ import annotations
@@ -117,23 +118,28 @@ def _fresh_runs(cfgs):
     """run(cfg) of each config, in order.  With more than one worker
     (_pool_size) the runs go to a pool of forked workers, costliest (steps
     times nodes) first, and are read back in order, so the error raised is
-    the first config's that fails, as in a serial run.  No worker outlives
-    the call: on an error the runs not yet started are cancelled."""
+    the first config's that fails, as in a serial run, and a worker that
+    dies is a RuntimeError.  No worker outlives the call, and an error
+    stops the runs still going: leaving it terminates the pool."""
     workers = _pool_size(len(cfgs))
     if workers <= 1:
         return [run(cfg) for cfg in cfgs]
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers,
-                               mp_context=multiprocessing.get_context("fork"))
-    try:
-        costliest = sorted(cfgs, reverse=True, key=lambda cfg: cfg.n_steps
-                           * math.prod(cfg.grid.shape))
-        futures = {cfg: pool.submit(_run_in_worker, cfg) for cfg in costliest}
-        return [futures[cfg].result() for cfg in cfgs]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    others = set(multiprocessing.active_children())
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        ours = set(multiprocessing.active_children()) - others
+        pending = {cfg: pool.apply_async(_run_in_worker, (cfg,)) for cfg in
+                   sorted(cfgs, reverse=True, key=lambda cfg: cfg.n_steps
+                          * math.prod(cfg.grid.shape))}
+        trajs = []
+        for cfg in cfgs:
+            while not pending[cfg].ready():  # never, if its worker died
+                if any(worker.exitcode is not None for worker in ours):
+                    raise RuntimeError("a run's worker process died")
+                pending[cfg].wait(0.1)
+            trajs.append(pending[cfg].get())
+        return trajs
 
 
 def cached_runs(cfgs):
@@ -347,14 +353,13 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
     cfgs = [compact_family_config(eps, body, amplitude, width, t_end)
             for eps in epsilons]
     for eps, traj in zip(epsilons, cached_runs(cfgs)):
-        f_mid = traj.checkpoint_at(t_end / 2.0)
-        f_end = traj.checkpoint_at(t_end)
+        (t_mid, f_mid), (t_fin, f_end) = traj.checkpoints
         w_mid = layer_thickness(f_mid, eps)
         w_end = layer_thickness(f_end, eps)
         if w_mid is None or w_end is None:
             raise ConfigurationError("band levels not attained at a checkpoint")
-        c_mid = _band_constant(f_mid, body, t_end / 2.0, eps)
-        c_end = _band_constant(f_end, body, t_end, eps)
+        c_mid = _band_constant(f_mid, body, t_mid, eps)
+        c_end = _band_constant(f_end, body, t_fin, eps)
         report.add_row(epsilon=eps, width_mid=w_mid, width_end=w_end,
                        width_over_eps_log=w_end / eps_log(eps),
                        band_const_mid=c_mid, band_const_end=c_end)
@@ -421,10 +426,10 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                                        dim=dim, min_reach=reach)]
     trajs = cached_runs(cfgs)
     for eps, traj, ctraj in zip(epsilons, trajs[::2], trajs[1::2]):
-        fld = traj.checkpoint_at(probe_t)
+        fld = traj.checkpoints[-1][1]
         p_alg = interpolate(fld, probe_x)
         p_origin = interpolate(fld, 0.0)
-        cfld = ctraj.checkpoint_at(probe_t)
+        cfld = ctraj.checkpoints[-1][1]
         p_cmp = interpolate(cfld, probe_x)
         c_origin = interpolate(cfld, 0.0)
         report.add_row(epsilon=eps, probe_algebraic=p_alg, probe_compact=p_cmp,
@@ -462,13 +467,12 @@ def _kink_mask(values):
 
 def fit_generation_drift(traj, kin, initial, checkpoints):
     """Smallest drift K, doubling from DRIFT_START, whose generation barrier
-    stays under the numerical solution at the given checkpoint times."""
+    stays under the field of each checkpoint (t, field), taken at that t."""
     x = traj.config.grid.axis(0)
     K = DRIFT_START
     while K <= 256.0:
         worst = 0.0
-        for tc in checkpoints:
-            fld = traj.checkpoint_at(tc)
+        for tc, fld in checkpoints:
             sub = generation_sub(tc, x, K, kin, initial)
             worst = max(worst, float((sub - fld.values).max()))
         if worst <= 0.0:
@@ -486,14 +490,15 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     global super-solution, its amplitude below the K0 floor, must be seen
     to break the ordering.  The ordering tolerance is max(1e-3, 5 dx),
     dx = eps/8; the generation window GEN_WINDOW eps|ln eps| must fit in
-    t_end.
+    t_end; the checkpoints recorded in it read the generation barrier.
     """
     eL = eps_log(epsilon)
-    if not GEN_WINDOW * eL <= t_end:
+    window = GEN_WINDOW * eL
+    if not window <= t_end:
         raise ConfigurationError(
             f"[solver] t_end = {t_end:g} must be at least GEN_WINDOW "
-            f"eps|ln eps| = {GEN_WINDOW * eL:.4g}")
-    gen_times = tuple(np.linspace(0.25, 1.0, 4) * GEN_WINDOW * eL)
+            f"eps|ln eps| = {window:.4g}")
+    gen_times = tuple(np.linspace(0.25, 1.0, 4) * window)
     motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
     cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
                                 checkpoints=gen_times + motion_times)
@@ -510,7 +515,8 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
 
     t_gen = _generation_time(traj, epsilon)
 
-    K = fit_generation_drift(traj, kin, initial, gen_times)
+    generation = [(tc, fld) for tc, fld in traj.checkpoints if tc <= window]
+    K = fit_generation_drift(traj, kin, initial, generation)
     wave_min = cached_wave(2.0)
     K_hat = max(1.0, k0_lower_bound(wave_min, initial))
     m1 = m1_recipe(initial)
@@ -518,9 +524,9 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     wave_eps = cached_wave(2.0 - eL)
 
     viol = 0.0  # the sabotage probe: u over global_super at K_hat = 0.5
-    for tc, fld in traj.checkpoints:
+    for i, (tc, fld) in enumerate(traj.checkpoints):
         u = fld.values
-        if tc <= GEN_WINDOW * eL:
+        if i < len(generation):
             sub = generation_sub(tc, x, K, kin, initial)
             res_sub_viol = 0.0
         else:

@@ -104,7 +104,7 @@ def test_thickness_is_the_minimal_wave_width():
     for eps in (0.04, 0.02):
         cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
                                     0.25, 1.0)
-        width = layer_thickness(cached_run(cfg).checkpoint_at(1.0), eps)
+        width = layer_thickness(cached_run(cfg).checkpoints[-1][1], eps)
         z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
         ratio = width / (eps * (z_lo - z_hi))
         assert 0.5 <= (1.0 - ratio) / eps <= 1.0, (eps, ratio)
@@ -342,8 +342,8 @@ def test_criterion_9_solver_numerics():
                       t_end=t2, checkpoint_times=(t2,))
     cfg_p = SimConfig(eps2, Grid("plane", ((-ext, ext), (-ext, ext)), dx2),
                       init, t_end=t2, checkpoint_times=(t2,))
-    fr = cached_run(cfg_r).checkpoint_at(t2)
-    fp = cached_run(cfg_p).checkpoint_at(t2)
+    fr = cached_run(cfg_r).checkpoints[-1][1]
+    fp = cached_run(cfg_p).checkpoints[-1][1]
     r = cfg_r.grid.axis(0)
     ur = fr.values
     up = np.array([interpolate(fp, (ri, 0.0)) for ri in r])

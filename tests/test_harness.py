@@ -3,8 +3,10 @@ import importlib
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,6 +19,7 @@ from fkpplab.config import SCHEMA, SHAPE_KEYS, body_from_config, load_config
 from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
 from fkpplab.grids import Field, Grid
+from fkpplab.kinetics import eps_log
 from fkpplab.reporting import ExperimentReport, config_hash
 from fkpplab.solver import run
 from fkpplab.studies import run_wave_study
@@ -854,6 +857,89 @@ def test_a_failing_rung_raises_as_in_a_serial_run(tmp_path, monkeypatch, capsys,
     assert capsys.readouterr().err == (
         f"fkpplab speed: numerical error: {serial.value}\n")
     assert multiprocessing.active_children() == []
+
+
+def _fail():
+    raise NumericalError("eps = 0.1 failed")
+
+
+def _hang(signum, frame):
+    raise TimeoutError("cached_runs still waiting after 10 s")
+
+
+@pytest.mark.parametrize("fail, error, message", (
+    pytest.param(_fail, NumericalError, "eps = 0.1 failed", id="raises"),
+    # the pool would replace the dead worker and wait for its run forever
+    pytest.param(lambda: os._exit(1), RuntimeError, "worker process died",
+                 id="dies"),
+))
+def test_a_failing_rung_stops_the_others(monkeypatch, empty_study_caches,
+                                         fail, error, message):
+    # the eps = 0.1 rung fails at once while the eps = 0.05 rung sleeps
+    _usable_cpus(monkeypatch, 2)
+
+    def stub(cfg):
+        if cfg.epsilon == 0.1:
+            fail()
+        time.sleep(5.0)
+
+    monkeypatch.setattr(studies, "run", stub)
+    body = ConvexBody.interval(-0.5, 0.5)
+    cfgs = [studies.compact_family_config(eps, body, 0.9, 0.25, 0.2)
+            for eps in (0.1, 0.05)]
+    start = time.perf_counter()
+    previous = signal.signal(signal.SIGALRM, _hang)  # fail, not hang
+    signal.alarm(10)
+    try:
+        with pytest.raises(error, match=message):
+            studies.cached_runs(cfgs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 2.5
+    assert multiprocessing.active_children() == []
+
+
+def test_the_barrier_check_reads_one_time_per_field(monkeypatch):
+    # at eps = 0.02 the last of the four generation times requested is
+    # recorded past the window: 3 generation fields, each read at its own t
+    window = studies.GEN_WINDOW * eps_log(0.02)
+    seen = {"generation_sub": [], "motion_sub": []}
+    for name, times in seen.items():
+        monkeypatch.setattr(studies, name, lambda t, *args, real=getattr(
+            studies, name), times=times: times.append(t) or real(t, *args))
+    trajs = []
+    cached_run = studies.cached_run
+    monkeypatch.setattr(studies, "cached_run",
+                        lambda cfg: trajs.append(cached_run(cfg)) or trajs[-1])
+    studies.run_barrier_check(0.02)
+    (traj,) = trajs
+    recorded = [t for t, _ in traj.checkpoints]
+    generation = [t for t in recorded if t <= window]
+    assert len(generation) == 3 and len(recorded) == 10
+    assert set(seen["generation_sub"]) == set(generation)
+    # a motion barrier is read at t - t_gen (its residual also a little
+    # before and after), and only for the fields past the window
+    t_gen = studies._generation_time(traj, 0.02)
+    read = {t - t_gen for t in recorded} & set(seen["motion_sub"])
+    assert read == {t - t_gen for t in recorded if t > window}
+
+
+def test_thickness_reads_each_band_constant_at_its_recorded_time(monkeypatch):
+    # 801 steps at eps = 0.04: t_end / 2 = 0.25015 is recorded at step 401,
+    # t = 0.2504623, where the sharp front is read
+    seen = []
+    band_constant = studies._band_constant
+    monkeypatch.setattr(studies, "_band_constant", lambda fld, body, t, eps:
+                        seen.append((eps, t)) or band_constant(fld, body, t, eps))
+    studies.run_thickness_study((0.1, 0.04), t_end=0.5003)
+    cfg = studies.compact_family_config(0.04, ConvexBody.interval(-0.5, 0.5),
+                                        0.9, 0.25, 0.5003)
+    assert cfg.n_steps == 801
+    mid = [t for eps, t in seen if eps == 0.04][0]
+    assert mid == 401 * cfg.dt == pytest.approx(0.2504623, abs=1e-7)
+    assert [t for t, _ in studies.cached_run(cfg).checkpoints] == [
+        t for eps, t in seen if eps == 0.04]
 
 
 @pytest.mark.parametrize("command, text, message", [

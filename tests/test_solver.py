@@ -481,8 +481,8 @@ def test_radial_matches_plane_on_front_region():
     cfg_r = SimConfig(eps, grid_r, init, t_end=t_end, checkpoint_times=(t_end,))
     grid_p = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
     cfg_p = SimConfig(eps, grid_p, init, t_end=t_end, checkpoint_times=(t_end,))
-    fr = cached_run(cfg_r).checkpoint_at(t_end)
-    fp = cached_run(cfg_p).checkpoint_at(t_end)
+    fr = cached_run(cfg_r).checkpoints[-1][1]
+    fp = cached_run(cfg_p).checkpoints[-1][1]
     r = grid_r.axis(0)
     ur = fr.values
     up = np.array([interpolate(fp, (ri, 0.0)) for ri in r])
@@ -521,18 +521,15 @@ def test_epsilon_outside_its_domain_is_one_error(eps):
             build(eps)
 
 
-def test_checkpoint_at_reads_the_step_run_takes():
-    # t_end = 1.01 default_dt is two steps of 0.505 default_dt.  Step 1 lies
-    # 0.505 default_dt before t_end: within half the cap default_dt, but a
-    # whole step of the run away, so the checkpoint at t_end is step 2's
+def test_run_records_each_checkpoint_on_its_step():
+    # t_end = 1.01 default_dt is two steps of 0.505 default_dt: each
+    # requested time is recorded at its step round(t / dt), at that step's t
     cap = default_dt(_line_grid(1.0, 0.1 / 8.0), 0.1)
     cfg = compact_family_config(0.1, BODY, 0.9, 0.25, 1.01 * cap,
                                 checkpoints=(0.505 * cap, 1.01 * cap))
-    traj = run(cfg)
-    (_, step_1), (t_2, step_2) = traj.checkpoints
-    assert traj.checkpoint_at(cfg.t_end) is step_2
-    assert traj.checkpoint_at(0.505 * cap) is step_1
-    assert cfg.n_steps == 2 and t_2 == 2 * cfg.dt == cfg.t_end
+    (t_1, _), (t_2, _) = run(cfg).checkpoints
+    assert cfg.n_steps == 2 and t_1 == cfg.dt
+    assert t_2 == 2 * cfg.dt == cfg.t_end
 
 
 def test_studies_reject_a_tail_below_the_papers_threshold():
