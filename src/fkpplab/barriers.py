@@ -163,8 +163,9 @@ def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(v0, _lap_rows(grid, 0)) / grid.dx**2
+    lap = _apply_lap(v0, _lap_rows(grid, 0), np.empty_like(v0)) / grid.dx**2
     if grid.mode == "plane":
-        lap += _apply_lap(v0.T, _lap_rows(grid, 1)).T / grid.dx**2
+        lap += _apply_lap(v0.T, _lap_rows(grid, 1),
+                          np.empty_like(v0.T)).T / grid.dx**2
     res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
     return Field(grid, res)

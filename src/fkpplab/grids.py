@@ -201,8 +201,9 @@ class TridiagonalFactor:
         """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
         block of right-hand sides, solved in one call.  With ``check`` it
         solves a Fortran-order copy, so ``rhs`` is left as it was, and
-        verifies the relative residual <= 1e-12; without it the solve may
-        overwrite ``rhs``."""
+        verifies the relative residual <= 1e-12.  Without it the solve
+        overwrites ``rhs``: a vector or a Fortran-order block is solved in
+        place (the LAPACK wrapper copies any other layout first)."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.diag.size:
             raise ConfigurationError("right-hand side length differs from n")

@@ -106,12 +106,24 @@ def compact_value(initial: InitialData, x):
 
 
 def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
-    """(u0 as a Field on the grid, g) from one distance evaluation at the
-    grid's node coordinates x (Grid.points); g, the compact part, is None
-    for algebraic data.  A radial x is the radius about the ball's centre."""
+    """(u0 as a Field on the grid, g) from the grid's node coordinates x
+    (Grid.points); g, the compact part, is None for algebraic data.  A
+    radial x is the radius about the ball's centre.
+
+    On a line or plane the body's signed distance d is evaluated once, on
+    the nodes within the body's reach of the origin (with 1e-12 relative
+    slack for rounding).  Every other node lies outside the body, where
+    the ramp is 0 whatever the distance, and takes d = +inf.  d's minimum
+    and maximum decide whether the grid covers the support of g."""
+    r = _radii(grid.mode, x)
     if initial.variant == "compact":
         body = initial.body
-        d = x - body.inradius if grid.mode == "radial" else body.signed_distance(x)
+        if grid.mode == "radial":
+            d = x - body.inradius
+        else:
+            near = r <= body.reach * (1.0 + 1e-12)
+            d = np.full(r.shape, np.inf)
+            d[near] = body.signed_distance(x[near])
         if float(d.min()) > -initial.width / 4:
             raise ConfigurationError("grid does not cover the support of g")
         if float(d.max()) < 0.0:
@@ -120,8 +132,7 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
         if initial.tail is None:
             return Field(grid, g), g
         lam, M = initial.tail
-        return Field(grid, g + M * np.exp(-lam * _radii(grid.mode, x) / epsilon)), g
-    r = _radii(grid.mode, x)
+        return Field(grid, g + M * np.exp(-lam * r / epsilon)), g
     return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n)), None
 
 
@@ -241,16 +252,17 @@ def _lap_rows(grid: Grid, axis: int):
     return _lap_coeffs(grid, 0) if grid.mode == "radial" else _mirrored(grid, axis)
 
 
-def _apply_lap(u, rows):
+def _apply_lap(u, rows, out):
     """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1), in
-    the order diag*u, + sup*u[1:], + sub*u[:-1]; ``rows`` is
+    the order diag*u, + sup*u[1:], + sub*u[:-1], written into ``out``
+    (u's shape, not sharing its memory); ``rows`` is
     _lap_rows(grid, axis).  On a line or plane axis it is the stencil
     1, -2, 1 with telescoping walls, applied with slices and scalars, and a
     mirror row that is the telescoping row doubled: every product with
     those coefficients is exact, so the bits are those of _lap_coeffs'
     arrays.  Radial rows are the arrays themselves."""
     if isinstance(rows, bool):
-        out = -2.0 * u
+        np.multiply(u, -2.0, out=out)
         out[0] = -u[0]
         out[-1] = -u[-1]
         out[:-1] += u[1:]
@@ -260,7 +272,7 @@ def _apply_lap(u, rows):
         return out
     sub, diag, sup = rows
     shape = (-1,) + (1,) * (u.ndim - 1)
-    out = diag.reshape(shape) * u
+    np.multiply(diag.reshape(shape), u, out=out)
     out[:-1] += sup.reshape(shape) * u[1:]
     out[1:] += sub.reshape(shape) * u[:-1]
     return out
@@ -280,13 +292,23 @@ class Stepper:
       row once halved), LU on a radial one (TridiagonalFactor); the
       diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
-    * the Laplacian rows of each axis (_lap_rows).
+    * the Laplacian rows of each axis (_lap_rows);
+    * the work arrays ``work`` the diffusion step writes through, one of
+      the grid's shape per axis; the last receives the solution.
 
-    ``step`` maps a bare value array to the next one; the line solves run
-    along axis 0 (the y sweep on the transpose), all lines in one LAPACK
-    call.  The reaction half-steps reject negative input; the line solves
+    ``step`` maps a bare value array to the next one in one new array, the
+    only one it allocates: the first reaction half-step forms its result
+    there, and the second half-step forms its result there again, from
+    the diffusion step's solution in work[-1].  The line solves run along
+    axis 0, all lines in one LAPACK call, each on a right-hand side
+    already in Fortran order, which the solve overwrites with its
+    solution.  Every array is formed in the operation order of the plain
+    expressions, so the bits are theirs.
+
+    The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
-    steps after it.  Every row, a mirror row included, keeps (I + a L)
+    steps after it, each on a Fortran-order copy, whose solution the step
+    goes on with.  Every row, a mirror row included, keeps (I + a L)
     nonnegative for a <= 1/2 (1/(2N) in radial mode, N = 2 or 3), as
     default_dt gives.
     """
@@ -303,48 +325,70 @@ class Stepper:
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
             for sub, diag, sup in coeffs
         )
+        self.work = tuple(np.empty(grid.shape) for _ in axes)
         self.steps = 0
+
+    def _reaction(self, u, out):
+        """The reaction half-step of u, its denominator formed in out (not
+        sharing u's memory), which then holds the result."""
+        if float(u.min()) < 0.0:
+            raise NumericalError("reaction substep received negative values")
+        np.subtract(1.0, u, out=out)
+        out *= self.decay
+        out += u
+        return np.divide(u, out, out=out)
 
     def reaction(self, u):
         """Exact logistic flow over dt/2: u <- u / (u + (1 - u) e^{-s}),
-        s = dt/(2 eps), the denominator formed in one new array.  Monotone
-        in u and unconditionally stable; input must be nonnegative."""
-        if float(u.min()) < 0.0:
-            raise NumericalError("reaction substep received negative values")
-        d = 1.0 - u
-        d *= self.decay
-        d += u
-        return np.divide(u, d, out=d)
+        s = dt/(2 eps), the denominator formed in one new array, which then
+        holds the result.  Monotone in u and unconditionally stable; input
+        must be nonnegative."""
+        return self._reaction(u, np.empty_like(u))
 
-    def _explicit(self, u, rows):
+    def _explicit(self, u, rows, out):
         """(I + a L) u along axis 0 with the Laplacian rows of that axis,
-        formed in the Laplacian's array."""
-        out = _apply_lap(u, rows)
+        formed in out, the Laplacian's array."""
+        _apply_lap(u, rows, out)
         out *= self.a
         out += u
         return out
 
     def diffusion(self, u):
-        """Crank-Nicolson step of u_t = eps Lap u over dt, Neumann walls.
+        """Crank-Nicolson step of u_t = eps Lap u over dt, Neumann walls:
+        the solution, in work[-1] until the next call (u must not share
+        memory with the work arrays), or on a checked step in the solve's
+        new array.
 
         Plane mode uses Peaceman-Rachford ADI (two half-steps, alternating
         directions), which keeps second-order accuracy with only line
         solves; each directional half-step carries the same a as plain
-        Crank-Nicolson.
+        Crank-Nicolson.  Its two work arrays are read in the grid's shape
+        and, reshaped, in the transposed one, both in C order, so that the
+        transpose of either is a Fortran-order array that a sweep solves in
+        place.  u is copied into work[0] in the transposed shape, and the x
+        sweep's right-hand side, the explicit half along y, is formed from
+        it in work[1]; the x sweep's solution is copied into work[0] in the
+        grid's shape, and the y sweep's right-hand side, the explicit half
+        along x, is formed from it in work[1].  So each explicit half runs
+        along axis 0 of a C-order array.  On a line or radial axis the
+        right-hand side is formed in work[0].
         """
         check = self.steps % RESIDUAL_EVERY == 0
         if self.grid.mode == "plane":
-            (fx, fy), (rx, ry) = self.factors, self.rows
-            u = fx.solve(self._explicit(u.T, ry).T, check)
-            return fy.solve(self._explicit(u, rx).T, check).T
-        return self.factors[0].solve(self._explicit(u, self.rows[0]), check)
+            (fx, fy), (rx, ry), (p, q) = self.factors, self.rows, self.work
+            pt, qt = p.reshape(p.shape[::-1]), q.reshape(q.shape[::-1])
+            np.copyto(pt, u.T)
+            np.copyto(p, fx.solve(self._explicit(pt, ry, qt).T, check))
+            return fy.solve(self._explicit(p, rx, q).T, check).T
+        (p,) = self.work
+        return self.factors[0].solve(self._explicit(u, self.rows[0], p), check)
 
     def step(self, u):
         """The state one Strang step after u (a new array)."""
-        u = self.reaction(u)
-        u = self.diffusion(u)
+        r = self.reaction(u)
+        v = self.diffusion(r)
         self.steps += 1
-        return self.reaction(u)
+        return self._reaction(v, r)
 
 
 # The generation threshold: threshold_min reads u on {g >= THRESHOLD_K
@@ -471,13 +515,20 @@ def _even_axes(config: SimConfig):
 
 def _unfold(q, even):
     """The values on the configuration grid of a state q of the reduced
-    grid, as a new array: along each even axis, with h its middle node,
-    nodes h + i and h - i both take q[i]."""
-    q = q.copy()
+    grid, in one new array: along each even axis, with h its middle node,
+    nodes h + i and h - i both take q[i].  q fills the nodes h + i, and
+    each even axis in turn copies them, over the axes filled so far, onto
+    the nodes h - i."""
+    out = np.empty(tuple(2 * n - 1 if e else n for n, e in zip(q.shape, even)))
+    filled = [slice(n - 1 if e else 0, None) for n, e in zip(q.shape, even)]
+    out[tuple(filled)] = q
     for ax in np.flatnonzero(even):
-        mirror = q.take(np.arange(q.shape[ax] - 1, 0, -1), axis=ax)
-        q = np.concatenate((mirror, q), axis=ax)
-    return q
+        n = q.shape[ax]
+        low, high = list(filled), list(filled)
+        low[ax], high[ax] = slice(0, n - 1), slice(2 * n - 2, n - 1, -1)
+        out[tuple(low)] = out[tuple(high)]
+        filled[ax] = slice(None)
+    return out
 
 
 # The byte size of the block of states a run observes in one call: K =

@@ -170,6 +170,42 @@ def test_tridiagonal_factor_follows_the_values():
         assert np.max(np.abs(factor.solve(rhs, check=True) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("kind", ["symmetric", "mirror", "lu"])
+def test_tridiagonal_solve_in_place_or_on_a_checked_copy(kind):
+    # an unchecked solve of a Fortran-order block writes its solution over
+    # the right-hand side (no copy by the wrapper); a checked one solves a
+    # copy, leaves the right-hand side as it was and verifies the residual
+    rng = np.random.default_rng(19)
+    n, m = 31, 7
+    sub = rng.uniform(-1, 1, n - 1)
+    diag = 2.5 + rng.uniform(0, 1, n)
+    upper = {"symmetric": sub, "lu": rng.uniform(-1, 1, n - 1)}.get(kind)
+    if upper is None:  # the symmetric T with row 0 doubled, halved to solve
+        upper = sub.copy()
+        upper[0] *= 2.0
+    factor = TridiagonalFactor(sub, diag, upper)
+    assert (factor._trs is dpttrs) == (kind != "lu")
+    dense = np.diag(diag) + np.diag(sub, -1) + np.diag(upper, 1)
+    rhs = np.asfortranarray(rng.uniform(-1, 1, (n, m)))
+    want = np.linalg.solve(dense, rhs)
+
+    before = rhs.copy()
+    y = factor.solve(rhs, check=True)
+    assert not np.shares_memory(y, rhs)
+    assert rhs.tobytes() == before.tobytes()
+    assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+
+    y_in_place = factor.solve(rhs, check=False)
+    assert np.shares_memory(y_in_place, rhs)
+    assert y_in_place.tobytes() == y.tobytes()
+
+    factor._factor[0] = factor._factor[0] * (1.0 + 1e-6)
+    before = rhs.copy()
+    with pytest.raises(NumericalError, match="residual"):
+        factor.solve(rhs, check=True)
+    assert rhs.tobytes() == before.tobytes()
+
+
 def test_tridiagonal_rejects_singular_symmetric():
     # weakly dominant rows 0 and 1 decouple from the strict row 2
     with pytest.raises(NumericalError, match="singular"):

@@ -20,6 +20,8 @@ from fkpplab.solver import (
     SimConfig,
     Stepper,
     _outermost_crossings,
+    _radii,
+    _ramp,
     build_initial,
     default_dt,
     dump_checkpoint,
@@ -70,6 +72,60 @@ def test_build_initial_requires_covering_grid():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25)
     grid = _line_grid(0.3, 0.005)
     with pytest.raises(ConfigurationError):
+        build_initial(init, grid, EPS, grid.points())
+
+
+def _quarter(ext, dx):
+    return Grid("plane", ((0.0, ext), (0.0, ext)), dx)
+
+
+# (body, grid, tail): the distance is evaluated only within the body's
+# reach of the origin; dx = 2^-6 puts a node at the reach of the last three
+@pytest.mark.parametrize("body, grid, tail", [
+    (ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)), _quarter(1.0, 0.0125), None),
+    (ConvexBody.ellipse((0.0, 0.0), (0.35, 0.6)), _quarter(1.0, 0.0125), None),
+    (ConvexBody.ellipse((0.0, 0.0), (0.5, 0.5)), _quarter(1.0, 0.0125),
+     (1.0, 0.3)),
+    (ConvexBody.ellipse((0.05, -0.04), (0.6, 0.35)),
+     Grid("plane", ((-1.0, 1.0), (-1.0, 1.0)), 0.0125), None),
+    (ConvexBody.ball((0.05, 0.04), 0.5),
+     Grid("plane", ((-1.0, 1.0), (-1.0, 1.0)), 0.0125), None),
+    (ConvexBody.interval(-0.45, 0.55), _line_grid(1.0, 0.005), (1.0, 0.3)),
+    (ConvexBody.ellipse((0.0, 0.0), (0.625, 0.375)), _quarter(1.0, 2.0**-6),
+     None),
+    (ConvexBody.ball((0.0, 0.0), 0.5), _quarter(1.0, 2.0**-6), None),
+    (ConvexBody.interval(-0.5, 0.375), _line_grid(1.0, 2.0**-6), None),
+], ids=["ellipse_wide", "ellipse_tall", "ellipse_round_tail",
+        "ellipse_off_centre", "ball_off_centre", "interval_tail",
+        "ellipse_node_at_reach", "ball_node_at_reach",
+        "interval_node_at_reach"])
+def test_build_initial_equals_the_ramp_of_the_distance_at_every_node(
+        body, grid, tail):
+    init = InitialData.compact(body, 0.9, 0.25, tail)
+    x = grid.points()
+    u0, g = build_initial(init, grid, 0.1, x)
+    want = _ramp(init, body.signed_distance(x))
+    assert g.tobytes() == want.tobytes()
+    if tail is not None:
+        lam, M = tail
+        want = want + M * np.exp(-lam * _radii(grid.mode, x) / 0.1)
+    assert u0.values.tobytes() == want.tobytes()
+    if grid.dx == 2.0**-6:
+        assert np.any(_radii(grid.mode, x) == body.reach)
+
+
+@pytest.mark.parametrize("body, grid, message", [
+    (BODY, _line_grid(0.3, 0.005), "reaches the grid boundary"),
+    (BODY, Grid("line", ((0.45, 1.0),), 0.005), "does not cover"),
+    (BODY, Grid("line", ((0.6, 1.0),), 0.005), "does not cover"),
+    (ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)),
+     Grid("plane", ((0.7, 1.0), (0.0, 0.3)), 0.0125), "does not cover"),
+], ids=["inside_the_support", "edge_of_the_support", "beyond_the_reach",
+        "plane_beyond_the_reach"])
+def test_build_initial_rejects_a_grid_that_misses_the_support(body, grid,
+                                                              message):
+    init = InitialData.compact(body, amplitude=0.9, width=0.25)
+    with pytest.raises(ConfigurationError, match=message):
         build_initial(init, grid, EPS, grid.points())
 
 
@@ -182,6 +238,29 @@ def test_comparison_preservation_random_pairs():
         assert np.all(v - u >= -1e-12)
 
 
+@pytest.mark.parametrize("grid", [
+    Grid("plane", ((0.0, 0.325), (0.0, 0.5)), EPS / 8),  # 27 x 41, quarter
+    Grid("plane", ((-0.2, 0.3), (-0.15, 0.1)), EPS / 8),
+    _line_grid(0.5, EPS / 8),
+    Grid("radial", ((0.0, 0.5),), EPS / 8, dim=3),
+], ids=["quarter_plane", "plane", "line", "radial"])
+def test_step_is_the_one_shot_half_steps_in_a_new_array(grid):
+    # the held work arrays change no bit of any step, checked ones included,
+    # and no state shares memory with them or with the state before it
+    dt = default_dt(grid, EPS)
+    stepper = Stepper(grid, dt, EPS)
+    u = np.random.default_rng(7).uniform(0.0, 1.0, grid.shape)
+    for _ in range(2 * RESIDUAL_EVERY + 1):
+        once = Stepper(grid, dt, EPS)
+        want = once.reaction(once.diffusion(once.reaction(u)))
+        before = u.copy()
+        v = stepper.step(u)
+        assert v.tobytes() == want.tobytes()
+        assert u.tobytes() == before.tobytes()
+        assert not any(np.shares_memory(v, w) for w in (u, *stepper.work))
+        u = v
+
+
 def _check_corrupted_factor(g, corrupt):
     """A Stepper whose factor no longer matches its matrix fails the
     residual check on its first step and on step RESIDUAL_EVERY."""
@@ -235,6 +314,17 @@ def test_run_reports_infinite_values_with_time_and_step(set_node, value):
     t, k = info.value.diagnostic
     assert k == BLOW_UP_STEP
     assert t == pytest.approx(BLOW_UP_STEP * cfg.dt, rel=1e-2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_plane_run_reports_blow_up_with_time_and_step(set_node, value):
+    cfg = compact_family_config(0.3, ConvexBody.ellipse((0.0, 0.0), (0.6, 0.35)),
+                                0.9, 0.25, 0.05, mode="plane")
+    set_node(value)
+    with pytest.raises(NumericalError, match="finiteness") as info:
+        run(cfg)
+    assert info.value.diagnostic == (BLOW_UP_STEP * cfg.dt, BLOW_UP_STEP)
 
 
 def _blow_up_step(cfg, dt, where):
