@@ -57,15 +57,17 @@ class InitialData:
 
     @classmethod
     def compact(cls, body, amplitude, width, tail=None):
+        if not isinstance(body, ConvexBody):
+            raise ConfigurationError(f"body must be a ConvexBody, got {body!r}")
         if not 0.0 < amplitude <= 1.0:
             raise ConfigurationError("amplitude must lie in (0, 1]")
-        if width <= 0.0:
-            raise ConfigurationError("width must be positive")
+        if not width > 0.0:
+            raise ConfigurationError(f"width = {width:g} must be positive")
         if tail is not None:
             lam, M = tail
-            if lam < 1.0:
+            if not lam >= 1.0:
                 raise ConfigurationError(f"tail_lambda = {lam:g} must be >= 1")
-            if M <= 0.0:
+            if not M > 0.0:
                 raise ConfigurationError(f"tail_cap = {M:g} must be positive")
             tail = (float(lam), float(M))
         return cls("compact", body=body, amplitude=float(amplitude),
@@ -73,8 +75,9 @@ class InitialData:
 
     @classmethod
     def algebraic(cls, m, n):
-        if m <= 0.0 or n <= 0.0:
-            raise ConfigurationError("m and n must be positive")
+        for name, value in (("m", m), ("n", n)):
+            if not value > 0.0:
+                raise ConfigurationError(f"{name} = {value:g} must be positive")
         return cls("algebraic", m=float(m), n=float(n))
 
     @property
@@ -174,8 +177,8 @@ class SimConfig:
             if not fits:
                 raise ConfigurationError(f"{mode} mode needs {need}, got a "
                                          f"{body.dim}-D {body.shape}")
-        if self.t_end <= 0.0:
-            raise ConfigurationError("t_end must be positive")
+        if not self.t_end > 0.0:
+            raise ConfigurationError(f"t_end = {self.t_end:g} must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
             raise ConfigurationError("resolution rule dx <= epsilon/8 violated")
         for lo, hi in self.grid.extents:
@@ -488,15 +491,6 @@ def _outermost_crossings(x, p, levels):
     d1 = p[rows, i + 1] - levels
     frac = d0 / (d0 - d1)
     return x[i] + frac * (x[i + 1] - x[i])
-
-
-def layer_thickness(fld: Field, epsilon: float):
-    """A field's layer_width, as run() records it; None if a level is absent."""
-    obs = Observer(fld.grid, epsilon)
-    outer, inner = _outermost_crossings(obs.scan, obs.profile(fld.values[None]),
-                                        (epsilon, 1.0 - 2.0 * epsilon))
-    w = float(outer[0] - inner[0])
-    return None if math.isnan(w) else w
 
 
 def _even_axes(config: SimConfig):

@@ -53,8 +53,7 @@ from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
 from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
-                     compact_value, dump_checkpoint, layer_thickness,
-                     outflow_margin, run)
+                     compact_value, dump_checkpoint, outflow_margin, run)
 from .svgplot import line_plot
 from .waves import decay_rate, solve_wave
 
@@ -344,7 +343,8 @@ def _band_constant(fld, body, t, epsilon):
 def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
                         body=ConvexBody.interval(-0.5, 0.5), amplitude=0.9,
                         width=0.25, t_end=1.0) -> ExperimentReport:
-    """Layer width W(eps, t) and the measured band constant; both must be
+    """Layer width W(eps, t), the run's layer_width at each checkpoint's
+    step round(t / dt), and the measured band constant; both must be
     stable (max/min <= 2) against eps|ln eps| scaling across the ladder."""
     report = ExperimentReport(
         "thickness",
@@ -354,9 +354,9 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
             for eps in epsilons]
     for eps, traj in zip(epsilons, cached_runs(cfgs)):
         (t_mid, f_mid), (t_fin, f_end) = traj.checkpoints
-        w_mid = layer_thickness(f_mid, eps)
-        w_end = layer_thickness(f_end, eps)
-        if w_mid is None or w_end is None:
+        w_mid, w_end = (traj.series["layer_width"][round(t / traj.config.dt)]
+                        for t in (t_mid, t_fin))
+        if math.isnan(w_mid) or math.isnan(w_end):
             raise ConfigurationError("band levels not attained at a checkpoint")
         c_mid = _band_constant(f_mid, body, t_mid, eps)
         c_end = _band_constant(f_end, body, t_fin, eps)
@@ -652,7 +652,7 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
 
 def _simulation_report(sim: SimConfig) -> ExperimentReport:
     """The `simulate` report of a plain run(), so a plane run is not cached:
-    per checkpoint, the series at its own recorded time, its table and its
+    per checkpoint, the series at its step round(t / dt), its table and its
     profile (a plane run's row through y = 0)."""
     traj = run(sim)
     columns = ("t", "sup", "min", "front_half", "layer_width")
@@ -662,7 +662,7 @@ def _simulation_report(sim: SimConfig) -> ExperimentReport:
             line_plot, series=profiles, title="checkpoint profiles",
             xlabel="x", ylabel="u")}})
     for tc, fld in traj.checkpoints:
-        i = int(np.searchsorted(traj.series["t"], tc))
+        i = round(tc / traj.config.dt)
         report.add_row(t=tc, **{name: traj.series[name][i] for name in
                                 columns[1:] if name in traj.series})
         tables[f"checkpoint_t{tc:g}.csv"] = partial(dump_checkpoint, fld, tc)

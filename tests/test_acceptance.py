@@ -25,7 +25,6 @@ from fkpplab.solver import (
     Stepper,
     compact_value,
     default_dt,
-    layer_thickness,
 )
 from fkpplab.studies import (
     _front_speed_fit,
@@ -34,6 +33,7 @@ from fkpplab.studies import (
     cached_wave,
     compact_family_config,
     run_barrier_check,
+    run_compact_simulation,
     run_generation_study,
     run_no_interface_study,
     run_speed_study,
@@ -104,10 +104,21 @@ def test_thickness_is_the_minimal_wave_width():
     for eps in (0.04, 0.02):
         cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
                                     0.25, 1.0)
-        width = layer_thickness(cached_run(cfg).checkpoints[-1][1], eps)
+        traj = cached_run(cfg)
+        width = traj.series["layer_width"][round(traj.checkpoints[-1][0] / cfg.dt)]
         z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
         ratio = width / (eps * (z_lo - z_hi))
         assert 0.5 <= (1.0 - ratio) / eps <= 1.0, (eps, ratio)
+
+
+def test_thickness_reads_the_widths_simulate_reports():
+    # one run, one reading: the study's widths are the layer_width rows of
+    # `simulate` on the same config, bit for bit
+    rep = run_thickness_study(epsilons=(0.04, 0.02))
+    for row in rep.rows:
+        sim = run_compact_simulation(row["epsilon"])
+        widths = [r["layer_width"] for r in sim.rows]
+        assert [row["width_mid"], row["width_end"]] == widths, row["epsilon"]
 
 
 def test_front_speed_has_the_bramson_delay():

@@ -146,6 +146,25 @@ def test_discrete_residual_travelling_wave_truncation():
     assert np.max(np.abs(res.values)) <= 1e-2
 
 
+@pytest.mark.parametrize("axis", (0, 1))
+def test_discrete_residual_on_a_plane_is_the_lines_along_each_axis(axis):
+    # v depends on x_axis alone: the other axis's Laplacian is exactly 0, so
+    # every column (axis 0) or row (axis 1) of the plane residual is the
+    # line grid's residual along that axis, bit for bit; axis 1 starts at 0,
+    # a mirror wall
+    eps = 0.02
+    wave = cached_wave(2.0)
+    extents = ((-1.0, 1.5), (0.0, 1.25))
+    v = lambda t, x: wave.evaluate((x - 2.0 * t) / eps)
+    plane = discrete_residual(lambda t, x: v(t, x[..., axis]), 0.3,
+                              Grid("plane", extents, eps / 8), eps).values
+    line = discrete_residual(v, 0.3, Grid("line", (extents[axis],), eps / 8),
+                             eps).values
+    assert np.abs(line).max() > 1e-3  # the wave's truncation, not 0
+    expected = line[:, None] if axis == 0 else line[None, :]
+    assert np.broadcast_to(expected, plane.shape).tobytes() == plane.tobytes()
+
+
 def test_global_super_residual_nonnegative():
     wave = cached_wave(2.0)
     grid = Grid("line", ((-4.0, 4.0),), EPS / 8)

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -267,14 +268,22 @@ def test_cli_check_failure_exit_code(tmp_path, monkeypatch):
     assert (out / "sandwich.svg").read_text().count("<polyline") == 3
 
 
+def _width_at_eps_002(monkeypatch, width):
+    """Every layer_width the runs at eps 0.02 record reads `width`; the
+    cached trajectories are left as they are."""
+    cached_runs = studies.cached_runs
+    monkeypatch.setattr(studies, "cached_runs", lambda cfgs: [
+        replace(traj, series={**traj.series, "layer_width": np.full_like(
+            traj.series["layer_width"], width)})
+        if traj.config.epsilon == 0.02 else traj for traj in cached_runs(cfgs)])
+
+
 @pytest.mark.parametrize("width", (-0.01, 0.0))
 def test_a_width_not_positive_fails_its_checks(tmp_path, monkeypatch, capsys,
                                                width):
     # the band levels are attained, so the width is a verdict (exit 2), not
     # a configuration error; the ratio check reads False, not 1/0
-    layer_thickness = studies.layer_thickness
-    monkeypatch.setattr(studies, "layer_thickness", lambda fld, eps: (
-        width if eps == 0.02 else layer_thickness(fld, eps)))
+    _width_at_eps_002(monkeypatch, width)
     ini = _write(tmp_path, "cfg.ini", SPEED_INI)
     assert cli.main(["thickness", "--config", ini,
                      "--out", str(tmp_path / "o")]) == 2
@@ -282,6 +291,16 @@ def test_a_width_not_positive_fails_its_checks(tmp_path, monkeypatch, capsys,
               for line in capsys.readouterr().out.splitlines()
               if line.startswith("[FAIL]")}
     assert {"width_positive@eps=0.02", "width_ratio_stable"} <= failed
+
+
+def test_a_band_level_not_attained_is_a_configuration_error(tmp_path,
+                                                           monkeypatch, capsys):
+    # the series reads nan where a band level is absent: no width to judge
+    _width_at_eps_002(monkeypatch, np.nan)
+    ini = _write(tmp_path, "cfg.ini", SPEED_INI)
+    assert cli.main(["thickness", "--config", ini,
+                     "--out", str(tmp_path / "o")]) == 1
+    assert "band levels not attained" in capsys.readouterr().err
 
 
 SIMULATE_INI = """\
@@ -550,7 +569,8 @@ def test_plane_profile_is_the_row_through_y_0(monkeypatch, tmp_path):
     grid = Grid("plane", ((-1.0, 1.0), (-0.01, 0.01)), 0.002)
     x, y = grid.points()[..., 0], grid.points()[..., 1]
     traj = SimpleNamespace(checkpoints=[(0.5, Field(grid, x + 10.0 * y))],
-                           series={"t": np.array([0.0, 0.5])})
+                           series={"t": np.array([0.0, 0.5])},
+                           config=SimpleNamespace(dt=0.5))
     monkeypatch.setattr(studies, "run", lambda sim: traj)
     drawn = []
     monkeypatch.setattr(studies, "line_plot",

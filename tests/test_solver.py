@@ -25,7 +25,6 @@ from fkpplab.solver import (
     build_initial,
     default_dt,
     dump_checkpoint,
-    layer_thickness,
     run,
 )
 from fkpplab.studies import (algebraic_family_config, cached_run, cached_wave,
@@ -404,31 +403,35 @@ def test_front_position_of_evaluated_wave():
     assert _front(obs, f.values, 2.0) is None  # level never attained
 
 
-def test_layer_thickness_of_evaluated_wave():
+def _width(grid, eps, u):
+    """The layer_width Observer.observe records for the state u of compact
+    data, nan when a band level is not attained."""
+    obs = Observer(grid, eps, np.zeros(grid.shape))
+    rows = obs.observe(u[None], np.zeros(1), 0)
+    return float(rows[obs.names.index("layer_width"), 0])
+
+
+def test_layer_width_of_evaluated_wave():
     eps = 0.02
     prof = cached_wave(2.0)
     g = _line_grid(1.5, eps / 8)
-    f = Field(g, prof.evaluate(g.axis(0) / eps))
-    w = layer_thickness(f, eps)
+    w = _width(g, eps, prof.evaluate(g.axis(0) / eps))
     z_hi, z_lo = np.interp([-eps, -(1 - 2 * eps)], -prof.U, prof.z)
     assert w == pytest.approx(eps * (z_hi - z_lo), rel=0.02)
 
 
-def test_layer_thickness_translation_invariance():
+def test_layer_width_translation_invariance():
     g = _line_grid(2.0, 0.01)
     x = g.axis(0)
     vals = 1.0 / (1.0 + np.exp((x - 0.2) / 0.04))
-    f = Field(g, vals)
-    shifted = Field(g, np.roll(vals, 17))
     eps = 0.04
-    assert layer_thickness(shifted, eps) == pytest.approx(
-        layer_thickness(f, eps), abs=1e-12)
+    assert _width(g, eps, np.roll(vals, 17)) == pytest.approx(
+        _width(g, eps, vals), abs=1e-12)
 
 
-def test_layer_thickness_step_function_floor():
+def test_layer_width_step_function_floor():
     g = _line_grid(1.0, 0.01)
-    f = Field(g, np.where(g.axis(0) < 0.5, 1.0, 0.0))
-    assert layer_thickness(f, 0.04) <= 2 * g.dx
+    assert _width(g, 0.04, np.where(g.axis(0) < 0.5, 1.0, 0.0)) <= 2 * g.dx
 
 
 def test_advected_wave_measures_speed_two():
@@ -587,6 +590,34 @@ def test_config_validation():
         SimConfig(0.04, _line_grid(4.0, 0.04), init, t_end=1.0)
     with pytest.raises(ConfigurationError):  # domain below outflow margin
         SimConfig(0.04, _line_grid(1.0, 0.005), init, t_end=1.0)
+
+
+def test_config_rejects_a_t_end_not_finite():
+    # a NaN t_end fails `t_end > 0`; an infinite one needs an infinite
+    # outflow margin
+    init = InitialData.compact(BODY, 0.9, 0.25)
+    with pytest.raises(ConfigurationError, match=r"^t_end = nan must be positive$"):
+        SimConfig(0.04, _line_grid(4.0, 0.005), init, t_end=math.nan)
+    with pytest.raises(ConfigurationError, match="outflow margin inf"):
+        SimConfig(0.04, _line_grid(4.0, 0.005), init, t_end=math.inf)
+
+
+# One invalid value of each InitialData parameter, by the name its error
+# gives.
+INVALID_INITIAL = {
+    "body": lambda: InitialData.compact(None, 0.9, 0.25),
+    "width": lambda: InitialData.compact(BODY, 0.9, math.nan),
+    "tail_lambda": lambda: InitialData.compact(BODY, 0.9, 0.25, (math.nan, 0.05)),
+    "tail_cap": lambda: InitialData.compact(BODY, 0.9, 0.25, (1.5, math.nan)),
+    "m": lambda: InitialData.algebraic(math.nan, 2.0),
+    "n": lambda: InitialData.algebraic(0.5, math.nan),
+}
+
+
+@pytest.mark.parametrize("name", INVALID_INITIAL)
+def test_initial_data_rejects_an_invalid_parameter_by_name(name):
+    with pytest.raises(ConfigurationError, match=rf"^{name}\b"):
+        INVALID_INITIAL[name]()
 
 
 def test_outflow_margin_clears_an_off_centre_body():
