@@ -65,19 +65,22 @@ class InitialData:
             raise ConfigurationError(f"width = {width:g} must be positive")
         if tail is not None:
             lam, M = tail
-            if not lam >= 1.0:
-                raise ConfigurationError(f"tail_lambda = {lam:g} must be >= 1")
-            if not M > 0.0:
-                raise ConfigurationError(f"tail_cap = {M:g} must be positive")
+            if not 1.0 <= lam < math.inf:
+                raise ConfigurationError(
+                    f"tail_lambda = {lam:g} must be finite and >= 1")
+            if not 0.0 < M < math.inf:
+                raise ConfigurationError(
+                    f"tail_cap = {M:g} must be positive and finite")
             tail = (float(lam), float(M))
         return cls("compact", body=body, amplitude=float(amplitude),
                    width=float(width), tail=tail)
 
     @classmethod
     def algebraic(cls, m, n):
-        for name, value in (("m", m), ("n", n)):
-            if not value > 0.0:
-                raise ConfigurationError(f"{name} = {value:g} must be positive")
+        if not 0.0 < m < math.inf:
+            raise ConfigurationError(f"m = {m:g} must be positive and finite")
+        if not n > 0.0:  # n = inf is the step-function limit
+            raise ConfigurationError(f"n = {n:g} must be positive")
         return cls("algebraic", m=float(m), n=float(n))
 
     @property
@@ -142,9 +145,14 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
 def outflow_margin(initial: InitialData, t_end, epsilon):
     """Domain reach a run needs: the reach of the data's body from the
     origin (0 for algebraic data, centred at the origin), plus the distance
-    2 t_end the front travels, plus ten layer widths eps|ln eps|."""
+    2 t_end the front travels, plus ten layer widths eps|ln eps|.  Rejects
+    an epsilon outside (0, 1/e) (eps_log), then a t_end not positive and
+    finite, which no domain can hold."""
+    layers = 10.0 * eps_log(epsilon)
+    if not 0.0 < t_end < math.inf:
+        raise ConfigurationError(f"t_end = {t_end:g} must be positive and finite")
     reach = initial.body.reach if initial.variant == "compact" else 0.0
-    return reach + 2.0 * t_end + 10.0 * eps_log(epsilon)
+    return reach + 2.0 * t_end + layers
 
 
 def default_dt(grid: Grid, epsilon: float):
@@ -164,7 +172,8 @@ class SimConfig:
     checkpoint_times: tuple = ()
 
     def __post_init__(self):
-        # eps_log, in the margin, rejects an epsilon outside (0, 1/e) first
+        # the margin rejects a bad epsilon, then a bad t_end, before any
+        # other check
         margin = outflow_margin(self.initial, self.t_end, self.epsilon)
         body, mode, n = self.initial.body, self.grid.mode, self.grid.dim
         if body is not None:
@@ -177,8 +186,6 @@ class SimConfig:
             if not fits:
                 raise ConfigurationError(f"{mode} mode needs {need}, got a "
                                          f"{body.dim}-D {body.shape}")
-        if not self.t_end > 0.0:
-            raise ConfigurationError(f"t_end = {self.t_end:g} must be positive")
         if self.grid.dx > self.epsilon / 8.0 + 1e-12:
             raise ConfigurationError("resolution rule dx <= epsilon/8 violated")
         for lo, hi in self.grid.extents:

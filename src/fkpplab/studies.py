@@ -14,13 +14,14 @@ writer taking the path: its CSV tables in metadata["tables"] and its SVG
 figures in metadata["figures"].
 
 A ladder study builds every rung's config before any run starts, so an
-invalid rung fails at once, and reads their runs in one cached_runs call.
-The rungs not in the run cache run at the same time, each in a worker
-process forked from the caller: at most one worker per uncached rung and
+invalid rung fails at once, and reads their runs in one cached_runs call;
+the barrier check hands its run and its four waves over in one batch.  The
+jobs not in the study caches run at the same time, each in a worker
+process forked from the caller: at most one worker per uncached job and
 per usable CPU (os.sched_getaffinity), so `taskset -c 0` runs them one
 after another in the calling process, as does a batch of one or a platform
-without fork.  A worker runs the same code on the same config, so every
-report, table, figure and checkpoint keeps its bytes; a failing rung stops
+without fork.  A worker runs the same code on the same arguments, so every
+report, table, figure and checkpoint keeps its bytes; a failing job stops
 the others.  A study reads each checkpoint field at its recorded t.
 """
 
@@ -30,7 +31,7 @@ import inspect
 import math
 import os
 from collections import OrderedDict
-from functools import lru_cache, partial, wraps
+from functools import partial, wraps
 
 import numpy as np
 
@@ -80,22 +81,16 @@ GEN_WINDOW = 2.0
 RESIDUAL_TOL = 5e-3
 
 
-# The run cache: each config's trajectory, least recently used first, at
-# most CACHE_SIZE of them; cached_runs fills it.
+# The study caches, least recently used first, at most CACHE_SIZE entries
+# each: run(cfg) by config and solve_wave(c) by the key round(c, 12).
+# _cached fills both, under the names of the functions that fill them.
 _runs = OrderedDict()
-
-
-# The wave cache, under the plain function cached_wave.  Both caches read
-# `run` and `solve_wave` from the module at call time, so a wrapper bound to
-# either name (perfbench's tracer, a test's stub) is seen, in a pool worker
-# too: it is forked with the module as it is.
-@lru_cache(maxsize=CACHE_SIZE)
-def _wave(c):
-    return solve_wave(c)
+_waves = OrderedDict()
+_CACHES = {"run": _runs, "solve_wave": _waves}
 
 
 def _pool_size(n):
-    """Worker processes for n uncached runs: one per run and per usable CPU,
+    """Worker processes for n uncached jobs: one per job and per usable CPU,
     or 1 (the calling process) without the fork start method."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(n, cpus)
@@ -107,54 +102,77 @@ def _pool_size(n):
     return workers
 
 
-def _run_in_worker(cfg):
-    """run(cfg) in a pool worker.  The pool pickles this function by name;
-    `run` itself may be a stub or a wrapper that does not pickle."""
-    return run(cfg)
+def _call(name, arg):
+    """run(arg) or solve_wave(arg), looked up in this module at call time,
+    so a wrapper bound to either name (perfbench's tracer, a test's stub)
+    is seen, in a pool worker too: it is forked with the module as it is,
+    and the pool pickles this function, not the wrapper, by name."""
+    return {"run": run, "solve_wave": solve_wave}[name](arg)
 
 
-def _fresh_runs(cfgs):
-    """run(cfg) of each config, in order.  With more than one worker
-    (_pool_size) the runs go to a pool of forked workers, costliest (steps
-    times nodes) first, and are read back in order, so the error raised is
-    the first config's that fails, as in a serial run, and a worker that
-    dies is a RuntimeError.  No worker outlives the call, and an error
-    stops the runs still going: leaving it terminates the pool."""
-    workers = _pool_size(len(cfgs))
+def _cost(job):
+    """A job's rank in the pool's queue, highest first: every run before
+    any wave, a run by its steps times nodes, and a wave by its speed c,
+    since the faster a wave, the longer its solve (about 45 ms at c = 1,
+    85 ms at 2 and 220 ms at 4)."""
+    name, arg = job
+    if name == "run":
+        return (1, arg.n_steps * math.prod(arg.grid.shape))
+    return (0, arg)
+
+
+def _fresh(jobs):
+    """_call(name, arg) of each job, in order.  With more than one worker
+    (_pool_size) the jobs go to a pool of forked workers, costliest (_cost)
+    first, and are read back in list order, so the error raised is the
+    first job's that fails, as in a serial run, and a worker that dies is a
+    RuntimeError.  No worker outlives the call, and an error stops the jobs
+    still going: leaving it terminates the pool."""
+    workers = _pool_size(len(jobs))
     if workers <= 1:
-        return [run(cfg) for cfg in cfgs]
+        return [_call(*job) for job in jobs]
     import multiprocessing
 
     others = set(multiprocessing.active_children())
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         ours = set(multiprocessing.active_children()) - others
-        pending = {cfg: pool.apply_async(_run_in_worker, (cfg,)) for cfg in
-                   sorted(cfgs, reverse=True, key=lambda cfg: cfg.n_steps
-                          * math.prod(cfg.grid.shape))}
-        trajs = []
-        for cfg in cfgs:
-            while not pending[cfg].ready():  # never, if its worker died
+        pending = {job: pool.apply_async(_call, job)
+                   for job in sorted(jobs, key=_cost, reverse=True)}
+        results = []
+        for job in jobs:
+            while not pending[job].ready():  # never, if its worker died
                 if any(worker.exitcode is not None for worker in ours):
-                    raise RuntimeError("a run's worker process died")
-                pending[cfg].wait(0.1)
-            trajs.append(pending[cfg].get())
-        return trajs
+                    raise RuntimeError("a pool worker process died")
+                pending[job].wait(0.1)
+            results.append(pending[job].get())
+        return results
+
+
+def _cached(cfgs, speeds):
+    """run(cfg) of each config, then solve_wave at the key round(c, 12) of
+    each speed, in order, the whole batch even past CACHE_SIZE.  A cached
+    job is read from its cache; the others are computed at the same time
+    (_fresh) and cached, and each cache keeps its CACHE_SIZE most recently
+    used."""
+    jobs = ([("run", cfg) for cfg in cfgs]
+            + [("solve_wave", round(c, 12)) for c in speeds])
+    results = {(name, arg): _CACHES[name][arg] for name, arg in jobs
+               if arg in _CACHES[name]}
+    missing = [job for job in dict.fromkeys(jobs) if job not in results]
+    results.update(zip(missing, _fresh(missing)))
+    for name, arg in jobs:
+        cache = _CACHES[name]
+        cache[arg] = results[name, arg]
+        cache.move_to_end(arg)
+        if len(cache) > CACHE_SIZE:
+            cache.popitem(last=False)
+    return [results[job] for job in jobs]
 
 
 def cached_runs(cfgs):
-    """run(cfg) of each config of the list, in order, the whole batch even
-    past CACHE_SIZE.  A cached config is read from the run cache; the others
-    run at the same time (_fresh_runs) and are cached, and the CACHE_SIZE
-    most recently used stay."""
-    trajs = {cfg: _runs[cfg] for cfg in cfgs if cfg in _runs}
-    missing = [cfg for cfg in dict.fromkeys(cfgs) if cfg not in trajs]
-    trajs.update(zip(missing, _fresh_runs(missing)))
-    for cfg in cfgs:
-        _runs[cfg] = trajs[cfg]
-        _runs.move_to_end(cfg)
-        if len(_runs) > CACHE_SIZE:
-            _runs.popitem(last=False)
-    return [trajs[cfg] for cfg in cfgs]
+    """run(cfg) of each config of the list, in order (_cached): the
+    uncached configs run at the same time."""
+    return _cached(cfgs, ())
 
 
 def cached_run(cfg: SimConfig):
@@ -163,9 +181,9 @@ def cached_run(cfg: SimConfig):
 
 
 def cached_wave(c):
-    """solve_wave at the key round(c, 12), kept for the CACHE_SIZE most
-    recently used keys: sign-changing below 2, monotone otherwise."""
-    return _wave(round(c, 12))
+    """solve_wave at the key round(c, 12), through the wave cache (_cached),
+    in this process: sign-changing below 2, monotone otherwise."""
+    return _cached((), (c,))[0]
 
 
 def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
@@ -504,6 +522,8 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
                                 checkpoints=gen_times + motion_times)
     initial, grid = cfg.initial, cfg.grid
     _check_threshold_set(initial, epsilon)
+    # the run and the four waves read below, computed at the same time
+    _cached([cfg], (2.0, MOTION_SPEED, 2.0 - eL, SHELL_SPEED))
     ordering_tol = max(1e-3, 5.0 * grid.dx)
     report = ExperimentReport(
         "barriers",

@@ -107,7 +107,7 @@ def digest(name, work):
         config = str(path)
     out = work / name
     studies._runs.clear()
-    studies._wave.cache_clear()
+    studies._waves.clear()
     with redirect_stdout(StringIO()):
         code = cli.main([command, "--config", config, "--out", str(out), "--svg"])
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

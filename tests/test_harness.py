@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import multiprocessing
 import os
 import re
@@ -398,6 +399,35 @@ def test_cli_rejects_keys_the_command_does_not_read(tmp_path, capsys, case):
     assert re.search(rf"\b{key}\b", err) and f"fkpplab {command}" in err
 
 
+_INTERVAL = ConvexBody.interval(-0.5, 0.5)
+# An infinite value, which a config file cannot give (every non-finite float
+# is rejected as it is read), passed to a study family's builder: the key
+# whose value the builder must reject by name, as it builds the config.
+REJECTED_INFINITE = {
+    "tail_lambda": lambda: studies.compact_family_config(
+        0.1, _INTERVAL, 0.9, 0.25, 0.05, tail=(math.inf, 0.05)),
+    "tail_cap": lambda: studies.compact_family_config(
+        0.1, _INTERVAL, 0.9, 0.25, 0.05, tail=(1.5, math.inf)),
+    "m": lambda: studies.algebraic_family_config(0.1, math.inf, 2.0, 0.05, 4.0),
+    # not as a domain reach below an infinite outflow margin
+    "t_end": lambda: studies.compact_family_config(0.1, _INTERVAL, 0.9, 0.25,
+                                                   math.inf),
+}
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED_INFINITE))
+def test_study_families_reject_an_infinite_value_by_name(key):
+    with pytest.raises(ConfigurationError, match=rf"^{key} = inf must be "):
+        REJECTED_INFINITE[key]()
+
+
+def test_an_infinite_n_is_the_step_function_limit():
+    # m / (1 + |x/eps|^n) is m for |x| < eps and 0 beyond as n -> inf
+    traj = run(studies.algebraic_family_config(0.1, 0.5, math.inf, 0.05, 4.0))
+    assert traj.series["sup"][0] == 0.5
+    assert np.isfinite(traj.series["sup"]).all()
+
+
 def test_cli_rejects_radial_dimension_above_3(tmp_path, capsys):
     # from N = 4 the radial step no longer preserves order
     ini = _write(tmp_path, "cfg.ini", "[solver]\ndim = 4\n")
@@ -764,10 +794,10 @@ def empty_study_caches():
     """The study caches emptied before the test and again after it, so no
     stub's entries outlive it."""
     studies._runs.clear()
-    studies._wave.cache_clear()
+    studies._waves.clear()
     yield
     studies._runs.clear()
-    studies._wave.cache_clear()
+    studies._waves.clear()
 
 
 def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches):
@@ -790,7 +820,7 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
     monkeypatch.setattr(studies, "solve_wave", lambda c: solved.append(c) or c)
     for c in range(studies.CACHE_SIZE + 1):
         studies.cached_wave(2.0 + c)
-    assert studies._wave.cache_info().currsize == studies.CACHE_SIZE
+    assert len(studies._waves) == studies.CACHE_SIZE
     studies.cached_wave(2.0)  # evicted, so solved again
     assert solved == [2.0 + c for c in range(studies.CACHE_SIZE + 1)] + [2.0]
 
@@ -918,6 +948,56 @@ def test_a_failing_rung_stops_the_others(monkeypatch, empty_study_caches,
         signal.signal(signal.SIGALRM, previous)
     assert time.perf_counter() - start < 2.5
     assert multiprocessing.active_children() == []
+
+
+def test_the_pooled_barrier_check_equals_a_serial_one(monkeypatch,
+                                                      empty_study_caches):
+    # its one run and four waves go to two workers in one batch; a worker
+    # appends to its own copy of `calls`
+    calls = []
+    for name in ("run", "solve_wave"):
+        monkeypatch.setattr(studies, name, lambda arg, name=name, real=getattr(
+            studies, name): calls.append(name) or real(arg))
+    _usable_cpus(monkeypatch, 2)
+    pooled = studies.run_barrier_check(0.02)
+    assert calls == []
+    assert multiprocessing.active_children() == []
+    studies._runs.clear()
+    studies._waves.clear()
+    _usable_cpus(monkeypatch, 1)
+    serial = studies.run_barrier_check(0.02)
+    assert calls == ["run"] + ["solve_wave"] * 4
+    for part in ("rows", "fits", "checks", "metadata"):
+        assert repr(getattr(pooled, part)) == repr(getattr(serial, part)), part
+
+
+def _fail_wave(c):
+    raise NumericalError(f"c = {c:g} failed")
+
+
+@pytest.mark.parametrize("fail, error, message", (
+    pytest.param(_fail_wave, NumericalError, "c = 1.5 failed",
+                 id="raises"),
+    # in a worker only: in this process it would end the test run
+    pytest.param(lambda c: os._exit(1) if multiprocessing.parent_process()
+                 else _fail_wave(c), RuntimeError, "worker process died",
+                 id="dies"),
+))
+def test_a_failing_wave_fails_the_barrier_check(monkeypatch, empty_study_caches,
+                                                fail, error, message):
+    solve_wave = studies.solve_wave
+    monkeypatch.setattr(studies, "solve_wave", lambda c: fail(c)
+                        if c == studies.MOTION_SPEED else solve_wave(c))
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(error, match=message) as pooled:
+        studies.run_barrier_check(0.02)
+    assert multiprocessing.active_children() == []
+    if error is NumericalError:  # a dying worker would end this process
+        studies._runs.clear()
+        _usable_cpus(monkeypatch, 1)
+        with pytest.raises(error) as serial:
+            studies.run_barrier_check(0.02)
+        assert str(pooled.value) == str(serial.value)
 
 
 def test_the_barrier_check_reads_one_time_per_field(monkeypatch):
