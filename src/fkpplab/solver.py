@@ -23,6 +23,8 @@ the run (the factor of each axis's Crank-Nicolson matrix, the reaction
 decay factor) once, and one Observer, which does the same for the recorded
 observables (scan coordinates, plane-mode gather, threshold set); the loop
 works on bare arrays and hands the Observer blocks of consecutive states.
+run() takes every step to t_end; run_until() shares its loop and stops at
+the end of the first block in which a named series reaches a level.
 A run that is even in a coordinate (a grid (-e, e) with a node at 0, data
 even in that coordinate) is solved on that axis's half x >= 0 and its
 checkpoints are unfolded onto the full grid.
@@ -213,6 +215,10 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
+    """What a run recorded: the series of the steps it took, from step 0 on
+    (all n_steps + 1 for run(), a prefix of them for run_until()), and its
+    checkpoints in step order."""
+
     config: SimConfig
     checkpoints: list  # [(t, Field)] as run() recorded them, in step order
     series: dict  # name -> (times, values) arrays
@@ -537,6 +543,13 @@ def _unfold(q, even):
 BLOCK_BYTES = 1 << 20
 
 
+def passage(values, level):
+    """The index of the first of the values at or above level, or None: the
+    first passage run_until stops on."""
+    hit = np.flatnonzero(values >= level)
+    return int(hit[0]) if hit.size else None
+
+
 def run(config: SimConfig) -> Trajectory:
     """Integrate to t_end in the config's n_steps steps of dt, recording the
     Observer's series each step and, in step order, a checkpoint
@@ -556,8 +569,27 @@ def run(config: SimConfig) -> Trajectory:
     for the first such step, from Observer.observe, before any checkpoint
     or later fault; the steps taken past it, before its block is read,
     raise no floating-point warning.  A sup above max(1, sup u0) + 1e-8
-    raises NumericalError after the last step.
+    raises NumericalError after the last step.  run_until() is this loop,
+    stopped at a first passage.
     """
+    return _integrate(config, None)
+
+
+def run_until(config: SimConfig, name, level) -> Trajectory:
+    """run(config), stopped at the end of the first Observer block in which
+    the series `name` reaches `level` (passage): the steps it takes are
+    run()'s, with every check, and the series are a prefix of run()'s, bit
+    for bit, ending on the last step of that block.  The checkpoints are
+    run()'s recorded before that block; the sup-norm bound is checked over
+    the steps taken.  A passage that never comes runs to t_end and returns
+    run(config)'s trajectory.  `name` must be one of the series the run
+    records (Observer.names)."""
+    return _integrate(config, (name, level))
+
+
+def _integrate(config: SimConfig, stop) -> Trajectory:
+    """The loop of run() and run_until(): stop is None, or the (name, level)
+    of the passage that ends the run."""
     full, even = config.grid, _even_axes(config)
     grid = Grid(full.mode, tuple((0.0, hi) if e else (lo, hi)
                                  for e, (lo, hi) in zip(even, full.extents)),
@@ -569,6 +601,12 @@ def run(config: SimConfig) -> Trajectory:
     u = u0.values
     n_steps, dt = config.n_steps, config.dt
     observer = Observer(grid, config.epsilon, g)
+    if stop is not None:
+        name, level = stop
+        if name not in observer.names:
+            raise ConfigurationError(
+                f"the run records no series {name!r}, only {observer.names}")
+        watched = observer.names.index(name)
     stepper = Stepper(grid, dt, config.epsilon)
     checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
 
@@ -597,6 +635,10 @@ def run(config: SimConfig) -> Trajectory:
             filled += 1
             if filled == size or k in checkpoint_steps or k == n_steps:
                 read(block[:filled], k)
+                if stop is not None and passage(
+                        values[watched, k + 1 - filled:k + 1], level) is not None:
+                    times, values = times[:k + 1], values[:, :k + 1]
+                    break
                 filled = 0
             if k in checkpoint_steps:
                 checkpoints.append((float(times[k]), Field(full, _unfold(u, even))))

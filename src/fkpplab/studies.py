@@ -14,8 +14,10 @@ writer taking the path: its CSV tables in metadata["tables"] and its SVG
 figures in metadata["figures"].
 
 A ladder study builds every rung's config before any run starts, so an
-invalid rung fails at once, and reads their runs in one cached_runs call;
-the barrier check hands its run and its four waves over in one batch.  The
+invalid rung fails at once, and reads their runs in one batch: the
+generation study's rungs run only to their first passage (run_until), the
+other ladders' to t_end.  The barrier check hands its run and its four
+waves over in one batch, and the wave study all its speeds.  The
 jobs not in the study caches run at the same time, each in a worker
 process forked from the caller: at most one worker per uncached job and
 per usable CPU (os.sched_getaffinity), so `taskset -c 0` runs them one
@@ -54,7 +56,8 @@ from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
 from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
-                     compact_value, dump_checkpoint, outflow_margin, run)
+                     compact_value, dump_checkpoint, outflow_margin, passage,
+                     run, run_until)
 from .svgplot import line_plot
 from .waves import decay_rate, solve_wave
 
@@ -82,11 +85,12 @@ RESIDUAL_TOL = 5e-3
 
 
 # The study caches, least recently used first, at most CACHE_SIZE entries
-# each: run(cfg) by config and solve_wave(c) by the key round(c, 12).
-# _cached fills both, under the names of the functions that fill them.
+# each: run(cfg) by config, run_until(cfg, name, level) by its first-passage
+# key (cfg, name, level), and solve_wave(c) by the key round(c, 12).  _cached
+# fills both, under the names of the functions that fill them.
 _runs = OrderedDict()
 _waves = OrderedDict()
-_CACHES = {"run": _runs, "solve_wave": _waves}
+_CACHES = {"run": _runs, "run_until": _runs, "solve_wave": _waves}
 
 
 def _pool_size(n):
@@ -103,22 +107,26 @@ def _pool_size(n):
 
 
 def _call(name, arg):
-    """run(arg) or solve_wave(arg), looked up in this module at call time,
-    so a wrapper bound to either name (perfbench's tracer, a test's stub)
-    is seen, in a pool worker too: it is forked with the module as it is,
-    and the pool pickles this function, not the wrapper, by name."""
+    """run(arg), run_until(*arg) or solve_wave(arg), looked up in this
+    module at call time, so a wrapper bound to any of those names
+    (perfbench's tracer, a test's stub) is seen, in a pool worker too: it is
+    forked with the module as it is, and the pool pickles this function,
+    not the wrapper, by name."""
+    if name == "run_until":
+        return run_until(*arg)
     return {"run": run, "solve_wave": solve_wave}[name](arg)
 
 
 def _cost(job):
     """A job's rank in the pool's queue, highest first: every run before
-    any wave, a run by its steps times nodes, and a wave by its speed c,
-    since the faster a wave, the longer its solve (about 45 ms at c = 1,
-    85 ms at 2 and 220 ms at 4)."""
+    any wave, a run by its steps times nodes (a stopped run as its full
+    run), and a wave by its speed c, since the faster a wave, the longer
+    its solve (about 45 ms at c = 1, 85 ms at 2 and 220 ms at 4)."""
     name, arg = job
-    if name == "run":
-        return (1, arg.n_steps * math.prod(arg.grid.shape))
-    return (0, arg)
+    if name == "solve_wave":
+        return (0, arg)
+    cfg = arg[0] if name == "run_until" else arg
+    return (1, cfg.n_steps * math.prod(cfg.grid.shape))
 
 
 def _fresh(jobs):
@@ -148,13 +156,16 @@ def _fresh(jobs):
         return results
 
 
-def _cached(cfgs, speeds):
-    """run(cfg) of each config, then solve_wave at the key round(c, 12) of
-    each speed, in order, the whole batch even past CACHE_SIZE.  A cached
-    job is read from its cache; the others are computed at the same time
-    (_fresh) and cached, and each cache keeps its CACHE_SIZE most recently
-    used."""
-    jobs = ([("run", cfg) for cfg in cfgs]
+def _cached(runs, speeds):
+    """The runs, then solve_wave at the key round(c, 12) of each speed, in
+    order, the whole batch even past CACHE_SIZE.  A run is run(cfg) of a
+    config, or run_until(cfg, name, level) of a first-passage key
+    (cfg, name, level), which the run cache holds apart from the config's
+    full run.  A cached job is read from its cache; the others are computed
+    at the same time (_fresh) and cached, and each cache keeps its
+    CACHE_SIZE most recently used."""
+    jobs = ([("run_until" if isinstance(key, tuple) else "run", key)
+             for key in runs]
             + [("solve_wave", round(c, 12)) for c in speeds])
     results = {(name, arg): _CACHES[name][arg] for name, arg in jobs
                if arg in _CACHES[name]}
@@ -243,14 +254,21 @@ def _check_threshold_set(initial, epsilon):
             f"{peak:.4g} < {THRESHOLD_K:g} eps|ln eps| = {level:.4g}")
 
 
+def _passage(epsilon):
+    """The generation passage, u >= 1 - eps on the whole threshold set
+    {g >= THRESHOLD_K eps|ln eps|}, as the series and the level it reaches
+    (solver.passage): threshold_min >= 1 - eps."""
+    return "threshold_min", 1.0 - epsilon
+
+
 def _generation_time(traj, epsilon):
-    """First recorded time at which u >= 1 - eps on the whole threshold set
-    {g >= THRESHOLD_K eps|ln eps|}."""
-    hit = np.nonzero(traj.series["threshold_min"] >= 1.0 - epsilon)[0]
-    if hit.size == 0:
+    """First recorded time of the generation passage (_passage)."""
+    name, level = _passage(epsilon)
+    k = passage(traj.series[name], level)
+    if k is None:
         raise ConfigurationError(
             f"threshold 1-eps never reached before t_end at eps={epsilon:g}")
-    return float(traj.series["t"][hit[0]])
+    return float(traj.series["t"][k])
 
 
 def _study(func, **derived):
@@ -400,15 +418,17 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
                          body=ConvexBody.interval(-0.5, 0.5), amplitude=0.5,
                          width=0.25, t_end=0.5) -> ExperimentReport:
     """First time the solution clears 1-eps on {g >= 3 eps|ln eps|}; fits
-    tau = alpha eps|ln eps| and demands a stable alpha."""
+    tau = alpha eps|ln eps| and demands a stable alpha.  Each rung runs only
+    until that passage (run_until), t_end the time it has to come."""
     if amplitude >= 1.0:
         raise ConfigurationError("generation needs amplitude < 1 to be nontrivial")
     report = ExperimentReport("generation", columns=("epsilon", "tau", "alpha"))
-    cfgs = []
+    keys = []
     for eps in epsilons:
-        cfgs.append(compact_family_config(eps, body, amplitude, width, t_end))
-        _check_threshold_set(cfgs[-1].initial, eps)
-    for eps, traj in zip(epsilons, cached_runs(cfgs)):
+        cfg = compact_family_config(eps, body, amplitude, width, t_end)
+        _check_threshold_set(cfg.initial, eps)
+        keys.append((cfg, *_passage(eps)))
+    for eps, traj in zip(epsilons, _cached(keys, ())):
         tau = _generation_time(traj, eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
     taus = _column(report, "tau")
@@ -645,8 +665,7 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
             "tables": tables, "figures": {"waves.svg": partial(
                 line_plot, series=waves, title="travelling waves",
                 xlabel="z", ylabel="U")}})
-    for c in speeds:
-        prof = cached_wave(c)
+    for c, prof in zip(speeds, _cached((), speeds)):
         tables[f"wave_c{c:g}.csv"] = prof.dump_table
         keep = (prof.z >= -15.0) & (prof.z <= 15.0)
         waves.append((prof.z[keep], prof.U[keep], f"c={c:g}"))

@@ -666,11 +666,13 @@ def test_out_holds_the_report_and_the_tables_it_names(tmp_path, monkeypatch,
 def test_wave_svg_solves_each_speed_once(tmp_path, monkeypatch,
                                          empty_study_caches):
     # one more speed than the wave cache holds: the figure draws the
-    # study's own profiles, not a second cache lookup that solves again
+    # study's own profiles, not a second cache lookup that solves again.
+    # The solves are the wave cache's misses, handed to _fresh in this
+    # process, whether they then run here or in pool workers.
     solved = []
-    solve_wave = studies.solve_wave
-    monkeypatch.setattr(studies, "solve_wave",
-                        lambda c: solved.append(c) or solve_wave(c))
+    fresh = studies._fresh
+    monkeypatch.setattr(studies, "_fresh", lambda jobs: solved.extend(
+        c for name, c in jobs if name == "solve_wave") or fresh(jobs))
     speeds = [round(2.0 + 0.1 * k, 1) for k in range(studies.CACHE_SIZE + 1)]
     ini = _write(tmp_path, "wave.ini",
                  "[wave]\nspeeds = " + ", ".join(map(str, speeds)) + "\n")
@@ -853,34 +855,102 @@ def _assert_same_trajectory(a, b):
         assert np.array_equal(fa.values, fb.values)
 
 
+def _count_runs_here(monkeypatch):
+    """The arguments of every run() and run_until() call made in this
+    process from then on, in one list."""
+    calls = []
+    for name in ("run", "run_until"):
+        monkeypatch.setattr(studies, name, lambda *args, real=getattr(
+            studies, name): calls.append(args) or real(*args))
+    return calls
+
+
 # a study, its arguments, and the runs in its one batch: no-interface runs
-# an algebraic run and a compact control per rung
-@pytest.mark.parametrize("study, kwargs, n_runs", (
-    (studies.run_speed_study, {"epsilons": (0.1, 0.05, 0.04), "t_end": 0.2}, 3),
+# an algebraic run and a compact control per rung, generation runs each
+# rung to its first passage
+@pytest.mark.parametrize("study, kwargs, jobs", (
+    (studies.run_speed_study, {"epsilons": (0.1, 0.05, 0.04), "t_end": 0.2},
+     ["run"] * 3),
     (studies.run_no_interface_study, {"epsilons": (0.1, 0.05), "probe_t": 0.2},
-     4),
-))
+     ["run"] * 4),
+    (studies.run_generation_study, {"epsilons": (0.1, 0.05, 0.04),
+                                    "amplitude": 0.9, "t_end": 0.5},
+     ["run_until"] * 3),
+), ids=["speed", "no_interface", "generation"])
 def test_a_pooled_batch_equals_runs_in_process(monkeypatch, empty_study_caches,
-                                               study, kwargs, n_runs):
+                                               study, kwargs, jobs):
     _usable_cpus(monkeypatch, 2)
-    in_parent = []
-    monkeypatch.setattr(studies, "run", lambda cfg: in_parent.append(cfg) or run(cfg))
+    in_parent = _count_runs_here(monkeypatch)
     batches = []
-    cached_runs = studies.cached_runs
-
-    def spy(cfgs):
-        trajs = cached_runs(cfgs)
-        batches.append((cfgs, trajs))
-        return trajs
-
-    monkeypatch.setattr(studies, "cached_runs", spy)
+    fresh = studies._fresh
+    monkeypatch.setattr(studies, "_fresh", lambda batch: batches.append(
+        (batch, fresh(batch))) or batches[-1][1])
     study(**kwargs)
     assert multiprocessing.active_children() == []
-    ((cfgs, trajs),) = batches
-    assert len(cfgs) == n_runs
+    ((batch, trajs),) = batches
+    assert [name for name, _ in batch] == jobs
     assert in_parent == []  # every rung ran in a worker
-    for cfg, traj in zip(cfgs, trajs):
+    for job, traj in zip(batch, trajs):
+        _assert_same_trajectory(traj, studies._call(*job))
+
+
+# tau = 0.202 and 0.184: both rungs stop by t_end / 2, a checkpoint
+GENERATION = {"epsilons": (0.05, 0.04), "t_end": 0.5}
+
+
+def _generation_configs():
+    """The configs of GENERATION's rungs."""
+    return [studies.compact_family_config(eps, ConvexBody.interval(-0.5, 0.5),
+                                          0.5, 0.25, 0.5)
+            for eps in GENERATION["epsilons"]]
+
+
+def _stopped(cfg):
+    """The cached generation rung of the config, under its passage key."""
+    return studies._runs[cfg, "threshold_min", 1.0 - cfg.epsilon]
+
+
+def test_a_stopped_run_never_answers_a_full_run_lookup(empty_study_caches):
+    report = studies.run_generation_study(**GENERATION)
+    for cfg in _generation_configs():
+        assert len(_stopped(cfg).series["t"]) <= cfg.n_steps // 2 + 1
+        traj = studies.cached_run(cfg)
+        assert len(traj.series["t"]) == cfg.n_steps + 1
         _assert_same_trajectory(traj, run(cfg))
+    # and a full run in the cache does not answer the study's rungs: it
+    # runs them to their passages, to the same report
+    studies._runs.clear()
+    runs = studies.cached_runs(_generation_configs())
+    again = studies.run_generation_study(**GENERATION)
+    assert repr(again.rows) == repr(report.rows)
+    assert again.checks == report.checks
+    for cfg, traj in zip(_generation_configs(), runs):
+        assert studies._runs[cfg] is traj
+        assert len(_stopped(cfg).series["t"]) <= cfg.n_steps // 2 + 1
+
+
+def test_a_passage_past_t_end_fails_the_generation_study(empty_study_caches):
+    # tau is about 0.18 at eps = 0.04: its run goes to t_end = 0.1 in full
+    with pytest.raises(ConfigurationError, match=r"^threshold 1-eps never "
+                       r"reached before t_end at eps=0\.04$"):
+        studies.run_generation_study((0.04, 0.02), t_end=0.1)
+    cfg = studies.compact_family_config(0.04, ConvexBody.interval(-0.5, 0.5),
+                                        0.5, 0.25, 0.1)
+    assert len(_stopped(cfg).series["t"]) == cfg.n_steps + 1
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_generation_blow_up_exit_code(tmp_path, monkeypatch, capsys,
+                                      empty_study_caches, blow_up, cpus):
+    # step 3 comes before the passage at every rung, so every rung fails
+    _usable_cpus(monkeypatch, cpus)
+    ini = _write(tmp_path, "cfg.ini", SPEED_INI)
+    rc = cli.main(["generation", "--config", ini, "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert re.fullmatch(
+        f"fkpplab generation: numerical error: solution lost finiteness "
+        f"at step {blow_up}, near t=[0-9.e-]+\n", capsys.readouterr().err)
+    assert multiprocessing.active_children() == []
 
 
 def test_a_failing_rung_raises_as_in_a_serial_run(tmp_path, monkeypatch, capsys,
@@ -1056,8 +1126,7 @@ def test_an_invalid_rung_fails_before_any_run(tmp_path, monkeypatch, capsys,
                                               command, text, message):
     # with one usable CPU a run would happen in this process, and be counted
     _usable_cpus(monkeypatch, 1)
-    runs = []
-    monkeypatch.setattr(studies, "run", lambda cfg: runs.append(cfg) or run(cfg))
+    runs = _count_runs_here(monkeypatch)
     ini = _write(tmp_path, "cfg.ini", text)
     assert cli.main([command, "--config", ini, "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == (

@@ -25,7 +25,9 @@ from fkpplab.solver import (
     build_initial,
     default_dt,
     dump_checkpoint,
+    passage,
     run,
+    run_until,
 )
 from fkpplab.studies import (algebraic_family_config, cached_run, cached_wave,
                              compact_family_config)
@@ -355,6 +357,71 @@ def test_run_reports_blow_up_where_a_block_is_read(set_node, value, where):
     with pytest.raises(NumericalError, match=f"finiteness at step {step},") as info:
         run(cfg)
     assert info.value.diagnostic == (step * dt, step)
+
+
+def _passage_config(checkpoints):
+    """A generation rung at eps = 0.1, 320 steps of dt = 1/640, whose
+    threshold_min first reaches 1 - eps on step 197."""
+    return compact_family_config(0.1, BODY, 0.9, 0.25, 0.5,
+                                 checkpoints=checkpoints)
+
+
+@pytest.mark.parametrize("blocks", ["one_state", "checkpoints"])
+def test_run_until_stops_at_the_end_of_the_passage_block(monkeypatch, blocks):
+    # one state per block: the run stops on the passage step itself; blocks
+    # of up to K = 425 states that end at checkpoints about 19 steps apart:
+    # it stops on the first checkpoint step past the passage, 211
+    times = tuple(0.03 * i for i in range(1, 17))
+    cfg = _passage_config(times)
+    full = run(cfg)
+    level = 1.0 - 0.1
+    k = passage(full.series["threshold_min"], level)
+    steps = [round(t / cfg.dt) for t in times]
+    if blocks == "one_state":
+        monkeypatch.setattr(solver, "BLOCK_BYTES", 1)
+        end = k
+    else:
+        end = min(s for s in steps if s >= k)
+    assert (k, end) == (197, 197 if blocks == "one_state" else 211)
+    stopped = run_until(cfg, "threshold_min", level)
+    assert stopped.config == cfg and stopped.series.keys() == full.series.keys()
+    for name, values in stopped.series.items():
+        assert len(values) == end + 1
+        assert np.array_equal(values, full.series[name][:end + 1],
+                              equal_nan=True), name
+    kept = [(t, fld) for t, fld in full.checkpoints if round(t / cfg.dt) < end]
+    assert 0 < len(kept) < len(full.checkpoints)
+    assert [t for t, _ in stopped.checkpoints] == [t for t, _ in kept]
+    for (_, a), (_, b) in zip(stopped.checkpoints, kept):
+        assert np.array_equal(a.values, b.values)
+
+
+def test_run_until_a_passage_that_never_comes_runs_to_t_end():
+    cfg = _passage_config(None)
+    full = run(cfg)
+    stopped = run_until(cfg, "threshold_min", 2.0)
+    assert len(stopped.series["t"]) == cfg.n_steps + 1
+    for name, values in full.series.items():
+        assert np.array_equal(stopped.series[name], values, equal_nan=True)
+    assert [t for t, _ in stopped.checkpoints] == [t for t, _ in full.checkpoints]
+
+
+@pytest.mark.parametrize("cfg, name", [
+    (compact_family_config(0.1, BODY, 0.9, 0.25, 0.2), "speed"),
+    # algebraic data have no threshold set
+    (algebraic_family_config(0.1, 0.5, 2.0, 0.2, 1.0), "threshold_min"),
+], ids=["compact", "algebraic"])
+def test_run_until_rejects_a_series_the_run_does_not_record(cfg, name):
+    with pytest.raises(ConfigurationError, match=f"records no series '{name}'"):
+        run_until(cfg, name, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_until_reports_blow_up_with_time_and_step(blow_up):
+    cfg = _passage_config(None)
+    with pytest.raises(NumericalError, match="finiteness") as info:
+        run_until(cfg, "threshold_min", 0.9)
+    assert info.value.diagnostic == (blow_up * cfg.dt, blow_up)
 
 
 def test_sup_norm_bound_with_overshooting_data():
