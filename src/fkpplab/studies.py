@@ -86,7 +86,7 @@ RESIDUAL_TOL = 5e-3
 
 # The study caches, least recently used first, at most CACHE_SIZE entries
 # each: run(cfg) by config, run_until(cfg, name, level) by its first-passage
-# key (cfg, name, level), and solve_wave(c) by the key round(c, 12).  _cached
+# key (cfg, name, level), and solve_wave(c) by the key round(c, 12).  cached
 # fills both, under the names of the functions that fill them.
 _runs = OrderedDict()
 _waves = OrderedDict()
@@ -156,7 +156,7 @@ def _fresh(jobs):
         return results
 
 
-def _cached(runs, speeds):
+def cached(runs, speeds):
     """The runs, then solve_wave at the key round(c, 12) of each speed, in
     order, the whole batch even past CACHE_SIZE.  A run is run(cfg) of a
     config, or run_until(cfg, name, level) of a first-passage key
@@ -178,23 +178,6 @@ def _cached(runs, speeds):
         if len(cache) > CACHE_SIZE:
             cache.popitem(last=False)
     return [results[job] for job in jobs]
-
-
-def cached_runs(cfgs):
-    """run(cfg) of each config of the list, in order (_cached): the
-    uncached configs run at the same time."""
-    return _cached(cfgs, ())
-
-
-def cached_run(cfg: SimConfig):
-    """cached_runs of the one config."""
-    return cached_runs([cfg])[0]
-
-
-def cached_wave(c):
-    """solve_wave at the key round(c, 12), through the wave cache (_cached),
-    in this process: sign-changing below 2, monotone otherwise."""
-    return _cached((), (c,))[0]
 
 
 def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
@@ -339,7 +322,7 @@ def run_speed_study(epsilons=(0.04, 0.02, 0.01),
         "speed", columns=("epsilon", "speed", "abs_error", "allowed_error"))
     cfgs = [compact_family_config(eps, body, amplitude, width, t_end)
             for eps in epsilons]
-    for eps, traj in zip(epsilons, cached_runs(cfgs)):
+    for eps, traj in zip(epsilons, cached(cfgs, ())):
         speed, icpt, resid = _front_speed_fit(traj)
         err = abs(speed - 2.0)
         allowed = 10.0 * eps_log(eps)
@@ -388,7 +371,7 @@ def run_thickness_study(epsilons=(0.04, 0.02, 0.01),
                  "band_const_mid", "band_const_end"))
     cfgs = [compact_family_config(eps, body, amplitude, width, t_end)
             for eps in epsilons]
-    for eps, traj in zip(epsilons, cached_runs(cfgs)):
+    for eps, traj in zip(epsilons, cached(cfgs, ())):
         (t_mid, f_mid), (t_fin, f_end) = traj.checkpoints
         w_mid, w_end = (traj.series["layer_width"][round(t / traj.config.dt)]
                         for t in (t_mid, t_fin))
@@ -428,7 +411,7 @@ def run_generation_study(epsilons=(0.04, 0.02, 0.01),
         cfg = compact_family_config(eps, body, amplitude, width, t_end)
         _check_threshold_set(cfg.initial, eps)
         keys.append((cfg, *_passage(eps)))
-    for eps, traj in zip(epsilons, _cached(keys, ())):
+    for eps, traj in zip(epsilons, cached(keys, ())):
         tau = _generation_time(traj, eps)
         report.add_row(epsilon=eps, tau=tau, alpha=tau / eps_log(eps))
     taus = _column(report, "tau")
@@ -462,7 +445,7 @@ def run_no_interface_study(epsilons=(0.04, 0.02, 0.01), m=0.5, n=2.0,
                  compact_family_config(eps, body, CONTROL_AMPLITUDE,
                                        CONTROL_WIDTH, probe_t, mode="radial",
                                        dim=dim, min_reach=reach)]
-    trajs = cached_runs(cfgs)
+    trajs = cached(cfgs, ())
     for eps, traj, ctraj in zip(epsilons, trajs[::2], trajs[1::2]):
         fld = traj.checkpoints[-1][1]
         p_alg = interpolate(fld, probe_x)
@@ -519,115 +502,78 @@ def fit_generation_drift(traj, kin, initial, checkpoints):
     raise ConfigurationError("no drift constant K <= 256 orders the barrier")
 
 
-@_study
-def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
-                      amplitude=0.9, width=0.1, t_end=1.0) -> ExperimentReport:
-    """Sandwich and sign checks for every barrier on one compact run, plus
-    the expanding-shell barrier over algebraic data; emits the
-    (t, slack, violation) table and one verdict per property.  A sabotaged
-    global super-solution, its amplitude below the K0 floor, must be seen
-    to break the ordering.  The ordering tolerance is max(1e-3, 5 dx),
-    dx = eps/8; the generation window GEN_WINDOW eps|ln eps| must fit in
-    t_end; the checkpoints recorded in it read the generation barrier.
-    """
-    eL = eps_log(epsilon)
-    window = GEN_WINDOW * eL
-    if not window <= t_end:
-        raise ConfigurationError(
-            f"[solver] t_end = {t_end:g} must be at least GEN_WINDOW "
-            f"eps|ln eps| = {window:.4g}")
-    gen_times = tuple(np.linspace(0.25, 1.0, 4) * window)
-    motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
-    cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
-                                checkpoints=gen_times + motion_times)
-    initial, grid = cfg.initial, cfg.grid
-    _check_threshold_set(initial, epsilon)
-    # the run and the four waves read below, computed at the same time
-    _cached([cfg], (2.0, MOTION_SPEED, 2.0 - eL, SHELL_SPEED))
-    ordering_tol = max(1e-3, 5.0 * grid.dx)
-    report = ExperimentReport(
-        "barriers",
-        columns=("t", "min_slack_sub", "min_slack_super",
-                 "max_residual_super_violation", "max_residual_sub_violation"))
-    traj = cached_run(cfg)
-    kin = KineticsParams(epsilon)
-    x = grid.axis(0)
-
+def _sandwich(traj, kin, window, waves):
+    """The sandwich rows, one per checkpoint (t, field), each barrier taken
+    at that t, and the barriers.svg and sandwich.svg figures.  From below:
+    up to the generation window, the generation barrier at the least drift
+    that orders it (fit_generation_drift); past it, the larger of the
+    motion sub-solutions on the waves of speed 2 - eps|ln eps| and
+    MOTION_SPEED, started at the generation time.  From above: the smaller
+    of the generation super-solution and the global one at
+    K_hat = max(1, K0).  `waves` are the profiles at c = 2, MOTION_SPEED and
+    2 - eps|ln eps|."""
+    epsilon, grid, initial = traj.config.epsilon, traj.config.grid, traj.config.initial
+    body, x = initial.body, grid.axis(0)
+    wave_min, wave_motion, wave_eps = waves
     t_gen = _generation_time(traj, epsilon)
-
-    generation = [(tc, fld) for tc, fld in traj.checkpoints if tc <= window]
-    K = fit_generation_drift(traj, kin, initial, generation)
-    wave_min = cached_wave(2.0)
+    K = fit_generation_drift(traj, kin, initial, [
+        (tc, fld) for tc, fld in traj.checkpoints if tc <= window])
     K_hat = max(1.0, k0_lower_bound(wave_min, initial))
     m1 = m1_recipe(initial)
-    wave_motion = cached_wave(MOTION_SPEED)
-    wave_eps = cached_wave(2.0 - eL)
-
-    viol = 0.0  # the sabotage probe: u over global_super at K_hat = 0.5
-    for i, (tc, fld) in enumerate(traj.checkpoints):
+    rows = []
+    for tc, fld in traj.checkpoints:
         u = fld.values
-        if i < len(generation):
+        if tc <= window:
             sub = generation_sub(tc, x, K, kin, initial)
             res_sub_viol = 0.0
         else:
             tm = tc - t_gen
-            sub = np.maximum(
-                motion_sub(tm, x, m1, wave_eps, body, epsilon),
-                motion_sub(tm, x, m1, wave_motion, body, epsilon),
-            )
+            sub = np.maximum(motion_sub(tm, x, m1, wave_eps, body, epsilon),
+                             motion_sub(tm, x, m1, wave_motion, body, epsilon))
             res_field = discrete_residual(
                 lambda tt, xx: motion_sub(tt, xx, m1, wave_motion, body, epsilon),
                 tm if tm > grid.dx else grid.dx, grid, epsilon).values
             theta = motion_theta(tm, x, m1, wave_motion, body, epsilon)
             res_sub_viol = max(0.0, float(res_field[~_kink_mask(theta)].max()))
-        sup_bar = np.minimum(
-            generation_super(tc, epsilon, initial),
-            global_super(tc, x, K_hat, wave_min, body, epsilon),
-        )
+        sup_bar = np.minimum(generation_super(tc, epsilon, initial),
+                             global_super(tc, x, K_hat, wave_min, body, epsilon))
         res_sup = discrete_residual(
             lambda tt, xx: global_super(tt, xx, K_hat, wave_min, body, epsilon),
             max(tc, grid.dx), grid, epsilon).values
-        slack_sub = float((u - sub).min())
-        slack_super = float((sup_bar - u).min())
-        res_sup_viol = max(0.0, -float(res_sup.min()))
-        viol = max(viol, float(
-            (u - global_super(tc, x, 0.5, wave_min, body, epsilon)).max()))
-        report.add_row(t=tc, min_slack_sub=slack_sub, min_slack_super=slack_super,
-                       max_residual_super_violation=res_sup_viol,
-                       max_residual_sub_violation=res_sub_viol)
-
-    ts = _column(report, "t")
-    report.metadata["figures"] = {
-        "barriers.svg": partial(
-            line_plot, series=[(ts, _column(report, "min_slack_sub"), "sub slack"),
-                               (ts, _column(report, "min_slack_super"),
-                                "super slack")],
+        rows.append(dict(t=tc, min_slack_sub=float((u - sub).min()),
+                         min_slack_super=float((sup_bar - u).min()),
+                         max_residual_super_violation=max(0.0, -float(res_sup.min())),
+                         max_residual_sub_violation=res_sub_viol))
+    ts = [row["t"] for row in rows]
+    return rows, {
+        "barriers.svg": partial(line_plot, series=[
+            (ts, [row["min_slack_sub"] for row in rows], "sub slack"),
+            (ts, [row["min_slack_super"] for row in rows], "super slack")],
             title="barrier slack", xlabel="t", ylabel="slack"),
         # u between the barriers at the last checkpoint
         "sandwich.svg": partial(
             line_plot, series=[(x, u, "u"), (x, sub, "sub-solution"),
                                (x, sup_bar, "super-solution")],
             title=f"sandwich at t={tc:g}", xlabel="x", ylabel="u")}
-    worst_sub = min(0.0, *_column(report, "min_slack_sub"))
-    worst_super = min(0.0, *_column(report, "min_slack_super"))
-    report.add_check("sub_barriers_below_solution", worst_sub >= -ordering_tol,
-                     f"min slack {worst_sub:.4f} >= -{ordering_tol:.4f}")
-    report.add_check("super_barriers_above_solution",
-                     worst_super >= -ordering_tol,
-                     f"min slack {worst_super:.4f} >= -{ordering_tol:.4f}")
-    res_viols = [max(r["max_residual_super_violation"],
-                     r["max_residual_sub_violation"]) for r in report.rows]
-    report.add_check("residual_signs", max(res_viols) <= RESIDUAL_TOL,
-                     f"max violation {max(res_viols):.2e} <= {RESIDUAL_TOL:g}")
 
-    # an amplitude below the K0 floor must break the ordering
-    report.add_check("sabotage_detected", viol > ordering_tol,
-                     f"K_hat=0.5<K0 violates by {viol:.3f}")
 
-    # expanding-shell barrier over algebraic data (radial)
+def _sabotage(traj, wave_min):
+    """The sabotage probe: how far u rises above the global super-solution
+    at K_hat = 0.5, below the K0 floor, over the checkpoints, and 0.0 where
+    it never does."""
+    eps, x, body = (traj.config.epsilon, traj.config.grid.axis(0),
+                    traj.config.initial.body)
+    return max(0.0, *(
+        float((fld.values - global_super(tc, x, 0.5, wave_min, body, eps)).max())
+        for tc, fld in traj.checkpoints))
+
+
+def _shell_barrier(report, epsilon, wave_shell):
+    """Adds the checks of the expanding-shell barrier over algebraic data
+    (radial), on the wave of speed SHELL_SPEED: it starts under u0, and its
+    residual has the sign of a sub-solution outside the shell's kinks."""
     shell = algebraic_family_config(epsilon, 0.5, 2.0, 0.4, 4.0)
     alg, rgrid, t_shell = shell.initial, shell.grid, shell.t_end
-    wave_shell = cached_wave(SHELL_SPEED)
     r = rgrid.axis(0)
     w0 = radial_sub_W(0.0, r, wave_shell, epsilon, rgrid.dim, alg)
     u0 = build_initial(alg, rgrid, epsilon, r)[0].values
@@ -642,6 +588,56 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     shell_viol = max(0.0, float(res[~kinks].max()))
     report.add_check("shell_residual_sign", shell_viol <= RESIDUAL_TOL,
                      f"max violation {shell_viol:.2e}")
+
+
+@_study
+def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
+                      amplitude=0.9, width=0.1, t_end=1.0) -> ExperimentReport:
+    """The comparison argument on one compact run, in three steps: the
+    sandwich (_sandwich), whose rows give the (t, slack, violation) table
+    and a verdict per property; the sabotage probe (_sabotage), which must
+    break the ordering; the expanding-shell barrier (_shell_barrier).  The
+    ordering tolerance is max(1e-3, 5 dx), dx = eps/8; the generation
+    window GEN_WINDOW eps|ln eps| must fit in t_end.  The config and the
+    kinetics are checked before the run and the waves start."""
+    eL = eps_log(epsilon)
+    window = GEN_WINDOW * eL
+    if not window <= t_end:
+        raise ConfigurationError(
+            f"[solver] t_end = {t_end:g} must be at least GEN_WINDOW "
+            f"eps|ln eps| = {window:.4g}")
+    gen_times = tuple(np.linspace(0.25, 1.0, 4) * window)
+    motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
+    cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
+                                checkpoints=gen_times + motion_times)
+    _check_threshold_set(cfg.initial, epsilon)
+    kin = KineticsParams(epsilon)
+    # the run and the four waves, computed at the same time
+    traj, *waves, wave_shell = cached(
+        [cfg], (2.0, MOTION_SPEED, 2.0 - eL, SHELL_SPEED))
+    rows, figures = _sandwich(traj, kin, window, waves)
+    report = ExperimentReport(
+        "barriers",
+        columns=("t", "min_slack_sub", "min_slack_super",
+                 "max_residual_super_violation", "max_residual_sub_violation"),
+        rows=rows, metadata={"figures": figures})
+    ordering_tol = max(1e-3, 5.0 * cfg.grid.dx)
+    worst_sub = min(0.0, *_column(report, "min_slack_sub"))
+    worst_super = min(0.0, *_column(report, "min_slack_super"))
+    report.add_check("sub_barriers_below_solution", worst_sub >= -ordering_tol,
+                     f"min slack {worst_sub:.4f} >= -{ordering_tol:.4f}")
+    report.add_check("super_barriers_above_solution",
+                     worst_super >= -ordering_tol,
+                     f"min slack {worst_super:.4f} >= -{ordering_tol:.4f}")
+    res_viols = [max(r["max_residual_super_violation"],
+                     r["max_residual_sub_violation"]) for r in report.rows]
+    report.add_check("residual_signs", max(res_viols) <= RESIDUAL_TOL,
+                     f"max violation {max(res_viols):.2e} <= {RESIDUAL_TOL:g}")
+    # an amplitude below the K0 floor must break the ordering
+    viol = _sabotage(traj, waves[0])
+    report.add_check("sabotage_detected", viol > ordering_tol,
+                     f"K_hat=0.5<K0 violates by {viol:.3f}")
+    _shell_barrier(report, epsilon, wave_shell)
     return report
 
 
@@ -665,7 +661,7 @@ def run_wave_study(speeds=(2.0, 2.2, 2.5, 3.0)) -> ExperimentReport:
             "tables": tables, "figures": {"waves.svg": partial(
                 line_plot, series=waves, title="travelling waves",
                 xlabel="z", ylabel="U")}})
-    for c, prof in zip(speeds, _cached((), speeds)):
+    for c, prof in zip(speeds, cached((), speeds)):
         tables[f"wave_c{c:g}.csv"] = prof.dump_table
         keep = (prof.z >= -15.0) & (prof.z <= 15.0)
         waves.append((prof.z[keep], prof.U[keep], f"c={c:g}"))

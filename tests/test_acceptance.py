@@ -29,8 +29,8 @@ from fkpplab.solver import (
 from fkpplab.studies import (
     _front_speed_fit,
     _generation_time,
-    cached_run,
-    cached_wave,
+    _passage,
+    cached,
     compact_family_config,
     run_barrier_check,
     run_compact_simulation,
@@ -42,6 +42,11 @@ from fkpplab.studies import (
 )
 
 LADDER = (0.04, 0.02, 0.01)
+
+
+def _run(cfg):
+    """run(cfg), through the study caches."""
+    return cached([cfg], ())[0]
 
 
 def _verdict(num, name, passed, detail, elapsed, budget):
@@ -65,7 +70,7 @@ def test_criterion_1_wave_correctness():
 
 def test_criterion_2_minimal_speed_tail_law():
     t0 = time.perf_counter()
-    prof = cached_wave(2.0)
+    (prof,) = cached((), (2.0,))
     gm, gp = prof.kpp_ratio_bounds()
     ok = 0.0 < gm <= gp <= 10.0 * gm
     _verdict(2, "minimal-speed-tail-law", ok,
@@ -100,11 +105,11 @@ def test_thickness_is_the_minimal_wave_width():
     width of the same levels on the c = 2 wave, short by about 0.7 eps:
     measured (1 - ratio)/eps is 0.78 at eps 0.04 and 0.74 at 0.02, and a
     5% error in the diffusion factor moves it outside [0.5, 1] at both."""
-    wave = cached_wave(2.0)
+    (wave,) = cached((), (2.0,))
     for eps in (0.04, 0.02):
         cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
                                     0.25, 1.0)
-        traj = cached_run(cfg)
+        traj = _run(cfg)
         width = traj.series["layer_width"][round(traj.checkpoints[-1][0] / cfg.dt)]
         z_lo, z_hi = np.interp([eps, 1.0 - 2.0 * eps], wave.U[::-1], wave.z[::-1])
         ratio = width / (eps * (z_lo - z_hi))
@@ -130,7 +135,7 @@ def test_front_speed_has_the_bramson_delay():
     for eps in LADDER:
         cfg = compact_family_config(eps, ConvexBody.interval(-0.5, 0.5), 0.9,
                                     0.25, 1.0)
-        speed = _front_speed_fit(cached_run(cfg))[0]
+        speed = _front_speed_fit(_run(cfg))[0]
         assert abs((speed - 2.0) / eps + 2.78) <= 0.5, (eps, speed)
 
 
@@ -148,7 +153,8 @@ def test_generation_time_is_the_logistic_time_and_eps():
         g = compact_value(cfg.initial, cfg.grid.axis(0))
         g0 = float(g[g >= THRESHOLD_K * eps_log(eps)].min())
         tau_ode = eps * math.log((1.0 - eps) * (1.0 - g0) / (eps * g0))
-        tau = _generation_time(cached_run(cfg), eps)
+        # the generation study's rung, stopped at its first passage
+        tau = _generation_time(cached([(cfg, *_passage(eps))], ())[0], eps)
         assert 0.85 <= (tau - tau_ode) / eps <= 1.10, (eps, tau, tau_ode)
 
 
@@ -336,7 +342,7 @@ def test_criterion_9_solver_numerics():
     # sup bound 1 + eps + 1e-8 after the generation time
     cfg = compact_family_config(eps, body, 0.9, 0.25, t_end=0.5,
                                 tail=(1.0, 0.3))
-    traj = cached_run(cfg)
+    traj = _run(cfg)
     sup = traj.series["sup"]
     t = traj.series["t"]
     sup_after = float(sup[t >= 2.0 * eps_log(eps)].max())
@@ -353,8 +359,8 @@ def test_criterion_9_solver_numerics():
                       t_end=t2, checkpoint_times=(t2,))
     cfg_p = SimConfig(eps2, Grid("plane", ((-ext, ext), (-ext, ext)), dx2),
                       init, t_end=t2, checkpoint_times=(t2,))
-    fr = cached_run(cfg_r).checkpoints[-1][1]
-    fp = cached_run(cfg_p).checkpoints[-1][1]
+    fr = _run(cfg_r).checkpoints[-1][1]
+    fp = _run(cfg_p).checkpoints[-1][1]
     r = cfg_r.grid.axis(0)
     ur = fr.values
     up = np.array([interpolate(fp, (ri, 0.0)) for ri in r])

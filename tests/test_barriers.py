@@ -24,13 +24,18 @@ from fkpplab.geometry import ConvexBody, cutoff_distance
 from fkpplab.grids import Grid
 from fkpplab.kinetics import KineticsParams, eps_log
 from fkpplab.solver import InitialData, compact_value
-from fkpplab.studies import _kink_mask, cached_wave
+from fkpplab.studies import _kink_mask, cached
 
 EPS = 0.02
 BODY = ConvexBody.interval(-0.5, 0.5)
 INIT = InitialData.compact(BODY, amplitude=0.9, width=0.25)
 KIN = KineticsParams(EPS)
 K = 3.0
+
+
+def _wave(c):
+    """The wave of speed c, through the study caches."""
+    return cached((), (c,))[0]
 
 
 def test_generation_sub_at_time_zero_is_g():
@@ -67,7 +72,7 @@ def test_generation_super_is_the_logistic_flow(init):
 
 
 def test_k0_lower_bound_arithmetic():
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     tail_free = InitialData.compact(BODY, amplitude=1.0, width=0.25)
     # max(1, 2*1) with U(0) = 1/2
     assert k0_lower_bound(wave, tail_free) == pytest.approx(2.0, rel=1e-9)
@@ -80,7 +85,7 @@ def test_k0_lower_bound_arithmetic():
 
 
 def test_k0_monotone_in_amplitude_and_tail():
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     base = k0_lower_bound(wave, InitialData.compact(BODY, 0.5, 0.25))
     higher = k0_lower_bound(wave, InitialData.compact(BODY, 0.9, 0.25))
     assert base <= higher
@@ -89,7 +94,7 @@ def test_k0_monotone_in_amplitude_and_tail():
 
 
 def test_global_super_anchor_and_tail():
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     # on the travelled front the argument is 0: value K_hat * U(0)
     x_front = 0.5 + 2.0 * 0.3
     assert global_super(0.3, x_front, 1.8, wave, BODY, EPS) == pytest.approx(
@@ -103,7 +108,7 @@ def test_global_super_anchor_and_tail():
 
 def test_motion_sub_truncation_and_left_value():
     c = 1.5
-    wave = cached_wave(c)
+    wave = _wave(c)
     big = ConvexBody.interval(-2.4, 2.4)
     # argument >= 0 (outside the shifted front): barrier is zero
     assert motion_sub(0.0, 2.5, 0.333, wave, big, EPS) == 0.0
@@ -115,7 +120,7 @@ def test_motion_sub_truncation_and_left_value():
 @pytest.mark.parametrize("c", (2.0, 2.5))
 def test_motion_sub_rejects_a_monotone_wave(c):
     with pytest.raises(ConfigurationError, match="sign-changing"):
-        motion_sub(0.0, 0.0, 1.0, cached_wave(c), BODY, EPS)
+        motion_sub(0.0, 0.0, 1.0, _wave(c), BODY, EPS)
 
 
 @pytest.mark.parametrize("c", (1.2, 1.5, 1.8))
@@ -123,7 +128,7 @@ def test_motion_theta_moves_the_cutoff_at_the_wave_speed(c):
     m1 = 0.333
     x = np.linspace(-3.0, 3.0, 61)
     shift = eps_log(EPS) * m1 * math.exp(M2 * 0.2)
-    assert np.array_equal(motion_theta(0.2, x, m1, cached_wave(c), BODY, EPS),
+    assert np.array_equal(motion_theta(0.2, x, m1, _wave(c), BODY, EPS),
                           (cutoff_distance(BODY, c, 0.2, x) + shift) / EPS)
 
 
@@ -139,7 +144,7 @@ def test_discrete_residual_travelling_wave_truncation():
     # the exact travelling solution U((x-2t)/eps) must have only
     # finite-difference truncation residual, O(dx^2/eps^3)
     eps = 0.02
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     grid = Grid("line", ((-2.0, 2.0),), eps / 16)
     v = lambda t, x: wave.evaluate((x - 2.0 * t) / eps)
     res = discrete_residual(v, 0.25, grid, eps)
@@ -153,7 +158,7 @@ def test_discrete_residual_on_a_plane_is_the_lines_along_each_axis(axis):
     # line grid's residual along that axis, bit for bit; axis 1 starts at 0,
     # a mirror wall
     eps = 0.02
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     extents = ((-1.0, 1.5), (0.0, 1.25))
     v = lambda t, x: wave.evaluate((x - 2.0 * t) / eps)
     plane = discrete_residual(lambda t, x: v(t, x[..., axis]), 0.3,
@@ -166,7 +171,7 @@ def test_discrete_residual_on_a_plane_is_the_lines_along_each_axis(axis):
 
 
 def test_global_super_residual_nonnegative():
-    wave = cached_wave(2.0)
+    wave = _wave(2.0)
     grid = Grid("line", ((-4.0, 4.0),), EPS / 8)
     v = lambda t, x: global_super(t, x, 1.8, wave, BODY, EPS)
     res = discrete_residual(v, 0.5, grid, EPS)
@@ -178,7 +183,7 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
     # clamp zone sits deep inside the wave's saturated tail
     eps = 0.01
     c = 1.5
-    wave = cached_wave(c)
+    wave = _wave(c)
     body = ConvexBody.interval(-2.4, 2.4)
     init = InitialData.compact(body, 0.9, 0.1)
     m1 = m1_recipe(init)
@@ -193,7 +198,7 @@ def test_motion_sub_residual_nonpositive_away_from_kink():
 
 def test_radial_sub_W_geometry():
     alg = InitialData.algebraic(m=0.5, n=2.0)
-    wave = cached_wave(2.5)
+    wave = _wave(2.5)
     eps = 0.02
     t = 0.1
     # plateau on the shell: r <= c1 t with t small keeps |s| <= rho
@@ -210,7 +215,7 @@ def test_radial_sub_W_geometry():
 
 def test_radial_sub_W_residual_sign():
     alg = InitialData.algebraic(m=0.5, n=2.0)
-    wave = cached_wave(2.5)
+    wave = _wave(2.5)
     eps = 0.02
     grid = Grid("radial", ((0.0, 4.0),), eps / 8, dim=2)
     r = grid.axis(0)
@@ -227,7 +232,7 @@ def test_radial_sub_W_condition_errors_name_the_condition():
     # N = 26 needs rho >= 20, n = 8 needs rho >= 16, and m = 0.2 puts
     # m/(1 + rho^n) below M_c e^{-rho/2}
     alg = InitialData.algebraic(m=0.5, n=2.0)
-    wave = cached_wave(2.5)
+    wave = _wave(2.5)
     eps = 0.02
     radial_sub_W(0.1, 1.0, wave, eps, 2, alg)
     with pytest.raises(ConfigurationError, match="curvature"):

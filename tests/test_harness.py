@@ -272,11 +272,12 @@ def test_cli_check_failure_exit_code(tmp_path, monkeypatch):
 def _width_at_eps_002(monkeypatch, width):
     """Every layer_width the runs at eps 0.02 record reads `width`; the
     cached trajectories are left as they are."""
-    cached_runs = studies.cached_runs
-    monkeypatch.setattr(studies, "cached_runs", lambda cfgs: [
+    cached = studies.cached
+    monkeypatch.setattr(studies, "cached", lambda runs, speeds: [
         replace(traj, series={**traj.series, "layer_width": np.full_like(
             traj.series["layer_width"], width)})
-        if traj.config.epsilon == 0.02 else traj for traj in cached_runs(cfgs)])
+        if traj.config.epsilon == 0.02 else traj
+        for traj in cached(runs, speeds)])
 
 
 @pytest.mark.parametrize("width", (-0.01, 0.0))
@@ -806,29 +807,29 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
     built = []
     monkeypatch.setattr(studies, "run", lambda cfg: built.append(cfg) or cfg)
     for key in range(studies.CACHE_SIZE):
-        studies.cached_run(key)
-    studies.cached_run(0)  # a hit: key 1 is now the least recently used
-    studies.cached_run(studies.CACHE_SIZE)  # one past the cap
+        studies.cached([key], ())
+    studies.cached([0], ())  # a hit: key 1 is now the least recently used
+    studies.cached([studies.CACHE_SIZE], ())  # one past the cap
     assert len(studies._runs) == studies.CACHE_SIZE
     assert len(built) == studies.CACHE_SIZE + 1
-    studies.cached_run(0)  # still held, so not built again
+    studies.cached([0], ())  # still held, so not built again
     assert len(built) == studies.CACHE_SIZE + 1
-    studies.cached_run(1)  # evicted, so built again, which evicts key 2
+    studies.cached([1], ())  # evicted, so built again, which evicts key 2
     assert built[-1] == 1 and len(built) == studies.CACHE_SIZE + 2
-    studies.cached_run(2)
+    studies.cached([2], ())
     assert built[-1] == 2
 
     solved = []
     monkeypatch.setattr(studies, "solve_wave", lambda c: solved.append(c) or c)
     for c in range(studies.CACHE_SIZE + 1):
-        studies.cached_wave(2.0 + c)
+        studies.cached((), (2.0 + c,))
     assert len(studies._waves) == studies.CACHE_SIZE
-    studies.cached_wave(2.0)  # evicted, so solved again
+    studies.cached((), (2.0,))  # evicted, so solved again
     assert solved == [2.0 + c for c in range(studies.CACHE_SIZE + 1)] + [2.0]
 
 
 def _usable_cpus(monkeypatch, n):
-    """Make cached_runs see n usable CPUs: 1 runs every rung in this process,
+    """Make cached see n usable CPUs: 1 runs every rung in this process,
     as under `taskset -c 0`; 2 sends a batch's rungs to two workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
@@ -839,7 +840,7 @@ def test_a_batch_past_the_cache_size_is_returned_whole(monkeypatch,
     built = []
     monkeypatch.setattr(studies, "run", lambda cfg: built.append(cfg) or str(cfg))
     keys = list(range(studies.CACHE_SIZE + 2))
-    assert studies.cached_runs(keys) == [str(key) for key in keys]
+    assert studies.cached(keys, ()) == [str(key) for key in keys]
     assert built == keys  # in this process, in order
     assert list(studies._runs) == keys[2:]  # the most recently used stay
 
@@ -914,13 +915,13 @@ def test_a_stopped_run_never_answers_a_full_run_lookup(empty_study_caches):
     report = studies.run_generation_study(**GENERATION)
     for cfg in _generation_configs():
         assert len(_stopped(cfg).series["t"]) <= cfg.n_steps // 2 + 1
-        traj = studies.cached_run(cfg)
+        (traj,) = studies.cached([cfg], ())
         assert len(traj.series["t"]) == cfg.n_steps + 1
         _assert_same_trajectory(traj, run(cfg))
     # and a full run in the cache does not answer the study's rungs: it
     # runs them to their passages, to the same report
     studies._runs.clear()
-    runs = studies.cached_runs(_generation_configs())
+    runs = studies.cached(_generation_configs(), ())
     again = studies.run_generation_study(**GENERATION)
     assert repr(again.rows) == repr(report.rows)
     assert again.checks == report.checks
@@ -984,7 +985,7 @@ def _fail():
 
 
 def _hang(signum, frame):
-    raise TimeoutError("cached_runs still waiting after 10 s")
+    raise TimeoutError("cached still waiting after 10 s")
 
 
 @pytest.mark.parametrize("fail, error, message", (
@@ -1012,7 +1013,7 @@ def test_a_failing_rung_stops_the_others(monkeypatch, empty_study_caches,
     signal.alarm(10)
     try:
         with pytest.raises(error, match=message):
-            studies.cached_runs(cfgs)
+            studies.cached(cfgs, ())
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -1078,12 +1079,12 @@ def test_the_barrier_check_reads_one_time_per_field(monkeypatch):
     for name, times in seen.items():
         monkeypatch.setattr(studies, name, lambda t, *args, real=getattr(
             studies, name), times=times: times.append(t) or real(t, *args))
-    trajs = []
-    cached_run = studies.cached_run
-    monkeypatch.setattr(studies, "cached_run",
-                        lambda cfg: trajs.append(cached_run(cfg)) or trajs[-1])
+    batches = []
+    cached = studies.cached
+    monkeypatch.setattr(studies, "cached", lambda runs, speeds: batches.append(
+        cached(runs, speeds)) or batches[-1])
     studies.run_barrier_check(0.02)
-    (traj,) = trajs
+    ((traj, *_),) = batches
     recorded = [t for t, _ in traj.checkpoints]
     generation = [t for t in recorded if t <= window]
     assert len(generation) == 3 and len(recorded) == 10
@@ -1093,6 +1094,47 @@ def test_the_barrier_check_reads_one_time_per_field(monkeypatch):
     t_gen = studies._generation_time(traj, 0.02)
     read = {t - t_gen for t in recorded} & set(seen["motion_sub"])
     assert read == {t - t_gen for t in recorded if t > window}
+
+
+def _unexpected(*args):
+    raise AssertionError(f"a job ran: {args!r}")
+
+
+def test_the_barrier_check_reads_its_one_batch(monkeypatch, empty_study_caches):
+    # its run and its four waves come from one call to cached; after it the
+    # caches are emptied and no job may run, so any other read would fail
+    _usable_cpus(monkeypatch, 1)
+    batches = []
+    cached = studies.cached
+
+    def once(runs, speeds):
+        batches.append((runs, speeds))
+        results = cached(runs, speeds)
+        studies._runs.clear()
+        studies._waves.clear()
+        for name in ("run", "run_until", "solve_wave"):
+            monkeypatch.setattr(studies, name, _unexpected)
+        return results
+
+    monkeypatch.setattr(studies, "cached", once)
+    studies.run_barrier_check(0.02)
+    eL = eps_log(0.02)
+    window = studies.GEN_WINDOW * eL
+    cfg = studies.compact_family_config(
+        0.02, ConvexBody.interval(-2.4, 2.4), 0.9, 0.1, 1.0,
+        checkpoints=tuple(np.linspace(0.25, 1.0, 4) * window)
+        + tuple(np.linspace(0.3, 1.0, 6)))
+    assert batches == [([cfg], (2.0, 1.5, 2.0 - eL, 2.5))]
+
+
+def test_a_bad_epsilon_fails_the_barrier_check_before_any_run(monkeypatch):
+    # eps|ln eps| = 0.254 at eps = 0.12, past CUTOFF_INNER = 0.25
+    _usable_cpus(monkeypatch, 1)
+    for name in ("run", "run_until", "solve_wave"):
+        monkeypatch.setattr(studies, name, _unexpected)
+    with pytest.raises(ConfigurationError, match=r"^eps\|ln eps\| must stay "
+                       r"below CUTOFF_INNER"):
+        studies.run_barrier_check(0.12)
 
 
 def test_thickness_reads_each_band_constant_at_its_recorded_time(monkeypatch):
@@ -1108,7 +1150,7 @@ def test_thickness_reads_each_band_constant_at_its_recorded_time(monkeypatch):
     assert cfg.n_steps == 801
     mid = [t for eps, t in seen if eps == 0.04][0]
     assert mid == 401 * cfg.dt == pytest.approx(0.2504623, abs=1e-7)
-    assert [t for t, _ in studies.cached_run(cfg).checkpoints] == [
+    assert [t for t, _ in studies.cached([cfg], ())[0].checkpoints] == [
         t for eps, t in seen if eps == 0.04]
 
 

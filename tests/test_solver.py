@@ -29,11 +29,15 @@ from fkpplab.solver import (
     run,
     run_until,
 )
-from fkpplab.studies import (algebraic_family_config, cached_run, cached_wave,
-                             compact_family_config)
+from fkpplab.studies import algebraic_family_config, cached, compact_family_config
 
 EPS = 0.04
 BODY = ConvexBody.interval(-0.5, 0.5)
+
+
+def _run(cfg):
+    """run(cfg), through the study caches."""
+    return cached([cfg], ())[0]
 
 
 def _line_grid(ext, dx):
@@ -431,7 +435,7 @@ def test_sup_norm_bound_with_overshooting_data():
     init = InitialData.compact(BODY, amplitude=0.9, width=0.25,
                                tail=(1.0, 0.3))
     cfg = compact_family_config(eps, BODY, 0.9, 0.25, t_end=0.5, tail=(1.0, 0.3))
-    traj = cached_run(cfg)
+    traj = _run(cfg)
     sup = traj.series["sup"]
     assert float(sup.max()) <= 1.2 + 1e-8
     t = traj.series["t"]
@@ -461,7 +465,7 @@ def test_front_position_translation_equivariance():
 
 def test_front_position_of_evaluated_wave():
     eps = 0.02
-    prof = cached_wave(2.0)
+    (prof,) = cached((), (2.0,))
     g = _line_grid(1.0, eps / 8)
     x0 = 0.3
     f = Field(g, prof.evaluate((g.axis(0) - x0) / eps))
@@ -480,7 +484,7 @@ def _width(grid, eps, u):
 
 def test_layer_width_of_evaluated_wave():
     eps = 0.02
-    prof = cached_wave(2.0)
+    (prof,) = cached((), (2.0,))
     g = _line_grid(1.5, eps / 8)
     w = _width(g, eps, prof.evaluate(g.axis(0) / eps))
     z_hi, z_lo = np.interp([-eps, -(1 - 2 * eps)], -prof.U, prof.z)
@@ -506,7 +510,7 @@ def test_advected_wave_measures_speed_two():
     # half-level series is the measurement oracle for the speed studies
     eps = 0.04
     dx = eps / 8
-    prof = cached_wave(2.0)
+    (prof,) = cached((), (2.0,))
     g = _line_grid(3.0, dx)
     f = Field(g, prof.evaluate((g.axis(0) + 1.5) / eps))
     dt = default_dt(g, eps)
@@ -641,8 +645,8 @@ def test_radial_matches_plane_on_front_region():
     cfg_r = SimConfig(eps, grid_r, init, t_end=t_end, checkpoint_times=(t_end,))
     grid_p = Grid("plane", ((-ext, ext), (-ext, ext)), dx)
     cfg_p = SimConfig(eps, grid_p, init, t_end=t_end, checkpoint_times=(t_end,))
-    fr = cached_run(cfg_r).checkpoints[-1][1]
-    fp = cached_run(cfg_p).checkpoints[-1][1]
+    fr = _run(cfg_r).checkpoints[-1][1]
+    fp = _run(cfg_p).checkpoints[-1][1]
     r = grid_r.axis(0)
     ur = fr.values
     up = np.array([interpolate(fp, (ri, 0.0)) for ri in r])
@@ -735,7 +739,7 @@ def test_run_grid_refinement_moves_front_less_than_dx():
         grid = _line_grid(ext, dx)
         init = InitialData.compact(BODY, 0.9, 0.25)
         cfg = SimConfig(eps, grid, init, t_end=0.5)
-        traj = cached_run(cfg)
+        traj = _run(cfg)
         results[dx] = traj.series["front_half"][-1]
     assert abs(results[eps / 8] - results[eps / 16]) <= eps / 8
 

@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 
 from fkpplab.errors import DomainError
-from fkpplab.studies import cached_wave
+from fkpplab.studies import cached
 from fkpplab.waves import decay_rate, solve_wave, unstable_rate
+
+
+def _wave(c):
+    """The wave of speed c, through the study caches."""
+    return cached((), (c,))[0]
 
 
 def test_decay_rate_values():
@@ -17,7 +22,7 @@ def test_decay_rate_values():
 
 @pytest.mark.parametrize("c", [2.0, 2.2, 2.5, 3.0])
 def test_wave_residual_and_normalization(c):
-    prof = cached_wave(c)
+    prof = _wave(c)
     assert float(prof.residual().max()) <= 1e-8
     assert prof.evaluate(0.0) == pytest.approx(0.5, abs=1e-9)
     assert np.all(np.diff(prof.U) <= 1e-12)  # monotone
@@ -26,14 +31,14 @@ def test_wave_residual_and_normalization(c):
 
 @pytest.mark.parametrize("c", [2.2, 2.5, 3.0, 5.0])
 def test_tail_rate_matches_quadratic_root(c):
-    prof = cached_wave(c)
+    prof = _wave(c)
     lam = prof.tail_right[1]
     assert abs(lam - decay_rate(c)) / decay_rate(c) <= 0.01
 
 
 def test_seam_continuity():
     for c in (2.0, 2.5):
-        prof = cached_wave(c)
+        prof = _wave(c)
         for z_edge, step in ((prof.z[0], -1e-9), (prof.z[-1], 1e-9)):
             inside = prof.evaluate(float(z_edge))
             outside = prof.evaluate(float(z_edge) + step)
@@ -41,7 +46,7 @@ def test_seam_continuity():
 
 
 def test_left_tail_bound_inside_and_outside():
-    prof = cached_wave(2.0)
+    prof = _wave(2.0)
     C, mu = prof.tail_left
     z = prof.z[prof.z <= 0.0]
     assert np.all(1.0 - prof.U[prof.z <= 0.0] <= C * np.exp(mu * z) * (1 + 1e-9))
@@ -51,7 +56,7 @@ def test_left_tail_bound_inside_and_outside():
 
 
 def test_evaluate_nodal_and_derivative_consistency():
-    prof = cached_wave(2.5)
+    prof = _wave(2.5)
     rng = np.random.default_rng(2)
     idx = rng.integers(0, prof.z.size, 20)
     assert np.allclose(prof.evaluate(prof.z[idx]), prof.U[idx], atol=1e-12)
@@ -64,11 +69,11 @@ def test_evaluate_nodal_and_derivative_consistency():
 
 
 def test_right_tail_evaluation_beyond_table():
-    prof = cached_wave(2.5)
+    prof = _wave(2.5)
     C, lam, _ = prof.tail_right
     z = prof.z[-1] + 5.0
     assert prof.evaluate(z) == pytest.approx(C * np.exp(-lam * z), rel=1e-9)
-    prof2 = cached_wave(2.0)
+    prof2 = _wave(2.0)
     C2, lam2, z0 = prof2.tail_right
     z = prof2.z[-1] + 5.0
     assert prof2.evaluate(z) == pytest.approx(
@@ -76,17 +81,17 @@ def test_right_tail_evaluation_beyond_table():
 
 
 def test_kpp_ratio_bounds():
-    prof = cached_wave(2.0)
+    prof = _wave(2.0)
     gm, gp = prof.kpp_ratio_bounds()
     ratio_at_1 = prof.evaluate(1.0) / (1.0 * np.exp(-1.0))
     assert gm <= ratio_at_1 <= gp
     assert 0.0 < gm <= gp <= 10.0 * gm
     with pytest.raises(DomainError):
-        cached_wave(2.5).kpp_ratio_bounds()
+        _wave(2.5).kpp_ratio_bounds()
 
 
 def test_sign_changing_wave():
-    prof = cached_wave(1.0)
+    prof = _wave(1.0)
     assert abs(prof.evaluate(0.0)) <= 1e-10
     assert np.all(prof.U[prof.z < -prof.dz / 2] > 0.0)
     assert float(prof.U[prof.z > 0.0].min()) < 0.0  # overshoot window
@@ -95,7 +100,7 @@ def test_sign_changing_wave():
 
 def test_sign_changing_tail_lengthens_toward_minimal_speed():
     near = solve_wave(1.99)
-    far = cached_wave(1.0)
+    far = _wave(1.0)
     assert near.z[0] < far.z[0]
 
 
@@ -109,13 +114,13 @@ def test_speed_preconditions():
 def test_cached_wave_solves_at_its_key():
     # the key rounds to 12 decimals, so a speed a hair below 2 is the
     # minimal-speed monotone wave
-    prof = cached_wave(1.9999999999999)
+    prof = _wave(1.9999999999999)
     assert prof.c == 2.0
     assert prof.tail_right is not None and prof.tail_right[1] == 1.0
 
 
 def test_dump_table(tmp_path):
-    prof = cached_wave(2.5)
+    prof = _wave(2.5)
     path = tmp_path / "wave.csv"
     prof.dump_table(path)
     lines = path.read_text().splitlines()
