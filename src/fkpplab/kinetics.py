@@ -210,16 +210,15 @@ def semiflow(s, xi, p: KineticsParams):
     0 for xi <= 0; theta - (theta - xi) e^{s/|ln eps|}, while positive, on
     (0, theta) with theta = eps|ln eps|; above theta exact through the
     time-map (theta and 1 are fixed points).  xi may be a scalar or an array
-    of finite values; each distinct value is computed once, on its own, so
-    a point's value does not depend on the others.
+    of finite values; every operation is elementwise, so a point's value
+    does not depend on the others.
     """
     if not s >= 0.0:
         raise DomainError("s must be nonnegative")
     xi_arr = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi_arr)):
         raise DomainError("semiflow needs finite xi")
-    distinct, where = np.unique(xi_arr.ravel(), return_inverse=True)
-    w = np.maximum(distinct, 0.0)
+    w = np.maximum(xi_arr.ravel(), 0.0)
     if s > 0.0:
         theta = p.threshold
         low = (w > 0.0) & (w < theta)
@@ -228,5 +227,5 @@ def semiflow(s, xi, p: KineticsParams):
         w[low] = np.maximum(decay, 0.0)
         moving = (w > theta) & (w != 1.0)
         w[moving] = _time_map(p).flow(float(s), w[moving])
-    out = w[where].reshape(xi_arr.shape)
+    out = w.reshape(xi_arr.shape)
     return out if np.ndim(xi) else float(out)

@@ -121,8 +121,10 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
     On a line or plane the body's signed distance d is evaluated once, on
     the nodes within the body's reach of the origin (with 1e-12 relative
     slack for rounding).  Every other node lies outside the body, where
-    the ramp is 0 whatever the distance, and takes d = +inf.  d's minimum
-    and maximum decide whether the grid covers the support of g."""
+    the ramp is 0 whatever the distance, and takes d = +inf.  Some node
+    must lie more than width/4 inside the body (none does on a grid that
+    misses the body, nor in a body too thin for the ramp), and some node
+    outside it, so that the support of g ends inside the grid."""
     r = _radii(grid.mode, x)
     if initial.variant == "compact":
         body = initial.body
@@ -133,7 +135,11 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
             d = np.full(r.shape, np.inf)
             d[near] = body.signed_distance(x[near])
         if float(d.min()) > -initial.width / 4:
-            raise ConfigurationError("grid does not cover the support of g")
+            raise ConfigurationError(
+                f"grid does not cover the support of g: no node lies more "
+                f"than width/4 = {initial.width / 4:g} inside the body (the "
+                f"deepest at signed distance {float(d.min()):.4g}); the grid "
+                f"misses the body, or the body is too thin for the ramp")
         if float(d.max()) < 0.0:
             raise ConfigurationError("the support of g reaches the grid boundary")
         g = _ramp(initial, d)

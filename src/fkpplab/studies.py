@@ -18,13 +18,13 @@ invalid rung fails at once, and reads their runs in one batch: the
 generation study's rungs run only to their first passage (run_until), the
 other ladders' to t_end.  The barrier check hands its run and its four
 waves over in one batch, and the wave study all its speeds.  The
-jobs not in the study caches run at the same time, each in a worker
-process forked from the caller: at most one worker per uncached job and
-per usable CPU (os.sched_getaffinity), so `taskset -c 0` runs them one
-after another in the calling process, as does a batch of one or a platform
-without fork.  A worker runs the same code on the same arguments, so every
-report, table, figure and checkpoint keeps its bytes; a failing job stops
-the others.  A study reads each checkpoint field at its recorded t.
+jobs not in the study cache run at the same time, each in a worker process
+forked from the caller: at most one worker per uncached job and per usable
+CPU (os.sched_getaffinity), so `taskset -c 0` runs them one after another
+in the calling process, as does a batch of one or a platform without
+os.sched_getaffinity.  A worker runs the same code on the same arguments,
+so every report, table, figure and checkpoint keeps its bytes; a failing
+job stops the others.  A study reads each checkpoint field at its recorded t.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
 from .svgplot import line_plot
 from .waves import decay_rate, solve_wave
 
-# Entries each study cache keeps; past it the least recently used goes.
-CACHE_SIZE = 16
+# Entries the study cache keeps; past it the least recently used goes.
+CACHE_SIZE = 32
 
 # The compact control of the no-interface study.
 CONTROL_AMPLITUDE = 0.9
@@ -84,53 +84,40 @@ GEN_WINDOW = 2.0
 RESIDUAL_TOL = 5e-3
 
 
-# The study caches, least recently used first, at most CACHE_SIZE entries
-# each: run(cfg) by config, run_until(cfg, name, level) by its first-passage
-# key (cfg, name, level), and solve_wave(c) by the key round(c, 12).  cached
-# fills both, under the names of the functions that fill them.
-_runs = OrderedDict()
-_waves = OrderedDict()
-_CACHES = {"run": _runs, "run_until": _runs, "solve_wave": _waves}
+# The study cache, least recently used first, at most CACHE_SIZE entries:
+# each job's result under the job (name, args), the call _call makes.
+_cache = OrderedDict()
 
 
 def _pool_size(n):
     """Worker processes for n uncached jobs: one per job and per usable CPU,
-    or 1 (the calling process) without the fork start method."""
+    or 1 (the calling process) without os.sched_getaffinity."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(n, cpus)
-    if workers > 1:
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            return 1
-    return workers
+    return min(n, cpus)
 
 
-def _call(name, arg):
-    """run(arg), run_until(*arg) or solve_wave(arg), looked up in this
+def _call(name, args):
+    """run, run_until or solve_wave, by name, of args, looked up in this
     module at call time, so a wrapper bound to any of those names
     (perfbench's tracer, a test's stub) is seen, in a pool worker too: it is
     forked with the module as it is, and the pool pickles this function,
     not the wrapper, by name."""
-    if name == "run_until":
-        return run_until(*arg)
-    return {"run": run, "solve_wave": solve_wave}[name](arg)
+    return {"run": run, "run_until": run_until, "solve_wave": solve_wave}[name](*args)
 
 
 def _cost(job):
     """A job's rank in the pool's queue, highest first: every run before
-    any wave, a run by its steps times nodes (a stopped run as its full
-    run), and a wave by its speed c, since the faster a wave, the longer
-    its solve (about 45 ms at c = 1, 85 ms at 2 and 220 ms at 4)."""
-    name, arg = job
+    any wave, a run by its config's steps times nodes (a stopped run as its
+    full run), and a wave by its speed c, since the faster a wave, the
+    longer its solve (about 45 ms at c = 1, 85 ms at 2 and 220 ms at 4)."""
+    name, (first, *_) = job
     if name == "solve_wave":
-        return (0, arg)
-    cfg = arg[0] if name == "run_until" else arg
-    return (1, cfg.n_steps * math.prod(cfg.grid.shape))
+        return (0, first)
+    return (1, first.n_steps * math.prod(first.grid.shape))
 
 
 def _fresh(jobs):
-    """_call(name, arg) of each job, in order.  With more than one worker
+    """_call(name, args) of each job, in order.  With more than one worker
     (_pool_size) the jobs go to a pool of forked workers, costliest (_cost)
     first, and are read back in list order, so the error raised is the
     first job's that fails, as in a serial run, and a worker that dies is a
@@ -157,26 +144,24 @@ def _fresh(jobs):
 
 
 def cached(runs, speeds):
-    """The runs, then solve_wave at the key round(c, 12) of each speed, in
-    order, the whole batch even past CACHE_SIZE.  A run is run(cfg) of a
-    config, or run_until(cfg, name, level) of a first-passage key
-    (cfg, name, level), which the run cache holds apart from the config's
-    full run.  A cached job is read from its cache; the others are computed
-    at the same time (_fresh) and cached, and each cache keeps its
-    CACHE_SIZE most recently used."""
-    jobs = ([("run_until" if isinstance(key, tuple) else "run", key)
+    """The runs, then the wave profiles of the speeds, in order, the whole
+    batch even past CACHE_SIZE.  A config is the job ("run", (cfg,)) and a
+    first-passage key (cfg, name, level) the job ("run_until", key), so a
+    stopped run never answers a full run's lookup; a speed c is the job
+    ("solve_wave", (round(c, 12),)).  A job in the cache is read from it;
+    the others are computed at the same time (_fresh), and the cache keeps
+    the CACHE_SIZE most recently used, whatever their kind."""
+    jobs = ([("run_until", key) if isinstance(key, tuple) else ("run", (key,))
              for key in runs]
-            + [("solve_wave", round(c, 12)) for c in speeds])
-    results = {(name, arg): _CACHES[name][arg] for name, arg in jobs
-               if arg in _CACHES[name]}
+            + [("solve_wave", (round(c, 12),)) for c in speeds])
+    results = {job: _cache[job] for job in jobs if job in _cache}
     missing = [job for job in dict.fromkeys(jobs) if job not in results]
     results.update(zip(missing, _fresh(missing)))
-    for name, arg in jobs:
-        cache = _CACHES[name]
-        cache[arg] = results[name, arg]
-        cache.move_to_end(arg)
-        if len(cache) > CACHE_SIZE:
-            cache.popitem(last=False)
+    for job in jobs:
+        _cache[job] = results[job]
+        _cache.move_to_end(job)
+        if len(_cache) > CACHE_SIZE:
+            _cache.popitem(last=False)
     return [results[job] for job in jobs]
 
 

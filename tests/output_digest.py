@@ -95,8 +95,8 @@ def versions():
 
 def digest(name, work):
     """{"exit": code, "files": {name: sha256}} of one run, its --out a new
-    directory under ``work``; the run and wave caches are cleared first, so
-    no run reads another's results."""
+    directory under ``work``; the study cache is cleared first, so no run
+    reads another's results."""
     command, config = RUNS[name]
     work = Path(work)
     if config.endswith(".ini"):
@@ -106,8 +106,7 @@ def digest(name, work):
         path.write_text(config)
         config = str(path)
     out = work / name
-    studies._runs.clear()
-    studies._waves.clear()
+    studies._cache.clear()
     with redirect_stdout(StringIO()):
         code = cli.main([command, "--config", config, "--out", str(out), "--svg"])
     files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -45,7 +45,7 @@ LADDER = (0.04, 0.02, 0.01)
 
 
 def _run(cfg):
-    """run(cfg), through the study caches."""
+    """run(cfg), through the study cache."""
     return cached([cfg], ())[0]
 
 

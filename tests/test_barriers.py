@@ -34,7 +34,7 @@ K = 3.0
 
 
 def _wave(c):
-    """The wave of speed c, through the study caches."""
+    """The wave of speed c, through the study cache."""
     return cached((), (c,))[0]
 
 

@@ -557,6 +557,29 @@ def test_simulate_rejects_a_body_that_does_not_fit_the_grid(
     assert runs == []
 
 
+THIN_BODY = ("grid does not cover the support of g: no node lies more than "
+             "width/4 = 0.0625 inside the body (the deepest at signed "
+             "distance -0.01); the grid misses the body, or the body is too "
+             "thin for the ramp")
+
+
+def test_a_body_too_thin_for_the_ramp_is_a_configuration_error(tmp_path,
+                                                               capsys):
+    # the grid spans (-1.71, 1.71) and covers the body (-0.01, 0.01), whose
+    # deepest node, its centre, lies short of width/4 = 0.0625 inside
+    cfg = studies.compact_family_config(0.04, ConvexBody.interval(-0.01, 0.01),
+                                        0.9, 0.25, 0.2)
+    assert cfg.grid.extents == ((-1.71, 1.71),)
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(THIN_BODY)}$"):
+        run(cfg)
+    ini = _write(tmp_path, "sim.ini",
+                 "[kinetics]\nepsilon = 0.04\n\n[geometry]\nshape = interval\n"
+                 "a = -0.01\nb = 0.01\n\n[solver]\nt_end = 0.2\n")
+    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        f"fkpplab simulate: configuration error: {THIN_BODY}\n")
+
+
 # command -> a small config, the tables its report names and its figures
 FILES = {
     "wave": (WAVE_INI, {"wave_c2.csv", "wave_c2.5.csv"}, {"waves.svg"}),
@@ -666,14 +689,16 @@ def test_out_holds_the_report_and_the_tables_it_names(tmp_path, monkeypatch,
 
 def test_wave_svg_solves_each_speed_once(tmp_path, monkeypatch,
                                          empty_study_caches):
-    # one more speed than the wave cache holds: the figure draws the
-    # study's own profiles, not a second cache lookup that solves again.
-    # The solves are the wave cache's misses, handed to _fresh in this
-    # process, whether they then run here or in pool workers.
+    # one more speed than the cache holds, at a cap of 16 that keeps the
+    # test short: the figure draws the study's own profiles, not a second
+    # cache lookup that solves again.  The solves are the cache's misses,
+    # handed to _fresh in this process, whether they then run here or in
+    # pool workers.
+    monkeypatch.setattr(studies, "CACHE_SIZE", 16)
     solved = []
     fresh = studies._fresh
     monkeypatch.setattr(studies, "_fresh", lambda jobs: solved.extend(
-        c for name, c in jobs if name == "solve_wave") or fresh(jobs))
+        c for name, (c,) in jobs if name == "solve_wave") or fresh(jobs))
     speeds = [round(2.0 + 0.1 * k, 1) for k in range(studies.CACHE_SIZE + 1)]
     ini = _write(tmp_path, "wave.ini",
                  "[wave]\nspeeds = " + ", ".join(map(str, speeds)) + "\n")
@@ -794,13 +819,11 @@ def test_report_summary_and_passed_flag():
 
 @pytest.fixture
 def empty_study_caches():
-    """The study caches emptied before the test and again after it, so no
+    """The study cache emptied before the test and again after it, so no
     stub's entries outlive it."""
-    studies._runs.clear()
-    studies._waves.clear()
+    studies._cache.clear()
     yield
-    studies._runs.clear()
-    studies._waves.clear()
+    studies._cache.clear()
 
 
 def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches):
@@ -810,7 +833,7 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
         studies.cached([key], ())
     studies.cached([0], ())  # a hit: key 1 is now the least recently used
     studies.cached([studies.CACHE_SIZE], ())  # one past the cap
-    assert len(studies._runs) == studies.CACHE_SIZE
+    assert len(studies._cache) == studies.CACHE_SIZE
     assert len(built) == studies.CACHE_SIZE + 1
     studies.cached([0], ())  # still held, so not built again
     assert len(built) == studies.CACHE_SIZE + 1
@@ -823,9 +846,29 @@ def test_study_caches_evict_least_recently_used(monkeypatch, empty_study_caches)
     monkeypatch.setattr(studies, "solve_wave", lambda c: solved.append(c) or c)
     for c in range(studies.CACHE_SIZE + 1):
         studies.cached((), (2.0 + c,))
-    assert len(studies._waves) == studies.CACHE_SIZE
+    assert len(studies._cache) == studies.CACHE_SIZE
     studies.cached((), (2.0,))  # evicted, so solved again
     assert solved == [2.0 + c for c in range(studies.CACHE_SIZE + 1)] + [2.0]
+
+
+def test_one_cache_holds_every_kind_of_job(monkeypatch, empty_study_caches):
+    _usable_cpus(monkeypatch, 1)
+    for name in ("run", "run_until", "solve_wave"):
+        monkeypatch.setattr(studies, name, lambda *args, name=name: (name, *args))
+    stopped = (0, "threshold_min", 0.9)
+    assert studies.cached([0, stopped], (2.5,)) == [
+        ("run", 0), ("run_until", *stopped), ("solve_wave", 2.5)]
+    assert list(studies._cache) == [
+        ("run", (0,)), ("run_until", stopped), ("solve_wave", (2.5,))]
+    studies.cached([0], ())  # a hit: the stopped run is now the oldest
+    studies.cached(list(range(1, studies.CACHE_SIZE - 2)), ())  # full
+    assert len(studies._cache) == studies.CACHE_SIZE
+    studies.cached([studies.CACHE_SIZE], ())  # one past the cap
+    assert ("run_until", stopped) not in studies._cache
+    studies.cached([studies.CACHE_SIZE + 1], ())  # and one more
+    assert ("solve_wave", (2.5,)) not in studies._cache
+    assert next(iter(studies._cache)) == ("run", (0,))
+    assert len(studies._cache) == studies.CACHE_SIZE
 
 
 def _usable_cpus(monkeypatch, n):
@@ -842,7 +885,8 @@ def test_a_batch_past_the_cache_size_is_returned_whole(monkeypatch,
     keys = list(range(studies.CACHE_SIZE + 2))
     assert studies.cached(keys, ()) == [str(key) for key in keys]
     assert built == keys  # in this process, in order
-    assert list(studies._runs) == keys[2:]  # the most recently used stay
+    # the most recently used stay
+    assert list(studies._cache) == [("run", (key,)) for key in keys[2:]]
 
 
 def _assert_same_trajectory(a, b):
@@ -908,7 +952,7 @@ def _generation_configs():
 
 def _stopped(cfg):
     """The cached generation rung of the config, under its passage key."""
-    return studies._runs[cfg, "threshold_min", 1.0 - cfg.epsilon]
+    return studies._cache["run_until", (cfg, "threshold_min", 1.0 - cfg.epsilon)]
 
 
 def test_a_stopped_run_never_answers_a_full_run_lookup(empty_study_caches):
@@ -920,13 +964,13 @@ def test_a_stopped_run_never_answers_a_full_run_lookup(empty_study_caches):
         _assert_same_trajectory(traj, run(cfg))
     # and a full run in the cache does not answer the study's rungs: it
     # runs them to their passages, to the same report
-    studies._runs.clear()
+    studies._cache.clear()
     runs = studies.cached(_generation_configs(), ())
     again = studies.run_generation_study(**GENERATION)
     assert repr(again.rows) == repr(report.rows)
     assert again.checks == report.checks
     for cfg, traj in zip(_generation_configs(), runs):
-        assert studies._runs[cfg] is traj
+        assert studies._cache["run", (cfg,)] is traj
         assert len(_stopped(cfg).series["t"]) <= cfg.n_steps // 2 + 1
 
 
@@ -1033,8 +1077,7 @@ def test_the_pooled_barrier_check_equals_a_serial_one(monkeypatch,
     pooled = studies.run_barrier_check(0.02)
     assert calls == []
     assert multiprocessing.active_children() == []
-    studies._runs.clear()
-    studies._waves.clear()
+    studies._cache.clear()
     _usable_cpus(monkeypatch, 1)
     serial = studies.run_barrier_check(0.02)
     assert calls == ["run"] + ["solve_wave"] * 4
@@ -1064,7 +1107,7 @@ def test_a_failing_wave_fails_the_barrier_check(monkeypatch, empty_study_caches,
         studies.run_barrier_check(0.02)
     assert multiprocessing.active_children() == []
     if error is NumericalError:  # a dying worker would end this process
-        studies._runs.clear()
+        studies._cache.clear()
         _usable_cpus(monkeypatch, 1)
         with pytest.raises(error) as serial:
             studies.run_barrier_check(0.02)
@@ -1102,7 +1145,7 @@ def _unexpected(*args):
 
 def test_the_barrier_check_reads_its_one_batch(monkeypatch, empty_study_caches):
     # its run and its four waves come from one call to cached; after it the
-    # caches are emptied and no job may run, so any other read would fail
+    # cache is emptied and no job may run, so any other read would fail
     _usable_cpus(monkeypatch, 1)
     batches = []
     cached = studies.cached
@@ -1110,8 +1153,7 @@ def test_the_barrier_check_reads_its_one_batch(monkeypatch, empty_study_caches):
     def once(runs, speeds):
         batches.append((runs, speeds))
         results = cached(runs, speeds)
-        studies._runs.clear()
-        studies._waves.clear()
+        studies._cache.clear()
         for name in ("run", "run_until", "solve_wave"):
             monkeypatch.setattr(studies, name, _unexpected)
         return results

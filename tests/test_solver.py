@@ -36,7 +36,7 @@ BODY = ConvexBody.interval(-0.5, 0.5)
 
 
 def _run(cfg):
-    """run(cfg), through the study caches."""
+    """run(cfg), through the study cache."""
     return cached([cfg], ())[0]
 
 

@@ -9,7 +9,7 @@ from fkpplab.waves import decay_rate, solve_wave, unstable_rate
 
 
 def _wave(c):
-    """The wave of speed c, through the study caches."""
+    """The wave of speed c, through the study cache."""
     return cached((), (c,))[0]
 
 
