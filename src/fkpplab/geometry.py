@@ -130,9 +130,11 @@ class ConvexBody:
 def _ellipse_signed_distance(q, axes):
     """Signed distance to an origin-centred ellipse, foot point by bisection.
 
-    Works in the first quadrant with semi-axes reordered so e0 >= e1; the
-    generic case solves the foot-point stationarity equation by
-    _foot_parameter; points on the major axis need the classic special case.
+    Works in the first quadrant with semi-axes reordered so e0 >= e1.  The
+    generic case bisects the monotone stationarity function
+    F(t) = (e0 g0/(t+e0^2))^2 + (e1 g1/(t+e1^2))^2 - 1 for its root t, 120
+    times on a guaranteed bracket; points on the major axis need the
+    classic special case.
     """
     e0, e1 = axes
     q = np.asarray(q, dtype=float)
@@ -147,7 +149,15 @@ def _ellipse_signed_distance(q, axes):
     # generic foot point via bisection on the monotone stationarity function
     g0, g1 = y0[~on_axis], y1[~on_axis]
     if g0.size:
-        t = _foot_parameter(g0, g1, e0, e1)
+        lo = -e1 * e1 + e1 * g1
+        hi = -e1 * e1 + np.sqrt((e0 * g0) ** 2 + (e1 * g1) ** 2)
+        for _ in range(120):
+            mid = 0.5 * (lo + hi)
+            F = (e0 * g0 / (mid + e0 * e0)) ** 2 + (e1 * g1 / (mid + e1 * e1)) ** 2 - 1.0
+            above = F > 0.0
+            lo = np.where(above, mid, lo)  # root lies to the right of mid
+            hi = np.where(above, hi, mid)
+        t = 0.5 * (lo + hi)
         fx0 = e0 * e0 * g0 / (t + e0 * e0)
         fx1 = e1 * e1 * g1 / (t + e1 * e1)
         if not np.all(np.isfinite(t)):
@@ -166,33 +176,6 @@ def _ellipse_signed_distance(q, axes):
         dist_in = np.hypot(fx0 - a0, fx1)
         out[on_axis] = np.where(inner, -dist_in, a0 - e0)
     return out
-
-
-def _foot_parameter(g0, g1, e0, e1):
-    """The root t of (e0 g0/(t+e0^2))^2 + (e1 g1/(t+e1^2))^2 = 1 per point
-    (g0 >= 0, g1 > 0, e0 >= e1), bisected on a guaranteed bracket until no
-    bracket can move, at most 120 times.  Its arrays die with the call, so
-    they are not held while the distances are formed."""
-    lo = -e1 * e1 + e1 * g1
-    hi = -e1 * e1 + np.sqrt((e0 * g0) ** 2 + (e1 * g1) ** 2)
-    a0, a1 = e0 * g0, e1 * g1
-    mid, F, G = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
-    for k in range(120):
-        # F = (a0/(mid + e0^2))^2 + (a1/(mid + e1^2))^2 - 1, in buffers
-        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
-        np.square(np.divide(a0, np.add(mid, e0 * e0, out=F), out=F), out=F)
-        np.square(np.divide(a1, np.add(mid, e1 * e1, out=G), out=G), out=G)
-        above = np.subtract(np.add(F, G, out=F), 1.0, out=F) > 0.0
-        # Once every midpoint rounds to an end of its bracket, this update
-        # is the last to move one: the brackets are then fixed, so stopping
-        # gives the bits of the full loop (tested every 4th iteration,
-        # which costs less than testing every one).
-        fixed = k % 4 == 3 and bool(np.all((mid == lo) | (mid == hi)))
-        lo = np.where(above, mid, lo)  # root lies to the right of mid
-        hi = np.where(above, hi, mid)
-        if fixed:
-            break
-    return 0.5 * (lo + hi)
 
 
 def _clamp_ramp(s, d0):

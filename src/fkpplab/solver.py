@@ -205,6 +205,13 @@ class SimConfig:
         for tc in self.checkpoint_times:
             if not 0.0 <= tc <= self.t_end + 1e-12:
                 raise ConfigurationError("checkpoint outside [0, t_end]")
+        first = {}  # run() records one checkpoint per step
+        for tc, k in zip(self.checkpoint_times, self.checkpoint_steps):
+            if k in first:
+                raise ConfigurationError(
+                    f"checkpoints {float(first[k])!r} and {float(tc)!r} fall "
+                    f"on one step, {k} of dt = {self.dt:.6g}")
+            first[k] = tc
 
     @property
     def n_steps(self):
@@ -217,6 +224,12 @@ class SimConfig:
     def dt(self):
         """The step run() takes, t_end / n_steps: at most default_dt."""
         return self.t_end / self.n_steps
+
+    @property
+    def checkpoint_steps(self):
+        """The step of each checkpoint time, round(t / dt): where run()
+        records it."""
+        return [int(round(tc / self.dt)) for tc in self.checkpoint_times]
 
 
 @dataclass
@@ -341,8 +354,7 @@ class Stepper:
         self.a = epsilon * dt / 2.0 / grid.dx**2
         axes = range(len(grid.extents))
         coeffs = tuple(_lap_coeffs(grid, i) for i in axes)
-        self.rows = coeffs if grid.mode == "radial" else tuple(
-            _lap_rows(grid, i) for i in axes)
+        self.rows = tuple(_lap_rows(grid, i) for i in axes)
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
             for sub, diag, sup in coeffs
@@ -614,7 +626,7 @@ def _integrate(config: SimConfig, stop) -> Trajectory:
                 f"the run records no series {name!r}, only {observer.names}")
         watched = observer.names.index(name)
     stepper = Stepper(grid, dt, config.epsilon)
-    checkpoint_steps = {int(round(tc / dt)) for tc in config.checkpoint_times}
+    checkpoint_steps = set(config.checkpoint_steps)
 
     times = np.arange(n_steps + 1) * dt
     values = np.empty((len(observer.names), n_steps + 1))

@@ -172,10 +172,9 @@ def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
     need = max(reach, outflow_margin(initial, t_end, epsilon))
     dx = epsilon / 8.0
     ext = math.ceil(need / dx + 2) * dx
-    radial = mode == "radial"
-    extents = ((0.0 if radial else -ext, ext),) * (2 if mode == "plane" else 1)
-    return SimConfig(epsilon, Grid(mode, extents, dx, dim if radial else 1),
-                     initial, t_end=t_end, checkpoint_times=tuple(checkpoints))
+    extents = ((0.0 if mode == "radial" else -ext, ext),) * (2 if mode == "plane" else 1)
+    return SimConfig(epsilon, Grid(mode, extents, dx, dim), initial,
+                     t_end=t_end, checkpoint_times=tuple(checkpoints))
 
 
 def compact_family_config(epsilon, body, amplitude, width, t_end,
@@ -715,8 +714,8 @@ def run_compact_simulation(epsilon, body=ConvexBody.interval(-0.5, 0.5),
             "[initial] tail_lambda is not read when tail_cap is 0 or absent")
     tail = None if tail_cap == 0.0 else (tail_lambda, tail_cap)
     return _simulation_report(compact_family_config(
-        epsilon, body, amplitude, width, t_end, mode, dim, checkpoints, tail,
-        min_reach=extent))
+        epsilon, body, amplitude, width, t_end, mode, 1 if dim is None else dim,
+        checkpoints, tail, min_reach=extent))
 
 
 @partial(_study, checkpoints=_mid_and_end)

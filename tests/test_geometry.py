@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fkpplab.errors import ConfigurationError, DomainError
-from fkpplab.geometry import ConvexBody, _clamp_ramp, cutoff_distance
+from fkpplab.geometry import (ConvexBody, _clamp_ramp, _ellipse_signed_distance,
+                             cutoff_distance)
 
 
 def test_ball_and_interval_distances():
@@ -68,6 +69,75 @@ def test_ellipse_against_polygonal_minimization():
     ref = _brute_force_reference((0.1, -0.2), (1.3, 0.6), pts)
     got = ell.signed_distance(pts)
     assert np.max(np.abs(got - ref)) <= 1e-6
+
+
+def _angle_search(q, axes, n=2048):
+    """Signed distance to an origin-centred ellipse by another route than
+    the code's: the nearest of n rim angles s, refined by golden-section
+    search on |(e0 cos s, e1 sin s) - q|^2 between that angle's neighbours."""
+    e0, e1 = axes
+    q = np.asarray(q, dtype=float)
+    x, y = q[:, :1], q[:, 1:]
+
+    def sq(s):
+        return (e0 * np.cos(s) - x) ** 2 + (e1 * np.sin(s) - y) ** 2
+
+    step = 2.0 * np.pi / n
+    best = np.argmin(sq(np.arange(n) * step), axis=1)[:, None] * step
+    lo, hi = best - step, best + step
+    r = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        a, b = hi - r * (hi - lo), lo + r * (hi - lo)
+        left = sq(a) < sq(b)
+        lo, hi = np.where(left, lo, a), np.where(left, b, hi)
+    dist = np.sqrt(sq(0.5 * (lo + hi)))[:, 0]
+    inside = (q[:, 0] / e0) ** 2 + (q[:, 1] / e1) ** 2 < 1.0
+    return np.where(inside, -dist, dist)
+
+
+def _ellipse_points(axes, rng, n=200):
+    """Points on both axes, within 1e-12..1e-3 of the boundary on either
+    side, well inside, and far outside."""
+    e0, e1 = axes
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    rim = np.stack([e0 * np.cos(angle), e1 * np.sin(angle)], axis=-1)
+    offset = 10.0 ** rng.uniform(-12, -3, (n, 1)) * rng.choice([-1, 1], (n, 1))
+    axis_pts = np.array([[s, 0.0] for s in np.linspace(-3, 3, 41)]
+                        + [[0.0, s] for s in np.linspace(-3, 3, 41)])
+    return np.concatenate([
+        axis_pts, rim, rim * (1.0 + offset), rim * rng.uniform(0, 1, (n, 1)),
+        rng.uniform(-1e3, 1e3, (n, 2)), rng.uniform(-2, 2, (n, 2)),
+    ])
+
+
+@pytest.mark.parametrize("axes", [(0.6, 0.35), (0.35, 0.6), (1.0, 1.0),
+                                  (2.0, 1e-3), (0.612, 0.3431)])
+def test_ellipse_distance_matches_an_angle_search(axes):
+    # both axis orders, a circle, a needle and the plane study's ellipse;
+    # inside points carry the sign bit even where the distance rounds to 0
+    q = _ellipse_points(axes, np.random.default_rng(11))
+    got = _ellipse_signed_distance(q, axes)
+    ref = _angle_search(q, axes)
+    scale = 1.0 + np.hypot(*q.T)
+    assert np.max(np.abs(got - ref) / scale) <= 1e-12
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_ellipse_distance_is_the_same_with_its_axes_swapped():
+    # the code reorders to the long axis first, so a reflected point on the
+    # reflected ellipse gets the same bits, and so does each quadrant
+    q = _ellipse_points((0.6, 0.35), np.random.default_rng(5))
+    want = _ellipse_signed_distance(q, (0.6, 0.35))
+    assert np.array_equal(_ellipse_signed_distance(q[:, ::-1], (0.35, 0.6)), want)
+    for flip in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+        assert np.array_equal(_ellipse_signed_distance(q * flip, (0.6, 0.35)), want)
+
+
+def test_ellipse_distance_on_a_circle_is_the_radius_offset():
+    q = _ellipse_points((1.0, 1.0), np.random.default_rng(3))
+    r = np.hypot(*q.T)
+    got = _ellipse_signed_distance(q, (1.0, 1.0))
+    assert np.max(np.abs(got - (r - 1.0)) / (1.0 + r)) <= 1e-12
 
 
 def test_ellipse_axis_points():

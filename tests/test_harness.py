@@ -517,8 +517,8 @@ def test_simulate_runs_the_compact_family_config(tmp_path, monkeypatch, mode,
                  f"[solver]\nmode = {mode}\nt_end = 0.2\nextent = {extent}\n")
     sim = _simulated(tmp_path, monkeypatch, ini)
     family = studies.compact_family_config(
-        0.1, body_from_config(load_config(ini)), 0.8, 0.2, 0.2, mode, 2,
-        min_reach=extent)
+        0.1, body_from_config(load_config(ini)), 0.8, 0.2, 0.2, mode,
+        2 if mode == "radial" else 1, min_reach=extent)
     assert sim == family
     assert sim.grid.extents[0][1] >= extent
 

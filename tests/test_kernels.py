@@ -1,10 +1,9 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
 the outermost level crossing (each row of a block of profiles), the
 Laplacian stencil (mirror walls included) and the explicit Crank-Nicolson
-half, the reaction half-step and the ellipse foot-point bisection.  The
-replaced formulas are kept here as the oracles.  The line solve is held to
-the pivoting LU it replaced on line and plane axes to 1e-13, and bit for
-bit on radial ones."""
+half, and the reaction half-step.  The replaced formulas are kept here as
+the oracles.  The line solve is held to the pivoting LU it replaced on line
+and plane axes to 1e-13, and bit for bit on radial ones."""
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
-from fkpplab.geometry import _ellipse_signed_distance
 from fkpplab.grids import Grid
 from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
                             _outermost_crossings, default_dt)
@@ -299,79 +297,3 @@ def test_reaction_matches_the_closed_form(u, dt, mode):
     assert _bits(stepper.reaction(u)) == _bits(want)
     assert _bits(u) == _bits(before)
 
-
-# ---- the ellipse foot point -------------------------------------------------
-
-def ellipse_oracle(q, axes):
-    """The signed distance with the bisection run for all 120 iterations."""
-    e0, e1 = axes
-    q = np.asarray(q, dtype=float)
-    y0, y1 = np.abs(q[..., 0]), np.abs(q[..., 1])
-    if e0 < e1:
-        e0, e1 = e1, e0
-        y0, y1 = y1, y0
-    out = np.empty(y0.shape)
-    on_axis = y1 <= 1e-12 * e1
-    g0, g1 = y0[~on_axis], y1[~on_axis]
-    if g0.size:
-        lo = -e1 * e1 + e1 * g1
-        hi = -e1 * e1 + np.sqrt((e0 * g0) ** 2 + (e1 * g1) ** 2)
-        for _ in range(120):
-            mid = 0.5 * (lo + hi)
-            F = (e0 * g0 / (mid + e0 * e0)) ** 2 + (e1 * g1 / (mid + e1 * e1)) ** 2 - 1.0
-            above = F > 0.0
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        t = 0.5 * (lo + hi)
-        fx0 = e0 * e0 * g0 / (t + e0 * e0)
-        fx1 = e1 * e1 * g1 / (t + e1 * e1)
-        dist = np.hypot(fx0 - g0, fx1 - g1)
-        inside = (g0 / e0) ** 2 + (g1 / e1) ** 2 < 1.0
-        out[~on_axis] = np.where(inside, -dist, dist)
-    a0 = y0[on_axis]
-    if a0.size:
-        crit = (e0 * e0 - e1 * e1) / e0
-        fx0 = np.minimum(e0 * e0 * a0 / max(e0 * e0 - e1 * e1, 1e-300), e0)
-        inner = a0 < crit
-        fx1 = np.where(inner, e1 * np.sqrt(np.maximum(0.0, 1.0 - (fx0 / e0) ** 2)), 0.0)
-        dist_in = np.hypot(fx0 - a0, fx1)
-        out[on_axis] = np.where(inner, -dist_in, a0 - e0)
-    return out
-
-
-def _ellipse_points(axes, rng, n=400):
-    """Points on both axes, within 1e-12..1e-3 of the boundary on either
-    side, well inside, and far outside."""
-    e0, e1 = axes
-    angle = rng.uniform(0.0, 2.0 * np.pi, n)
-    rim = np.stack([e0 * np.cos(angle), e1 * np.sin(angle)], axis=-1)
-    offset = 10.0 ** rng.uniform(-12, -3, (n, 1)) * rng.choice([-1, 1], (n, 1))
-    axis_pts = np.array([[s, 0.0] for s in np.linspace(-3, 3, 41)]
-                        + [[0.0, s] for s in np.linspace(-3, 3, 41)])
-    return np.concatenate([
-        axis_pts, rim, rim * (1.0 + offset), rim * rng.uniform(0, 1, (n, 1)),
-        rng.uniform(-1e3, 1e3, (n, 2)), rng.uniform(-2, 2, (n, 2)),
-    ])
-
-
-@pytest.mark.parametrize("axes", [(0.6, 0.35), (0.35, 0.6), (1.0, 1.0),
-                                  (2.0, 1e-3), (0.612, 0.3431)])
-def test_ellipse_bisection_stops_at_its_fixed_point(axes):
-    q = _ellipse_points(axes, np.random.default_rng(11))
-    assert _bits(_ellipse_signed_distance(q, axes)) == _bits(ellipse_oracle(q, axes))
-
-
-def test_ellipse_bisection_on_the_plane_grid():
-    g = Grid("plane", ((-3.3375, 3.3375), (-3.3375, 3.3375)), 0.0125)
-    q = g.points()[::3, ::3]
-    for axes in [(0.6, 0.35), (0.35, 0.6)]:
-        assert _bits(_ellipse_signed_distance(q, axes)) == _bits(
-            ellipse_oracle(q, axes))
-
-
-@settings(max_examples=50, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(2)),
-              elements=st.floats(-50.0, 50.0, allow_subnormal=True)),
-       st.tuples(st.floats(0.01, 5.0), st.floats(0.01, 5.0)))
-def test_ellipse_bisection_on_random_points(q, axes):
-    assert _bits(_ellipse_signed_distance(q, axes)) == _bits(ellipse_oracle(q, axes))

@@ -724,6 +724,20 @@ def test_run_records_each_checkpoint_on_its_step():
     assert t_2 == 2 * cfg.dt == cfg.t_end
 
 
+def test_config_rejects_two_checkpoints_on_one_step():
+    # run() records one checkpoint per step: a second time that rounds to
+    # the same step would be dropped without a word
+    with pytest.raises(ConfigurationError, match=r"^checkpoints 0\.1 and "
+                       r"0\.1000001 fall on one step, 64 of dt = "):
+        compact_family_config(0.1, BODY, 0.9, 0.25, 0.2,
+                              checkpoints=(0.1, 0.1000001))
+
+
+def test_family_config_hands_dim_to_the_grid():
+    with pytest.raises(ConfigurationError, match="line mode reads no dim, got 3"):
+        compact_family_config(0.1, BODY, 0.9, 0.25, 0.2, mode="line", dim=3)
+
+
 def test_studies_reject_a_tail_below_the_papers_threshold():
     # the studies' compact family is the paper's data class: a tail
     # M exp(-lam |x| / eps) needs lam >= 1
