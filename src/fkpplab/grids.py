@@ -196,14 +196,20 @@ class TridiagonalFactor:
             *self._factor, info = dgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalError("tridiagonal system is singular")
+        # _check's off-diagonals aligned with the rows of y they multiply
+        # (upper[i] multiplies y[i + 1]), and the arrays it works in
+        self._aligned = (np.append(0.0, upper), np.append(lower, 0.0))
+        self._held = None
 
     def solve(self, rhs, check):
         """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
         block of right-hand sides, solved in one call.  With ``check`` it
         solves a Fortran-order copy, so ``rhs`` is left as it was, and
-        verifies the relative residual <= 1e-12.  Without it the solve
-        overwrites ``rhs``: a vector or a Fortran-order block is solved in
-        place (the LAPACK wrapper copies any other layout first)."""
+        verifies the relative residual <= 1e-12 (_check).  Without it the
+        solve overwrites ``rhs``: a vector or a Fortran-order block is
+        solved in place (the LAPACK wrapper copies any other layout first).
+        A checked solve allocates only the copy it returns, once its
+        check has held arrays of rhs's shape."""
         rhs = np.asarray(rhs, dtype=float)
         if rhs.shape[0] != self.diag.size:
             raise ConfigurationError("right-hand side length differs from n")
@@ -214,12 +220,38 @@ class TridiagonalFactor:
         if info != 0:
             raise NumericalError("tridiagonal solve failed")
         if check:
-            shape = (-1, *([1] * (rhs.ndim - 1)))
-            resid = self.diag.reshape(shape) * y
-            resid[:-1] += self.upper.reshape(shape) * y[1:]
-            resid[1:] += self.lower.reshape(shape) * y[:-1]
-            resid -= rhs
-            scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))), 1e-300)
-            if float(np.max(np.abs(resid))) > 1e-12 * scale:
-                raise NumericalError("tridiagonal solve residual exceeds 1e-12")
+            self._check(rhs, y)
         return y
+
+    def _check(self, rhs, y):
+        """Raises NumericalError unless max|T y - rhs| <= 1e-12 max(max|rhs|,
+        max|y|), with T y - rhs formed in the operation order of
+        diag y, + upper y[1:] on rows :-1, + lower y[:-1] on rows 1:, - rhs.
+
+        It is formed in two Fortran-order arrays of rhs's shape, held for
+        the next check of that shape: the residual, and the products and
+        absolute values on their way to it.  Each off-diagonal product is
+        formed over all of y, its coefficients aligned with the rows of y
+        they multiply, and the row that has none set to 0; it is then added
+        to the residual one row up or down through the two arrays' flat
+        views, where the shift is one contiguous slice.  The zero row lands
+        on the rows the plain expression leaves alone, where adding 0 moves
+        no magnitude."""
+        if self._held is None or self._held[0].shape != rhs.shape:
+            self._held = (np.empty(rhs.shape, order="F"),
+                          np.empty(rhs.shape, order="F"))
+        resid, work = self._held
+        flat_resid, flat_work = (a.reshape(-1, order="F") for a in self._held)
+        shape = (-1, *([1] * (rhs.ndim - 1)))
+        np.multiply(self.diag.reshape(shape), y, out=resid)
+        np.multiply(self._aligned[0].reshape(shape), y, out=work)
+        work[0] = 0.0
+        flat_resid[:-1] += flat_work[1:]
+        np.multiply(self._aligned[1].reshape(shape), y, out=work)
+        work[-1] = 0.0
+        flat_resid[1:] += flat_work[:-1]
+        resid -= rhs
+        scale = max(float(np.abs(rhs, out=work).max()),
+                    float(np.abs(y, out=work).max()), 1e-300)
+        if float(np.abs(resid, out=resid).max()) > 1e-12 * scale:
+            raise NumericalError("tridiagonal solve residual exceeds 1e-12")

@@ -39,9 +39,11 @@ def fmt(x) -> str:
 def write_table(fh, *columns):
     """CSV rows of the columns broadcast against each other (row-major over
     the broadcast shape), each value as '%.17g', which gives the bytes of
-    fmt(); one formatting call per block of about TABLE_ROWS rows.  A column
-    smaller than the broadcast shape (a plane checkpoint's axes) has each of
-    its values formatted once, then repeated as a string.
+    fmt(); one block of about TABLE_ROWS rows at a time.  A column smaller
+    than the broadcast shape (a plane checkpoint's axes) has each of its
+    values formatted once, then repeated as a string; if it is the same in
+    every row (the x1 axis), its strings go into the block's template once,
+    with the separators.
 
     A full-size column whose bits read the same backwards along axis 0,
     along the last axis, or both (the field of a run symmetric about the
@@ -49,46 +51,89 @@ def write_table(fh, *columns):
     repeats the strings of the first.  Bits decide, not values: 0.0 == -0.0,
     but they format as '0' and '-0'.  At most the first half of the rows is
     kept, each joined into one string, so the memory held stays a small
-    fraction of the table's."""
+    fraction of the table's.
+
+    A block is the template with the strings that change from row to row
+    slotted in, joined once.  A table with a plain full-size column (a
+    line checkpoint's x, a wave table) instead has the template's fields
+    filled by one '%' per block, which formats that column's values as it
+    fills them, faster than formatting them first."""
     shape = np.broadcast(*columns).shape
     if 0 in shape:  # an empty table has no rows to write
         return
     n, width = shape[0], math.prod(shape[1:])
     step = max(1, TABLE_ROWS // width)
-    blocks, fields = [], []
+    fixed, blocks, fields = [], [], []
     for c in map(np.asarray, columns):
         small = c.size < n * width
         if small:
             c = np.array(["%.17g" % v for v in c.ravel().tolist()],
                          dtype=object).reshape(c.shape)
         c = np.broadcast_to(c, shape).reshape(n, width)
+        if small and (n == 1 or c.strides[0] == 0):
+            fixed.append(c[0].tolist())
+            continue
         rows = cols = False
         if c.dtype == np.float64:
             bits = c.view(np.int64)
             rows = n > 1 and np.array_equal(bits, bits[::-1])
             cols = width > 1 and np.array_equal(bits, bits[:, ::-1])
+        fixed.append(None)
         if rows or cols:
             blocks.append(_mirrored_blocks(c, step, rows, cols))
         else:
             blocks.append(_blocks(c, step))
         fields.append("%s" if small or rows or cols else "%.17g")
-    row = ",".join(fields) + "\n"
-    for block in zip(*blocks):
-        block = np.stack(block, axis=-1)
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    template, pattern = _row_template(fixed, width), None
+    if "%.17g" in fields:  # the fixed text goes into one '%' pattern
+        field = iter(fields * width)
+        pattern = "".join(next(field) if p is None else p for p in template)
+        template = [None] * (len(blocks) * width)
+    stride = len(template) // width  # pieces per line
+    slots = [i for i, p in enumerate(template[:stride]) if p is None]
+    pieces = template * step
+    for k, *block in zip(range(0, n, step), *blocks):
+        count = min(step, n - k)  # rows in this block; the last may be short
+        del pieces[count * len(template):]
+        for i, b in zip(slots, block):
+            pieces[i::stride] = b
+        fh.write((pattern * count) % tuple(pieces) if pattern
+                 else "".join(pieces))
+
+
+def _row_template(fixed, width):
+    """The pieces of one table row of lines: per line, None (a slot) for
+    each column whose entry in ``fixed`` is None, and between the slots the
+    text of the fixed columns' strings and the separators, merged.  Every
+    line has the same layout."""
+    template, text = [], ""
+    for j in range(width):
+        for k, strings in enumerate(fixed):
+            if strings is None:
+                if text:
+                    template.append(text)
+                template.append(None)
+                text = ""
+            else:
+                text += strings[j]
+            text += "," if k < len(fixed) - 1 else "\n"
+        template.append(text)
+        text = ""
+    return template
 
 
 def _blocks(c, step):
-    """The values of an (n, m) array, step rows at a time."""
+    """The values of an (n, m) array, step rows at a time, as lists."""
     for k in range(0, len(c), step):
-        yield c[k:k + step].ravel()
+        yield c[k:k + step].ravel().tolist()
 
 
 def _mirrored_blocks(c, step, rows, cols):
-    """The '%.17g' strings of an (n, m) array, step rows at a time, with each
-    mirror pair formatted once: rows i and n-1-i if ``rows`` (the first half
-    formatted, the second read back in reverse), columns j and m-1-j if
-    ``cols`` (the caller has checked that their bits agree)."""
+    """The '%.17g' strings of an (n, m) array, step rows at a time, as
+    lists, with each mirror pair formatted once: rows i and n-1-i if
+    ``rows`` (the first half formatted, the second read back in reverse),
+    columns j and m-1-j if ``cols`` (the caller has checked that their bits
+    agree)."""
     n, m = c.shape
     half = m - m // 2 if cols else m  # values formatted per row
     fresh = n - n // 2 if rows else n  # rows formatted
@@ -107,9 +152,9 @@ def _mirrored_blocks(c, step, rows, cols):
             for line in lines:
                 strings = line.split(",")
                 block += strings + strings[m // 2 - 1::-1]
+            yield block
         else:
-            block = ",".join(lines).split(",")
-        yield np.array(block, dtype=object)
+            yield ",".join(lines).split(",")
 
 
 @dataclass

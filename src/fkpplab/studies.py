@@ -33,6 +33,7 @@ import inspect
 import math
 import os
 from collections import OrderedDict
+from dataclasses import replace
 from functools import partial, wraps
 
 import numpy as np
@@ -582,8 +583,10 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     and a verdict per property; the sabotage probe (_sabotage), which must
     break the ordering; the expanding-shell barrier (_shell_barrier).  The
     ordering tolerance is max(1e-3, 5 dx), dx = eps/8; the generation
-    window GEN_WINDOW eps|ln eps| must fit in t_end.  The config and the
-    kinetics are checked before the run and the waves start."""
+    window GEN_WINDOW eps|ln eps| must fit in t_end, and no checkpoint of
+    the window may fall on the step of one of t_end's (the run records one
+    field a step).  The config and the kinetics are checked before the run
+    and the waves start."""
     eL = eps_log(epsilon)
     window = GEN_WINDOW * eL
     if not window <= t_end:
@@ -593,7 +596,17 @@ def run_barrier_check(epsilon=0.02, body=ConvexBody.interval(-2.4, 2.4),
     gen_times = tuple(np.linspace(0.25, 1.0, 4) * window)
     motion_times = tuple(np.linspace(0.3, 1.0, 6) * t_end)
     cfg = compact_family_config(epsilon, body, amplitude, width, t_end,
-                                checkpoints=gen_times + motion_times)
+                                checkpoints=())
+    gen_steps = {round(t / cfg.dt): t for t in gen_times}
+    for t in motion_times:
+        k = round(t / cfg.dt)
+        if k in gen_steps:
+            raise ConfigurationError(
+                f"[solver] t_end = {t_end:g} and the generation window "
+                f"GEN_WINDOW eps|ln eps| = {window:.4g} put checkpoints "
+                f"{gen_steps[k]:.6g} and {t:.6g} on one step, {k} of "
+                f"dt = {cfg.dt:.6g}")
+    cfg = replace(cfg, checkpoint_times=gen_times + motion_times)
     _check_threshold_set(cfg.initial, epsilon)
     kin = KineticsParams(epsilon)
     # the run and the four waves, computed at the same time

@@ -133,6 +133,21 @@ MALFORMED = {
     "gen_window_past_t_end": (
         "barriers", "[solver]\nt_end = 0.1\n",
         "[solver] t_end = 0.1 must be at least GEN_WINDOW eps|ln eps| = 0.1565"),
+    # a t_end within dt/2 of the window GEN_WINDOW eps|ln eps| = 0.29957...
+    # at eps = 0.05 puts the last generation and motion checkpoints on one
+    # step: the guard names t_end and the window, not two checkpoints
+    "t_end_on_the_window_step": (
+        "barriers", "[kinetics]\nepsilon = 0.05\n\n[solver]\n"
+        "t_end = 0.2995732273553991\n",
+        "[solver] t_end = 0.299573 and the generation window GEN_WINDOW "
+        "eps|ln eps| = 0.2996 put checkpoints 0.299573 and 0.299573 on one "
+        "step, 384 of dt = 0.000780139"),
+    "t_end_just_past_the_window_step": (
+        "barriers", "[kinetics]\nepsilon = 0.05\n\n[solver]\n"
+        "t_end = 0.2996031846781346\n",
+        "[solver] t_end = 0.299603 and the generation window GEN_WINDOW "
+        "eps|ln eps| = 0.2996 put checkpoints 0.299573 and 0.299603 on one "
+        "step, 384 of dt = 0.000780217"),
     # how a verdict is computed, and how loose it is, are constants, not
     # keys, so no config can loosen a tolerance until its verdict passes
     "fit_window_retired": ("speed", "[study]\nfit_window = 0.2\n",

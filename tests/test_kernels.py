@@ -1,9 +1,10 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
 the outermost level crossing (each row of a block of profiles), the
 Laplacian stencil (mirror walls included) and the explicit Crank-Nicolson
-half, and the reaction half-step.  The replaced formulas are kept here as
-the oracles.  The line solve is held to the pivoting LU it replaced on line
-and plane axes to 1e-13, and bit for bit on radial ones."""
+half, the line solve's residual check, and the reaction half-step.  The
+replaced formulas are kept here as the oracles.  The line solve is held to
+the pivoting LU it replaced on line and plane axes to 1e-13, and bit for
+bit on radial ones."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
+from fkpplab.errors import NumericalError
 from fkpplab.grids import Grid
 from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
                             _outermost_crossings, default_dt)
@@ -282,6 +284,46 @@ def test_solve_leaves_the_checked_right_hand_side_alone(mode):
             y = factor.solve(rhs, check=True)
             assert _bits(rhs) == _bits(before)
             assert _bits(factor.solve(rhs, check=False)) == _bits(y)
+
+
+def residual_oracle(factor, rhs, y):
+    """|T y - rhs| by the plain expression _check replaced."""
+    shape = (-1, *([1] * (rhs.ndim - 1)))
+    resid = factor.diag.reshape(shape) * y
+    resid[:-1] += factor.upper.reshape(shape) * y[1:]
+    resid[1:] += factor.lower.reshape(shape) * y[:-1]
+    resid -= rhs
+    return np.abs(resid)
+
+
+CHECK_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, 5e-324]),
+    st.floats(-10.0, 10.0))
+
+
+@PROPS
+@given(st.sampled_from(sorted(GRIDS)), st.data())
+def test_residual_check_matches_the_plain_expression(mode, data):
+    # the held residual has the plain expression's magnitudes bit for bit,
+    # non-finite ones included, and the check raises exactly when the
+    # plain expression exceeds the bound
+    for factor in _factors(GRIDS[mode]):
+        n = factor.diag.size
+        shape = data.draw(st.sampled_from([(n,), (n, 1), (n, 3)]))
+        rhs = data.draw(arrays(np.float64, shape, elements=CHECK_VALUES))
+        y = np.asfortranarray(
+            data.draw(arrays(np.float64, shape, elements=CHECK_VALUES)))
+        with np.errstate(all="ignore"):
+            want = residual_oracle(factor, rhs, y)
+            scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(y))),
+                        1e-300)
+            try:
+                factor._check(rhs, y)
+                raised = False
+            except NumericalError:
+                raised = True
+        assert raised == (float(np.max(want)) > 1e-12 * scale)
+        assert _bits(factor._held[0]) == _bits(want)
 
 
 # ---- the reaction half-step -------------------------------------------------

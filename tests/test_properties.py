@@ -268,3 +268,32 @@ def test_write_table_mirror_folds_match_fstring_formatting(columns, rows):
     assert fh.getvalue() == "".join(
         ",".join(f"{c[idx]:.17g}" for c in cols) + "\n"
         for idx in np.ndindex(cols[0].shape))
+
+
+def test_write_table_paths_match_fstring_formatting_across_the_middle_row():
+    # one table per path: a small column that changes per row (x0), one
+    # that does not (x1) and a column mirrored on both axes go through the
+    # joined template; a plain full-size column next to them puts the same
+    # table through the one-'%' path.  Every block size from one row to
+    # the whole table, so that blocks straddle the middle row
+    rng = np.random.default_rng(11)
+    n, width = 7, 5
+    x0 = rng.standard_normal((n, 1))
+    x1 = rng.standard_normal(width)
+    u = _mirror(_mirror(rng.standard_normal((n, width)), 0), 1)
+    plain = rng.standard_normal((n, width))
+    for columns in ((x0, x1, u), (x0, plain, x1, u)):
+        cols = np.broadcast_arrays(*columns)
+        want = "".join(",".join(f"{c[idx]:.17g}" for c in cols) + "\n"
+                       for idx in np.ndindex(cols[0].shape))
+        for rows in range(1, n + 1):
+            fh = io.StringIO()
+            with mock.patch.object(reporting, "TABLE_ROWS", rows * width):
+                reporting.write_table(fh, *columns)
+            assert fh.getvalue() == want
+    # one row, every column the same in it: the template alone
+    columns = (x1[:3].reshape(1, 3, 1), x1[:4].reshape(1, 1, 4))
+    fh = io.StringIO()
+    reporting.write_table(fh, *columns)
+    assert fh.getvalue() == "".join(
+        f"{a:.17g},{b:.17g}\n" for a in x1[:3] for b in x1[:4])

@@ -842,6 +842,39 @@ def test_write_table_mirror_keeps_the_sign_of_zero(tmp_path):
         for i in range(3) for j in range(3)]
 
 
+def _traced_peak(call):
+    """call()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = call()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checked_solve_and_step_allocate_only_what_they_return():
+    """A checked solve forms its residual in arrays its factor holds, so it
+    allocates only the solution it returns, and a checked quarter-plane
+    step only its new state and, one at a time, its solves' solutions; the
+    residual in fresh arrays took about two arrays more.  Half an array of
+    slack covers numpy's fixed-size ufunc buffers."""
+    g = Grid("plane", ((0.0, 2.67), (0.0, 2.67)), 0.01)
+    assert g.shape == (268, 268)
+    stepper = Stepper(g, default_dt(g, 0.1), 0.1)
+    factor = stepper.factors[0]
+    rhs = np.asfortranarray(np.random.default_rng(23).random(g.shape))
+    factor.solve(rhs, check=True)  # the first check of a shape makes its arrays
+    y, peak = _traced_peak(lambda: factor.solve(rhs, check=True))
+    assert peak < 1.5 * y.nbytes
+
+    u = stepper.step(np.full(g.shape, 0.5))  # checked
+    for _ in range(RESIDUAL_EVERY - 1):
+        u = stepper.step(u)
+    assert stepper.steps % RESIDUAL_EVERY == 0  # the next step is checked
+    u, peak = _traced_peak(lambda: stepper.step(u))
+    assert peak < 2.5 * u.nbytes
+
+
 def test_write_table_mirror_memory_is_bounded():
     """A 535x535 table symmetric on both axes keeps only the half rows still
     waiting for their mirror: the traced peak stays below 6 MB, where a fold
