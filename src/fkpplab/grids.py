@@ -197,8 +197,11 @@ class TridiagonalFactor:
         if info != 0:
             raise NumericalError("tridiagonal system is singular")
         # _check's off-diagonals aligned with the rows of y they multiply
-        # (upper[i] multiplies y[i + 1]), and the arrays it works in
+        # (upper[i] multiplies y[i + 1]); the two flat arrays it works in,
+        # which factors that check blocks of one size share (Stepper), and
+        # their views in the shape of the last check
         self._aligned = (np.append(0.0, upper), np.append(lower, 0.0))
+        self.check_arrays = [np.empty(0), np.empty(0)]
         self._held = None
 
     def solve(self, rhs, check):
@@ -228,20 +231,20 @@ class TridiagonalFactor:
         max|y|), with T y - rhs formed in the operation order of
         diag y, + upper y[1:] on rows :-1, + lower y[:-1] on rows 1:, - rhs.
 
-        It is formed in two Fortran-order arrays of rhs's shape, held for
-        the next check of that shape: the residual, and the products and
-        absolute values on their way to it.  Each off-diagonal product is
-        formed over all of y, its coefficients aligned with the rows of y
-        they multiply, and the row that has none set to 0; it is then added
-        to the residual one row up or down through the two arrays' flat
-        views, where the shift is one contiguous slice.  The zero row lands
-        on the rows the plain expression leaves alone, where adding 0 moves
-        no magnitude."""
-        if self._held is None or self._held[0].shape != rhs.shape:
-            self._held = (np.empty(rhs.shape, order="F"),
-                          np.empty(rhs.shape, order="F"))
-        resid, work = self._held
-        flat_resid, flat_work = (a.reshape(-1, order="F") for a in self._held)
+        It is formed in the two flat arrays ``check_arrays``, held for the
+        next check of rhs's size, each viewed in rhs's shape in Fortran
+        order: the residual, and the products and absolute values on their
+        way to it.  Each off-diagonal product is formed over all of y, its
+        coefficients aligned with the rows of y they multiply, and the row
+        that has none set to 0; it is then added to the residual one row up
+        or down through the flat arrays, where the shift is one contiguous
+        slice.  The zero row lands on the rows the plain expression leaves
+        alone, where adding 0 moves no magnitude."""
+        flat_resid, flat_work = held = self.check_arrays
+        if flat_resid.size != rhs.size:
+            flat_resid, flat_work = held[:] = np.empty(rhs.size), np.empty(rhs.size)
+        resid, work = self._held = tuple(
+            a.reshape(rhs.shape, order="F") for a in held)
         shape = (-1, *([1] * (rhs.ndim - 1)))
         np.multiply(self.diag.reshape(shape), y, out=resid)
         np.multiply(self._aligned[0].reshape(shape), y, out=work)

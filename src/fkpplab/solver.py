@@ -171,6 +171,22 @@ def default_dt(grid: Grid, epsilon: float):
     return min(grid.dx / 2.0, grid.dx**2 / (epsilon * grid.dim))
 
 
+# The most float64 values one array holds: numpy sizes an array in bytes,
+# as an np.intp.
+MAX_VALUES = np.iinfo(np.intp).max // 8
+
+
+def check_count(count, what, epsilon, t_end):
+    """Raises ConfigurationError, naming epsilon and t_end, from which a
+    run's node and step counts come, unless ``count`` of ``what`` is finite
+    and fits one float64 array (MAX_VALUES).  It rejects only counts no
+    array can hold, whatever the memory."""
+    if not count <= MAX_VALUES:
+        raise ConfigurationError(
+            f"epsilon = {epsilon:g} and t_end = {t_end:g} need {count:.4g} "
+            f"{what}; one array holds at most {MAX_VALUES} float64 values")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     epsilon: float
@@ -183,6 +199,13 @@ class SimConfig:
         # the margin rejects a bad epsilon, then a bad t_end, before any
         # other check
         margin = outflow_margin(self.initial, self.t_end, self.epsilon)
+        # then the sizes: every node and step must fit an array (a dt that
+        # underflows to 0 takes infinitely many steps)
+        check_count(math.prod(self.grid.shape), "grid nodes", self.epsilon,
+                    self.t_end)
+        dt = default_dt(self.grid, self.epsilon)
+        check_count(self.t_end / dt if dt > 0.0 else math.inf, "steps",
+                    self.epsilon, self.t_end)
         body, mode, n = self.initial.body, self.grid.mode, self.grid.dim
         if body is not None:
             fits, need = {
@@ -329,7 +352,10 @@ class Stepper:
     * the reaction decay factor exp(-dt / (2 eps));
     * the Laplacian rows of each axis (_lap_rows);
     * the work arrays ``work`` the diffusion step writes through, one of
-      the grid's shape per axis; the last receives the solution.
+      the grid's shape per axis; the last receives the solution;
+    * one pair of residual-check arrays (TridiagonalFactor.check_arrays),
+      shared by the axes' factors: the x and y sweeps of a plane step
+      check blocks of one size, transposes of one another.
 
     ``step`` maps a bare value array to the next one in one new array, the
     only one it allocates: the first reaction half-step forms its result
@@ -359,6 +385,8 @@ class Stepper:
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
             for sub, diag, sup in coeffs
         )
+        for factor in self.factors[1:]:
+            factor.check_arrays = self.factors[0].check_arrays
         self.work = tuple(np.empty(grid.shape) for _ in axes)
         self.steps = 0
 

@@ -57,8 +57,8 @@ from .grids import Grid, interpolate
 from .kinetics import KineticsParams, eps_log
 from .reporting import ExperimentReport, config_hash
 from .solver import (THRESHOLD_K, InitialData, SimConfig, build_initial,
-                     compact_value, dump_checkpoint, outflow_margin, passage,
-                     run, run_until)
+                     check_count, compact_value, dump_checkpoint,
+                     outflow_margin, passage, run, run_until)
 from .svgplot import line_plot
 from .waves import decay_rate, solve_wave
 
@@ -169,10 +169,15 @@ def cached(runs, speeds):
 def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
     """A study family's SimConfig at one epsilon: dx = eps/8 and an extent e
     two nodes past the larger of `reach` and the outflow margin, (0, e) in
-    radial mode of dimension dim, (-e, e) on each axis otherwise."""
+    radial mode of dimension dim, (-e, e) on each axis otherwise.  The
+    nodes past the origin, fewer than the grid's, pass SimConfig's sizing
+    rule (check_count) before the extent is formed from them, and
+    SimConfig applies it to the grid's nodes."""
     need = max(reach, outflow_margin(initial, t_end, epsilon))
     dx = epsilon / 8.0
-    ext = math.ceil(need / dx + 2) * dx
+    past = need / dx + 2
+    check_count(past, "grid nodes past the origin", epsilon, t_end)
+    ext = math.ceil(past) * dx
     extents = ((0.0 if mode == "radial" else -ext, ext),) * (2 if mode == "plane" else 1)
     return SimConfig(epsilon, Grid(mode, extents, dx, dim), initial,
                      t_end=t_end, checkpoint_times=tuple(checkpoints))

@@ -8,21 +8,22 @@ speed alone thus says which normalization a profile carries.
 Profiles are computed by shooting: the integration launches a distance 1e-8
 from the rest state U = 1 along the unstable eigenvector of the
 linearization, runs with a high-order adaptive integrator, and is resampled
-onto a uniform table.  Exponential tails let the profile be evaluated
-anywhere on the line: the left one decays at the unstable rate, the right
-one is fitted on the final decade of decay; for the minimal speed c = 2 the
-right tail carries the extra algebraic factor, U ~ (az+b)e^-z.
+from its dense output onto a uniform table of (z, U, U').  Inside the table
+a profile is evaluated as the cubic Hermite interpolant on the (U, U') of
+the two nodes around z, which needs no linear solve and returns every
+node's U exactly.  Exponential tails let it be evaluated anywhere on the
+line: the left one decays at the unstable rate, the right one is fitted on
+the final decade of decay; for the minimal speed c = 2 the right tail
+carries the extra algebraic factor, U ~ (az+b)e^-z.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError, NumericalError
 from .reporting import write_table
@@ -95,12 +96,25 @@ class WaveProfile:
     def dz(self):
         return float(self.z[1] - self.z[0])
 
-    @cached_property
-    def _spline(self):
-        return CubicSpline(self.z, self.U)
+    def _hermite(self, z):
+        """The cubic Hermite interpolant on the (U, U') of the table nodes
+        z_i <= z < z_{i+1} around each z (the last interval for the last
+        node), in the basis form: a node gives s = 0 (s = 1 at the last),
+        where every basis term but one is exactly 0 and that one exactly 1,
+        so it returns the node's U bit for bit."""
+        i = np.clip(np.searchsorted(self.z, z, side="right") - 1, 0, self.z.size - 2)
+        z0, h = self.z[i], self.z[i + 1] - self.z[i]
+        s = (z - z0) / h
+        s2 = s * s
+        s3 = s2 * s
+        return ((2.0 * s3 - 3.0 * s2 + 1.0) * self.U[i]
+                + (s3 - 2.0 * s2 + s) * h * self.Uprime[i]
+                + (3.0 * s2 - 2.0 * s3) * self.U[i + 1]
+                + (s3 - s2) * h * self.Uprime[i + 1])
 
     def evaluate(self, z):
-        """U at arbitrary z: cubic inside the table, analytic tails outside."""
+        """U at arbitrary z: the cubic Hermite on the table's (U, U') inside
+        the table (_hermite), analytic tails outside."""
         z = np.asarray(z, dtype=float)
         scalar = z.ndim == 0
         z = np.atleast_1d(z)
@@ -110,7 +124,7 @@ class WaveProfile:
         right = z > hi
         mid = ~(left | right)
         if mid.any():
-            out[mid] = self._spline(z[mid])
+            out[mid] = self._hermite(z[mid])
         if left.any():
             C, mu = self.tail_left
             out[left] = 1.0 - C * np.exp(mu * z[left])

@@ -148,6 +148,20 @@ MALFORMED = {
         "[solver] t_end = 0.299603 and the generation window GEN_WINDOW "
         "eps|ln eps| = 0.2996 put checkpoints 0.299573 and 0.299603 on one "
         "step, 384 of dt = 0.000780217"),
+    # a node or step count no array can hold names epsilon and t_end,
+    # before any arithmetic on it fails: a dx^2 that would underflow to a
+    # dt of 0, a node count of inf, and one past numpy's largest array
+    "epsilon_dt_underflows": (
+        "simulate", "[kinetics]\nepsilon = 1e-300\n",
+        "epsilon = 1e-300 and t_end = 1 need 2e+301 grid nodes past the "
+        "origin; one array holds at most 1152921504606846975 float64 values"),
+    "epsilon_nodes_inf": (
+        "simulate", "[kinetics]\nepsilon = 1e-320\n",
+        "and t_end = 1 need inf grid nodes past the origin"),
+    "t_end_nodes_past_any_array": (
+        "simulate", "[kinetics]\nepsilon = 0.05\n\n[solver]\nt_end = 1e300\n",
+        "epsilon = 0.05 and t_end = 1e+300 need 3.2e+302 grid nodes past the "
+        "origin"),
     # how a verdict is computed, and how loose it is, are constants, not
     # keys, so no config can loosen a tolerance until its verdict passes
     "fit_window_retired": ("speed", "[study]\nfit_window = 0.2\n",
@@ -1345,3 +1359,18 @@ def test_solver_import_leaves_wave_shooting_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    """Importing the CLI and the studies loads scipy.integrate, for the wave
+    shooting, but not scipy.interpolate: a wave is evaluated from its own
+    table's (U, U').  Checked in a fresh interpreter, by what it has
+    loaded."""
+    src = str(Path(fkpplab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = ("import sys, fkpplab.cli, fkpplab.studies; print(sorted(m for m "
+            "in sys.modules if m in ('scipy.integrate', 'scipy.interpolate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "['scipy.integrate']"

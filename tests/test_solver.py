@@ -875,6 +875,43 @@ def test_checked_solve_and_step_allocate_only_what_they_return():
     assert peak < 2.5 * u.nbytes
 
 
+def test_plane_stepper_factors_check_through_one_pair_of_arrays():
+    """The x and y sweeps of a plane step check blocks of one size, the
+    grid's and its transpose, so the two factors share one held pair of
+    flat arrays: after a checked step each factor's last residual and work
+    array are views of those two, on a square grid and on one that is
+    not."""
+    for g in (Grid("plane", ((0.0, 0.3), (0.0, 0.3)), 0.01),
+              Grid("plane", ((0.0, 0.3), (0.0, 0.2)), 0.01)):
+        stepper = Stepper(g, default_dt(g, 0.1), 0.1)
+        fx, fy = stepper.factors
+        stepper.step(np.full(g.shape, 0.5))  # the first step is checked
+        held = fx.check_arrays
+        assert fy.check_arrays is held
+        assert [a.shape for a in held] == [(math.prod(g.shape),)] * 2
+        for factor, shape in ((fx, g.shape), (fy, g.shape[::-1])):
+            assert [v.shape for v in factor._held] == [shape] * 2
+            assert all(v.base is a for v, a in zip(factor._held, held))
+
+
+def test_config_rejects_counts_no_array_holds():
+    """SimConfig's sizing rule: a dt that underflows to 0 (dx^2 below the
+    smallest float) is infinitely many steps, and a step count past
+    MAX_VALUES is named with epsilon and t_end; counts an array could hold
+    pass, whatever the memory (a config allocates no grid)."""
+    init = InitialData.compact(ConvexBody.interval(-1e-158, 1e-158), 0.9, 1e-158)
+    grid = _line_grid(1e-156, 1e-170)
+    assert default_dt(grid, 1e-160) == 0.0
+    with pytest.raises(ConfigurationError,
+                       match=r"^epsilon = 1e-160 and t_end = 1e-200 need inf steps"):
+        SimConfig(1e-160, grid, init, t_end=1e-200)
+    cfg = compact_family_config(0.04, BODY, 0.9, 0.25, 1e12)
+    assert cfg.n_steps * math.prod(cfg.grid.shape) > solver.MAX_VALUES
+    with pytest.raises(ConfigurationError,
+                       match=r"^epsilon = 0.04 and t_end = 1e\+15 need 1.6e\+18 steps"):
+        compact_family_config(0.04, BODY, 0.9, 0.25, 1e15)
+
+
 def test_write_table_mirror_memory_is_bounded():
     """A 535x535 table symmetric on both axes keeps only the half rows still
     waiting for their mirror: the traced peak stays below 6 MB, where a fold

@@ -145,3 +145,30 @@ def test_wave_matches_ablowitz_zeppetella_closed_form():
     assert C == pytest.approx(2.0 * a, rel=1e-5)
     assert mu == unstable_rate(c)
     assert prof.tail_right[1] == pytest.approx(2.0 / r6, rel=1e-4)
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0, 2.5])
+def test_evaluate_returns_every_node_exactly(c):
+    # a node falls at the start of its interval (the last node at the end
+    # of the last), where the Hermite basis gives its U bit for bit
+    prof = _wave(c)
+    assert np.array_equal(prof.evaluate(prof.z), prof.U)
+    assert prof.evaluate(prof.z[-1]) == prof.U[-1]
+    assert prof.evaluate(prof.z[0]) == prof.U[0]
+
+
+def test_evaluate_between_nodes_matches_ablowitz_zeppetella():
+    # the closed form of test_wave_matches_ablowitz_zeppetella_closed_form
+    # read between the nodes: at the interval midpoints, where an
+    # interpolant errs most, and at random points.  The table errs by
+    # 9.69e-13 at its nodes, and the cubic Hermite adds at most 7e-16
+    # (h^4/384 times the largest fourth derivative, 0.25); the bound 2e-12
+    # is about twice the measured 9.69e-13.  A linear interpolant errs by
+    # 3.2e-9 here
+    r6, a = math.sqrt(6.0), math.sqrt(2.0) - 1.0
+    prof = _wave(5.0 / r6)
+    rng = np.random.default_rng(7)
+    mid = (prof.z[:-1] + prof.z[1:]) / 2.0
+    for z in (mid, rng.uniform(prof.z[0], prof.z[-1], 20000)):
+        exact = (1.0 + a * np.exp(z / r6)) ** -2
+        assert np.max(np.abs(prof.evaluate(z) - exact)) <= 2e-12
