@@ -40,8 +40,7 @@ from .errors import ConfigurationError, DomainError
 from .geometry import ConvexBody, cutoff_distance
 from .grids import Field, Grid
 from .kinetics import KineticsParams, eps_log, semiflow
-from .solver import (THRESHOLD_K, InitialData, compact_value, _apply_lap,
-                     _lap_rows)
+from .solver import THRESHOLD_K, InitialData, compact_value, _lap_coeffs
 from .waves import WaveProfile, decay_rate
 
 
@@ -154,6 +153,19 @@ def radial_sub_W(t, r, wave: WaveProfile, epsilon: float, n_dim: int,
     return float(out) if out.ndim == 0 else out
 
 
+def _apply_lap(u, grid: Grid, axis: int):
+    """The solver's discrete Laplacian of u along one axis, unscaled
+    (multiply by 1/dx^2): the rows _lap_coeffs(grid, axis), formed in the
+    order diag*u, + sup*u[1:], + sub*u[:-1] along that axis."""
+    sub, diag, sup = _lap_coeffs(grid, axis)
+    u = np.moveaxis(u, axis, 0)
+    shape = (-1,) + (1,) * (u.ndim - 1)
+    out = diag.reshape(shape) * u
+    out[:-1] += sup.reshape(shape) * u[1:]
+    out[1:] += sub.reshape(shape) * u[:-1]
+    return np.moveaxis(out, 0, axis)
+
+
 def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     """L[v] = v_t - eps Lap v - v(1-v)/eps on the grid, with central
     differences in time (step dx * RESIDUAL_DT) and the solver's discrete
@@ -163,9 +175,8 @@ def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(v0, _lap_rows(grid, 0), np.empty_like(v0)) / grid.dx**2
+    lap = _apply_lap(v0, grid, 0) / grid.dx**2
     if grid.mode == "plane":
-        lap += _apply_lap(v0.T, _lap_rows(grid, 1),
-                          np.empty_like(v0.T)).T / grid.dx**2
+        lap += _apply_lap(v0, grid, 1) / grid.dx**2
     res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
     return Field(grid, res)

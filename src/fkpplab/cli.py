@@ -138,8 +138,9 @@ def main(argv=None):
             print(line)
         print(f"report written to {os.path.join(args.out, 'report.csv')}")
         return 0 if report.passed else 2
-    except (ConfigurationError, DomainError) as exc:
-        # the message names the key; the prefix names the command
+    except (ConfigurationError, DomainError, MemoryError) as exc:
+        # the message names the key, or (numpy's) the array that does not
+        # fit in memory; the prefix names the command
         print(f"fkpplab {args.command}: configuration error: {exc}",
               file=sys.stderr)
         return 1

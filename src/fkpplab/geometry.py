@@ -11,6 +11,7 @@ bounds how far its points lie from the origin: the outflow margin's start.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,22 @@ class ConvexBody:
                 raise ConfigurationError("ellipse is two-dimensional")
             if min(axes) <= 0:
                 raise ConfigurationError("ellipse semi-axes must be positive")
+        # every distance squares these numbers
+        if self.shape == "interval":
+            named = [("endpoint", float(v)) for v in self.params]
+        else:
+            kind = "radius" if self.shape == "ball" else "semi-axis"
+            named = ([("centre coordinate", float(c)) for c in self.params[0]]
+                     + [(kind, float(s)) for s in np.atleast_1d(self.params[1])])
+        for name, value in named:
+            if not math.isfinite(value * value):
+                raise ConfigurationError(f"{self.shape} {name} {value:g} is too "
+                                         "large: its square is not finite")
+        # an ellipse's squares a semi-axis times a coordinate: up to reach^4
+        reach = float(self.reach)
+        if self.shape == "ellipse" and not math.isfinite(reach * reach * reach * reach):
+            raise ConfigurationError(f"ellipse reach {reach:g} is too large: its "
+                                     "fourth power is not finite")
         origin = 0.0 if self.shape == "interval" else np.zeros(self.dim)
         if self.signed_distance(origin) >= 0.0:
             raise ConfigurationError("the region must contain the origin")

@@ -2,8 +2,9 @@
 
 The reaction substep is the exact logistic flow with rate dt/eps, so the
 1/eps stiffness never meets the time stepper; the diffusion substep is
-Crank-Nicolson with Neumann walls (one tridiagonal solve per line, ADI in
-plane mode, L'Hopital regularization N*u_rr at the radial origin).  Both
+Crank-Nicolson with Neumann walls, T^{-1} (I + a L) u with T = I - a L,
+taken by its identity 2 T^{-1} u - u (one tridiagonal solve per line, ADI
+in plane mode, L'Hopital regularization N*u_rr at the radial origin).  Both
 substeps preserve ordering when eps*dt/dx^2 <= 1 (see default_dt), which
 makes the composed scheme comparison-preserving and keeps
 0 <= u <= max(1, sup u0) to rounding.
@@ -164,10 +165,10 @@ def outflow_margin(initial: InitialData, t_end, epsilon):
 
 
 def default_dt(grid: Grid, epsilon: float):
-    """Largest step that keeps Crank-Nicolson order-preserving: the explicit
-    half-factor (I + a L) must stay entrywise nonnegative, eps dt/dx^2 <= 1/N
-    (N = grid.dim: 2 or 3 in radial mode, 1 otherwise, as Grid requires).
-    Capped by the accuracy rule dx/2."""
+    """Largest step that keeps Crank-Nicolson order-preserving: the factor
+    (I + a L) of the step T^{-1} (I + a L) must stay entrywise nonnegative,
+    eps dt/dx^2 <= 1/N (N = grid.dim: 2 or 3 in radial mode, 1 otherwise,
+    as Grid requires).  Capped by the accuracy rule dx/2."""
     return min(grid.dx / 2.0, grid.dx**2 / (epsilon * grid.dim))
 
 
@@ -304,38 +305,6 @@ def _lap_coeffs(grid: Grid, axis: int):
     return sub, diag, sup
 
 
-def _lap_rows(grid: Grid, axis: int):
-    """What _apply_lap needs of one axis: the radial _lap_coeffs, or for a
-    line or plane axis whether its low wall is a mirror."""
-    return _lap_coeffs(grid, 0) if grid.mode == "radial" else _mirrored(grid, axis)
-
-
-def _apply_lap(u, rows, out):
-    """The unscaled Laplacian along axis 0 of u (pass u.T for axis 1), in
-    the order diag*u, + sup*u[1:], + sub*u[:-1], written into ``out``
-    (u's shape, not sharing its memory); ``rows`` is
-    _lap_rows(grid, axis).  On a line or plane axis it is the stencil
-    1, -2, 1 with telescoping walls, applied with slices and scalars, and a
-    mirror row that is the telescoping row doubled: every product with
-    those coefficients is exact, so the bits are those of _lap_coeffs'
-    arrays.  Radial rows are the arrays themselves."""
-    if isinstance(rows, bool):
-        np.multiply(u, -2.0, out=out)
-        out[0] = -u[0]
-        out[-1] = -u[-1]
-        out[:-1] += u[1:]
-        out[1:] += u[:-1]
-        if rows:
-            out[0] *= 2.0
-        return out
-    sub, diag, sup = rows
-    shape = (-1,) + (1,) * (u.ndim - 1)
-    np.multiply(diag.reshape(shape), u, out=out)
-    out[:-1] += sup.reshape(shape) * u[1:]
-    out[1:] += sub.reshape(shape) * u[:-1]
-    return out
-
-
 # Steps between residual checks of the line solves; the first step of every
 # Stepper is always checked.
 RESIDUAL_EVERY = 25
@@ -345,33 +314,33 @@ class Stepper:
     """Strang step reaction(dt/2) o diffusion(dt) o reaction(dt/2) on one
     grid, with every quantity that is constant over a run computed once:
 
-    * the factor of (I - a L) along each axis, a = eps dt / (2 dx^2):
+    * the factor of T = I - a L along each axis, a = eps dt / (2 dx^2):
       LDL^T on a line or plane axis, whose rows are symmetric (a mirror
       row once halved), LU on a radial one (TridiagonalFactor); the
       diagonal-dominance check runs here, at factorisation;
     * the reaction decay factor exp(-dt / (2 eps));
-    * the Laplacian rows of each axis (_lap_rows);
-    * the work arrays ``work`` the diffusion step writes through, one of
-      the grid's shape per axis; the last receives the solution;
+    * the work arrays ``work`` the diffusion step writes through, one per
+      axis, that axis first and in Fortran order, so that the solve along
+      it runs in place: the grid's shape on a line or radial axis and on
+      a plane's x axis, the transposed shape on its y axis; the last
+      receives the solution.  On a plane ``copies`` views each work array
+      in the other axis's layout;
     * one pair of residual-check arrays (TridiagonalFactor.check_arrays),
-      shared by the axes' factors: the x and y sweeps of a plane step
+      shared by the axes' factors: the x and y steps of a plane step
       check blocks of one size, transposes of one another.
 
     ``step`` maps a bare value array to the next one in one new array, the
     only one it allocates: the first reaction half-step forms its result
     there, and the second half-step forms its result there again, from
     the diffusion step's solution in work[-1].  The line solves run along
-    axis 0, all lines in one LAPACK call, each on a right-hand side
-    already in Fortran order, which the solve overwrites with its
-    solution.  Every array is formed in the operation order of the plain
-    expressions, so the bits are theirs.
+    axis 0, all lines in one LAPACK call.
 
     The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
-    steps after it, each on a Fortran-order copy, whose solution the step
-    goes on with.  Every row, a mirror row included, keeps (I + a L)
-    nonnegative for a <= 1/2 (1/(2N) in radial mode, N = 2 or 3), as
-    default_dt gives.
+    steps after it, each on a Fortran-order copy.  Every row, a mirror row
+    included, keeps (I + a L) nonnegative for a <= 1/2 (1/(2N) in radial
+    mode, N = 2 or 3), as default_dt gives, and T^{-1} is nonnegative, so
+    the step T^{-1} (I + a L) preserves order.
     """
 
     def __init__(self, grid: Grid, dt: float, epsilon: float):
@@ -379,15 +348,19 @@ class Stepper:
         self.decay = np.exp(-(dt / 2.0 / epsilon))
         self.a = epsilon * dt / 2.0 / grid.dx**2
         axes = range(len(grid.extents))
-        coeffs = tuple(_lap_coeffs(grid, i) for i in axes)
-        self.rows = tuple(_lap_rows(grid, i) for i in axes)
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
-            for sub, diag, sup in coeffs
+            for sub, diag, sup in (_lap_coeffs(grid, i) for i in axes)
         )
         for factor in self.factors[1:]:
             factor.check_arrays = self.factors[0].check_arrays
-        self.work = tuple(np.empty(grid.shape) for _ in axes)
+        shape = grid.shape
+        self.work = tuple(np.empty(shape[i:] + shape[:i], order="F")
+                          for i in axes)
+        # a plane axis's input in that axis's layout, in the other work array
+        self.copies = ((None,) if len(axes) == 1 else tuple(
+            other.reshape(work.shape, order="F")
+            for work, other in zip(self.work, self.work[::-1])))
         self.steps = 0
 
     def _reaction(self, u, out):
@@ -407,43 +380,38 @@ class Stepper:
         must be nonnegative."""
         return self._reaction(u, np.empty_like(u))
 
-    def _explicit(self, u, rows, out):
-        """(I + a L) u along axis 0 with the Laplacian rows of that axis,
-        formed in out, the Laplacian's array."""
-        _apply_lap(u, rows, out)
-        out *= self.a
-        out += u
-        return out
-
     def diffusion(self, u):
         """Crank-Nicolson step of u_t = eps Lap u over dt, Neumann walls:
-        the solution, in work[-1] until the next call (u must not share
-        memory with the work arrays), or on a checked step in the solve's
-        new array.
+        the solution, in work[-1] (transposed on a plane) until the next
+        call; u must not share memory with the work arrays.
 
-        Plane mode uses Peaceman-Rachford ADI (two half-steps, alternating
-        directions), which keeps second-order accuracy with only line
-        solves; each directional half-step carries the same a as plain
-        Crank-Nicolson.  Its two work arrays are read in the grid's shape
-        and, reshaped, in the transposed one, both in C order, so that the
-        transpose of either is a Fortran-order array that a sweep solves in
-        place.  u is copied into work[0] in the transposed shape, and the x
-        sweep's right-hand side, the explicit half along y, is formed from
-        it in work[1]; the x sweep's solution is copied into work[0] in the
-        grid's shape, and the y sweep's right-hand side, the explicit half
-        along x, is formed from it in work[1].  So each explicit half runs
-        along axis 0 of a C-order array.  On a line or radial axis the
-        right-hand side is formed in work[0].
+        Along one axis the step is T^{-1} (I + a L) u, T = I - a L, which
+        is 2 T^{-1} u - u, since I + a L = 2I - T: u is copied into the
+        axis's work array, the solve overwrites it with y, T y = u (a
+        checked solve leaves it alone and returns y, which is doubled into
+        it), and 2y - u is formed there.  On a plane the x axis steps and
+        then the y axis, each from the last one's result read transposed,
+        so each copy into a work array is a transpose; that copy is copied
+        again into the other work array (``copies``), which the last axis
+        has done with, so that 2y - u reads u in y's layout.  L_x =
+        L_0 (x) I and L_y = I (x) L_1 commute, so the product of the two
+        steps is Peaceman-Rachford ADI: second order, with only line
+        solves.  Each axis's step is nonnegative on nonnegative u for
+        a <= 1/2 (1/(2N) in radial mode), as default_dt gives, so the
+        negatives of 2y - u, which rounding makes, are set to 0.
         """
         check = self.steps % RESIDUAL_EVERY == 0
-        if self.grid.mode == "plane":
-            (fx, fy), (rx, ry), (p, q) = self.factors, self.rows, self.work
-            pt, qt = p.reshape(p.shape[::-1]), q.reshape(q.shape[::-1])
-            np.copyto(pt, u.T)
-            np.copyto(p, fx.solve(self._explicit(pt, ry, qt).T, check))
-            return fy.solve(self._explicit(p, rx, q).T, check).T
-        (p,) = self.work
-        return self.factors[0].solve(self._explicit(u, self.rows[0], p), check)
+        for factor, work, copy in zip(self.factors, self.work, self.copies):
+            np.copyto(work, u)
+            if copy is not None:
+                np.copyto(copy, work)
+                u = copy
+            np.multiply(factor.solve(work, check), 2.0, out=work)
+            work -= u
+            # rounding negatives, as of a subnormal halved to 0 on a mirror row
+            np.maximum(work, 0.0, out=work)
+            u = work.T
+        return u
 
     def step(self, u):
         """The state one Strang step after u (a new array)."""

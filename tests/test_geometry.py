@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,32 @@ def test_bodies_must_contain_origin():
         ConvexBody.interval(0.2, 0.7)
     with pytest.raises(ConfigurationError):
         ConvexBody.ball((3.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("make, named", [
+    (lambda: ConvexBody.ellipse((0.0, 0.0), (1e300, 1.0)), "ellipse semi-axis 1e+300"),
+    (lambda: ConvexBody.ellipse((0.0, 1e300), (0.5, 0.5)),
+     "ellipse centre coordinate 1e+300"),
+    (lambda: ConvexBody.ball((-1e200, 0.0, 0.0), 0.5), "ball centre coordinate -1e+200"),
+    (lambda: ConvexBody.ball((0.0, 0.0), 1e155), "ball radius 1e+155"),
+    (lambda: ConvexBody.interval(-1e300, 1.0), "interval endpoint -1e+300"),
+    # each number squares finitely, but the products of a semi-axis and a
+    # coordinate do not: the origin check's foot-point bracket overflowed
+    (lambda: ConvexBody.ellipse((1e80, 1e80), (2e80, 2e80)),
+     "ellipse reach 3.41421e+80"),
+], ids=["ellipse_semi_axis", "ellipse_centre", "ball_centre", "ball_radius",
+        "interval_endpoint", "ellipse_reach"])
+def test_bodies_whose_numbers_overflow_when_squared_are_rejected(make, named):
+    # a distance squares them; rejected by name before any is evaluated, so
+    # no overflow warning and no NumericalError of the foot-point iteration
+    power = "fourth power" if "reach" in named else "square"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(named)} is too "
+                           f"large: its {power} is not finite$"):
+            make()
+    ConvexBody.ellipse((0.0, 0.0), (1e75, 1.0))  # reach^4 = 1e300: kept
+    ConvexBody.ball((0.0, 0.0), 1e150)  # squares to 1e300: kept
 
 
 @pytest.mark.parametrize("body, reach", [

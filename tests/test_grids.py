@@ -230,7 +230,7 @@ def test_points_of_an_index_are_that_slice_of_all_points(grid):
 @pytest.mark.parametrize("dim", (1, 4, 5, 8))
 def test_radial_grid_takes_dimension_2_or_3(dim):
     # from N = 4 the sub-diagonal 1 - (N-1)/(2i) is negative near the
-    # origin, so no step keeps the explicit half nonnegative
+    # origin, so no step keeps I + a L nonnegative
     with pytest.raises(ConfigurationError, match="N = 2 or 3"):
         Grid("radial", ((0.0, 1.0),), 0.1, dim=dim)
 

@@ -7,13 +7,18 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from io import StringIO
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fkpplab
 from fkpplab import cli, studies, svgplot
@@ -162,6 +167,23 @@ MALFORMED = {
         "simulate", "[kinetics]\nepsilon = 0.05\n\n[solver]\nt_end = 1e300\n",
         "epsilon = 0.05 and t_end = 1e+300 need 3.2e+302 grid nodes past the "
         "origin"),
+    # a body number whose square overflows is named before any distance
+    # is evaluated (the foot-point iteration failed on it, exit 3)
+    "body_coordinate_overflows": (
+        "simulate", "[kinetics]\nepsilon = 0.1\n\n[geometry]\nshape = ellipse\n"
+        "center = 0, 1e300\nsemi_axes = 0.5, 0.5\n\n[solver]\nmode = plane\n",
+        "ellipse centre coordinate 1e+300 is too large: its square is not finite"),
+    # each number squares finitely, but the origin check's products of a
+    # semi-axis and a coordinate overflowed (exit 3)
+    "body_reach_overflows": (
+        "simulate", "[kinetics]\nepsilon = 0.1\n\n[geometry]\nshape = ellipse\n"
+        "center = 1e80, 1e80\nsemi_axes = 2e80, 2e80\n\n[solver]\nmode = plane\n",
+        "ellipse reach 3.41421e+80 is too large: its fourth power is not finite"),
+    # a run whose arrays numpy could index but no memory holds: the address
+    # range cannot be reserved, so the first of them fails at once
+    "t_end_arrays_past_memory": (
+        "simulate", "[kinetics]\nepsilon = 0.05\n\n[solver]\nt_end = 1e14\n",
+        "Unable to allocate 455. PiB for an array with shape"),
     # how a verdict is computed, and how loose it is, are constants, not
     # keys, so no config can loosen a tolerance until its verdict passes
     "fit_window_retired": ("speed", "[study]\nfit_window = 0.2\n",
@@ -187,6 +209,134 @@ def test_cli_malformed_config_is_a_configuration_error(tmp_path, capsys, case):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"fkpplab {command}: configuration error: ")
     assert reason in line
+
+
+# ---- random configs --------------------------------------------------------
+
+# Values drawn in place of a valid one: each sits at or past an edge of
+# every range the schema reads.
+EDGES = (0.0, -1.0, -0.0, 1e-300, 1e300, 1e-320, math.nan, math.inf)
+
+
+@st.composite
+def random_configs(draw):
+    """(command, INI text) for simulate, speed, thickness or generation.
+    A config draws only valid values, or each value is, with probability
+    1/4, an edge value or one just past its valid range.
+    Valid values keep every run small: eps >= 0.04 (>= 0.25 in plane
+    mode) and t_end <= 0.15 (<= 0.05 in plane mode); no edge value is a
+    valid large size."""
+    edgy = draw(st.booleans())
+
+    @st.composite
+    def _number(draw, valid, outside=()):
+        if not edgy or draw(st.integers(0, 3)) < 3:
+            return repr(draw(st.sampled_from(valid)))
+        return repr(draw(st.sampled_from(EDGES + tuple(outside))))
+
+    def _numbers(draw, valid, outside=(), size=(1, 1), unique=False):
+        n = draw(st.integers(*size))
+        values = draw(st.lists(st.sampled_from(valid), min_size=n, max_size=n,
+                               unique=unique))
+        return ", ".join(draw(_number((v,), outside)) for v in values)
+
+    command = draw(st.sampled_from(("simulate", "speed", "thickness",
+                                    "generation")))
+    algebraic = command == "simulate" and draw(st.integers(0, 3)) == 0
+    mode = "line"
+    if command == "simulate":
+        mode = "radial" if algebraic else draw(
+            st.sampled_from(("line", "radial", "plane")))
+    if command != "simulate":
+        eps = (0.04, 0.06, 0.08)
+    else:
+        eps = (0.25, 0.3) if mode == "plane" else (0.04, 0.08, 0.2)
+    sections = {"solver": {"t_end": draw(_number(
+        (0.02, 0.05) if mode == "plane" else (0.05, 0.1, 0.15)))}}
+    if command == "simulate":
+        sections["kinetics"] = {"epsilon": draw(_number(eps, (0.37,)))}
+        sections["solver"]["mode"] = mode
+    else:
+        sections["study"] = {"epsilons": _numbers(draw, eps, (0.37,), (2, 3),
+                                                 unique=True)}
+    if mode == "radial":
+        sections["solver"]["dim"] = draw(st.sampled_from(("2", "3", "1", "4")))
+    if command == "simulate" and draw(st.booleans()):
+        sections["solver"]["extent"] = draw(_number((0.0, 0.5, 1.0)))
+    if command == "simulate" and draw(st.booleans()):
+        sections["solver"]["checkpoints"] = _numbers(
+            draw, (0.0, 0.01, 0.02), (-1e-9,), (1, 2))
+    if algebraic:
+        sections["initial"] = {"variant": "algebraic",
+                               "m": draw(_number((0.3, 0.9))),
+                               "n": draw(_number((1.0, 2.0)))}
+    else:
+        size = draw(_number((0.3, 0.5)))
+        shape = draw(st.sampled_from({"line": ("interval",),
+                                      "radial": ("ball",),
+                                      "plane": ("ball", "ellipse")}[mode]))
+        geometry = {"shape": shape}
+        if shape == "interval":
+            geometry.update(a=draw(_number((-0.5, -0.3))), b=size)
+        else:
+            dim = 2 if mode == "plane" else sections["solver"]["dim"]
+            centre = (0.0,) if mode == "radial" else (0.0, 0.05, -0.05)
+            geometry["center"] = _numbers(draw, centre,
+                                          size=(int(dim), int(dim)))
+            if shape == "ball":
+                geometry["radius"] = size
+            else:
+                geometry["semi_axes"] = f"{size}, {draw(_number((0.3, 0.4)))}"
+        sections["geometry"] = geometry
+        sections["initial"] = {
+            "amplitude": draw(_number((0.9, 0.5), (1.0000001,))),
+            "width": draw(_number((0.1, 0.25)))}
+        if command == "simulate" and draw(st.booleans()):
+            sections["initial"].update(
+                tail_cap=draw(_number((0.01, 0.05))),
+                tail_lambda=draw(_number((1.0, 2.0), (0.999,))))
+    if edgy and draw(st.integers(0, 7)) == 7:  # a key the command does not read
+        sections.setdefault("study", {})["probe_t"] = "0.1"
+    text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   + "\n" for name, keys in sections.items())
+    return command, text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(random_configs())
+def test_cli_exit_codes_under_random_configs(case):
+    """cli.main returns 0, 1, 2 or 3 and raises nothing, and it returns 3
+    only from a NumericalError of a run itself (solver.run or run_until),
+    whose message it prints.  The studies' jobs run in this process, so
+    the wrapped runs see every fault."""
+    command, text = case
+    faults = []
+
+    def watched(func):
+        def call(*args):
+            try:
+                return func(*args)
+            except NumericalError as exc:
+                faults.append(exc)
+                raise
+        return call
+
+    err = StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            tempfile.TemporaryDirectory() as work:
+        mp.setattr(studies, "_pool_size", lambda n: 1)
+        mp.setattr(studies, "_cache", type(studies._cache)())
+        mp.setattr(studies, "run", watched(studies.run))
+        mp.setattr(studies, "run_until", watched(studies.run_until))
+        ini = _write(Path(work), "cfg.ini", text)
+        with redirect_stdout(StringIO()), redirect_stderr(err):
+            code = cli.main([command, "--config", ini, "--out",
+                             os.path.join(work, "o")])
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert faults, err.getvalue()
+        assert err.getvalue() == (
+            f"fkpplab {command}: numerical error: {faults[-1]}\n")
 
 
 def test_config_missing_file():

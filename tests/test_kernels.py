@@ -1,10 +1,11 @@
 """The hot kernels of a run against the formulas they replaced, bit for bit:
-the outermost level crossing (each row of a block of profiles), the
-Laplacian stencil (mirror walls included) and the explicit Crank-Nicolson
-half, the line solve's residual check, and the reaction half-step.  The
-replaced formulas are kept here as the oracles.  The line solve is held to
-the pivoting LU it replaced on line and plane axes to 1e-13, and bit for
-bit on radial ones."""
+the outermost level crossing (each row of a block of profiles), the line
+solve's residual check, and the reaction half-step.  The replaced formulas
+are kept here as the oracles.  The line solve is held to the pivoting LU it
+replaced on line and plane axes to 1e-13, and bit for bit on radial ones.
+The Crank-Nicolson step, 2 T^{-1} u - u along each axis, is held to the
+dense solve of T y = (I + a L) u, built from the Laplacian rows (mirror
+walls included), to rounding."""
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from scipy.linalg.lapack import dgttrf, dgttrs, dpttrs
 
 from fkpplab.errors import NumericalError
 from fkpplab.grids import Grid
-from fkpplab.solver import (Stepper, _apply_lap, _lap_coeffs, _lap_rows,
+from fkpplab.solver import (RESIDUAL_EVERY, Stepper, _lap_coeffs,
                             _outermost_crossings, default_dt)
 
 PROPS = settings(max_examples=200, deadline=None)
@@ -125,76 +126,7 @@ def test_each_row_of_a_block_gets_its_own_crossing(case, data):
     assert _bits(_outermost_crossings(x, block, LEVELS)) == _bits(apart)
 
 
-# ---- the Laplacian and the explicit half ------------------------------------
-
-def lap_oracle(coeffs, u):
-    sub, diag, sup = coeffs
-    shape = (-1,) + (1,) * (u.ndim - 1)
-    out = diag.reshape(shape) * u
-    out[:-1] += sup.reshape(shape) * u[1:]
-    out[1:] += sub.reshape(shape) * u[:-1]
-    return out
-
-
-def _values(shape):
-    return arrays(np.float64, shape,
-                  elements=st.floats(-1e300, 1e300, allow_subnormal=True))
-
-
-def _lap(u, rows):
-    """_apply_lap of u into a new array laid out like u."""
-    return _apply_lap(u, rows, np.empty_like(u))
-
-
-def _laid_out(u, fortran):
-    return np.asfortranarray(u) if fortran else u
-
-
-@PROPS
-@given(_values(GRIDS["line"].shape))
-def test_lap_matches_coefficient_arrays_line(u):
-    g = GRIDS["line"]
-    assert _bits(_lap(u, _lap_rows(g, 0))) == _bits(
-        lap_oracle(_lap_coeffs(g, 0), u))
-
-
-@PROPS
-@given(_values(GRIDS["radial"].shape))
-def test_lap_matches_coefficient_arrays_radial(u):
-    g = GRIDS["radial"]
-    assert _bits(_lap(u, _lap_rows(g, 0))) == _bits(
-        lap_oracle(_lap_coeffs(g, 0), u))
-
-
-@PROPS
-@given(_values(GRIDS["plane"].shape), st.booleans())
-def test_lap_matches_coefficient_arrays_plane(u, fortran):
-    g = GRIDS["plane"]
-    u = _laid_out(u, fortran)
-    assert _lap_rows(g, 0) is False and _lap_rows(g, 1) is False
-    assert _bits(_lap(u, False)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
-    assert _bits(_lap(u.T, False).T) == _bits(
-        lap_oracle(_lap_coeffs(g, 1), u.T).T)
-
-
-@PROPS
-@given(_values(GRIDS["half_line"].shape))
-def test_lap_matches_coefficient_arrays_half_line(u):
-    g = GRIDS["half_line"]
-    assert _lap_rows(g, 0) is True
-    assert _bits(_lap(u, True)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
-
-
-@PROPS
-@given(_values(GRIDS["quarter_plane"].shape), st.booleans())
-def test_lap_matches_coefficient_arrays_quarter_plane(u, fortran):
-    g = GRIDS["quarter_plane"]
-    u = _laid_out(u, fortran)
-    assert _lap_rows(g, 0) is True and _lap_rows(g, 1) is True
-    assert _bits(_lap(u, True)) == _bits(lap_oracle(_lap_coeffs(g, 0), u))
-    assert _bits(_lap(u.T, True).T) == _bits(
-        lap_oracle(_lap_coeffs(g, 1), u.T).T)
-
+# ---- the Laplacian and the Crank-Nicolson step ------------------------------
 
 def test_mirror_row_is_the_radial_origin_row_at_n_1():
     half = GRIDS["half_line"]
@@ -212,20 +144,65 @@ def test_mirror_row_is_the_radial_origin_row_at_n_1():
         assert (rows[1][0], rows[2][0]) == (n * diag[0], n * sup[0])
 
 
-@pytest.mark.parametrize("mode", list(GRIDS))
-@pytest.mark.parametrize("fortran", [False, True])
-def test_explicit_half_matches_u_plus_a_lap(mode, fortran):
-    g = GRIDS[mode]
-    u = _laid_out(np.random.default_rng(3).random(g.shape), fortran)
-    stepper = Stepper(g, 0.7 * g.dx**2 / EPS, EPS)
-    a, before = stepper.a, u.copy()
-    assert _bits(stepper._explicit(u, stepper.rows[0], np.empty_like(u))) == _bits(
-        u + a * lap_oracle(_lap_coeffs(g, 0), u))
+def _dense_lap(g, axis):
+    sub, diag, sup = _lap_coeffs(g, axis)
+    return np.diag(diag) + np.diag(sup, 1) + np.diag(sub, -1)
+
+
+# The step against the dense solve, relative to max|want|: at most 5.3e-16
+# measured over these grids, at default_dt and 0.3 default_dt, checked and
+# unchecked steps alike; the bound leaves a margin of about 7.5.
+DENSE_RTOL = 4e-15
+
+
+@pytest.mark.parametrize("mode", [*GRIDS, "radial_2", "radial_3"])
+@pytest.mark.parametrize("dt_share", [1.0, 0.3])
+def test_diffusion_is_the_dense_crank_nicolson_solve(mode, dt_share):
+    # each axis's step is T^{-1} (I + a L) u, T = I - a L, as the dense
+    # solve gives it; on a plane the axes' operators L_0 (x) I and
+    # I (x) L_1 commute, and the step is their product
+    g = GRIDS.get(mode) or Grid("radial", GRIDS["radial"].extents, EPS / 8,
+                                dim=int(mode[-1]))
+    stepper = Stepper(g, dt_share * default_dt(g, EPS), EPS)
+    a = stepper.a
+    u = np.random.default_rng(3).random(g.shape)
     if g.mode == "plane":
-        assert _bits(stepper._explicit(u.T, stepper.rows[1],
-                                      np.empty_like(u.T)).T) == _bits(
-            u + a * lap_oracle(_lap_coeffs(g, 1), u.T).T)
-    assert _bits(u) == _bits(before)
+        n0, n1 = g.shape
+        ops = [np.kron(_dense_lap(g, 0), np.eye(n1)),
+               np.kron(np.eye(n0), _dense_lap(g, 1))]
+        assert np.array_equal(ops[0] @ ops[1], ops[1] @ ops[0])
+    else:
+        ops = [_dense_lap(g, 0)]
+    want = u.ravel()
+    eye = np.eye(want.size)
+    for lap in ops:
+        want = np.linalg.solve(eye - a * lap, (eye + a * lap) @ want)
+    before = u.copy()
+    for check in (True, False):
+        assert (stepper.steps % RESIDUAL_EVERY == 0) == check
+        got = stepper.diffusion(u)
+        assert got.shape == g.shape
+        assert np.max(np.abs(got.ravel() - want)) <= DENSE_RTOL * np.max(np.abs(want))
+        assert _bits(u) == _bits(before)
+        stepper.steps += 1
+
+
+@pytest.mark.parametrize("mode, axis", [
+    *((mode, 0) for mode in [*GRIDS, "radial_2"]),
+    ("plane", 1), ("quarter_plane", 1)])
+@pytest.mark.parametrize("tail", [(5e-324,), (5e-324, 1e-323), (1e-323, 5e-324),
+                                  (0.0, 5e-324)])
+def test_subnormal_tails_step_without_a_negative(mode, axis, tail):
+    # the smallest subnormals on and next to the first row along one axis (a
+    # mirror row on the half grids and at the radial origin): the solve
+    # halves them to 0, where 2y - u rounds below 0 unless the step clamps it
+    g = GRIDS.get(mode) or Grid("radial", GRIDS["radial"].extents, EPS / 8, dim=2)
+    u = np.zeros(g.shape)
+    np.moveaxis(u, axis, 0)[:len(tail)].T[...] = tail
+    stepper = Stepper(g, default_dt(g, EPS), EPS)
+    for _ in range(3):
+        u = stepper.step(u)
+        assert u.min() >= 0.0
 
 
 # ---- the line solve ---------------------------------------------------------
