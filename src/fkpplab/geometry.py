@@ -180,7 +180,8 @@ def _ellipse_signed_distance(q, axes):
         if not np.all(np.isfinite(t)):
             raise NumericalError("ellipse foot-point iteration failed")
         dist = np.hypot(fx0 - g0, fx1 - g1)
-        inside = (g0 / e0) ** 2 + (g1 / e1) ** 2 < 1.0
+        with np.errstate(over="ignore"):  # a ratio past the floats is outside
+            inside = (g0 / e0) ** 2 + (g1 / e1) ** 2 < 1.0
         out[~on_axis] = np.where(inside, -dist, dist)
 
     # on the major axis the foot point may sit off-axis

@@ -102,7 +102,8 @@ def _radii(mode, x):
 def _ramp(initial: InitialData, d):
     """The compact part g = A(1 - (1-s)^3), s = clamp(-d/w, 0, 1), from the
     signed distance d to the body."""
-    s = np.clip(-d / initial.width, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # a ratio past the floats clips all the same
+        s = np.clip(-d / initial.width, 0.0, 1.0)
     return initial.amplitude * (1.0 - (1.0 - s) ** 3)
 
 
@@ -148,7 +149,9 @@ def build_initial(initial: InitialData, grid: Grid, epsilon: float, x):
             return Field(grid, g), g
         lam, M = initial.tail
         return Field(grid, g + M * np.exp(-lam * r / epsilon)), g
-    return Field(grid, initial.m / (1.0 + (r / epsilon) ** initial.n)), None
+    with np.errstate(over="ignore"):  # (r/eps)^n = inf gives u0 = 0, its limit
+        denom = 1.0 + (r / epsilon) ** initial.n
+    return Field(grid, initial.m / denom), None
 
 
 def outflow_margin(initial: InitialData, t_end, epsilon):

@@ -110,7 +110,7 @@ def _cost(job):
     """A job's rank in the pool's queue, highest first: every run before
     any wave, a run by its config's steps times nodes (a stopped run as its
     full run), and a wave by its speed c, since the faster a wave, the
-    longer its solve (about 45 ms at c = 1, 85 ms at 2 and 220 ms at 4)."""
+    longer its solve (about 18 ms at c = 1, 31 ms at 2 and 76 ms at 4)."""
     name, (first, *_) = job
     if name == "solve_wave":
         return (0, first)
@@ -175,7 +175,8 @@ def _family_config(epsilon, initial, t_end, mode, dim, checkpoints, reach):
     SimConfig applies it to the grid's nodes."""
     need = max(reach, outflow_margin(initial, t_end, epsilon))
     dx = epsilon / 8.0
-    past = need / dx + 2
+    with np.errstate(over="ignore"):  # an infinite count is check_count's to reject
+        past = need / dx + 2
     check_count(past, "grid nodes past the origin", epsilon, t_end)
     ext = math.ceil(past) * dx
     extents = ((0.0 if mode == "radial" else -ext, ext),) * (2 if mode == "plane" else 1)

@@ -7,14 +7,17 @@ speed alone thus says which normalization a profile carries.
 
 Profiles are computed by shooting: the integration launches a distance 1e-8
 from the rest state U = 1 along the unstable eigenvector of the
-linearization, runs with a high-order adaptive integrator, and is resampled
-from its dense output onto a uniform table of (z, U, U').  Inside the table
-a profile is evaluated as the cubic Hermite interpolant on the (U, U') of
-the two nodes around z, which needs no linear solve and returns every
-node's U exactly.  Exponential tails let it be evaluated anywhere on the
-line: the left one decays at the unstable rate, the right one is fitted on
-the final decade of decay; for the minimal speed c = 2 the right tail
-carries the extra algebraic factor, U ~ (az+b)e^-z.
+linearization, runs with the package's Dormand-Prince 8(5,3) integrator
+(dop853), and is resampled from its dense output onto a uniform table of
+(z, U, U').  That integrator performs scipy's DOP853 operation for
+operation, so each table is bit for bit the one scipy's DOP853 gives,
+without importing scipy's ODE package.  Inside the table a profile is
+evaluated as the cubic Hermite interpolant on the (U, U') of the two nodes
+around z, which needs no linear solve and returns every node's U exactly.
+Exponential tails let it be evaluated anywhere on the line: the left one
+decays at the unstable rate, the right one is fitted on the final decade of
+decay; for the minimal speed c = 2 the right tail carries the extra
+algebraic factor, U ~ (az+b)e^-z.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import dop853
 from .errors import DomainError, NumericalError
 from .reporting import write_table
 
@@ -48,31 +51,22 @@ def unstable_rate(c):
     return (-c + math.sqrt(c * c + 4.0)) / 2.0
 
 
-def _integrate(c, z_final, y0, events):
-    def rhs(_, y):
-        u, v = y
-        return (v, -c * v - u * (1.0 - u))
+def _integrate(c, z_final, y0, level):
+    """The wave equation as the system (U, U')' = (U', -cU' - U(1-U)) from
+    (U, U')(0) = y0 over [0, z_final], stopped where U falls through level
+    (None: not stopped), by the package's DOP853 (dop853.integrate) at
+    rtol 1e-12 and atol 1e-14.  That integrator performs scipy's DOP853
+    operation for operation, so the returned dense output, and every table
+    resampled from it, is bit for bit what scipy's DOP853 solver gives
+    with dense output and the same event."""
+    def rhs(y):
+        u, v = y.tolist()  # Python floats round as numpy scalars do, faster
+        return np.array((v, -c * v - u * (1.0 - u)))
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, z_final),
-        y0,
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-        events=events,
-    )
-    if not sol.success:
-        raise NumericalError(f"wave integration failed: {sol.message}")
-    return sol
-
-
-def _event(offset, direction):
-    ev = lambda _, y: y[0] - offset
-    ev.terminal = True
-    ev.direction = direction
-    return ev
+    try:
+        return dop853.integrate(rhs, z_final, y0, level)
+    except NumericalError as err:
+        raise NumericalError(f"wave integration failed: {err}") from None
 
 
 @dataclass
@@ -188,17 +182,13 @@ class WaveProfile:
 def _resample(leg1, leg2, z_shift, dz):
     """Uniform table (multiples of dz, containing 0).  leg1 covers the
     original frame [0, z_shift] (anchor translated to 0), leg2 continues
-    from the anchor in its own local frame."""
-    z_hi = float(leg2.t[-1])
+    from the anchor in its own local frame; each leg's points are evaluated
+    in one pass over its dense output."""
+    z_hi = float(leg2.ts[-1])
     k = np.arange(math.ceil(-z_shift / dz - 1e-9), math.floor(z_hi / dz + 1e-9) + 1)
     z = k * dz
-    U = np.empty_like(z)
-    Up = np.empty_like(z)
     neg = z <= 0.0
-    v1 = leg1.sol(z[neg] + z_shift)
-    U[neg], Up[neg] = v1[0], v1[1]
-    v2 = leg2.sol(z[~neg])
-    U[~neg], Up[~neg] = v2[0], v2[1]
+    U, Up = np.concatenate((leg1(z[neg] + z_shift), leg2(z[~neg])), axis=1)
     return z, U, Up
 
 
@@ -231,15 +221,16 @@ def solve_wave(c):
     guard = math.log(0.6 / _LAUNCH) / lam_u + pad + 20.0
     anchor = 0.5 if monotone else 0.0
 
-    leg1 = _integrate(c, guard, y0, [_event(anchor, -1)])
-    if len(leg1.t_events[0]) == 0:
+    leg1 = _integrate(c, guard, y0, anchor)
+    if leg1.root is None:
         raise NumericalError(f"never reached U = {anchor:g} within the span guard")
-    z_anchor = float(leg1.t_events[0][0])
+    z_anchor = float(leg1.root)
+    launch = leg1(np.array([z_anchor]))[:, 0]
 
     if monotone:
-        leg2 = _integrate(c, Z_SPAN, leg1.sol(z_anchor), [_event(WAVE_FLOOR, -1)])
+        leg2 = _integrate(c, Z_SPAN, launch, WAVE_FLOOR)
     else:  # a short overshoot window past the first zero
-        leg2 = _integrate(c, 5.0, leg1.sol(z_anchor), [])
+        leg2 = _integrate(c, 5.0, launch, None)
     z, U, Up = _resample(leg1, leg2, z_anchor, TABLE_DZ)
     tail_left = _left_tail(z, U, lam_u)
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from io import StringIO
@@ -337,6 +338,40 @@ def test_cli_exit_codes_under_random_configs(case):
         assert faults, err.getvalue()
         assert err.getvalue() == (
             f"fkpplab {command}: numerical error: {faults[-1]}\n")
+
+
+# (command, config, exit code) of runs at edge values: four that each
+# printed an overflow RuntimeWarning, the ramp's -d/width (width 1e-320),
+# the algebraic data's (r/eps)^n (n = 1e300), a family's node count
+# need/dx (eps 1e-320, rejected by the sizing rule) and the ellipse's inside
+# test (g1/e1)^2; and a wave speed whose square overflows, so that its launch
+# slope is infinite and the integration must fail with exit 3.
+EDGE_CONFIGS = {
+    "wave": ("wave", "[wave]\nspeeds = 1e200\n", 3),
+    "ramp": ("simulate", "[kinetics]\nepsilon = 0.05\n[geometry]\nshape = interval\n"
+             "a = -0.5\nb = 0.5\n[initial]\nwidth = 1e-320\n[solver]\nt_end = 0.01\n", 0),
+    "algebraic": ("simulate", "[kinetics]\nepsilon = 0.05\n[initial]\nvariant = algebraic\n"
+                  "n = 1e300\n[solver]\nmode = radial\nt_end = 0.01\n", 0),
+    "family": ("simulate", "[kinetics]\nepsilon = 1e-320\n[geometry]\nshape = ball\n"
+               "center = 0, 0\nradius = 0.5\n[solver]\nmode = plane\n", 1),
+    "ellipse": ("simulate", "[kinetics]\nepsilon = 0.05\n[geometry]\nshape = ellipse\n"
+                "center = 0, 0\nsemi_axes = 0.5, 1e-160\n[initial]\nwidth = 1e-200\n"
+                "[solver]\nmode = plane\nt_end = 0.01\n", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CONFIGS))
+def test_cli_edge_configs_print_no_warning(case, tmp_path):
+    """A run at an edge value exits with its usual code and raises
+    nothing: no RuntimeWarning (an error here) and no other exception."""
+    command, text, expected = EDGE_CONFIGS[case]
+    ini = _write(tmp_path, "cfg.ini", text)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(studies, "_pool_size", lambda n: 1)
+        with redirect_stdout(StringIO()), redirect_stderr(StringIO()):
+            code = cli.main([command, "--config", ini, "--out", str(tmp_path / "o")])
+    assert code == expected
 
 
 def test_config_missing_file():
@@ -1497,30 +1532,33 @@ def test_only_kinetics_names_the_epsilon_bound():
     assert not named, named
 
 
-def test_solver_import_leaves_wave_shooting_modules_unloaded():
-    """Importing the solver does not load scipy.integrate or
-    scipy.interpolate, which only the wave shooting needs: checked in a
-    fresh interpreter, by what it has loaded."""
+# scipy.integrate loads the other four; the package needs none of them.
+UNNEEDED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
+                  "scipy.special", "scipy.sparse")
+
+
+def _loaded_by(modules):
+    """Which of UNNEEDED_SCIPY a fresh interpreter has loaded once it has
+    imported the modules."""
     src = str(Path(fkpplab.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = ("import sys, fkpplab.solver; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.integrate', 'scipy.interpolate')))")
+    code = (f"import sys, {modules}; print(sorted(m for m in sys.modules "
+            f"if m in {UNNEEDED_SCIPY!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_solver_import_leaves_wave_shooting_modules_unloaded():
+    """Importing the solver loads none of scipy.integrate, scipy.interpolate,
+    scipy.optimize, scipy.special and scipy.sparse."""
+    assert _loaded_by("fkpplab.solver") == "[]"
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
-    """Importing the CLI and the studies loads scipy.integrate, for the wave
-    shooting, but not scipy.interpolate: a wave is evaluated from its own
-    table's (U, U').  Checked in a fresh interpreter, by what it has
-    loaded."""
-    src = str(Path(fkpplab.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    code = ("import sys, fkpplab.cli, fkpplab.studies; print(sorted(m for m "
-            "in sys.modules if m in ('scipy.integrate', 'scipy.interpolate')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120)
-    assert out.stdout.strip() == "['scipy.integrate']"
+    """Importing the CLI and the studies loads none of them either: the
+    waves are shot by the package's own DOP853 (dop853.integrate) and
+    evaluated from their own table's (U, U'), so scipy is imported only
+    for grids' four LAPACK routines."""
+    assert _loaded_by("fkpplab.cli, fkpplab.studies") == "[]"

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
+from scipy.optimize import brentq
 
-from fkpplab.errors import DomainError
+from fkpplab import dop853, waves
+from fkpplab.errors import DomainError, NumericalError
 from fkpplab.studies import cached
-from fkpplab.waves import decay_rate, solve_wave, unstable_rate
+from fkpplab.waves import TABLE_DZ, decay_rate, solve_wave, unstable_rate
 
 
 def _wave(c):
@@ -172,3 +176,112 @@ def test_evaluate_between_nodes_matches_ablowitz_zeppetella():
     for z in (mid, rng.uniform(prof.z[0], prof.z[-1], 20000)):
         exact = (1.0 + a * np.exp(z / r6)) ** -2
         assert np.max(np.abs(prof.evaluate(z) - exact)) <= 2e-12
+
+
+# scipy is the oracle of the package's DOP853 (dop853), which performs its
+# DOP853 operation for operation: the tests below hold the port to it bit
+# for bit.
+
+def test_dop853_table_is_scipys():
+    assert (dop853.N_STAGES, dop853.N_STAGES_EXTENDED, dop853.INTERPOLATOR_POWER) == (
+        dop853_coefficients.N_STAGES, dop853_coefficients.N_STAGES_EXTENDED,
+        dop853_coefficients.INTERPOLATOR_POWER)
+    for name in ("A", "B", "E3", "E5", "D"):
+        assert np.array_equal(getattr(dop853, name), getattr(dop853_coefficients, name)), name
+
+
+def _solve_ivp_leg(c, z_final, y0, level):
+    """One shooting leg (waves._integrate's arguments) by scipy."""
+    def rhs(_, y):
+        u, v = y
+        return (v, -c * v - u * (1.0 - u))
+
+    def event(_, y):
+        return y[0] - level
+
+    event.terminal, event.direction = True, -1
+    return solve_ivp(rhs, (0.0, z_final), y0, method="DOP853", rtol=1e-12,
+                     atol=1e-14, dense_output=True,
+                     events=[] if level is None else [event])
+
+
+@pytest.mark.parametrize("c", [1.5, 2.0 - 0.02 * abs(math.log(0.02)), 2.0, 2.5])
+def test_dop853_legs_and_table_match_solve_ivp(c, monkeypatch):
+    """Each leg of a wave's shooting has solve_ivp's steps, event root and
+    dense output, and the wave's table is the one resampled from
+    solve_ivp's dense output: all equal, not close."""
+    legs = []
+
+    def recorded(*args):
+        legs.append((args, integrate(*args)))
+        return legs[-1][1]
+
+    integrate = waves._integrate
+    monkeypatch.setattr(waves, "_integrate", recorded)
+    wave = solve_wave(c)
+    assert len(legs) == 2
+    refs = []
+    for (_, z_final, y0, level), ours in legs:
+        ref = _solve_ivp_leg(c, z_final, y0, level)
+        assert ref.success
+        assert np.array_equal(ours.ts, ref.t)
+        roots = [] if level is None else ref.t_events[0].tolist()
+        assert ([] if ours.root is None else [ours.root]) == roots
+        z = np.concatenate((np.linspace(0.0, ours.ts[-1], 4001), ours.ts))
+        assert np.array_equal(ours(z), ref.sol(z))
+        refs.append(ref)
+    leg1, leg2 = refs
+    z_anchor = float(leg1.t_events[0][0])
+    assert np.array_equal(legs[1][0][2], leg1.sol(z_anchor))  # leg 2's launch
+    k = np.arange(math.ceil(-z_anchor / TABLE_DZ - 1e-9),
+                  math.floor(float(leg2.t[-1]) / TABLE_DZ + 1e-9) + 1)
+    z = k * TABLE_DZ
+    neg = z <= 0.0
+    U, Up = np.concatenate((leg1.sol(z[neg] + z_anchor), leg2.sol(z[~neg])), axis=1)
+    assert np.array_equal(wave.z, z)
+    assert np.array_equal(wave.U, U)
+    assert np.array_equal(wave.Uprime, Up)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 10.0, 0.0, 5.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x * x * (x - 0.5) - 1e-6, 0.0, 3.0),
+    (lambda x: math.atan(50.0 * (x - 0.7)), -3.0, 1.0),
+    (lambda x: math.copysign(abs(x - 1 / 3) ** 0.2, x - 1 / 3), 0.0, 1.0),  # bisects
+], ids=["cubic", "exp", "cos", "flat_cubic", "atan", "fifth_root"])
+def test_brentq_port_matches_scipys_brentq(f, a, b):
+    """The port evaluates f at scipy's points, in scipy's order."""
+    tol = 4 * np.finfo(float).eps
+    ours, theirs = [], []
+    root = dop853._brentq(lambda x: ours.append(x) or f(x), a, b)
+    assert root == brentq(lambda x: theirs.append(x) or f(x), a, b, xtol=tol, rtol=tol)
+    assert ours == theirs
+
+
+def test_wave_integration_rejects_a_non_finite_launch():
+    # c*c overflows, so the unstable rate and the launch slope are infinite
+    with pytest.raises(NumericalError,
+                       match=r"wave integration failed: the launch state .* is not finite"):
+        solve_wave(1e200)
+
+
+def test_integration_below_the_least_step_fails_within_bounded_steps():
+    """A blow-up (y' = y^2 from 1, infinite at t = 1) and a field that is
+    NaN (on which solve_ivp loops for ever) raise once the step falls below
+    ten spacings of t, after a bounded number of evaluations."""
+    calls = []
+
+    def blow_up(y):
+        calls.append(y)
+        return y * y
+
+    with pytest.raises(NumericalError, match="the step fell below"):
+        dop853.integrate(blow_up, 2.0, [1.0], None)
+    assert len(calls) < 10_000
+    with pytest.raises(NumericalError, match="the step fell below"):
+        dop853.integrate(lambda y: np.full_like(y, np.nan), 1.0, [1.0], None)
+    # U'' = U^2 - U - cU' blows up from U = U' = 10 too
+    with pytest.raises(NumericalError, match="wave integration failed: the step fell below"):
+        waves._integrate(2.0, 40.0, [10.0, 10.0], None)
