@@ -38,9 +38,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .geometry import ConvexBody, cutoff_distance
-from .grids import Field, Grid
+from .grids import Field, Grid, laplacian_rows, tridiagonal_product
 from .kinetics import KineticsParams, eps_log, semiflow
-from .solver import THRESHOLD_K, InitialData, compact_value, _lap_coeffs
+from .solver import THRESHOLD_K, InitialData, compact_value
 from .waves import WaveProfile, decay_rate
 
 
@@ -153,30 +153,31 @@ def radial_sub_W(t, r, wave: WaveProfile, epsilon: float, n_dim: int,
     return float(out) if out.ndim == 0 else out
 
 
-def _apply_lap(u, grid: Grid, axis: int):
-    """The solver's discrete Laplacian of u along one axis, unscaled
-    (multiply by 1/dx^2): the rows _lap_coeffs(grid, axis), formed in the
-    order diag*u, + sup*u[1:], + sub*u[:-1] along that axis."""
-    sub, diag, sup = _lap_coeffs(grid, axis)
-    u = np.moveaxis(u, axis, 0)
-    shape = (-1,) + (1,) * (u.ndim - 1)
-    out = diag.reshape(shape) * u
-    out[:-1] += sup.reshape(shape) * u[1:]
-    out[1:] += sub.reshape(shape) * u[:-1]
-    return np.moveaxis(out, 0, axis)
-
-
 def discrete_residual(v, t, grid: Grid, epsilon: float) -> Field:
     """L[v] = v_t - eps Lap v - v(1-v)/eps on the grid, with central
     differences in time (step dx * RESIDUAL_DT) and the solver's discrete
-    Laplacian in space.  v is a callable v(t, x) over grid coordinates."""
+    Laplacian in space (laplacian_rows, applied by tridiagonal_product
+    along each axis).  v is a callable v(t, x) over grid coordinates."""
     dt = grid.dx * RESIDUAL_DT
     x = grid.points()
     vm = np.asarray(v(t - dt, x), dtype=float)
     v0 = np.asarray(v(t, x), dtype=float)
     vp = np.asarray(v(t + dt, x), dtype=float)
-    lap = _apply_lap(v0, grid, 0) / grid.dx**2
-    if grid.mode == "plane":
-        lap += _apply_lap(v0, grid, 1) / grid.dx**2
-    res = (vp - vm) / (2.0 * dt) - epsilon * lap - v0 * (1.0 - v0) / epsilon
+    lap, res = np.empty_like(v0), np.empty_like(v0)
+    for axis in range(len(grid.extents)):
+        term = lap if axis == 0 else np.empty_like(v0)
+        tridiagonal_product(*laplacian_rows(grid, axis), *(
+            np.moveaxis(a, axis, 0) for a in (v0, term, res)))
+        term /= grid.dx**2
+        if axis:
+            lap += term
+    # (vp - vm) / (2 dt) - eps lap - v0 (1 - v0) / eps, in res and lap
+    np.subtract(vp, vm, out=res)
+    res /= 2.0 * dt
+    lap *= epsilon
+    res -= lap
+    np.subtract(1.0, v0, out=lap)
+    lap *= v0
+    lap /= epsilon
+    res -= lap
     return Field(grid, res)

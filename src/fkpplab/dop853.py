@@ -273,19 +273,10 @@ def _dense(fun, K, y_old, y, f, h):
     return F
 
 
-def _first_component(F0, y0, t_old, h, level):
-    """t -> y[0](t) - level on one step, by the Horner scheme of
-    Solution.__call__ in Python floats (the same roundings)."""
-    coeffs = F0[::-1].tolist()
-    y0 = float(y0)
-
+def _crossing(leg, level):
+    """t -> y[0](t) - level on a one-step Solution ``leg``."""
     def g(t):
-        x = (t - t_old) / h
-        y = 0.0
-        for k, a in enumerate(coeffs):
-            y += a
-            y *= x if k % 2 == 0 else 1 - x
-        y = y + y0 - level
+        y = float(leg(np.array([t]))[0, 0]) - level
         if math.isnan(y):  # as scipy's brentq refuses it
             raise NumericalError(f"the dense output is NaN at t = {t!r}")
         return y
@@ -380,7 +371,8 @@ def integrate(fun, t_bound, y0, level):
         if g is not None:
             g_new = y_new[0] - level
             if g >= 0 and g_new <= 0:
-                root = _brentq(_first_component(F[:, 0], y[0], t, h, level), t, t_new)
+                leg = Solution([t, t_new], [h], [y], [F], None)
+                root = _brentq(_crossing(leg, level), t, t_new)
                 ts.append(root)
                 return Solution(ts, hs, ys, Fs, root)
             g = g_new

@@ -1,4 +1,5 @@
-"""Uniform grids, scalar fields, interpolation and the tridiagonal factor.
+"""Uniform grids, scalar fields, interpolation, and the scheme's tridiagonal
+operator.
 
 Three geometry modes are supported:
 
@@ -7,8 +8,12 @@ Three geometry modes are supported:
   the Laplacian is u_rr + (N-1)/r u_r
 * ``plane``  -- two Cartesian axes, values stored row-major as (n0, n1)
 
-The solver reads an axis that starts at 0 as ending at a mirror wall: the
-radial origin, or the symmetry plane x = 0 of a run reduced to its half.
+The discrete Laplacian is built here, once: laplacian_rows gives an axis its
+rows, from which the solver factors its Crank-Nicolson matrices
+(TridiagonalFactor), and tridiagonal_product applies rows to values, both
+in a factor's residual check and in the barriers' discrete residual.  An
+axis that starts at 0 ends at a mirror wall: the radial origin, or the
+symmetry plane x = 0 of a run reduced to its half.
 """
 
 from __future__ import annotations
@@ -145,6 +150,50 @@ def interpolate(fld: Field, x):
     return apply_stencil(fld.values, stencil(fld.grid, tuple(x)))
 
 
+def laplacian_rows(grid: Grid, axis: int):
+    """(sub, diag, sup) of the Laplacian along one axis, unscaled (multiply
+    by 1/dx^2): the stencil 1, -2, 1 (with the radial terms (N-1)/r u_r in
+    radial mode) and, at each wall,
+
+    * at a low wall at 0, the mirror row -2N, 2N of a ghost node
+      u_{-1} = u_1, N the radial dimension (Lap u = N u_rr at r = 0) and 1
+      on a line or plane axis;
+    * at any other line or plane wall, the telescoping Neumann row -1, 1,
+      which conserves the plain sum exactly;
+    * at the radial outer wall, the mirror row 2, -2 (the radial term drops
+      out)."""
+    n = grid.shape[axis]
+    sub = np.ones(n - 1)
+    diag = np.full(n, -2.0)
+    sup = np.ones(n - 1)
+    if grid.mode == "radial":
+        i = np.arange(1, n - 1, dtype=float)
+        sub[: n - 2] = 1.0 - (grid.dim - 1) / (2.0 * i)
+        sup[1:] = 1.0 + (grid.dim - 1) / (2.0 * i)
+        sub[-1] = 2.0
+    else:
+        diag[-1] = -1.0
+    if grid.extents[axis][0] == 0.0:
+        diag[0] = -2.0 * grid.dim
+        sup[0] = 2.0 * grid.dim
+    else:
+        diag[0] = -1.0
+    return sub, diag, sup
+
+
+def tridiagonal_product(lower, diag, upper, y, out, work):
+    """T y into ``out`` along y's axis 0, for T with sub-diagonal ``lower``,
+    main diagonal ``diag`` and super-diagonal ``upper``: diag y, + upper
+    y[1:] on rows :-1, + lower y[:-1] on rows 1:, in that order, each
+    off-diagonal product formed in ``work`` (y's shape) first."""
+    shape = (-1, *([1] * (y.ndim - 1)))
+    np.multiply(diag.reshape(shape), y, out=out)
+    np.multiply(upper.reshape(shape), y[1:], out=work[:-1])
+    out[:-1] += work[:-1]
+    np.multiply(lower.reshape(shape), y[:-1], out=work[1:])
+    out[1:] += work[1:]
+
+
 class TridiagonalFactor:
     """Factor of a diagonally dominant tridiagonal T, computed once and
     reused by every solve.
@@ -196,63 +245,28 @@ class TridiagonalFactor:
             *self._factor, info = dgttrf(lower, diag, upper)
         if info != 0:
             raise NumericalError("tridiagonal system is singular")
-        # _check's off-diagonals aligned with the rows of y they multiply
-        # (upper[i] multiplies y[i + 1]); the two flat arrays it works in,
-        # which factors that check blocks of one size share (Stepper), and
-        # their views in the shape of the last check
-        self._aligned = (np.append(0.0, upper), np.append(lower, 0.0))
-        self.check_arrays = [np.empty(0), np.empty(0)]
-        self._held = None
 
-    def solve(self, rhs, check):
-        """y with T y = rhs; ``rhs`` is a vector of length n or an (n, m)
-        block of right-hand sides, solved in one call.  With ``check`` it
-        solves a Fortran-order copy, so ``rhs`` is left as it was, and
-        verifies the relative residual <= 1e-12 (_check).  Without it the
-        solve overwrites ``rhs``: a vector or a Fortran-order block is
-        solved in place (the LAPACK wrapper copies any other layout first).
-        A checked solve allocates only the copy it returns, once its
-        check has held arrays of rhs's shape."""
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.diag.size:
+    def solve(self, rhs):
+        """y with T y = rhs, ``rhs`` a vector of length n or an (n, m) block
+        of right-hand sides, solved in one call and in place: a vector or a
+        Fortran-order block is overwritten with y, and any other layout is
+        solved on a Fortran-order copy and left as it was."""
+        b = np.asfortranarray(rhs, dtype=float)
+        if b.shape[0] != self.diag.size:
             raise ConfigurationError("right-hand side length differs from n")
-        b = np.array(rhs, order="F") if check else rhs
         if self._halve:
             b[0] *= 0.5
         y, info = self._trs(*self._factor, b, overwrite_b=True)
         if info != 0:
             raise NumericalError("tridiagonal solve failed")
-        if check:
-            self._check(rhs, y)
         return y
 
-    def _check(self, rhs, y):
+    def check(self, rhs, y, resid, work):
         """Raises NumericalError unless max|T y - rhs| <= 1e-12 max(max|rhs|,
-        max|y|), with T y - rhs formed in the operation order of
-        diag y, + upper y[1:] on rows :-1, + lower y[:-1] on rows 1:, - rhs.
-
-        It is formed in the two flat arrays ``check_arrays``, held for the
-        next check of rhs's size, each viewed in rhs's shape in Fortran
-        order: the residual, and the products and absolute values on their
-        way to it.  Each off-diagonal product is formed over all of y, its
-        coefficients aligned with the rows of y they multiply, and the row
-        that has none set to 0; it is then added to the residual one row up
-        or down through the flat arrays, where the shift is one contiguous
-        slice.  The zero row lands on the rows the plain expression leaves
-        alone, where adding 0 moves no magnitude."""
-        flat_resid, flat_work = held = self.check_arrays
-        if flat_resid.size != rhs.size:
-            flat_resid, flat_work = held[:] = np.empty(rhs.size), np.empty(rhs.size)
-        resid, work = self._held = tuple(
-            a.reshape(rhs.shape, order="F") for a in held)
-        shape = (-1, *([1] * (rhs.ndim - 1)))
-        np.multiply(self.diag.reshape(shape), y, out=resid)
-        np.multiply(self._aligned[0].reshape(shape), y, out=work)
-        work[0] = 0.0
-        flat_resid[:-1] += flat_work[1:]
-        np.multiply(self._aligned[1].reshape(shape), y, out=work)
-        work[-1] = 0.0
-        flat_resid[1:] += flat_work[:-1]
+        max|y|), T y formed by tridiagonal_product.  ``resid`` and ``work``
+        are arrays of rhs's shape the caller holds: resid is left with
+        |T y - rhs|, and work with |y|."""
+        tridiagonal_product(self.lower, self.diag, self.upper, y, resid, work)
         resid -= rhs
         scale = max(float(np.abs(rhs, out=work).max()),
                     float(np.abs(y, out=work).max()), 1e-300)

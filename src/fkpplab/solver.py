@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, NumericalError
 from .geometry import ConvexBody
-from .grids import Field, Grid, TridiagonalFactor, apply_stencil, stencil
+from .grids import (Field, Grid, TridiagonalFactor, apply_stencil,
+                    laplacian_rows, stencil)
 from .kinetics import eps_log
 from .reporting import write_table
 
@@ -270,44 +271,6 @@ class Trajectory:
     series: dict  # name -> (times, values) arrays
 
 
-def _mirrored(grid: Grid, axis: int):
-    """Whether the axis has a mirror wall at its low end: an axis that
-    starts at 0 is the radial r >= 0, or the half x >= 0 of a run that is
-    even in that coordinate."""
-    return bool(grid.extents[axis][0] == 0.0)
-
-
-def _lap_coeffs(grid: Grid, axis: int):
-    """(sub, diag, sup) of the Laplacian along one axis, unscaled (multiply
-    by 1/dx^2): the stencil 1, -2, 1 (with the radial terms (N-1)/r u_r in
-    radial mode) and, at each wall,
-
-    * at a low wall at 0, the mirror row -2N, 2N of a ghost node
-      u_{-1} = u_1, N the radial dimension (Lap u = N u_rr at r = 0) and 1
-      on a line or plane axis;
-    * at any other line or plane wall, the telescoping Neumann row -1, 1,
-      which conserves the plain sum exactly;
-    * at the radial outer wall, the mirror row 2, -2 (the radial term drops
-      out)."""
-    n = grid.shape[axis]
-    sub = np.ones(n - 1)
-    diag = np.full(n, -2.0)
-    sup = np.ones(n - 1)
-    if grid.mode == "radial":
-        i = np.arange(1, n - 1, dtype=float)
-        sub[: n - 2] = 1.0 - (grid.dim - 1) / (2.0 * i)
-        sup[1:] = 1.0 + (grid.dim - 1) / (2.0 * i)
-        sub[-1] = 2.0
-    else:
-        diag[-1] = -1.0
-    if _mirrored(grid, axis):
-        diag[0] = -2.0 * grid.dim
-        sup[0] = 2.0 * grid.dim
-    else:
-        diag[0] = -1.0
-    return sub, diag, sup
-
-
 # Steps between residual checks of the line solves; the first step of every
 # Stepper is always checked.
 RESIDUAL_EVERY = 25
@@ -328,9 +291,8 @@ class Stepper:
       a plane's x axis, the transposed shape on its y axis; the last
       receives the solution.  On a plane ``copies`` views each work array
       in the other axis's layout;
-    * one pair of residual-check arrays (TridiagonalFactor.check_arrays),
-      shared by the axes' factors: the x and y steps of a plane step
-      check blocks of one size, transposes of one another.
+    * one pair of flat arrays of the grid's size, ``residual``, in which
+      every axis's residual check works, viewed in that axis's layout.
 
     ``step`` maps a bare value array to the next one in one new array, the
     only one it allocates: the first reaction half-step forms its result
@@ -340,7 +302,7 @@ class Stepper:
 
     The reaction half-steps reject negative input; the line solves
     verify the 1e-12 residual on the first step and every RESIDUAL_EVERY
-    steps after it, each on a Fortran-order copy.  Every row, a mirror row
+    steps after it (TridiagonalFactor.check).  Every row, a mirror row
     included, keeps (I + a L) nonnegative for a <= 1/2 (1/(2N) in radial
     mode, N = 2 or 3), as default_dt gives, and T^{-1} is nonnegative, so
     the step T^{-1} (I + a L) preserves order.
@@ -353,10 +315,8 @@ class Stepper:
         axes = range(len(grid.extents))
         self.factors = tuple(
             TridiagonalFactor(-self.a * sub, 1.0 - self.a * diag, -self.a * sup)
-            for sub, diag, sup in (_lap_coeffs(grid, i) for i in axes)
+            for sub, diag, sup in (laplacian_rows(grid, i) for i in axes)
         )
-        for factor in self.factors[1:]:
-            factor.check_arrays = self.factors[0].check_arrays
         shape = grid.shape
         self.work = tuple(np.empty(shape[i:] + shape[:i], order="F")
                           for i in axes)
@@ -364,6 +324,7 @@ class Stepper:
         self.copies = ((None,) if len(axes) == 1 else tuple(
             other.reshape(work.shape, order="F")
             for work, other in zip(self.work, self.work[::-1])))
+        self.residual = (np.empty(math.prod(shape)), np.empty(math.prod(shape)))
         self.steps = 0
 
     def _reaction(self, u, out):
@@ -390,15 +351,15 @@ class Stepper:
 
         Along one axis the step is T^{-1} (I + a L) u, T = I - a L, which
         is 2 T^{-1} u - u, since I + a L = 2I - T: u is copied into the
-        axis's work array, the solve overwrites it with y, T y = u (a
-        checked solve leaves it alone and returns y, which is doubled into
-        it), and 2y - u is formed there.  On a plane the x axis steps and
-        then the y axis, each from the last one's result read transposed,
-        so each copy into a work array is a transpose; that copy is copied
-        again into the other work array (``copies``), which the last axis
-        has done with, so that 2y - u reads u in y's layout.  L_x =
-        L_0 (x) I and L_y = I (x) L_1 commute, so the product of the two
-        steps is Peaceman-Rachford ADI: second order, with only line
+        axis's work array, the solve overwrites it with y, T y = u, which
+        a checked step verifies against the u it still holds, and 2y - u
+        is formed there.  On a plane the x axis steps and then the y axis,
+        each from the last one's result read transposed, so each copy into
+        a work array is a transpose; that copy is copied again into the
+        other work array (``copies``), which the last axis has done with,
+        so that 2y - u reads u in y's layout and a checked step holds it.
+        L_x = L_0 (x) I and L_y = I (x) L_1 commute, so the product of the
+        two steps is Peaceman-Rachford ADI: second order, with only line
         solves.  Each axis's step is nonnegative on nonnegative u for
         a <= 1/2 (1/(2N) in radial mode), as default_dt gives, so the
         negatives of 2y - u, which rounding makes, are set to 0.
@@ -409,7 +370,11 @@ class Stepper:
             if copy is not None:
                 np.copyto(copy, work)
                 u = copy
-            np.multiply(factor.solve(work, check), 2.0, out=work)
+            factor.solve(work)
+            if check:
+                factor.check(u, work, *(a.reshape(work.shape, order="F")
+                                        for a in self.residual))
+            work *= 2.0
             work -= u
             # rounding negatives, as of a subnormal halved to 0 on a mirror row
             np.maximum(work, 0.0, out=work)

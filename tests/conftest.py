@@ -6,6 +6,15 @@ from fkpplab.solver import Stepper
 BLOW_UP_STEP = 3
 
 
+def checked_solve(factor, rhs):
+    """factor.solve of a Fortran-order copy of rhs, verified by factor.check
+    against rhs, which is left as it was."""
+    rhs = np.asarray(rhs, dtype=float)
+    y = factor.solve(np.array(rhs, order="F"))
+    factor.check(rhs, y, np.empty_like(y), np.empty_like(y))
+    return y
+
+
 @pytest.fixture
 def set_node(monkeypatch):
     """set_node(value, step=BLOW_UP_STEP): every Stepper then sets the middle

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpttrs
 
+from conftest import checked_solve
 from fkpplab.errors import ConfigurationError, DomainError, NumericalError
 from fkpplab.grids import Field, Grid, TridiagonalFactor, interpolate
 
@@ -81,14 +82,14 @@ def test_interpolate_out_of_extents():
 
 def test_tridiagonal_identity():
     rhs = np.array([3.0, -1.0, 2.0, 0.5])
-    y = TridiagonalFactor(np.zeros(3), np.ones(4), np.zeros(3)).solve(rhs, check=True)
+    y = checked_solve(TridiagonalFactor(np.zeros(3), np.ones(4), np.zeros(3)), rhs)
     assert np.allclose(y, rhs, atol=1e-14)
 
 
 def test_tridiagonal_hand_eliminated_3x3():
     # [2 -1 0; -1 2 -1; 0 -1 2] y = (1, 0, 1)  =>  y = (1, 1, 1)
-    y = TridiagonalFactor([-1.0, -1.0], [2.0, 2.0, 2.0],
-                          [-1.0, -1.0]).solve([1.0, 0.0, 1.0], check=True)
+    y = checked_solve(TridiagonalFactor([-1.0, -1.0], [2.0, 2.0, 2.0],
+                          [-1.0, -1.0]), [1.0, 0.0, 1.0])
     assert np.allclose(y, [1.0, 1.0, 1.0], atol=1e-13)
 
 
@@ -101,7 +102,7 @@ def test_tridiagonal_against_dense_oracle():
         rhs = rng.uniform(-1, 1, n)
         dense = np.diag(diag) + np.diag(sub, -1) + np.diag(sup, 1)
         ref = np.linalg.solve(dense, rhs)
-        y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
+        y = checked_solve(TridiagonalFactor(sub, diag, sup), rhs)
         assert np.max(np.abs(y - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -112,7 +113,7 @@ def test_tridiagonal_roundtrip_large():
     sup = rng.uniform(-1, 1, n - 1)
     diag = 2.2 + rng.uniform(0, 1, n)
     rhs = rng.uniform(-1, 1, n)
-    y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
+    y = checked_solve(TridiagonalFactor(sub, diag, sup), rhs)
     back = diag * y
     back[:-1] += sup * y[1:]
     back[1:] += sub * y[:-1]
@@ -130,8 +131,8 @@ def test_tridiagonal_rejects_bad_shapes():
 
 def test_tridiagonal_rejects_non_dominant():
     with pytest.raises(NumericalError):
-        TridiagonalFactor([3.0, 3.0], [1.0, 1.0, 1.0],
-                          [3.0, 3.0]).solve([1.0, 1.0, 1.0], check=True)
+        checked_solve(TridiagonalFactor([3.0, 3.0], [1.0, 1.0, 1.0],
+                          [3.0, 3.0]), [1.0, 1.0, 1.0])
 
 
 def test_tridiagonal_block_rhs():
@@ -141,9 +142,9 @@ def test_tridiagonal_block_rhs():
     sub = rng.uniform(-1, 1, n - 1)
     sup = rng.uniform(-1, 1, n - 1)
     rhs = rng.uniform(-1, 1, (n, 4))
-    y = TridiagonalFactor(sub, diag, sup).solve(rhs, check=True)
+    y = checked_solve(TridiagonalFactor(sub, diag, sup), rhs)
     for j in range(4):
-        yj = TridiagonalFactor(sub, diag, sup).solve(rhs[:, j], check=True)
+        yj = checked_solve(TridiagonalFactor(sub, diag, sup), rhs[:, j])
         assert np.allclose(y[:, j], yj, atol=1e-13)
 
 
@@ -167,14 +168,16 @@ def test_tridiagonal_factor_follows_the_values():
         assert (factor._trs is dpttrs) == ldl
         dense = np.diag(d) + np.diag(lower, -1) + np.diag(upper, 1)
         ref = np.linalg.solve(dense, rhs)
-        assert np.max(np.abs(factor.solve(rhs, check=True) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(checked_solve(factor, rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "mirror", "lu"])
 def test_tridiagonal_solve_in_place_or_on_a_checked_copy(kind):
-    # an unchecked solve of a Fortran-order block writes its solution over
-    # the right-hand side (no copy by the wrapper); a checked one solves a
-    # copy, leaves the right-hand side as it was and verifies the residual
+    # a Fortran-order block is solved in place, its solution written over
+    # it (no copy by the wrapper); a C-order block is solved on a copy and
+    # left as it was, row 0 included, which a mirror row's solve halves;
+    # check verifies either solution against the right-hand side and
+    # raises once the factor no longer matches T
     rng = np.random.default_rng(19)
     n, m = 31, 7
     sub = rng.uniform(-1, 1, n - 1)
@@ -186,24 +189,28 @@ def test_tridiagonal_solve_in_place_or_on_a_checked_copy(kind):
     factor = TridiagonalFactor(sub, diag, upper)
     assert (factor._trs is dpttrs) == (kind != "lu")
     dense = np.diag(diag) + np.diag(sub, -1) + np.diag(upper, 1)
-    rhs = np.asfortranarray(rng.uniform(-1, 1, (n, m)))
+    rhs = np.ascontiguousarray(rng.uniform(-1, 1, (n, m)))
     want = np.linalg.solve(dense, rhs)
+    resid, work = np.empty((n, m)), np.empty((n, m))
 
     before = rhs.copy()
-    y = factor.solve(rhs, check=True)
+    y = factor.solve(rhs)
     assert not np.shares_memory(y, rhs)
     assert rhs.tobytes() == before.tobytes()
     assert np.max(np.abs(y - want)) <= 1e-12 * np.max(np.abs(want))
+    solution = y.copy()
+    factor.check(rhs, y, resid, work)
+    assert rhs.tobytes() == before.tobytes()
+    assert y.tobytes() == solution.tobytes()
 
-    y_in_place = factor.solve(rhs, check=False)
-    assert np.shares_memory(y_in_place, rhs)
+    in_place = np.asfortranarray(rhs)
+    y_in_place = factor.solve(in_place)
+    assert np.shares_memory(y_in_place, in_place)
     assert y_in_place.tobytes() == y.tobytes()
 
     factor._factor[0] = factor._factor[0] * (1.0 + 1e-6)
-    before = rhs.copy()
     with pytest.raises(NumericalError, match="residual"):
-        factor.solve(rhs, check=True)
-    assert rhs.tobytes() == before.tobytes()
+        factor.check(rhs, factor.solve(rhs), resid, work)
 
 
 def test_tridiagonal_rejects_singular_symmetric():

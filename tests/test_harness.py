@@ -1532,6 +1532,21 @@ def test_only_kinetics_names_the_epsilon_bound():
     assert not named, named
 
 
+def test_no_module_imports_another_modules_private_name():
+    """A module's underscore names are its own: no src/fkpplab module imports
+    one from another package module (a dunder such as __version__ is not
+    one of them)."""
+    imported = []
+    for path in ROOT.glob("src/fkpplab/*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom)
+                    and (node.level > 0 or node.module.split(".")[0] == "fkpplab")):
+                imported += [f"{path.name}:{node.lineno} {alias.name}"
+                             for alias in node.names if alias.name.startswith("_")
+                             and not alias.name.endswith("__")]
+    assert not imported, imported
+
+
 # scipy.integrate loads the other four; the package needs none of them.
 UNNEEDED_SCIPY = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
                   "scipy.special", "scipy.sparse")

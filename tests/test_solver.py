@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 from fkpplab import solver
 from fkpplab.errors import ConfigurationError, NumericalError
 from fkpplab.geometry import ConvexBody
-from fkpplab.grids import Field, Grid, interpolate
+from fkpplab.grids import Field, Grid, TridiagonalFactor, interpolate
 from fkpplab.kinetics import KineticsParams, eps_log
 from fkpplab.reporting import write_table
 from fkpplab.solver import (
@@ -853,45 +853,60 @@ def _traced_peak(call):
 
 
 def test_checked_solve_and_step_allocate_only_what_they_return():
-    """A checked solve forms its residual in arrays its factor holds, so it
-    allocates only the solution it returns, and a checked quarter-plane
-    step only its new state and, one at a time, its solves' solutions; the
-    residual in fresh arrays took about two arrays more.  Half an array of
-    slack covers numpy's fixed-size ufunc buffers."""
+    """A solve works in place and its check in arrays the caller holds, so
+    together they allocate no array of the block's size, and a checked
+    quarter-plane step allocates its new state and less than half a state
+    more: it checks each axis against the right-hand side it still holds,
+    in the Stepper's pair of arrays.  A checked copy of each block, with
+    the residual in arrays each factor held, peaked at 2.12 states.  The
+    slack covers numpy's fixed-size ufunc buffers (about 190 KB)."""
     g = Grid("plane", ((0.0, 2.67), (0.0, 2.67)), 0.01)
     assert g.shape == (268, 268)
     stepper = Stepper(g, default_dt(g, 0.1), 0.1)
     factor = stepper.factors[0]
     rhs = np.asfortranarray(np.random.default_rng(23).random(g.shape))
-    factor.solve(rhs, check=True)  # the first check of a shape makes its arrays
-    y, peak = _traced_peak(lambda: factor.solve(rhs, check=True))
-    assert peak < 1.5 * y.nbytes
+    b = rhs.copy(order="F")
+    resid, work = (a.reshape(g.shape, order="F") for a in stepper.residual)
+    _, peak = _traced_peak(lambda: factor.check(rhs, factor.solve(b), resid, work))
+    assert peak < 0.5 * rhs.nbytes
 
     u = stepper.step(np.full(g.shape, 0.5))  # checked
     for _ in range(RESIDUAL_EVERY - 1):
         u = stepper.step(u)
     assert stepper.steps % RESIDUAL_EVERY == 0  # the next step is checked
     u, peak = _traced_peak(lambda: stepper.step(u))
-    assert peak < 2.5 * u.nbytes
+    assert peak < 1.5 * u.nbytes
 
 
-def test_plane_stepper_factors_check_through_one_pair_of_arrays():
-    """The x and y sweeps of a plane step check blocks of one size, the
-    grid's and its transpose, so the two factors share one held pair of
-    flat arrays: after a checked step each factor's last residual and work
-    array are views of those two, on a square grid and on one that is
-    not."""
+def test_plane_stepper_factors_check_through_one_pair_of_arrays(monkeypatch):
+    """The Stepper holds one pair of flat arrays of the grid's size, and a
+    checked plane step checks both axes in it, each viewed in that axis's
+    layout, against the right-hand side it still holds in ``copies`` and
+    the solution in its work array: on a square grid and on one that is
+    not.  An unchecked step checks nothing."""
+    seen = []
+    real = TridiagonalFactor.check
+
+    def spy(self, rhs, y, resid, work):
+        seen.append((self, rhs, y, resid, work))
+        return real(self, rhs, y, resid, work)
+
+    monkeypatch.setattr(TridiagonalFactor, "check", spy)
     for g in (Grid("plane", ((0.0, 0.3), (0.0, 0.3)), 0.01),
               Grid("plane", ((0.0, 0.3), (0.0, 0.2)), 0.01)):
+        seen.clear()
         stepper = Stepper(g, default_dt(g, 0.1), 0.1)
-        fx, fy = stepper.factors
-        stepper.step(np.full(g.shape, 0.5))  # the first step is checked
-        held = fx.check_arrays
-        assert fy.check_arrays is held
-        assert [a.shape for a in held] == [(math.prod(g.shape),)] * 2
-        for factor, shape in ((fx, g.shape), (fy, g.shape[::-1])):
-            assert [v.shape for v in factor._held] == [shape] * 2
-            assert all(v.base is a for v, a in zip(factor._held, held))
+        u = stepper.step(np.full(g.shape, 0.5))  # the first step is checked
+        pair = stepper.residual
+        assert [a.shape for a in pair] == [(math.prod(g.shape),)] * 2
+        assert [factor for factor, *_ in seen] == list(stepper.factors)
+        for (_, rhs, y, resid, work), shape, w, copy in zip(
+                seen, (g.shape, g.shape[::-1]), stepper.work, stepper.copies):
+            assert rhs is copy and y is w
+            assert resid.shape == work.shape == shape
+            assert resid.base is pair[0] and work.base is pair[1]
+        stepper.step(u)
+        assert len(seen) == 2
 
 
 def test_config_rejects_counts_no_array_holds():
